@@ -12,6 +12,7 @@ from .characters import (
     ClassMatrices,
     InducedCharacter,
     character_multiplicities,
+    check_table_size,
     class_matrices,
     dixon_character_table,
     induced_character_from_cyclic,
@@ -32,7 +33,7 @@ from .cyclotomic import (
     reduce_raw,
     totient,
 )
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, ResourceLimitError
 from .galois import (
     GaloisConjugacyClasses,
     GaloisSubgroup,
@@ -48,6 +49,7 @@ from .galois import (
 )
 from .group_core import (
     DEFAULT_GROUP_CAP,
+    TABLE_BYTE_BUDGET,
     ClassData,
     Group,
     GroupSpec,

@@ -27,14 +27,15 @@ from .cyclotomic import (
     get_context,
     reduce_raw,
 )
-from .errors import InternalConsistencyError
-from .group_core import ClassData, Group
+from .errors import InternalConsistencyError, ResourceLimitError
+from .group_core import TABLE_BYTE_BUDGET, ClassData, Group
 
 __all__ = [
     "CharacterTable",
     "ClassMatrices",
     "InducedCharacter",
     "character_multiplicities",
+    "check_table_size",
     "class_matrices",
     "dixon_character_table",
     "induced_character_from_cyclic",
@@ -55,10 +56,21 @@ class ClassMatrices:
     c: np.ndarray  # shape (k, k, k), int64
 
 
+def check_table_size(k: int) -> None:
+    """Refuse k classes when the (k, k, k) int64 tensor would exceed TABLE_BYTE_BUDGET."""
+    need = 8 * k ** 3
+    if need > TABLE_BYTE_BUDGET:
+        raise ResourceLimitError(
+            f"{k} conjugacy classes need a {need / 2**30:.1f} GiB class structure-constant"
+            f" tensor, over the {TABLE_BYTE_BUDGET >> 20} MiB budget"
+        )
+
+
 def class_matrices(group: Group, cd: ClassData) -> ClassMatrices:
     """Count products landing on each class representative, by direct enumeration."""
     n = group.n
     k = cd.k
+    check_table_size(k)
     c = np.zeros((k, k, k), dtype=np.int64)
     a_cls = cd.class_of
     for l, g in enumerate(cd.representatives):
@@ -98,15 +110,28 @@ def _least_dixon_prime(n: int, m: int) -> int:
 
 
 def _is_prime(x: int) -> bool:
+    """Deterministic Miller-Rabin; these bases are exact below 3.3e24."""
     if x < 2:
         return False
-    if x % 2 == 0:
-        return x == 2
-    f = 3
-    while f * f <= x:
-        if x % f == 0:
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if x in bases:
+        return True
+    if any(x % b == 0 for b in bases):
+        return False
+    d, s = x - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in bases:
+        y = pow(b, d, x)
+        if y in (1, x - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -183,13 +208,13 @@ def dixon_character_table(group: Group, cd: ClassData, cm: Optional[ClassMatrice
     m = group.exponent
     p = _least_dixon_prime(n, m)
     z = _element_of_order(m, p)
-    mats = [[[int(x) % p for x in row] for row in cm.c[i]] for i in range(k)]
-    rows = _common_eigenrows(mats, p)
+    rows = _common_eigenrows((cm.c % p).tolist(), p)
 
     sizes = cd.sizes
     inv_sizes = [pow(s % p, p - 2, p) for s in sizes]
     sqrt_cap = isqrt(n)
-    characters = []
+    degrees = []
+    chi_p = []
     for v in rows:
         v0 = v[0] % p
         if v0 == 0:
@@ -203,49 +228,85 @@ def dixon_character_table(group: Group, cd: ClassData, cm: Optional[ClassMatrice
         degree = next((d for d in range(1, sqrt_cap + 1) if d * d % p == d_sq), None)
         if degree is None:
             raise InternalConsistencyError("no admissible degree lift")
-        chi_p = [degree * omega[j] % p * inv_sizes[j] % p for j in range(k)]
-        values = _lift_character(chi_p, degree, cd, group, m, p, z)
-        characters.append((degree, values))
+        degrees.append(degree)
+        chi_p.append([degree * omega[j] % p * inv_sizes[j] % p for j in range(k)])
 
+    coeffs = _lift_table(np.array(chi_p, dtype=np.int64), degrees, cd, group, m, p, z)
     ctx = get_context(m)
+    characters = [
+        (degree, tuple(CycInt(ctx, tuple(c)) for c in row))
+        for degree, row in zip(degrees, coeffs.tolist())
+    ]
     trivial_row = tuple(ctx.one for _ in range(k))
     ordered = _sort_characters(characters, trivial_row)
-    degrees = tuple(d for d, _ in ordered)
-    values = tuple(vals for _, vals in ordered)
-    table = CharacterTable(m=m, degrees=degrees, values=values, prime=p)
+    table = CharacterTable(
+        m=m,
+        degrees=tuple(d for d, _ in ordered),
+        values=tuple(vals for _, vals in ordered),
+        prime=p,
+    )
     _validate_table(table, cd, n)
     return table
 
 
-def _lift_character(
-    chi_p: Sequence[int],
-    degree: int,
+def _power_basis(m: int) -> np.ndarray:
+    """Row e holds the reduced power-basis coefficients of z^e, e < m."""
+    ctx = get_context(m)
+    tail = np.array(ctx.phi[:-1], dtype=np.int64)
+    out = np.zeros((m, ctx.degree), dtype=np.int64)
+    cur = np.zeros(ctx.degree, dtype=np.int64)
+    cur[0] = 1
+    for e in range(m):
+        out[e] = cur
+        top = cur[-1]
+        cur = np.concatenate(([0], cur[:-1])) - top * tail  # z^deg = -(phi without its top)
+    return out
+
+
+def _lift_table(
+    chi_p: np.ndarray,
+    degrees: Sequence[int],
     cd: ClassData,
     group: Group,
     m: int,
     p: int,
     z: int,
-) -> tuple[CycInt, ...]:
-    """Recover exact values from mod-p ones by Fourier inversion over power classes."""
-    ctx = get_context(m)
-    values = []
+) -> np.ndarray:
+    """Exact values of all characters from their values mod p, by Fourier inversion.
+
+    chi_p[r, j] is character r on class j mod p.  On a representative of
+    order o a character's value is sum_l mult_l z_o^l with z_o = z^(m/o), and
+    mult_l = (1/o) sum_i chi(rep^i) z_o^(-il) counts the eigenvalue z_o^l.
+    One product chi_p[:, power classes] @ F_o gives every character's
+    multiplicities on a class; since each is at most the degree, which is
+    below p, they are exact.  The result holds power-basis coefficients,
+    shape (k, k, phi(m)).
+
+    The int64 products are exact while o (p-1)^2 < 2^63, which holds with
+    room to spare for every group within DEFAULT_GROUP_CAP (at most 2^48);
+    a wrapped sum could only make _validate_table reject the table.
+    """
+    k = chi_p.shape[0]
+    basis = _power_basis(m)
+    out = np.empty((k, cd.k, basis.shape[1]), dtype=np.int64)
+    cap = np.array(degrees, dtype=np.int64)[:, None]
+    dft: dict[int, np.ndarray] = {}
     for j, rep in enumerate(cd.representatives):
         o = int(group.orders[rep])
-        zeta_inv = pow(pow(z, m // o, p), p - 2, p)
-        inv_o = pow(o % p, p - 2, p)
-        raw = [0] * m
-        for l in range(o):
-            s = 0
-            for i in range(o):
-                s += chi_p[int(cd.power_class[j, i])] * pow(zeta_inv, i * l, p)
-            mult = s % p * inv_o % p
-            if mult > degree:
-                raise InternalConsistencyError(
-                    f"root-of-unity multiplicity {mult} exceeds degree {degree}"
-                )
-            raw[l * (m // o)] += mult
-        values.append(reduce_raw(raw, ctx))
-    return tuple(values)
+        if o not in dft:
+            zeta_inv = pow(pow(z, m // o, p), p - 2, p)
+            inv_o = pow(o % p, p - 2, p)
+            steps = np.arange(o)
+            powers = np.array([pow(zeta_inv, e, p) for e in range(o)], dtype=np.int64)
+            dft[o] = powers[np.outer(steps, steps) % o] * inv_o % p
+        mult = chi_p[:, cd.power_class[j, :o]] @ dft[o] % p
+        if (mult > cap).any():
+            r, l = np.argwhere(mult > cap)[0]
+            raise InternalConsistencyError(
+                f"root-of-unity multiplicity {mult[r, l]} exceeds degree {degrees[r]}"
+            )
+        out[:, j] = mult @ basis[(m // o) * np.arange(o)]
+    return out
 
 
 def _sort_characters(characters, trivial_row):
@@ -263,29 +324,79 @@ def _sort_characters(characters, trivial_row):
     return [trivial] + rest
 
 
+def _certificate_primes(m: int, bound: int, width: int) -> list[int]:
+    """Distinct primes q = 1 (mod m) with width * q^2 < 2^63, whose product exceeds bound.
+
+    They are taken downward from the largest admissible q, so one prime
+    serves any bound below about 2^63 / width.
+    """
+    q = isqrt((2**63 - 1) // width)
+    q -= (q - 1) % m
+    primes: list[int] = []
+    product = 1
+    while product <= bound:
+        if q < 2:
+            raise InternalConsistencyError(f"ran out of primes = 1 mod {m} below the int64 limit")
+        if _is_prime(q):
+            primes.append(q)
+            product *= q
+        q -= m
+    return primes
+
+
 def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
-    k = table.k
+    """Certify the degree-square sum and row and column orthogonality exactly.
+
+    The relations are checked modulo primes q = 1 (mod m), which split
+    completely in Z[z]: the phi(m) maps z -> w^u, w of order m mod q and u a
+    unit mod m, are ring maps Z[z] -> F_q whose kernels are the distinct
+    primes above q, and their intersection is qZ[z].  One product V @ W
+    evaluates the whole table at all of them (V holds the coefficient
+    vectors, W[e, u] = w^(u e)).  Complex conjugation becomes u -> -u, so
+    with E_u the table under u and s the class sizes the relations read
+    (E_u * s) @ E_{-u}^T = n I and E_u^T @ E_{-u} = diag(n / s_i).
+
+    Why this is exact: let L be the largest L1 norm of any value's
+    coefficient vector, taken from the table itself, so |sigma(x)| <= L for
+    every value x and every complex embedding sigma.  A row relation
+    alpha = sum_j s_j chi_r(g_j) conj(chi_s(g_j)) - n delta_rs then has
+    |sigma(alpha)| <= n L^2 + n, and a column relation, with k <= n terms
+    and target n / s_i, has the same bound B = n L^2 + n.  If alpha maps to
+    0 under every embedding mod every chosen prime, it lies in Q Z[z] with
+    Q the product of the primes, so alpha = 0 or |N(alpha)| >= Q^phi.  As
+    |N(alpha)| = prod_sigma |sigma(alpha)| <= B^phi and the primes are
+    chosen with Q > B, alpha = 0.  Each prime also satisfies
+    max(phi, k) q^2 < 2^63, so the int64 sums of phi or k products of
+    residues below are exact.
+    """
+    k, m = table.k, table.m
     if sum(d * d for d in table.degrees) != n:
         raise InternalConsistencyError("degree squares do not sum to the group order")
-    sizes = cd.sizes
-    ctx = get_context(table.m)
-    conj_rows = [tuple(conjugate(v) for v in row) for row in table.values]
-    for r in range(k):
-        for s in range(k):
-            acc = ctx.zero
-            for j in range(k):
-                acc = acc + table.values[r][j] * conj_rows[s][j] * sizes[j]
-            expected = n if r == s else 0
-            if as_rational(acc) != expected:
-                raise InternalConsistencyError(f"row orthogonality fails at ({r},{s})")
-    for i in range(k):
-        for j in range(k):
-            acc = ctx.zero
-            for r in range(k):
-                acc = acc + table.values[r][i] * conj_rows[r][j]
-            expected = n // sizes[i] if i == j else 0
-            if as_rational(acc) != expected:
-                raise InternalConsistencyError(f"column orthogonality fails at ({i},{j})")
+    coeffs = np.array([[v.coeffs for v in row] for row in table.values], dtype=object)
+    phi = coeffs.shape[2]
+    norm = int(np.abs(coeffs).sum(axis=2).max())
+    units = [u for u in range(m) if gcd(u, m) == 1]
+    where = {u: i for i, u in enumerate(units)}
+    sizes = np.array(cd.sizes, dtype=np.int64)
+    exponents = np.outer(np.arange(phi), units) % m
+    for q in _certificate_primes(m, n * norm * norm + n, max(phi, k)):
+        w = _element_of_order(m, q)
+        powers = np.array([pow(w, e, q) for e in range(m)], dtype=np.int64)
+        flat = (coeffs.reshape(k * k, phi) % q).astype(np.int64)
+        evaluated = (flat @ powers[exponents] % q).T.reshape(len(units), k, k)
+        row_target = np.diag(np.full(k, n % q, dtype=np.int64))
+        col_target = np.diag(np.array([n // s % q for s in cd.sizes], dtype=np.int64))
+        for i, u in enumerate(units):
+            neg = where[(-u) % m]
+            if neg < i:
+                continue  # the relations under -u are the transposes of those under u
+            e_u, e_neg = evaluated[i], evaluated[neg]
+            bad = np.argwhere((e_u * (sizes % q) % q) @ e_neg.T % q != row_target)
+            if len(bad):
+                raise InternalConsistencyError("row orthogonality fails at (%d,%d)" % tuple(bad[0]))
+            bad = np.argwhere(e_u.T @ e_neg % q != col_target)
+            if len(bad):
+                raise InternalConsistencyError("column orthogonality fails at (%d,%d)" % tuple(bad[0]))
 
 
 def verify_orthogonality(table: CharacterTable, cd: ClassData, group_order: int) -> bool:

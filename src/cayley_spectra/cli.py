@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -22,7 +23,7 @@ from .characters import (
     verify_orthogonality,
 )
 from .cyclotomic import CycInt, get_context
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, ResourceLimitError
 from .galois import (
     GaloisSubgroup,
     all_subgroups,
@@ -34,7 +35,14 @@ from .galois import (
     subgroup_closure,
     unit_group,
 )
-from .group_core import ClassData, Group, GroupSpec, build_group, conjugacy_classes
+from .group_core import (
+    DEFAULT_GROUP_CAP,
+    ClassData,
+    Group,
+    GroupSpec,
+    build_group,
+    conjugacy_classes,
+)
 from .oracle import (
     DEFAULT_ORACLE_CAP,
     adjacency_matrix,
@@ -151,6 +159,13 @@ def _assemble_job(args: argparse.Namespace) -> dict:
         raise InputError("oracle", f"expected auto, on or off, got {job['oracle']!r}")
     if job["output"] not in ("json", "table"):
         raise InputError("output", f"expected json or table, got {job['output']!r}")
+    tol = job["tolerance"]
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not math.isfinite(tol) or tol < 0:
+        raise InputError("tolerance", f"expected a finite number >= 0, got {tol!r}")
+    for field in ("oracle_cap", "sweep_limit"):
+        value = job[field]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise InputError(field, f"expected an integer >= 0, got {value!r}")
     return job
 
 
@@ -178,10 +193,17 @@ def _group_from_job(job: dict) -> tuple[GroupSpec, Group, ClassData]:
         raise InputError("group", "missing group spec")
     try:
         spec = GroupSpec.from_json(job["group"])
-        group = build_group(spec, cap=int(job.get("group_cap", 5040)))
+        group = build_group(spec, cap=int(job.get("group_cap", DEFAULT_GROUP_CAP)))
     except ValueError as exc:
         raise InputError("group", str(exc))
     return spec, group, conjugacy_classes(group)
+
+
+def _table_from_job(group: Group, cd: ClassData) -> CharacterTable:
+    try:
+        return dixon_character_table(group, cd)
+    except ResourceLimitError as exc:
+        raise InputError("group", str(exc))
 
 
 def _connection_from_job(job: dict, group: Group, cd: ClassData) -> ConnectionSet:
@@ -318,7 +340,7 @@ def _run_float_oracle(sp: Spectrum, group: Group, conn: ConnectionSet, job: dict
 def cmd_spectrum(job: dict):
     spec, group, cd = _group_from_job(job)
     conn = _connection_from_job(job, group, cd)
-    table = dixon_character_table(group, cd)
+    table = _table_from_job(group, cd)
     sp = eigenvalues_via_characters(conn, table, cd)
     payload = {
         "schema": SCHEMA,
@@ -359,7 +381,7 @@ def cmd_classes(job: dict):
 
 def cmd_check_integrality(job: dict):
     spec, group, cd = _group_from_job(job)
-    table = dixon_character_table(group, cd)
+    table = _table_from_job(group, cd)
     base = {
         "schema": SCHEMA,
         "command": "check-integrality",
@@ -403,7 +425,7 @@ def cmd_check_integrality(job: dict):
 def cmd_check_membership(job: dict):
     spec, group, cd = _group_from_job(job)
     gamma = _gamma_from_job(job, group.exponent)
-    table = dixon_character_table(group, cd)
+    table = _table_from_job(group, cd)
     merged = galois_conjugacy_classes(group, cd, gamma)
     base = {
         "schema": SCHEMA,
@@ -448,7 +470,7 @@ def cmd_check_membership(job: dict):
 
 def cmd_character_table(job: dict):
     spec, group, cd = _group_from_job(job)
-    table = dixon_character_table(group, cd)
+    table = _table_from_job(group, cd)
     rows = []
     for r in range(table.k):
         rows.append(

@@ -8,3 +8,7 @@ class InternalConsistencyError(RuntimeError):
     relations, eigenvalue reconstructions, lift bounds) fail to do so.
     This always signals an implementation bug, never bad user input.
     """
+
+
+class ResourceLimitError(ValueError):
+    """A job too large for a fixed memory budget, refused before allocation."""

@@ -17,6 +17,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 DEFAULT_GROUP_CAP = 5040
+# bytes the (k, k, k) int64 class structure-constant tensor may take
+TABLE_BYTE_BUDGET = 256 << 20
 
 _FAMILIES = (
     "cyclic",
@@ -30,6 +32,7 @@ _FAMILIES = (
 
 __all__ = [
     "DEFAULT_GROUP_CAP",
+    "TABLE_BYTE_BUDGET",
     "ClassData",
     "Group",
     "GroupSpec",
@@ -470,11 +473,11 @@ def conjugacy_classes(group: Group) -> ClassData:
     m = group.exponent
     k = len(classes)
     power_class = np.empty((k, m), dtype=np.int32)
-    for j, r in enumerate(reps):
-        cur = 0
-        for t in range(m):
-            power_class[j, t] = class_of[cur]
-            cur = int(mul[cur, r])
+    rep_arr = np.array(reps)
+    cur = np.zeros(k, dtype=rep_arr.dtype)  # rep_j ** t for every j at once
+    for t in range(m):
+        power_class[:, t] = class_of[cur]
+        cur = mul[cur, rep_arr]
     return ClassData(
         classes=tuple(classes),
         class_of=class_of,

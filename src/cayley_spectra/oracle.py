@@ -20,11 +20,9 @@ from .group_core import Group
 from .spectra import Spectrum
 
 DEFAULT_ORACLE_CAP = 400
-EXACT_BACKEND_LIMIT = 64
 
 __all__ = [
     "DEFAULT_ORACLE_CAP",
-    "EXACT_BACKEND_LIMIT",
     "ExactSpectrumReport",
     "SpectrumComparison",
     "adjacency_matrix",

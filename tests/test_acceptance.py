@@ -40,11 +40,10 @@ from cayley_spectra import (
     verify_orthogonality,
     verify_spectrum_exact,
 )
-from cayley_spectra.cli import run
+from cayley_spectra.cli import NAIVE_ORACLE_CAP, run
 
 TOLERANCE = 1e-8
 SWEEP_BUDGET_SECONDS = 300.0
-NAIVE_ORACLE_CAP = 60
 FLOAT_ORACLE_CAP = 120
 EXACT_BACKEND_CAP = 48
 

@@ -1,20 +1,32 @@
+import dataclasses
+from math import isqrt, prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley_spectra import (
+    TABLE_BYTE_BUDGET,
+    CycInt,
     GroupSpec,
+    ResourceLimitError,
     as_rational,
     build_group,
     character_multiplicities,
+    check_table_size,
     class_matrices,
     conjugacy_classes,
+    conjugate,
     dixon_character_table,
     get_context,
     induced_character_from_cyclic,
+    totient,
     unit_group,
     verify_galois_character_identity,
     verify_orthogonality,
 )
+from cayley_spectra import characters
 from cayley_spectra.errors import InternalConsistencyError
 
 
@@ -203,3 +215,123 @@ def test_multiplicities_reject_non_characters():
     fake = (ctx.one, ctx.zero, ctx.zero)
     with pytest.raises(InternalConsistencyError):
         character_multiplicities(fake, table, cd)
+
+
+def test_table_size_check_refuses_before_allocation():
+    with pytest.raises(ResourceLimitError, match="3000 conjugacy classes"):
+        check_table_size(3000)
+    assert 8 * 322**3 <= TABLE_BYTE_BUDGET < 8 * 323**3
+    check_table_size(322)
+    with pytest.raises(ResourceLimitError):
+        check_table_size(323)
+
+
+def test_power_basis_matches_eta_powers():
+    # 105 is the least conductor whose cyclotomic polynomial has a coefficient -2
+    for m in (1, 2, 3, 4, 12, 30, 105):
+        ctx = get_context(m)
+        expected = [list(ctx.eta_power(e).coeffs) for e in range(m)]
+        assert characters._power_basis(m).tolist() == expected, m
+
+
+# ---------------------------------------------------------------------------
+# the modular orthogonality certificate
+
+
+def _orthogonal_by_cycint_loops(table, cd, n):
+    """Reference oracle: the row and column relations summed in Z[z]."""
+    if sum(d * d for d in table.degrees) != n:
+        return False
+    k = table.k
+    zero = get_context(table.m).zero
+    conj = [[conjugate(v) for v in row] for row in table.values]
+    for r in range(k):
+        for s in range(k):
+            acc = zero
+            for j in range(k):
+                acc = acc + table.values[r][j] * conj[s][j] * cd.sizes[j]
+            if as_rational(acc) != (n if r == s else 0):
+                return False
+    for i in range(k):
+        for j in range(k):
+            acc = zero
+            for r in range(k):
+                acc = acc + table.values[r][i] * conj[r][j]
+            if as_rational(acc) != (n // cd.sizes[i] if i == j else 0):
+                return False
+    return True
+
+
+def _tampered(table, r, j, e, delta):
+    """The table with coefficient e of value (r, j) moved by delta."""
+    values = [list(row) for row in table.values]
+    v = values[r][j]
+    coeffs = list(v.coeffs)
+    coeffs[e] += delta
+    values[r][j] = CycInt(v.ctx, tuple(coeffs))
+    return dataclasses.replace(table, values=tuple(tuple(row) for row in values))
+
+
+def test_certificate_agrees_with_cycint_loops(corpus):
+    for text, (group, cd, table) in corpus.items():
+        assert _orthogonal_by_cycint_loops(table, cd, group.n), text
+        assert verify_orthogonality(table, cd, group.n), text
+
+
+@pytest.mark.parametrize(
+    "text", ["symmetric(3)", "cyclic(5)", "quaternion(8)", "product(cyclic(3),cyclic(3))"]
+)
+def test_certificate_rejects_every_unit_change(corpus, text):
+    group, cd, table = corpus[text]
+    phi = table.values[0][0].ctx.degree
+    for r in range(table.k):
+        for j in range(cd.k):
+            for e in range(phi):
+                for delta in (1, -1):
+                    bad = _tampered(table, r, j, e, delta)
+                    assert not _orthogonal_by_cycint_loops(bad, cd, group.n)
+                    assert not verify_orthogonality(bad, cd, group.n), (r, j, e, delta)
+
+
+def test_certificate_rejects_a_huge_change_on_several_primes(corpus, monkeypatch):
+    chosen = []
+    choose = characters._certificate_primes
+
+    def spy(*args):
+        chosen.append(choose(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(characters, "_certificate_primes", spy)
+    for text in ("alternating(5)", "cyclic(12)"):
+        group, cd, table = corpus[text]
+        phi = table.values[0][0].ctx.degree
+        for r, j, e in [(0, 0, 0), (table.k - 1, cd.k - 1, phi - 1), (1, 1, 0)]:
+            for delta in (10**9, -(10**9) - 7):
+                chosen.clear()
+                bad = _tampered(table, r, j, e, delta)
+                assert not verify_orthogonality(bad, cd, group.n), (text, r, j, e)
+                assert len(chosen[0]) > 1, text
+                assert not _orthogonal_by_cycint_loops(bad, cd, group.n)
+
+
+def _is_prime_by_trial_division(q):
+    return q > 1 and all(q % f for f in range(2, isqrt(q) + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 5040),
+    n=st.integers(1, 5040),
+    norm=st.integers(1, 10**12),
+    k=st.integers(1, 400),
+)
+def test_certificate_primes_cover_the_bound_without_int64_overflow(m, n, norm, k):
+    bound = n * norm * norm + n
+    width = max(totient(m), k)
+    primes = characters._certificate_primes(m, bound, width)
+    assert prod(primes) > bound
+    assert primes == sorted(set(primes), reverse=True)
+    for q in primes:
+        assert q % m == 1 % m
+        assert width * q * q < 2**63
+        assert _is_prime_by_trial_division(q)

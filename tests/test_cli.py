@@ -1,8 +1,10 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
+from cayley_spectra import TABLE_BYTE_BUDGET
 from cayley_spectra.cli import run
 
 
@@ -214,3 +216,39 @@ def test_verify_all_bundled_corpus_loads(capsys):
     assert len(doc["groups"]) == 28
     skipped = [g for g in doc["groups"] if g["checks"]["integrality-equivalence"] == "skip"]
     assert skipped
+
+
+@pytest.mark.parametrize(
+    "doc, flags, field",
+    [
+        ({"tolerance": "abc"}, [], "tolerance"),
+        ({}, ["--tol", "nan"], "tolerance"),
+        ({"tolerance": -1e-8}, [], "tolerance"),
+        ({"tolerance": True}, [], "tolerance"),
+        ({"oracle_cap": "x"}, [], "oracle_cap"),
+        ({"oracle_cap": -1}, [], "oracle_cap"),
+        ({"sweep_limit": 2.5}, [], "sweep_limit"),
+        ({}, ["--sweep-limit", "-1"], "sweep_limit"),
+    ],
+)
+def test_bad_job_values_name_the_field(monkeypatch, capsys, doc, flags, field):
+    job = dict({"command": "spectrum", "group": "cyclic(3)", "connection": [1]}, **doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+    code = run(["--input", "-", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"input error: {field}:")
+    assert captured.out == ""
+
+
+def test_oversize_table_is_refused_before_allocation(capsys):
+    tracemalloc.start()
+    try:
+        code = run(["spectrum", "--group", "cyclic(3000)", "--classes", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error: group:")
+    assert peak < TABLE_BYTE_BUDGET
