@@ -16,6 +16,7 @@ from .characters import (
     class_matrices,
     dixon_character_table,
     induced_character_from_cyclic,
+    table_coefficients,
     verify_galois_character_identity,
     verify_orthogonality,
 )
@@ -72,6 +73,7 @@ from .oracle import (
     verify_spectrum_exact,
 )
 from .spectra import (
+    ClassSweep,
     ConnectionSet,
     EigenValue,
     IntegralityReport,
@@ -84,9 +86,15 @@ from .spectra import (
     check_coefficient_symmetry,
     check_integrality,
     check_membership,
+    check_sweep_size,
+    class_sweep,
     eigenvalues_via_characters,
     make_connection_set,
     power_conjugation_counts,
+    sweep_class_closed,
+    sweep_in_subfield,
+    sweep_power_closed,
+    sweep_spectrum,
 )
 
 __version__ = "0.1.0"

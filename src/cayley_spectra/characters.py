@@ -39,6 +39,7 @@ __all__ = [
     "class_matrices",
     "dixon_character_table",
     "induced_character_from_cyclic",
+    "table_coefficients",
     "verify_galois_character_identity",
 ]
 
@@ -324,6 +325,16 @@ def _sort_characters(characters, trivial_row):
     return [trivial] + rest
 
 
+def table_coefficients(table: CharacterTable) -> np.ndarray:
+    """The table as an object array of Python ints, shape (k, k, phi(m)).
+
+    Entry [r, j] is the power-basis coefficient vector of character r on
+    class j.  Object dtype keeps any coefficient exact; callers bound the
+    entries before they cast to int64.
+    """
+    return np.array([[v.coeffs for v in row] for row in table.values], dtype=object)
+
+
 def _certificate_primes(m: int, bound: int, width: int) -> list[int]:
     """Distinct primes q = 1 (mod m) with width * q^2 < 2^63, whose product exceeds bound.
 
@@ -372,7 +383,7 @@ def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
     k, m = table.k, table.m
     if sum(d * d for d in table.degrees) != n:
         raise InternalConsistencyError("degree squares do not sum to the group order")
-    coeffs = np.array([[v.coeffs for v in row] for row in table.values], dtype=object)
+    coeffs = table_coefficients(table)
     phi = coeffs.shape[2]
     norm = int(np.abs(coeffs).sum(axis=2).max())
     units = [u for u in range(m) if gcd(u, m) == 1]

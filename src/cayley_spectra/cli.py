@@ -12,9 +12,8 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Optional
 
 from .characters import (
     CharacterTable,
@@ -22,16 +21,13 @@ from .characters import (
     verify_galois_character_identity,
     verify_orthogonality,
 )
-from .cyclotomic import CycInt, get_context
+from .cyclotomic import CycInt, _poly_str, totient
 from .errors import InternalConsistencyError, ResourceLimitError
 from .galois import (
     GaloisSubgroup,
     all_subgroups,
-    check_power_closure_consistency,
     cyclic_subgroups,
     galois_conjugacy_classes,
-    is_power_closed,
-    is_union_of_galois_classes,
     subgroup_closure,
     unit_group,
 )
@@ -52,14 +48,20 @@ from .oracle import (
     verify_spectrum_exact,
 )
 from .spectra import (
+    ClassSweep,
     ConnectionSet,
     Spectrum,
-    all_eigenvalues_in_subfield,
     all_eigenvalues_integral,
     check_integrality,
     check_membership,
+    check_sweep_size,
+    class_sweep,
     eigenvalues_via_characters,
     make_connection_set,
+    sweep_class_closed,
+    sweep_in_subfield,
+    sweep_power_closed,
+    sweep_spectrum,
 )
 
 SCHEMA = "v1"
@@ -166,6 +168,8 @@ def _assemble_job(args: argparse.Namespace) -> dict:
         value = job[field]
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise InputError(field, f"expected an integer >= 0, got {value!r}")
+    if "group_cap" in job:
+        raise InputError("group_cap", f"not a job field; groups are capped at order {DEFAULT_GROUP_CAP}")
     return job
 
 
@@ -193,7 +197,7 @@ def _group_from_job(job: dict) -> tuple[GroupSpec, Group, ClassData]:
         raise InputError("group", "missing group spec")
     try:
         spec = GroupSpec.from_json(job["group"])
-        group = build_group(spec, cap=int(job.get("group_cap", DEFAULT_GROUP_CAP)))
+        group = build_group(spec)
     except ValueError as exc:
         raise InputError("group", str(exc))
     return spec, group, conjugacy_classes(group)
@@ -240,18 +244,35 @@ def _wants_sweep(job: dict) -> bool:
     return job.get("connection") == "sweep"
 
 
-def _sweep_subsets(cd: ClassData, limit: int) -> list[tuple[int, ...]]:
-    """All subsets of non-identity classes, in bitmask order."""
+def _refuse_oversize_sweep(job: dict, group: Group, cd: ClassData) -> None:
+    """Refuse a sweep past sweep_limit classes or over the byte budget, before any table is built."""
+    limit = job["sweep_limit"]
     if cd.k > limit:
-        raise InputError(
-            "connection",
-            f"sweep over {cd.k} classes exceeds the limit of {limit}",
-        )
-    rest = list(range(1, cd.k))
-    out = []
-    for mask in range(1 << len(rest)):
-        out.append(tuple(rest[i] for i in range(len(rest)) if mask >> i & 1))
-    return out
+        raise InputError("connection", f"sweep over {cd.k} classes exceeds the limit of {limit}")
+    try:
+        check_sweep_size(cd.k, totient(group.exponent))
+    except ResourceLimitError as exc:
+        raise InputError("sweep_limit", str(exc))
+
+
+def _class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSweep:
+    """The batched sweep over every subset of non-identity classes."""
+    try:
+        return class_sweep(group, cd, table)
+    except ResourceLimitError as exc:
+        raise InputError("group", str(exc))
+
+
+def _sweep_payload(base: dict, sweep: ClassSweep, left: tuple, right: tuple):
+    """Add one row per subset comparing the two named decisions; ok when all agree."""
+    (left_name, left_values), (right_name, right_values) = left, right
+    rows = [
+        {"classes": list(c), left_name: a, right_name: b, "agree": a == b}
+        for c, a, b in zip(sweep.subsets, left_values.tolist(), right_values.tolist())
+    ]
+    disagreements = sum(not row["agree"] for row in rows)
+    base.update({"sweep": rows, "subsets": len(rows), "disagreements": disagreements})
+    return base, disagreements == 0
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +402,8 @@ def cmd_classes(job: dict):
 
 def cmd_check_integrality(job: dict):
     spec, group, cd = _group_from_job(job)
+    if _wants_sweep(job):
+        _refuse_oversize_sweep(job, group, cd)
     table = _table_from_job(group, cd)
     base = {
         "schema": SCHEMA,
@@ -388,25 +411,13 @@ def cmd_check_integrality(job: dict):
         "group": _group_json(spec, group),
     }
     if _wants_sweep(job):
-        subsets = _sweep_subsets(cd, int(job["sweep_limit"]))
-        results = []
-        disagreements = 0
-        for subset in subsets:
-            conn = make_connection_set({"classes": subset}, group, cd)
-            rep = check_integrality(group, cd, conn, table)
-            disagreements += not rep.agree
-            results.append(
-                {
-                    "classes": list(subset),
-                    "integral": rep.integral,
-                    "power_closed": rep.power_closed,
-                    "agree": rep.agree,
-                }
-            )
-        base.update(
-            {"sweep": results, "subsets": len(subsets), "disagreements": disagreements}
+        sweep = _class_sweep(group, cd, table)
+        return _sweep_payload(
+            base,
+            sweep,
+            ("integral", sweep.integral),
+            ("power_closed", sweep_power_closed(sweep)),
         )
-        return base, disagreements == 0
     conn = _connection_from_job(job, group, cd)
     rep = check_integrality(group, cd, conn, table)
     base.update(
@@ -425,6 +436,8 @@ def cmd_check_integrality(job: dict):
 def cmd_check_membership(job: dict):
     spec, group, cd = _group_from_job(job)
     gamma = _gamma_from_job(job, group.exponent)
+    if _wants_sweep(job):
+        _refuse_oversize_sweep(job, group, cd)
     table = _table_from_job(group, cd)
     merged = galois_conjugacy_classes(group, cd, gamma)
     base = {
@@ -434,25 +447,13 @@ def cmd_check_membership(job: dict):
         "gamma": _gamma_json(gamma),
     }
     if _wants_sweep(job):
-        subsets = _sweep_subsets(cd, int(job["sweep_limit"]))
-        results = []
-        disagreements = 0
-        for subset in subsets:
-            conn = make_connection_set({"classes": subset}, group, cd)
-            rep = check_membership(group, cd, conn, table, gamma, merged)
-            disagreements += not rep.agree
-            results.append(
-                {
-                    "classes": list(subset),
-                    "in_subfield": rep.in_subfield,
-                    "class_closed": rep.class_closed,
-                    "agree": rep.agree,
-                }
-            )
-        base.update(
-            {"sweep": results, "subsets": len(subsets), "disagreements": disagreements}
+        sweep = _class_sweep(group, cd, table)
+        return _sweep_payload(
+            base,
+            sweep,
+            ("in_subfield", sweep_in_subfield(sweep, gamma)),
+            ("class_closed", sweep_class_closed(sweep, merged)),
         )
-        return base, disagreements == 0
     conn = _connection_from_job(job, group, cd)
     rep = check_membership(group, cd, conn, table, gamma, merged)
     base.update(
@@ -510,8 +511,6 @@ def _default_corpus() -> list[str]:
 
 def _gamma_lattice(m: int) -> list[GaloisSubgroup]:
     """Subgroups of the units mod m used for the membership sweep."""
-    from .cyclotomic import totient
-
     if totient(m) <= 24:
         return all_subgroups(m)
     seen = {}
@@ -520,109 +519,100 @@ def _gamma_lattice(m: int) -> list[GaloisSubgroup]:
     return [seen[k] for k in sorted(seen)]
 
 
+_SWEEP_CHECKS = (
+    "integrality-equivalence",
+    "membership-equivalence",
+    "power-closure-consistency",
+    "spectrum-oracle-float",
+    "spectrum-oracle-exact",
+)
+
+
 def _verify_group(entry, job: dict) -> dict:
     spec = GroupSpec.from_json(entry)
     group = build_group(spec)
     cd = conjugacy_classes(group)
     checks: dict[str, str] = {}
+    report = {"group": spec.describe(), "order": group.n, "class_count": cd.k, "checks": checks}
+    sweeps = cd.k <= job["sweep_limit"]
+    if sweeps:
+        _refuse_oversize_sweep(job, group, cd)
 
     try:
         table = dixon_character_table(group, cd)
     except InternalConsistencyError:
         checks["character-table"] = "fail"
-        return {
-            "group": spec.describe(),
-            "order": group.n,
-            "class_count": cd.k,
-            "checks": checks,
-        }
+        return report
 
     checks["character-orthogonality"] = (
         "pass" if verify_orthogonality(table, cd, group.n) else "fail"
     )
+    units = unit_group(group.exponent)
     checks["galois-character-identity"] = (
-        "pass"
-        if verify_galois_character_identity(table, cd, unit_group(group.exponent))
-        else "fail"
+        "pass" if verify_galois_character_identity(table, cd, units) else "fail"
     )
+    if sweeps:
+        checks.update(_sweep_checks(job, group, cd, table, units))
+    else:
+        checks.update(dict.fromkeys(_SWEEP_CHECKS, "skip"))
+    return report
 
-    limit = int(job["sweep_limit"])
-    if cd.k > limit:
-        for name in (
-            "integrality-equivalence",
-            "membership-equivalence",
-            "power-closure-consistency",
-            "spectrum-oracle-float",
-            "spectrum-oracle-exact",
-        ):
-            checks[name] = "skip"
-        return {
-            "group": spec.describe(),
-            "order": group.n,
-            "class_count": cd.k,
-            "checks": checks,
-        }
 
-    subsets = _sweep_subsets(cd, limit)
-    gammas = _gamma_lattice(group.exponent)
-    merged = [galois_conjugacy_classes(group, cd, g) for g in gammas]
+def _sweep_checks(
+    job: dict, group: Group, cd: ClassData, table: CharacterTable, units: GaloisSubgroup
+) -> dict[str, str]:
+    """The outcomes of the five sweep checks.
 
-    run_float = job["oracle"] != "off" and group.n <= int(job["oracle_cap"])
+    The equivalences are decided for all subsets at once; per-subset
+    connection sets and Spectrum objects are built only for the oracles.
+    Power-closure consistency compares, as check_power_closure_consistency
+    does per subset, the powers of every element with the unit group's
+    class merge.
+    """
+    sweep = _class_sweep(group, cd, table)
+    closed = sweep_power_closed(sweep)
+    integrality_ok = bool((sweep.integral == closed).all())
+    membership_ok = all(
+        (
+            sweep_in_subfield(sweep, gamma)
+            == sweep_class_closed(sweep, galois_conjugacy_classes(group, cd, gamma))
+        ).all()
+        for gamma in _gamma_lattice(group.exponent)
+    )
+    unit_closed = sweep_class_closed(sweep, galois_conjugacy_classes(group, cd, units))
+    closure_ok = bool((sweep_power_closed(sweep, every_element=True) == unit_closed).all())
+
+    run_float = job["oracle"] != "off" and group.n <= job["oracle_cap"]
     run_exact = group.n <= EXACT_VERIFY_ORDER and cd.k <= EXACT_VERIFY_CLASSES
     run_naive = group.n <= NAIVE_ORACLE_CAP
-
-    integrality_ok = True
-    membership_ok = True
-    closure_ok = True
     float_ok = True
     exact_ok = True
-
-    for subset in subsets:
-        conn = make_connection_set({"classes": subset}, group, cd)
-        sp = eigenvalues_via_characters(conn, table, cd)
-
-        integral = all_eigenvalues_integral(sp)
-        closed = is_power_closed(conn.elements, group)
-        if integral != closed:
-            integrality_ok = False
-
-        for gamma, mg in zip(gammas, merged):
-            inside = all_eigenvalues_in_subfield(sp, gamma)
-            union_ok, _ = is_union_of_galois_classes(subset, cd, mg)
-            if inside != union_ok:
-                membership_ok = False
-
-        if not check_power_closure_consistency(group, cd, subset):
-            closure_ok = False
-        if run_naive and oracle_power_closed(conn.elements, group) != closed:
-            closure_ok = False
-
-        if run_float:
+    if run_float or run_exact or run_naive:
+        for s, subset in enumerate(sweep.subsets):
+            conn = make_connection_set({"classes": subset}, group, cd)
+            if run_naive and oracle_power_closed(conn.elements, group) != closed[s]:
+                closure_ok = False
+            if not (run_float or run_exact):
+                continue
+            sp = sweep_spectrum(sweep, s)
             adjacency = adjacency_matrix(group, conn.elements, cap=group.n)
-            res = compare_spectra(
-                sp, oracle_spectrum(adjacency), tolerance=float(job["tolerance"])
-            )
-            if not res.passed:
-                float_ok = False
-        if run_exact:
-            adjacency = adjacency_matrix(group, conn.elements, cap=group.n)
-            if not verify_spectrum_exact(sp, adjacency).passed:
-                exact_ok = False
+            if run_float:
+                res = compare_spectra(
+                    sp, oracle_spectrum(adjacency), tolerance=float(job["tolerance"])
+                )
+                float_ok = float_ok and res.passed
+            if run_exact:
+                exact_ok = exact_ok and verify_spectrum_exact(sp, adjacency).passed
 
-    checks["integrality-equivalence"] = "pass" if integrality_ok else "fail"
-    checks["membership-equivalence"] = "pass" if membership_ok else "fail"
-    checks["power-closure-consistency"] = "pass" if closure_ok else "fail"
-    checks["spectrum-oracle-float"] = (
-        ("pass" if float_ok else "fail") if run_float else "skip"
-    )
-    checks["spectrum-oracle-exact"] = (
-        ("pass" if exact_ok else "fail") if run_exact else "skip"
-    )
+    def outcome(ok: bool, ran: bool = True) -> str:
+        return ("pass" if ok else "fail") if ran else "skip"
+
     return {
-        "group": spec.describe(),
-        "order": group.n,
-        "class_count": cd.k,
-        "checks": checks,
+        "integrality-equivalence": outcome(integrality_ok),
+        "membership-equivalence": outcome(membership_ok),
+        "power-closure-consistency": outcome(closure_ok),
+        "spectrum-oracle-float": outcome(float_ok, run_float),
+        "spectrum-oracle-exact": outcome(exact_ok, run_exact),
     }
 
 
@@ -658,23 +648,6 @@ def cmd_verify_all(job: dict):
 # rendering
 
 
-def _eta_poly(coeffs: Sequence[int]) -> str:
-    parts: list[str] = []
-    for j, c in enumerate(coeffs):
-        if not c:
-            continue
-        if j == 0:
-            body = f"{abs(c)}"
-        else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            body = mag + ("eta" if j == 1 else f"eta^{j}")
-        if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts) if parts else "0"
-
-
 def _render_table(payload: dict) -> str:
     cmd = payload["command"]
     lines = []
@@ -692,7 +665,7 @@ def _render_table(payload: dict) -> str:
             if "rational" in val:
                 exact = val["rational"]
             else:
-                poly = _eta_poly(val["cyclotomic"]["coeffs"])
+                poly = _poly_str(val["cyclotomic"]["coeffs"], "eta")
                 if val["degree_divisor"] != 1:
                     poly = f"({poly})/{val['degree_divisor']}"
                 exact = f"{poly} (conductor {val['cyclotomic']['m']})"

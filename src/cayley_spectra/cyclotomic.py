@@ -202,20 +202,25 @@ class CycInt:
         ) + 0j
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if j == 0:
-                body = f"{abs(c)}"
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                body = mag + ("z" if j == 1 else f"z^{j}")
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts) if parts else "0"
+        return _poly_str(self.coeffs, "z")
+
+
+def _poly_str(coeffs: Sequence[int], symbol: str) -> str:
+    """Power-basis coefficients as a polynomial in symbol, e.g. "1 - 2*z^3"."""
+    parts: list[str] = []
+    for j, c in enumerate(coeffs):
+        if not c:
+            continue
+        if j == 0:
+            body = f"{abs(c)}"
+        else:
+            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            body = mag + (symbol if j == 1 else f"{symbol}^{j}")
+        if not parts:
+            parts.append(f"-{body}" if c < 0 else body)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(parts) if parts else "0"
 
 
 def galois_apply(t: int, a: CycInt) -> CycInt:

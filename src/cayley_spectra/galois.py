@@ -96,6 +96,21 @@ def _closure_of_set(m: int, elems: frozenset[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
+def _generating_set(gamma: GaloisSubgroup) -> tuple[int, ...]:
+    """Generators of gamma, taken greedily in ascending order.
+
+    Each one at least doubles the subgroup generated so far, so there are
+    at most log2 |gamma| of them; the trivial group has none.
+    """
+    gens: list[int] = []
+    span = frozenset({1})
+    for t in gamma.elements:
+        if t not in span:
+            gens.append(t)
+            span = _closure_of_set(gamma.m, frozenset(gens))
+    return tuple(gens)
+
+
 def cyclic_subgroups(m: int) -> list[GaloisSubgroup]:
     """The distinct subgroups <t> for units t mod m, sorted by (order, elements)."""
     out: dict[tuple[int, ...], GaloisSubgroup] = {}

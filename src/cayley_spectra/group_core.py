@@ -86,7 +86,9 @@ class GroupSpec:
                 return GroupSpec.permutation(gens)
             if "family" in obj:
                 params = obj.get("params", [])
-                if not isinstance(params, list) or not all(isinstance(x, int) for x in params):
+                if not isinstance(params, list) or not all(
+                    isinstance(x, int) and not isinstance(x, bool) for x in params
+                ):
                     raise ValueError("group.params must be a list of integers")
                 return GroupSpec.named(str(obj["family"]), *params)
             if "product" in obj:

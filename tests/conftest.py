@@ -6,37 +6,9 @@ from cayley_spectra import (
     conjugacy_classes,
     dixon_character_table,
 )
+from cayley_spectra.cli import _default_corpus
 
-CORPUS = [
-    "cyclic(1)",
-    "cyclic(2)",
-    "cyclic(3)",
-    "cyclic(4)",
-    "cyclic(5)",
-    "cyclic(6)",
-    "cyclic(7)",
-    "cyclic(8)",
-    "cyclic(9)",
-    "cyclic(10)",
-    "cyclic(11)",
-    "cyclic(12)",
-    "dihedral(2)",
-    "dihedral(3)",
-    "dihedral(4)",
-    "dihedral(5)",
-    "dihedral(6)",
-    "dihedral(7)",
-    "dihedral(8)",
-    "symmetric(3)",
-    "symmetric(4)",
-    "alternating(4)",
-    "alternating(5)",
-    "quaternion(8)",
-    "generalized-quaternion(16)",
-    "product(cyclic(2),cyclic(4))",
-    "product(cyclic(3),cyclic(3))",
-    "product(symmetric(3),cyclic(2))",
-]
+CORPUS = _default_corpus()
 
 
 def nonidentity_subsets(cd):

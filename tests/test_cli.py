@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from cayley_spectra import TABLE_BYTE_BUDGET
+from cayley_spectra import TABLE_BYTE_BUDGET, spectra
 from cayley_spectra.cli import run
 
 
@@ -229,11 +229,20 @@ def test_verify_all_bundled_corpus_loads(capsys):
         ({"oracle_cap": -1}, [], "oracle_cap"),
         ({"sweep_limit": 2.5}, [], "sweep_limit"),
         ({}, ["--sweep-limit", "-1"], "sweep_limit"),
+        ({"group_cap": 10**9}, [], "group_cap"),
+        ({"group_cap": 0}, [], "group_cap"),
+        ({"group_cap": True}, [], "group_cap"),
+        ({"group": {"family": "cyclic", "params": [True]}}, [], "group"),
     ],
 )
 def test_bad_job_values_name_the_field(monkeypatch, capsys, doc, flags, field):
     job = dict({"command": "spectrum", "group": "cyclic(3)", "connection": [1]}, **doc)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad job must be refused before any group is built")
+
+    monkeypatch.setattr("cayley_spectra.cli.build_group", refuse)
     code = run(["--input", "-", *flags])
     captured = capsys.readouterr()
     assert code == 2
@@ -252,3 +261,37 @@ def test_oversize_table_is_refused_before_allocation(capsys):
     assert code == 2
     assert err.startswith("input error: group:")
     assert peak < TABLE_BYTE_BUDGET
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["check-integrality", "--group", "cyclic(40)", "--connection", "sweep"], None),
+        (["verify-all", "--input", "-"], {"groups": ["cyclic(40)"]}),
+    ],
+)
+def test_oversize_sweep_is_refused_before_allocation(monkeypatch, capsys, argv, stdin):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(stdin)))
+    tracemalloc.start()
+    try:
+        code = run([*argv, "--sweep-limit", "40"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error: sweep_limit:")
+    assert captured.out == ""
+    assert peak < TABLE_BYTE_BUDGET
+
+
+def test_sweep_int64_bound_exits_two_naming_group(monkeypatch, capsys):
+    real = spectra._power_basis
+    monkeypatch.setattr(spectra, "_power_basis", lambda m: real(m) << 61)
+    argv = ["check-membership", "--group", "cyclic(5)", "--gamma", "rational"]
+    code = run([*argv, "--connection", "sweep"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error: group:")
+    assert captured.out == ""

@@ -16,6 +16,7 @@ from cayley_spectra import (
     subgroup_closure,
     unit_group,
 )
+from cayley_spectra.galois import _generating_set
 from cayley_spectra.oracle import oracle_power_closed
 
 from conftest import nonidentity_subsets
@@ -63,6 +64,9 @@ def test_all_subgroups_are_closed_and_bounded(m):
             for b in elems:
                 assert (a * b - 1) % m + 1 in elems
         assert len(units.elements) % len(elems) == 0
+        gens = _generating_set(sub)
+        assert subgroup_closure(m, gens).elements == sub.elements
+        assert 2 ** len(gens) <= sub.order
         seen.add(sub.elements)
     assert (1,) in seen
     assert units.elements in seen

@@ -1,13 +1,21 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from cayley_spectra import (
+    CharacterTable,
+    CycInt,
     GroupSpec,
+    InternalConsistencyError,
+    ResourceLimitError,
     build_group,
     check_coefficient_symmetry,
     check_integrality,
     check_membership,
+    check_power_closure_consistency,
+    check_sweep_size,
+    class_sweep,
     conjugacy_classes,
     dixon_character_table,
     eigenvalues_via_characters,
@@ -18,11 +26,17 @@ from cayley_spectra import (
     power_conjugation_counts,
     power_of,
     subgroup_closure,
+    sweep_class_closed,
+    sweep_in_subfield,
+    sweep_power_closed,
+    sweep_spectrum,
     unit_group,
 )
+from cayley_spectra import spectra
+from cayley_spectra.cli import _gamma_lattice, _sweep_checks
 from cayley_spectra.spectra import all_eigenvalues_in_subfield, all_eigenvalues_integral
 
-from conftest import nonidentity_subsets
+from conftest import CORPUS, nonidentity_subsets
 
 
 def _bundle(text):
@@ -234,3 +248,122 @@ def test_coefficient_symmetry_for_closed_sets():
     counts = power_conjugation_counts(1, open_set, g, cd)
     assert not check_coefficient_symmetry(counts, gamma)
     assert is_power_closed(closed.elements, g)
+
+
+# ---------------------------------------------------------------------------
+# the batched sweep against the per-subset functions
+
+
+def test_class_sweep_matches_per_subset_reference(corpus):
+    for spec in CORPUS:
+        group, cd, table = corpus[spec]
+        sweep = class_sweep(group, cd, table)
+        assert sweep.subsets == tuple(nonidentity_subsets(cd))
+        closed = sweep_power_closed(sweep)
+        assert (sweep_power_closed(sweep, every_element=True) == closed).all(), spec
+        units = galois_conjugacy_classes(group, cd, unit_group(group.exponent))
+        unit_closed = sweep_class_closed(sweep, units)
+        gammas = _gamma_lattice(group.exponent)
+        assert gammas[0].order == 1  # the splitting field's trivial gamma
+        merged = [galois_conjugacy_classes(group, cd, g) for g in gammas]
+        inside = [sweep_in_subfield(sweep, g) for g in gammas]
+        union = [sweep_class_closed(sweep, mg) for mg in merged]
+        for s, subset in enumerate(sweep.subsets):
+            conn = make_connection_set({"classes": subset}, group, cd)
+            ref = check_integrality(group, cd, conn, table)
+            assert sweep.integral[s] == ref.integral, (spec, subset)
+            assert closed[s] == ref.power_closed == is_power_closed(conn.elements, group)
+            assert (closed[s] == unit_closed[s]) == check_power_closure_consistency(
+                group, cd, subset
+            ), (spec, subset)
+            sp = eigenvalues_via_characters(conn, table, cd)
+            batched = sweep_spectrum(sweep, s)
+            assert batched.entries == sp.entries, (spec, subset)
+            assert batched.connection_size == sp.connection_size
+            for gamma, mg, ins, uni in zip(gammas, merged, inside, union):
+                rep = check_membership(group, cd, conn, table, gamma, mg)
+                assert ins[s] == rep.in_subfield, (spec, subset, gamma.elements)
+                assert uni[s] == rep.class_closed, (spec, subset, gamma.elements)
+
+
+def _tampered(table, r, j, p, delta):
+    values = [list(row) for row in table.values]
+    v = values[r][j]
+    coeffs = list(v.coeffs)
+    coeffs[p] += delta
+    values[r][j] = CycInt(v.ctx, tuple(coeffs))
+    return CharacterTable(
+        m=table.m,
+        degrees=table.degrees,
+        values=tuple(tuple(row) for row in values),
+        prime=table.prime,
+    )
+
+
+@pytest.mark.parametrize("spec", ["cyclic(5)", "symmetric(4)", "quaternion(8)"])
+def test_class_sweep_rejects_every_single_coefficient_change(corpus, spec):
+    group, cd, table = corpus[spec]
+    for r in range(table.k):
+        for j in range(cd.k):
+            for p in range(len(table.values[r][j].coeffs)):
+                for delta in (1, -1):
+                    with pytest.raises(InternalConsistencyError):
+                        class_sweep(group, cd, _tampered(table, r, j, p, delta))
+
+
+def test_sweep_size_budget_is_checked_without_allocating():
+    # 2^15 subsets at 8192 bytes each fill TABLE_BYTE_BUDGET: phi = 25
+    # estimates 128 * 51 + 1536 = 8064 bytes a subset, phi = 26 8320
+    check_sweep_size(16, 25)
+    with pytest.raises(ResourceLimitError):
+        check_sweep_size(16, 26)
+    with pytest.raises(ResourceLimitError, match="18 classes"):
+        check_sweep_size(18, 2)  # masks and output rows push it over
+    with pytest.raises(ResourceLimitError, match="40 classes"):
+        check_sweep_size(40, 16)
+
+
+def test_sweep_in_subfield_rejects_a_foreign_modulus(corpus):
+    group, cd, table = corpus["cyclic(5)"]
+    with pytest.raises(ValueError, match="modulus"):
+        sweep_in_subfield(class_sweep(group, cd, table), unit_group(10))
+
+
+def test_galois_defect_bound_is_checked_when_the_sweep_is_built(monkeypatch, corpus):
+    group, cd, table = corpus["cyclic(5)"]
+    real = spectra._power_basis
+    monkeypatch.setattr(spectra, "_power_basis", lambda m: real(m) << 61)
+    with pytest.raises(ResourceLimitError, match="Galois defect"):
+        class_sweep(group, cd, table)
+
+
+def test_element_level_power_closure_sees_a_wrong_class_partition():
+    # S5 (order 120) is above the naive oracle's cap, so the element-level
+    # reach is verify-all's only check of the classes against the power map
+    group = build_group(GroupSpec.named("symmetric", 5))
+    cd = conjugacy_classes(group)
+    table = dixon_character_table(group, cd)
+    # swap two elements of different orders that no representative's powers reach
+    powers = {power_of(r, t, group) for r in cd.representatives for t in range(group.exponent)}
+    x, y = next(
+        (x, y)
+        for x in range(group.n)
+        for y in range(x + 1, group.n)
+        if group.orders[x] != group.orders[y] and not {x, y} & powers
+    )
+    a, b = int(cd.class_of[x]), int(cd.class_of[y])
+    classes = list(cd.classes)
+    classes[a] = tuple(sorted(set(classes[a]) - {x} | {y}))
+    classes[b] = tuple(sorted(set(classes[b]) - {y} | {x}))
+    class_of = cd.class_of.copy()
+    class_of[x], class_of[y] = b, a
+    wrong = dataclasses.replace(cd, classes=tuple(classes), class_of=class_of)
+    sweep = class_sweep(group, wrong, table)
+    units = sweep_class_closed(
+        sweep, galois_conjugacy_classes(group, wrong, unit_group(group.exponent))
+    )
+    assert (sweep_power_closed(sweep) == units).all()  # blind to the swap
+    assert not (sweep_power_closed(sweep, every_element=True) == units).all()
+    job = {"oracle": "off", "oracle_cap": 0, "tolerance": 1e-8}
+    checks = _sweep_checks(job, group, wrong, table, unit_group(group.exponent))
+    assert checks["power-closure-consistency"] == "fail"
