@@ -2,6 +2,34 @@
 
 from __future__ import annotations
 
+from operator import mul
+
+
+def _is_prime(x: int) -> bool:
+    """Deterministic Miller-Rabin; these bases are exact below 3.3e24."""
+    if x < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if x in bases:
+        return True
+    if any(x % b == 0 for b in bases):
+        return False
+    d, s = x - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in bases:
+        y = pow(b, d, x)
+        if y in (1, x - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
+            return False
+    return True
+
 
 def mat_mul(a, b, p):
     n, mid, m = len(a), len(b), len(b[0])
@@ -77,29 +105,31 @@ def charpoly(mat, p):
             h[pivot], h[j + 1] = h[j + 1], h[pivot]
             for row in h:
                 row[pivot], row[j + 1] = row[j + 1], row[pivot]
-        inv = pow(h[j + 1][j], p - 2, p)
-        for i in range(j + 2, n):
-            f = h[i][j] * inv % p
+        top = h[j + 1]
+        inv = pow(top[j], p - 2, p)
+        factors = [h[i][j] * inv % p for i in range(j + 2, n)]
+        for i, f in enumerate(factors, j + 2):
             if f:
-                h[i] = [(x - f * y) % p for x, y in zip(h[i], h[j + 1])]
-                for r in range(n):
-                    h[r][j + 1] = (h[r][j + 1] + f * h[r][i]) % p
+                # columns before j of rows below j + 1 are already zero
+                h[i][j:] = [(x - f * y) % p for x, y in zip(h[i][j:], top[j:])]
+        # the row operations commute, so their inverse column operations
+        # can all be applied afterwards, one pass over the rows
+        if any(factors):
+            for row in h:
+                row[j + 1] = (row[j + 1] + sum(map(mul, factors, row[j + 2 :]))) % p
     # det(xI - H) for Hessenberg H by last-column expansion
     polys = [[1]]
     for mm in range(1, n + 1):
         d = h[mm - 1][mm - 1]
         prev = polys[mm - 1]
-        cur = [0] + prev
-        for i, c in enumerate(prev):
-            cur[i] = (cur[i] - d * c) % p
+        cur = [0] + prev  # x * prev, then minus d * prev
+        cur[:-1] = [a - d * b for a, b in zip(cur, prev)]
         w = 1
         for i in range(mm - 2, -1, -1):
             w = w * h[i + 1][i] % p
             coef = h[i][mm - 1] * w % p
             if coef:
-                pi = polys[i]
-                for j, c in enumerate(pi):
-                    cur[j] = (cur[j] - coef * c) % p
+                cur[: i + 1] = [a - coef * b for a, b in zip(cur, polys[i])]
         polys.append([c % p for c in cur])
     return polys[n]
 

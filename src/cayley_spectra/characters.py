@@ -105,35 +105,9 @@ def _least_dixon_prime(n: int, m: int) -> int:
         ceil_sqrt += 1
     lower = 2 * ceil_sqrt
     cand = m + 1
-    while cand <= lower or not _is_prime(cand):
+    while cand <= lower or not _modp._is_prime(cand):
         cand += m
     return cand
-
-
-def _is_prime(x: int) -> bool:
-    """Deterministic Miller-Rabin; these bases are exact below 3.3e24."""
-    if x < 2:
-        return False
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    if x in bases:
-        return True
-    if any(x % b == 0 for b in bases):
-        return False
-    d, s = x - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in bases:
-        y = pow(b, d, x)
-        if y in (1, x - 1):
-            continue
-        for _ in range(s - 1):
-            y = y * y % x
-            if y == x - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _prime_factors(x: int) -> list[int]:
@@ -348,7 +322,7 @@ def _certificate_primes(m: int, bound: int, width: int) -> list[int]:
     while product <= bound:
         if q < 2:
             raise InternalConsistencyError(f"ran out of primes = 1 mod {m} below the int64 limit")
-        if _is_prime(q):
+        if _modp._is_prime(q):
             primes.append(q)
             product *= q
         q -= m

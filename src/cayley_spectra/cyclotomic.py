@@ -139,7 +139,7 @@ def _reduce_list(coeffs: Iterable[int], ctx: CycContext) -> tuple[int, ...]:
 
 
 def reduce_raw(raw: Sequence[int], ctx: CycContext) -> "CycInt":
-    """Reduce an integer vector on exponents 0..m-1 to canonical form."""
+    """Reduce an integer vector on exponents 0, 1, ... (any length) to canonical form."""
     return CycInt(ctx, _reduce_list(raw, ctx))
 
 

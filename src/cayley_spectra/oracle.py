@@ -1,21 +1,25 @@
 """Independent checks for spectra and power closure.
 
-Nothing here touches the character machinery: the adjacency matrix is built
-literally from the definition, the floating backend feeds it to a dense
-eigensolver, and the exact backend verifies a claimed spectrum against the
-integer characteristic polynomial computed by fraction-free elimination.
+Nothing here touches the character machinery, apart from the prime-field
+Hessenberg routine in _modp: the adjacency matrix is built literally from the
+definition, the floating backend feeds it to a dense eigensolver, and the
+exact backend verifies a claimed spectrum against the integer characteristic
+polynomial, computed mod several primes and joined by the Chinese remainder
+theorem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from itertools import count
+from math import comb, gcd
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycInt, get_context
+from . import _modp
+from .cyclotomic import CycInt, get_context, reduce_raw
 from .group_core import Group
 from .spectra import Spectrum
 
@@ -51,63 +55,43 @@ def oracle_spectrum(adjacency: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(adjacency.astype(np.float64))
 
 
-def _bareiss_det(mat: list[list[int]]) -> int:
-    """Determinant over Z by fraction-free (Bareiss) elimination."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+@lru_cache(maxsize=None)
+def _crt_prime(i: int) -> int:
+    """The i-th prime below 2^31, counted downward; each is found once per process."""
+    q = _crt_prime(i - 1) - 2 if i else 2**31 - 1
+    while not _modp._is_prime(q):
+        q -= 2
+    return q
 
 
 def integer_charpoly(adjacency: np.ndarray) -> tuple[int, ...]:
     """Exact characteristic polynomial of an integer matrix, low degree first.
 
-    det(xI - A) is sampled at x = 0..n through Bareiss elimination and
-    rebuilt by Newton interpolation; the result is monic with integer
-    coefficients by construction.
+    det(xI - A) is reduced to Hessenberg form mod distinct 31-bit primes
+    (_modp.charpoly), and the residues are joined by the Chinese remainder
+    theorem and read as symmetric residues.
+
+    Why this is exact: let r be the largest row L1 norm of A.  It is the
+    norm induced by the max norm, so every eigenvalue has |lambda| <= r.
+    The coefficient of x^(n-i) is (-1)^i e_i(lambda_1, ..., lambda_n), so
+    |e_i| <= C(n, i) r^i, and these bounds sum to (1 + r)^n.  Primes are
+    added until their product M exceeds 2 (1 + r)^n, so each coefficient is
+    the one integer in (-M/2, M/2] with its residues.
     """
-    n = int(adjacency.shape[0])
-    base = [[int(x) for x in row] for row in adjacency]
-    samples = []
-    for t in range(n + 1):
-        shifted = [
-            [(t if i == j else 0) - base[i][j] for j in range(n)] for i in range(n)
-        ]
-        samples.append(_bareiss_det(shifted))
-    # Newton form on nodes 0..n, then Horner-style expansion
-    table = [[Fraction(s) for s in samples]]
-    for level in range(1, n + 1):
-        prev = table[-1]
-        table.append([(prev[i + 1] - prev[i]) / level for i in range(len(prev) - 1)])
-    poly = [table[n][0]]
-    for level in range(n - 1, -1, -1):
-        expanded = [Fraction(0)] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            expanded[i + 1] += c
-            expanded[i] -= c * level
-        expanded[0] += table[level][0]
-        poly = expanded
-    out = []
-    for c in poly:
-        if c.denominator != 1:
-            raise ValueError("interpolated characteristic polynomial is not integral")
-        out.append(int(c))
-    return tuple(out)
+    rows = [[int(x) for x in row] for row in adjacency]
+    n = len(rows)
+    r = max((sum(abs(x) for x in row) for row in rows), default=0)
+    bound = 2 * (1 + r) ** n
+    coeffs = [0] * (n + 1)
+    modulus = 1
+    primes = map(_crt_prime, count())
+    while modulus <= bound:
+        p = next(primes)
+        inv = pow(modulus, -1, p)
+        residues = _modp.charpoly(rows, p)
+        coeffs = [c + modulus * ((res - c) * inv % p) for c, res in zip(coeffs, residues)]
+        modulus *= p
+    return tuple(c - modulus if 2 * c > modulus else c for c in coeffs)
 
 
 @dataclass(frozen=True)
@@ -125,7 +109,9 @@ def verify_spectrum_exact(
     Writing each claimed eigenvalue as num/den, the product of the linear
     factors (den*x - num), with claimed multiplicities, must equal the
     characteristic polynomial scaled by the product of the denominators.
-    Both sides live in the cyclotomic integers, so equality is exact and the
+    Equal eigenvalues are grouped, and each distinct one contributes the
+    single factor (den*x - num)^mu, expanded by the binomial theorem.  Both
+    sides live in the cyclotomic integers, so equality is exact and the
     check also pins total multiplicity and every trace identity at once.
     """
     if charpoly is None:
@@ -141,10 +127,8 @@ def verify_spectrum_exact(
     poly: list[CycInt] = [ctx.one]
     scale = 1
     for (den, coeffs), mult in sorted(groups.items()):
-        num = CycInt(ctx, coeffs)
-        for _ in range(mult):
-            poly = _linear_mul(poly, den, num, ctx)
-            scale *= den
+        poly = _poly_product(poly, _binomial_power(den, CycInt(ctx, coeffs), mult))
+        scale *= den**mult
     if len(poly) != len(charpoly):
         return ExactSpectrumReport(passed=False, degree=len(poly) - 1, mismatch_power=None)
     for i, c in enumerate(charpoly):
@@ -163,13 +147,27 @@ def _canonical_value(num: CycInt, den: int) -> tuple[CycInt, int]:
     return CycInt(num.ctx, tuple(c // g for c in num.coeffs)), den // g
 
 
-def _linear_mul(poly: list[CycInt], den: int, num: CycInt, ctx) -> list[CycInt]:
-    """Multiply a CycInt polynomial by (den*x - num)."""
-    out = [ctx.zero] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i + 1] = out[i + 1] + c * den
-        out[i] = out[i] - c * num
-    return out
+def _binomial_power(den: int, num: CycInt, mult: int) -> list[CycInt]:
+    """Coefficients of (den*x - num)^mult, low degree first."""
+    powers = [num.ctx.one]  # (-num)^i
+    for _ in range(mult):
+        powers.append(powers[-1] * -num)
+    return [powers[mult - j] * (comb(mult, j) * den**j) for j in range(mult + 1)]
+
+
+def _poly_product(a: list[CycInt], b: list[CycInt]) -> list[CycInt]:
+    """Product of CycInt polynomials, summed unreduced and reduced once per coefficient."""
+    ctx = a[0].ctx
+    terms = [[(t, c) for t, c in enumerate(y.coeffs) if c] for y in b]
+    raw = [[0] * (2 * ctx.degree - 1) for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for s, c in enumerate(x.coeffs):
+            if c:
+                for j, ys in enumerate(terms):
+                    acc = raw[i + j]
+                    for t, d in ys:
+                        acc[s + t] += c * d
+    return [reduce_raw(r, ctx) for r in raw]
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from cayley_spectra.cli import NAIVE_ORACLE_CAP, run
 TOLERANCE = 1e-8
 SWEEP_BUDGET_SECONDS = 300.0
 FLOAT_ORACLE_CAP = 120
-EXACT_BACKEND_CAP = 48
+EXACT_BACKEND_CAP = 60
 
 
 def _gamma_lattice(m):

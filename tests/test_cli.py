@@ -1,11 +1,16 @@
+import contextlib
 import io
 import json
+import math
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cayley_spectra import TABLE_BYTE_BUDGET, spectra
-from cayley_spectra.cli import run
+from cayley_spectra.cli import COMMANDS, run
 
 
 def _run_json(capsys, argv):
@@ -295,3 +300,91 @@ def test_sweep_int64_bound_exits_two_naming_group(monkeypatch, capsys):
     assert code == 2
     assert captured.err.startswith("input error: group:")
     assert captured.out == ""
+
+
+# A valid job document has a command, small groups (order at most 24, at
+# most 9 classes) and some of the optional fields.  The fuzz test then
+# replaces at most one field with an odd value: a wrong type, an
+# out-of-range or non-finite number, or a container of the wrong shape.
+_SMALL_GROUPS = st.sampled_from(
+    [
+        "cyclic(1)",
+        "cyclic(6)",
+        "dihedral(4)",
+        "dihedral(12)",
+        "symmetric(3)",
+        "symmetric(4)",
+        "alternating(4)",
+        "quaternion(8)",
+        "product(cyclic(2),cyclic(4))",
+        "perm[(1 2),(1 2 3)]",
+        {"family": "dihedral", "params": [5]},
+        {"product": ["cyclic(2)", "cyclic(3)"]},
+    ]
+)
+_CLASS_INDICES = st.lists(st.integers(0, 4), max_size=4)
+_VALID_JOBS = st.fixed_dictionaries(
+    {
+        "command": st.sampled_from(COMMANDS),
+        "group": _SMALL_GROUPS,
+        # a missing list would run the whole bundled corpus
+        "groups": st.lists(_SMALL_GROUPS, min_size=1, max_size=2),
+    },
+    optional={
+        "connection": st.one_of(
+            st.sampled_from(["all-nonidentity", "sweep"]),
+            _CLASS_INDICES,
+            st.fixed_dictionaries({"classes": _CLASS_INDICES}),
+            st.fixed_dictionaries({"elements": st.lists(st.integers(0, 23), max_size=8)}),
+            st.fixed_dictionaries({"representatives": st.lists(st.integers(0, 23), max_size=3)}),
+        ),
+        "gamma": st.one_of(
+            st.sampled_from(["rational", "splitting"]),
+            st.lists(st.integers(1, 23), max_size=3),
+            st.fixed_dictionaries({"generators": st.lists(st.integers(1, 23), max_size=3)}),
+        ),
+        "oracle": st.sampled_from(["auto", "on", "off"]),
+        "tolerance": st.sampled_from([0, 1e-8, 0.5]),
+        "output": st.sampled_from(["json", "table"]),
+        "sweep_limit": st.integers(0, 9),
+        "oracle_cap": st.integers(0, 400),
+    },
+)
+_SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, 2.5, -1, 10**30, True, None, "1", "", [], {}])
+_ODD = st.one_of(
+    _SPECIAL,
+    st.integers(-3, 30),
+    st.text(max_size=5),
+    st.lists(st.one_of(_SPECIAL, st.integers(-3, 30)), min_size=1, max_size=3),
+    st.dictionaries(
+        st.sampled_from(["classes", "elements", "representatives", "generators", "family", "params", "product"]),
+        st.one_of(_SPECIAL, st.lists(st.one_of(_SPECIAL, st.integers(-3, 30)), max_size=2)),
+        min_size=1,
+        max_size=2,
+    ),
+    st.sampled_from(["cyclic(0)", "cyclic(-4)", "symmetric(8)", "widget(3)", "dihedral(", "perm[(1 2]"]),
+)
+_FIELDS = ("command", "group", "groups", "connection", "gamma", "oracle", "tolerance", "output", "sweep_limit", "oracle_cap")
+_JOBS = _VALID_JOBS.flatmap(
+    lambda job: st.one_of(
+        st.just(job),
+        st.tuples(st.sampled_from(_FIELDS), _ODD).map(lambda kv: {**job, kv[0]: kv[1]}),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(job=_JOBS)
+@example(job={"command": "spectrum", "group": "cyclic(4)", "connection": [math.inf]})
+@example(job={"command": "spectrum", "group": "cyclic(4)", "connection": {"elements": [-math.inf]}})
+@example(job={"command": "check-membership", "group": "cyclic(4)", "connection": [1], "gamma": [math.inf]})
+def test_exit_contract_holds_for_any_job_document(job):
+    stdin = io.StringIO(json.dumps(job))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["--input", "-"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("input error: ")
+        assert out.getvalue() == ""

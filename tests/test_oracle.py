@@ -1,4 +1,6 @@
 import dataclasses
+from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from cayley_spectra import (
     oracle_spectrum,
     verify_spectrum_exact,
 )
+from cayley_spectra import _modp, oracle
+from cayley_spectra.cyclotomic import CycInt, get_context
 
 
 def _bundle(text):
@@ -73,6 +77,151 @@ def test_integer_charpoly_against_numpy_on_random_matrices():
         exact = integer_charpoly(mat)
         approx = np.poly(mat.astype(float))[::-1]
         assert np.allclose([float(c) for c in exact], approx, atol=1e-6)
+
+
+def _bareiss_det(mat):
+    """Determinant over Z by fraction-free (Bareiss) elimination."""
+    m = [row[:] for row in mat]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _reference_charpoly(mat):
+    """det(xI - A) sampled at x = 0..n by Bareiss, rebuilt by Newton interpolation."""
+    n = len(mat)
+    samples = [
+        _bareiss_det([[(t if i == j else 0) - int(mat[i][j]) for j in range(n)] for i in range(n)])
+        for t in range(n + 1)
+    ]
+    table = [[Fraction(s) for s in samples]]
+    for level in range(1, n + 1):
+        prev = table[-1]
+        table.append([(prev[i + 1] - prev[i]) / level for i in range(len(prev) - 1)])
+    poly = [table[n][0]]
+    for level in range(n - 1, -1, -1):
+        expanded = [Fraction(0)] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            expanded[i + 1] += c
+            expanded[i] -= c * level
+        expanded[0] += table[level][0]
+        poly = expanded
+    assert all(c.denominator == 1 for c in poly)
+    return tuple(int(c) for c in poly)
+
+
+def _sequential_report(sp, charpoly):
+    """The product identity built one linear factor (den*x - num) at a time."""
+    ctx = get_context(sp.entries[0].value.numerator.ctx.m)
+    poly = [ctx.one]
+    scale = 1
+    for e in sp.entries:
+        num, den = e.value.numerator, e.value.denominator
+        g = den
+        for c in num.coeffs:
+            g = gcd(g, c)
+        num, den = CycInt(ctx, tuple(c // g for c in num.coeffs)), den // g
+        for _ in range(e.multiplicity):
+            out = [ctx.zero] * (len(poly) + 1)
+            for i, c in enumerate(poly):
+                out[i + 1] = out[i + 1] + c * den
+                out[i] = out[i] - c * num
+            poly = out
+            scale *= den
+    degree = len(poly) - 1
+    if len(poly) != len(charpoly):
+        return oracle.ExactSpectrumReport(passed=False, degree=degree)
+    for i, c in enumerate(charpoly):
+        if poly[i] != ctx.from_int(c * scale):
+            return oracle.ExactSpectrumReport(passed=False, degree=degree, mismatch_power=i)
+    return oracle.ExactSpectrumReport(passed=True, degree=degree)
+
+
+def test_integer_charpoly_against_bareiss_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(0, 31))
+        mat = rng.integers(-3, 4, size=(n, n))
+        assert integer_charpoly(mat) == _reference_charpoly(mat.tolist())
+
+
+def test_integer_charpoly_joins_several_primes(monkeypatch):
+    primes = []
+    real = _modp.charpoly
+
+    def spy(mat, p):
+        primes.append(p)
+        return real(mat, p)
+
+    monkeypatch.setattr(_modp, "charpoly", spy)
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 5, 9):
+        primes.clear()
+        mat = rng.integers(-(10**6), 10**6 + 1, size=(n, n))
+        assert integer_charpoly(mat) == _reference_charpoly(mat.tolist())
+        assert len(primes) == len(set(primes))
+        assert all(2**30 < p < 2**31 for p in primes)
+        if n > 1:
+            assert len(primes) > 1
+
+
+def _spectra_of(text):
+    g, cd, table = _bundle(text)
+    for mask in range(1 << (cd.k - 1)):
+        classes = [j for j in range(1, cd.k) if mask >> (j - 1) & 1]
+        conn = make_connection_set({"classes": classes}, g, cd)
+        yield eigenvalues_via_characters(conn, table, cd), adjacency_matrix(g, conn.elements)
+
+
+def _tampered(sp):
+    """Every +-1 change to one coefficient of one eigenvalue, and every move
+    of one unit of multiplicity between two entries with different values."""
+    entries = list(sp.entries)
+    for r, e in enumerate(entries):
+        num = e.value.numerator
+        for t in range(len(num.coeffs)):
+            for step in (1, -1):
+                coeffs = list(num.coeffs)
+                coeffs[t] += step
+                value = dataclasses.replace(e.value, numerator=CycInt(num.ctx, tuple(coeffs)))
+                yield entries[:r] + [dataclasses.replace(e, value=value)] + entries[r + 1 :]
+    for a, source in enumerate(entries):
+        for b, target in enumerate(entries):
+            x, y = source.value, target.value
+            if x.numerator * y.denominator == y.numerator * x.denominator:
+                continue  # equal values: the multiset does not change
+            moved = list(entries)
+            moved[a] = dataclasses.replace(source, multiplicity=source.multiplicity - 1)
+            moved[b] = dataclasses.replace(target, multiplicity=target.multiplicity + 1)
+            yield moved
+
+
+@pytest.mark.parametrize("text", ["symmetric(3)", "quaternion(8)", "dihedral(6)"])
+def test_exact_verification_rejects_every_small_tampering(text):
+    for sp, adj in _spectra_of(text):
+        charpoly = integer_charpoly(adj)
+        assert verify_spectrum_exact(sp, adj, charpoly) == _sequential_report(sp, charpoly)
+        for entries in _tampered(sp):
+            tampered = dataclasses.replace(sp, entries=tuple(entries))
+            report = verify_spectrum_exact(tampered, adj, charpoly)
+            assert not report.passed
+            assert report.mismatch_power is not None
+            assert report == _sequential_report(tampered, charpoly)
 
 
 def test_exact_verification_accepts_true_spectra():
