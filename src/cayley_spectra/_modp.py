@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from operator import mul
+from functools import lru_cache
+from itertools import count
+
+from .errors import InternalConsistencyError
 
 
 def _is_prime(x: int) -> bool:
@@ -29,6 +32,32 @@ def _is_prime(x: int) -> bool:
         else:
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _nth_prime_down(ceiling: int, m: int, i: int) -> int:
+    """The i-th prime q = 1 (mod m) at or below ceiling, counted downward from 0."""
+    q = _nth_prime_down(ceiling, m, i - 1) - m if i else ceiling - (ceiling - 1) % m
+    while not _is_prime(q):
+        if q < 2:
+            raise InternalConsistencyError(f"ran out of primes = 1 mod {m} below {ceiling}")
+        q -= m
+    return q
+
+
+def _descending_primes(ceiling: int, m: int, bound: int) -> list[int]:
+    """Distinct primes q = 1 (mod m), q <= ceiling, whose product exceeds bound.
+
+    They are taken downward from ceiling, so the fewest primes serve any
+    bound, and each one is found once per process.
+    """
+    primes: list[int] = []
+    product = 1
+    for i in count():
+        if product > bound:
+            return primes
+        primes.append(_nth_prime_down(ceiling, m, i))
+        product *= primes[-1]
 
 
 def mat_mul(a, b, p):
@@ -105,31 +134,29 @@ def charpoly(mat, p):
             h[pivot], h[j + 1] = h[j + 1], h[pivot]
             for row in h:
                 row[pivot], row[j + 1] = row[j + 1], row[pivot]
-        top = h[j + 1]
-        inv = pow(top[j], p - 2, p)
-        factors = [h[i][j] * inv % p for i in range(j + 2, n)]
-        for i, f in enumerate(factors, j + 2):
+        inv = pow(h[j + 1][j], p - 2, p)
+        for i in range(j + 2, n):
+            f = h[i][j] * inv % p
             if f:
-                # columns before j of rows below j + 1 are already zero
-                h[i][j:] = [(x - f * y) % p for x, y in zip(h[i][j:], top[j:])]
-        # the row operations commute, so their inverse column operations
-        # can all be applied afterwards, one pass over the rows
-        if any(factors):
-            for row in h:
-                row[j + 1] = (row[j + 1] + sum(map(mul, factors, row[j + 2 :]))) % p
+                h[i] = [(x - f * y) % p for x, y in zip(h[i], h[j + 1])]
+                for r in range(n):
+                    h[r][j + 1] = (h[r][j + 1] + f * h[r][i]) % p
     # det(xI - H) for Hessenberg H by last-column expansion
     polys = [[1]]
     for mm in range(1, n + 1):
         d = h[mm - 1][mm - 1]
         prev = polys[mm - 1]
-        cur = [0] + prev  # x * prev, then minus d * prev
-        cur[:-1] = [a - d * b for a, b in zip(cur, prev)]
+        cur = [0] + prev
+        for i, c in enumerate(prev):
+            cur[i] = (cur[i] - d * c) % p
         w = 1
         for i in range(mm - 2, -1, -1):
             w = w * h[i + 1][i] % p
             coef = h[i][mm - 1] * w % p
             if coef:
-                cur[: i + 1] = [a - coef * b for a, b in zip(cur, polys[i])]
+                pi = polys[i]
+                for j, c in enumerate(pi):
+                    cur[j] = (cur[j] - coef * c) % p
         polys.append([c % p for c in cur])
     return polys[n]
 

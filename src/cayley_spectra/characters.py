@@ -315,18 +315,7 @@ def _certificate_primes(m: int, bound: int, width: int) -> list[int]:
     They are taken downward from the largest admissible q, so one prime
     serves any bound below about 2^63 / width.
     """
-    q = isqrt((2**63 - 1) // width)
-    q -= (q - 1) % m
-    primes: list[int] = []
-    product = 1
-    while product <= bound:
-        if q < 2:
-            raise InternalConsistencyError(f"ran out of primes = 1 mod {m} below the int64 limit")
-        if _modp._is_prime(q):
-            primes.append(q)
-            product *= q
-        q -= m
-    return primes
+    return _modp._descending_primes(isqrt((2**63 - 1) // width), m, bound)
 
 
 def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:

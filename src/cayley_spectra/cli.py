@@ -50,6 +50,7 @@ from .spectra import (
     ClassSweep,
     ConnectionSet,
     Spectrum,
+    _index,
     all_eigenvalues_integral,
     check_integrality,
     check_membership,
@@ -217,7 +218,7 @@ def _connection_from_job(job: dict, group: Group, cd: ClassData) -> ConnectionSe
         conn = {"classes": conn}
     try:
         return make_connection_set(conn, group, cd)
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError) as exc:
         raise InputError("connection", str(exc))
 
 
@@ -233,8 +234,8 @@ def _gamma_from_job(job: dict, m: int) -> GaloisSubgroup:
         if spec == "splitting":
             return subgroup_closure(m, ())
         if isinstance(spec, list):
-            return subgroup_closure(m, tuple(int(t) for t in spec))
-    except (ValueError, TypeError, OverflowError) as exc:
+            return subgroup_closure(m, tuple(_index(t, "generator") for t in spec))
+    except (ValueError, TypeError) as exc:
         raise InputError("gamma", str(exc))
     raise InputError("gamma", f"cannot parse {spec!r}")
 

@@ -11,8 +11,6 @@ theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import count
 from math import comb, gcd
 from typing import Iterable, Optional, Sequence
 
@@ -55,15 +53,6 @@ def oracle_spectrum(adjacency: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(adjacency.astype(np.float64))
 
 
-@lru_cache(maxsize=None)
-def _crt_prime(i: int) -> int:
-    """The i-th prime below 2^31, counted downward; each is found once per process."""
-    q = _crt_prime(i - 1) - 2 if i else 2**31 - 1
-    while not _modp._is_prime(q):
-        q -= 2
-    return q
-
-
 def integer_charpoly(adjacency: np.ndarray) -> tuple[int, ...]:
     """Exact characteristic polynomial of an integer matrix, low degree first.
 
@@ -84,9 +73,7 @@ def integer_charpoly(adjacency: np.ndarray) -> tuple[int, ...]:
     bound = 2 * (1 + r) ** n
     coeffs = [0] * (n + 1)
     modulus = 1
-    primes = map(_crt_prime, count())
-    while modulus <= bound:
-        p = next(primes)
+    for p in _modp._descending_primes(2**31 - 1, 2, bound):
         inv = pow(modulus, -1, p)
         residues = _modp.charpoly(rows, p)
         coeffs = [c + modulus * ((res - c) * inv % p) for c, res in zip(coeffs, residues)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import numbers
 from math import gcd
 from typing import Optional
 
@@ -92,18 +93,19 @@ def make_connection_set(spec, group: Group, cd: ClassData) -> ConnectionSet:
         return _from_classes(range(1, cd.k), cd)
     if isinstance(spec, dict):
         if "classes" in spec:
-            idxs = spec["classes"]
+            idxs = [_index(j, "class index") for j in spec["classes"]]
             for j in idxs:
-                if not 0 <= int(j) < cd.k:
+                if not 0 <= j < cd.k:
                     raise ValueError(f"class index {j} out of range 0..{cd.k - 1}")
-            return _from_classes((int(j) for j in idxs), cd)
+            return _from_classes(idxs, cd)
         if "representatives" in spec:
-            for g in spec["representatives"]:
-                if not 0 <= int(g) < group.n:
+            reps = [_index(g, "element") for g in spec["representatives"]]
+            for g in reps:
+                if not 0 <= g < group.n:
                     raise ValueError(f"element {g} out of range 0..{group.n - 1}")
-            return _from_classes((int(cd.class_of[int(g)]) for g in spec["representatives"]), cd)
+            return _from_classes((int(cd.class_of[g]) for g in reps), cd)
         if "elements" in spec:
-            elems = sorted({int(g) for g in spec["elements"]})
+            elems = sorted({_index(g, "element") for g in spec["elements"]})
             for g in elems:
                 if not 0 <= g < group.n:
                     raise ValueError(f"element {g} out of range 0..{group.n - 1}")
@@ -119,6 +121,13 @@ def make_connection_set(spec, group: Group, cd: ClassData) -> ConnectionSet:
             return _from_classes(idxs, cd)
         raise ValueError("connection spec dict needs 'classes', 'representatives' or 'elements'")
     raise ValueError(f"cannot parse connection spec from {type(spec).__name__}")
+
+
+def _index(x, what: str) -> int:
+    """x as an int; a float, a bool or a string is refused, never truncated."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return int(x)
 
 
 def _from_classes(indices, cd: ClassData) -> ConnectionSet:

@@ -255,6 +255,31 @@ def test_bad_job_values_name_the_field(monkeypatch, capsys, doc, flags, field):
     assert captured.out == ""
 
 
+# Each of these would name a valid index if it were truncated by int().
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"connection": [1.9]}, "connection"),
+        ({"connection": [True]}, "connection"),
+        ({"connection": ["1"]}, "connection"),
+        ({"connection": [math.inf]}, "connection"),
+        ({"connection": {"elements": [1.0, 3]}}, "connection"),
+        ({"connection": {"representatives": [True]}}, "connection"),
+        ({"command": "check-membership", "gamma": [2.7]}, "gamma"),
+        ({"command": "check-membership", "gamma": {"generators": [True]}}, "gamma"),
+    ],
+)
+def test_non_integer_indices_are_refused_not_truncated(monkeypatch, capsys, doc, field):
+    job = dict({"command": "spectrum", "group": "cyclic(5)", "connection": [1]}, **doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+    code = run(["--input", "-"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"input error: {field}:")
+    assert "is not an integer" in captured.err
+    assert captured.out == ""
+
+
 def test_oversize_table_is_refused_before_allocation(capsys):
     tracemalloc.start()
     try:
@@ -305,7 +330,8 @@ def test_sweep_int64_bound_exits_two_naming_group(monkeypatch, capsys):
 # A valid job document has a command, small groups (order at most 24, at
 # most 9 classes) and some of the optional fields.  The fuzz test then
 # replaces at most one field with an odd value: a wrong type, an
-# out-of-range or non-finite number, or a container of the wrong shape.
+# out-of-range, non-integer or non-finite number, or a container of the
+# wrong shape.
 _SMALL_GROUPS = st.sampled_from(
     [
         "cyclic(1)",
@@ -378,6 +404,8 @@ _JOBS = _VALID_JOBS.flatmap(
 @example(job={"command": "spectrum", "group": "cyclic(4)", "connection": [math.inf]})
 @example(job={"command": "spectrum", "group": "cyclic(4)", "connection": {"elements": [-math.inf]}})
 @example(job={"command": "check-membership", "group": "cyclic(4)", "connection": [1], "gamma": [math.inf]})
+@example(job={"command": "spectrum", "group": "cyclic(4)", "connection": [2.5]})
+@example(job={"command": "check-membership", "group": "cyclic(5)", "connection": [1], "gamma": [True]})
 def test_exit_contract_holds_for_any_job_document(job):
     stdin = io.StringIO(json.dumps(job))
     out, err = io.StringIO(), io.StringIO()
@@ -388,3 +416,17 @@ def test_exit_contract_holds_for_any_job_document(job):
     if code == 2:
         assert err.getvalue().startswith("input error: ")
         assert out.getvalue() == ""
+    # a non-integer index in a field the command reads is refused
+    gamma = job.get("gamma")
+    if isinstance(gamma, dict):
+        gamma = gamma.get("generators")
+    if job["command"] in ("spectrum", "check-integrality", "check-membership") and _has_non_integer(
+        job.get("connection")
+    ):
+        assert code == 2
+    if job["command"] == "check-membership" and _has_non_integer(gamma):
+        assert code == 2
+
+
+def _has_non_integer(values) -> bool:
+    return isinstance(values, list) and any(isinstance(v, bool) or not isinstance(v, int) for v in values)
