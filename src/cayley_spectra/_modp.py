@@ -1,4 +1,11 @@
-"""Small dense linear algebra over a prime field, list-of-lists style."""
+"""Prime choosers and the characteristic polynomial over a prime field.
+
+charpoly works on lists of lists of Python ints: it serves both the exact
+oracle (integer_charpoly, matrices up to the oracle caps, mod 31-bit primes)
+and the character table's eigenspace split (restricted class matrices mod
+the Dixon prime).  The split's other steps are int64 array routines in
+characters.
+"""
 
 from __future__ import annotations
 
@@ -60,68 +67,6 @@ def _descending_primes(ceiling: int, m: int, bound: int) -> list[int]:
         product *= primes[-1]
 
 
-def mat_mul(a, b, p):
-    n, mid, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(mid):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] = (oi[j] + c * bt[j]) % p
-    return out
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def rref(rows, p):
-    """Reduced row echelon form mod p; returns (nonzero rows, pivot columns)."""
-    rows = [[x % p for x in r] for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def nullspace(mat, p):
-    """Canonical basis rows of {x : mat . x = 0} over F_p."""
-    ncols = len(mat[0])
-    red, pivots = rref(mat, p)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-red[i][free]) % p
-        basis.append(v)
-    return basis
-
-
 def charpoly(mat, p):
     """Characteristic polynomial mod p, low degree first, via Hessenberg form."""
     n = len(mat)
@@ -159,15 +104,3 @@ def charpoly(mat, p):
                     cur[j] = (cur[j] - coef * c) % p
         polys.append([c % p for c in cur])
     return polys[n]
-
-
-def poly_eval(coeffs, x, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def poly_roots(coeffs, p):
-    """All roots in F_p by exhaustive scan, ascending."""
-    return [x for x in range(p) if poly_eval(coeffs, x, p) == 0]

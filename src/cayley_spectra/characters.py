@@ -135,43 +135,113 @@ def _element_of_order(m: int, p: int) -> int:
     raise InternalConsistencyError(f"no element of order {m} in F_{p}")
 
 
-def _common_eigenrows(mats: list[list[list[int]]], p: int) -> list[list[int]]:
-    """Split F_p^k into common one-dimensional eigenspaces of commuting matrices."""
-    k = len(mats[0])
-    spaces: list[tuple[list[list[int]], list[int]]] = [
-        ([[1 if i == j else 0 for j in range(k)] for i in range(k)], list(range(k)))
-    ]
-    for mat in mats:
-        right = _modp.transpose(mat)  # row vectors act by v -> v . mat^T
-        nxt: list[tuple[list[list[int]], list[int]]] = []
+def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p: (nonzero rows, pivot columns).
+
+    One outer-product update per pivot clears its column in every other row.
+    Row r is zero left of its pivot column c, so only columns c onward change.
+    The form is unique, so any nonzero entry may serve as the pivot.
+    """
+    a = np.ascontiguousarray(a % p)
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        i = r + int(a[r:, c].argmax())
+        pivot = int(a[i, c])
+        if not pivot:
+            continue
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        row = a[r, c:] * pow(pivot, p - 2, p) % p
+        block = a[:, c:]
+        block -= a[:, c, None] * row  # clears row r too, which row then refills
+        block %= p
+        block[r] = row
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
+def _left_nullspace(a: np.ndarray, p: int) -> np.ndarray:
+    """Canonical basis rows of {x : x a = 0} over F_p, one per free column of rref(a^T)."""
+    red, pivots = _rref(a.T, p)
+    is_free = np.ones(a.shape[0], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, a.shape[0]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -red[:, free].T % p
+    return basis
+
+
+def _poly_roots(coeffs: list[int], p: int) -> np.ndarray:
+    """All roots in F_p, ascending: one Horner scan over every residue at once."""
+    x = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return np.flatnonzero(acc == 0)
+
+
+def _check_split_exact(k: int, p: int) -> None:
+    """Refuse a split whose int64 arithmetic mod p could wrap: require k (p - 1)^2 < 2^63.
+
+    Every array of the split holds residues in [0, p).  A product of a space's
+    basis (at most k rows) with a k x k class matrix, or of nullspace rows with
+    a basis, sums at most k products of two residues, so each entry is at most
+    k (p - 1)^2.  The row reduction's outer-product update, a row's scaling by
+    an inverse and a Horner step stay below p (p - 1) <= 2 (p - 1)^2, within
+    the same bound for k >= 2; with k = 1 the split does no arithmetic.
+    """
+    if k * (p - 1) ** 2 >= 2**63:
+        raise ResourceLimitError(
+            f"eigenspace split of {k} classes mod {p} would overflow int64: k (p - 1)^2 >= 2^63"
+        )
+
+
+def _common_eigenrows(c: np.ndarray, p: int) -> list[list[int]]:
+    """Split F_p^k into common one-dimensional eigenspaces of commuting matrices.
+
+    c[i] is the i-th class matrix mod p, shape (k, k, k).  Each space is held
+    as its reduced row echelon basis with the pivot columns; a vector of the
+    space is fixed by its pivot entries, so the image of the basis read at
+    the pivots is the restricted map.  Each root of its characteristic
+    polynomial cuts the space down to the left nullspace of the shifted
+    restriction.
+    """
+    k = c.shape[0]
+    _check_split_exact(k, p)
+    spaces: list[tuple[np.ndarray, list[int]]] = [(np.eye(k, dtype=np.int64), list(range(k)))]
+    for mat in c:
+        nxt: list[tuple[np.ndarray, list[int]]] = []
         for basis, pivots in spaces:
-            r = len(basis)
+            r = len(pivots)
             if r == 1:
                 nxt.append((basis, pivots))
                 continue
-            image = _modp.mat_mul(basis, right, p)
-            restricted = [[image[i][c] for c in pivots] for i in range(r)]
-            roots = _modp.poly_roots(_modp.charpoly(restricted, p), p)
+            restricted = (basis @ mat.T % p)[:, pivots]  # row vectors act by v -> v . mat^T
+            roots = _poly_roots(_modp.charpoly(restricted.tolist(), p), p)
+            diagonal = np.arange(r)
             covered = 0
             for lam in roots:
-                shifted = [
-                    [(x - (lam if i == j else 0)) % p for j, x in enumerate(row)]
-                    for i, row in enumerate(restricted)
-                ]
-                left_null = _modp.nullspace(_modp.transpose(shifted), p)
-                if not left_null:
+                shifted = restricted.copy()
+                shifted[diagonal, diagonal] -= lam
+                left_null = _left_nullspace(shifted, p)
+                if not len(left_null):
                     raise InternalConsistencyError("eigenvalue with empty eigenspace")
-                sub_basis, sub_pivots = _modp.rref(_modp.mat_mul(left_null, basis, p), p)
-                covered += len(sub_basis)
+                sub_basis, sub_pivots = _rref(left_null @ basis % p, p)
+                covered += len(sub_pivots)
                 nxt.append((sub_basis, sub_pivots))
             if covered != r:
                 raise InternalConsistencyError("class algebra failed to split over F_p")
         spaces = nxt
-        if all(len(b) == 1 for b, _ in spaces):
+        if all(len(pivots) == 1 for _, pivots in spaces):
             break
-    if len(spaces) != k or any(len(b) != 1 for b, _ in spaces):
+    if len(spaces) != k or any(len(pivots) != 1 for _, pivots in spaces):
         raise InternalConsistencyError("expected one common eigenvector per class")
-    return [b[0] for b, _ in spaces]
+    return [basis[0].tolist() for basis, _ in spaces]
 
 
 def dixon_character_table(group: Group, cd: ClassData, cm: Optional[ClassMatrices] = None) -> CharacterTable:
@@ -183,7 +253,7 @@ def dixon_character_table(group: Group, cd: ClassData, cm: Optional[ClassMatrice
     m = group.exponent
     p = _least_dixon_prime(n, m)
     z = _element_of_order(m, p)
-    rows = _common_eigenrows((cm.c % p).tolist(), p)
+    rows = _common_eigenrows(cm.c % p, p)
 
     sizes = cd.sizes
     inv_sizes = [pow(s % p, p - 2, p) for s in sizes]

@@ -190,6 +190,11 @@ def parse_permutation(text: str, domain: Optional[int] = None) -> tuple[int, ...
     return tuple(images)
 
 
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation i -> a[b[i]] of two image tuples on the same points."""
+    return tuple(map(a.__getitem__, b))
+
+
 def _perm_label(images: Sequence[int]) -> str:
     seen = [False] * len(images)
     out = []
@@ -275,14 +280,16 @@ def _bfs_table(
                 parents.append((qi, gi))
         qi += 1
     n = len(elems)
-    rgen = [
-        np.array([index[mul_fn(x, g)] for x in elems], dtype=np.int32) for g in gens
+    # lgen[gi][c] is the index of g * elems[c]; with elems[a] = elems[pa] * g,
+    # a * c = pa * (g * c), so row a is row pa read at lgen[gi]
+    lgen = [
+        np.array([index[mul_fn(g, x)] for x in elems], dtype=np.int32) for g in gens
     ]
     mul = np.empty((n, n), dtype=np.int32)
-    mul[:, 0] = np.arange(n, dtype=np.int32)
-    for b in range(1, n):
-        pb, gi = parents[b]
-        mul[:, b] = rgen[gi][mul[:, pb]]
+    mul[0] = np.arange(n, dtype=np.int32)
+    for a in range(1, n):
+        pa, gi = parents[a]
+        np.take(mul[pa], lgen[gi], out=mul[a])
     return Group(mul, description, tuple(label_fn(x) for x in elems))
 
 
@@ -347,7 +354,7 @@ def _family_pieces(family: str, params: tuple[int, ...]):
                 pts = range(1, n + 1) if n % 2 == 1 else range(2, n + 1)
                 gens.append(parse_permutation("(" + " ".join(str(i) for i in pts) + ")", n))
         identity = tuple(range(n))
-        return identity, gens, lambda a, b: tuple(a[b[i]] for i in range(n)), _perm_label
+        return identity, gens, _compose, _perm_label
     if family == "elementary-abelian":
         p, k = _expect_params(family, params, 2)
         if k < 1 or p < 2 or any(p % q == 0 for q in range(2, p)):
@@ -378,38 +385,25 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_GROUP_CAP) -> Group:
             domain = max(domain, len(images))
         gens = [parse_permutation(g, domain) for g in spec.generators]
         identity = tuple(range(domain))
-        return _bfs_table(
-            identity,
-            gens,
-            lambda a, b: tuple(a[b[i]] for i in range(domain)),
-            _perm_label,
-            spec.describe(),
-            cap,
-        )
+        return _bfs_table(identity, gens, _compose, _perm_label, spec.describe(), cap)
     if spec.kind == "named-family":
         identity, gens, mul_fn, label_fn = _family_pieces(spec.family, spec.params)
         return _bfs_table(identity, gens, mul_fn, label_fn, spec.describe(), cap)
     if spec.kind == "direct-product":
-        left = build_group(spec.factors[0], cap)
+        group = build_group(spec.factors[0], cap)
         for other_spec in spec.factors[1:]:
-            right = build_group(other_spec, cap)
-            left = _product_group(left, right, cap)
-        return _rebuild_with_description(left, spec.describe())
+            group = _product_group(group, build_group(other_spec, cap), cap, spec.describe())
+        return group
     raise ValueError(f"unknown group spec kind {spec.kind!r}")
 
 
-def _product_group(a: Group, b: Group, cap: int) -> Group:
+def _product_group(a: Group, b: Group, cap: int, description: str) -> Group:
     n = a.n * b.n
     if n > cap:
         raise ValueError(f"group size cap {cap} exceeded by direct product of order {n}")
     mul = (a.mul[:, None, :, None].astype(np.int32) * b.n + b.mul[None, :, None, :]).reshape(n, n)
     labels = tuple(f"({la},{lb})" for la in a.labels for lb in b.labels)
-    return Group(mul, f"product({a.description},{b.description})", labels)
-
-
-def _rebuild_with_description(g: Group, description: str) -> Group:
-    g.description = description
-    return g
+    return Group(mul, description, labels)
 
 
 def element_order(g: int, group: Group) -> int:

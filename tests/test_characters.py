@@ -26,8 +26,9 @@ from cayley_spectra import (
     verify_galois_character_identity,
     verify_orthogonality,
 )
-from cayley_spectra import characters
+from cayley_spectra import _modp, characters
 from cayley_spectra.errors import InternalConsistencyError
+from conftest import CORPUS
 
 
 def test_class_matrices_against_triple_loop():
@@ -335,3 +336,204 @@ def test_certificate_primes_cover_the_bound_without_int64_overflow(m, n, norm, k
         assert q % m == 1 % m
         assert width * q * q < 2**63
         assert _is_prime_by_trial_division(q)
+
+
+# ---------------------------------------------------------------------------
+# the common-eigenspace split mod the Dixon prime
+#
+# The list-of-lists routines below are the split as it was before it moved to
+# int64 arrays, kept as the reference for the array version.
+
+
+def _ref_mat_mul(a, b, p):
+    out = [[0] * len(b[0]) for _ in range(len(a))]
+    for i, ai in enumerate(a):
+        for t, c in enumerate(ai):
+            if c:
+                out[i] = [(o + c * x) % p for o, x in zip(out[i], b[t])]
+    return out
+
+
+def _ref_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _ref_rref(rows, p):
+    """Reduced row echelon form mod p; returns (nonzero rows, pivot columns)."""
+    rows = [[x % p for x in r] for r in rows]
+    if not rows:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _ref_nullspace(mat, p):
+    """Canonical basis rows of {x : mat . x = 0} over F_p."""
+    ncols = len(mat[0])
+    red, pivots = _ref_rref(mat, p)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [0] * ncols
+        v[free] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = (-red[i][free]) % p
+        basis.append(v)
+    return basis
+
+
+def _ref_poly_roots(coeffs, p):
+    def value(x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        return acc
+
+    return [x for x in range(p) if value(x) == 0]
+
+
+def _ref_common_eigenrows(mats, p):
+    k = len(mats[0])
+    spaces = [([[1 if i == j else 0 for j in range(k)] for i in range(k)], list(range(k)))]
+    for mat in mats:
+        right = _ref_transpose(mat)
+        nxt = []
+        for basis, pivots in spaces:
+            r = len(basis)
+            if r == 1:
+                nxt.append((basis, pivots))
+                continue
+            image = _ref_mat_mul(basis, right, p)
+            restricted = [[image[i][c] for c in pivots] for i in range(r)]
+            covered = 0
+            for lam in _ref_poly_roots(_modp.charpoly(restricted, p), p):
+                shifted = [
+                    [(x - (lam if i == j else 0)) % p for j, x in enumerate(row)]
+                    for i, row in enumerate(restricted)
+                ]
+                left_null = _ref_nullspace(_ref_transpose(shifted), p)
+                if not left_null:
+                    raise InternalConsistencyError("eigenvalue with empty eigenspace")
+                sub_basis, sub_pivots = _ref_rref(_ref_mat_mul(left_null, basis, p), p)
+                covered += len(sub_basis)
+                nxt.append((sub_basis, sub_pivots))
+            if covered != r:
+                raise InternalConsistencyError("class algebra failed to split over F_p")
+        spaces = nxt
+        if all(len(b) == 1 for b, _ in spaces):
+            break
+    if len(spaces) != k or any(len(b) != 1 for b, _ in spaces):
+        raise InternalConsistencyError("expected one common eigenvector per class")
+    return [b[0] for b, _ in spaces]
+
+
+def _class_tensor_mod(text, p=None):
+    group = build_group(GroupSpec.from_json(text))
+    cd = conjugacy_classes(group)
+    if p is None:
+        p = characters._least_dixon_prime(group.n, group.exponent)
+    return class_matrices(group, cd).c % p, p
+
+
+SPLIT_EXTRA = ("cyclic(40)", "elementary-abelian(2,6)", "product(cyclic(6),cyclic(6))")
+
+
+@pytest.mark.parametrize("text", tuple(CORPUS) + SPLIT_EXTRA)
+def test_split_matches_list_reference(text):
+    c, p = _class_tensor_mod(text)
+    rows = characters._common_eigenrows(c, p)
+    assert len(rows) == c.shape[0]
+    assert sorted(rows) == sorted(_ref_common_eigenrows(c.tolist(), p))
+
+
+@pytest.mark.parametrize("p", (3, 7))
+def test_split_refuses_a_prime_that_does_not_split(p):
+    # p has order 4 mod 5, so x^5 - 1 has the single root 1 over F_p
+    c, _ = _class_tensor_mod("cyclic(5)")
+    with pytest.raises(InternalConsistencyError, match="failed to split"):
+        characters._common_eigenrows(c % p, p)
+    with pytest.raises(InternalConsistencyError, match="failed to split"):
+        _ref_common_eigenrows((c % p).tolist(), p)
+
+
+@st.composite
+def _matrices_mod_p(draw):
+    """Random matrices mod a small prime: wide, tall, zero or of a chosen rank."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    entries = st.integers(0, p - 1)
+    left = np.array(draw(st.lists(entries, min_size=nrows * rank, max_size=nrows * rank)))
+    right = np.array(draw(st.lists(entries, min_size=rank * ncols, max_size=rank * ncols)))
+    a = left.reshape(nrows, rank) @ right.reshape(rank, ncols) % p
+    # an offset outside [0, p) checks that the reduction takes residues itself
+    return a.astype(np.int64) + p * draw(st.integers(-2, 2)), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices_mod_p())
+def test_rref_and_left_nullspace_match_list_reference(case):
+    a, p = case
+    rows, pivots = characters._rref(a, p)
+    ref_rows, ref_pivots = _ref_rref(a.tolist(), p)
+    assert rows.tolist() == ref_rows
+    assert pivots == ref_pivots
+    null = characters._left_nullspace(a, p)
+    assert null.tolist() == _ref_nullspace(_ref_transpose(a.tolist()), p)
+    assert not (null @ a % p).any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 13, 61, 421)), st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8))
+def test_poly_roots_match_exhaustive_scan(p, coeffs):
+    assert characters._poly_roots(coeffs, p).tolist() == _ref_poly_roots(coeffs, p)
+
+
+def test_split_int64_guard_at_its_boundary():
+    # k (p - 1)^2 < 2^63 is the largest sum of k products of residues mod p;
+    # at k = 2 the bound is met with equality by p - 1 = 2^31
+    characters._check_split_exact(2, 2**31)
+    with pytest.raises(ResourceLimitError, match="overflow"):
+        characters._check_split_exact(2, 2**31 + 1)
+    for k in (15, 322):
+        p = isqrt((2**63 - 1) // k) + 1  # the largest p - 1 with k (p - 1)^2 < 2^63
+        assert k * (p - 1) ** 2 < 2**63 <= k * p**2
+        characters._check_split_exact(k, p)
+        with pytest.raises(ResourceLimitError, match="overflow"):
+            characters._check_split_exact(k, p + 1)
+    # the split checks before any arithmetic
+    with pytest.raises(ResourceLimitError):
+        characters._common_eigenrows(np.zeros((2, 2, 2), dtype=np.int64), 2**31 + 1)
+
+
+def test_cyclic_120_table_matches_closed_form():
+    n = 120
+    g = build_group(GroupSpec.named("cyclic", n))
+    cd = conjugacy_classes(g)
+    assert cd.k == n
+    table = dixon_character_table(g, cd)  # validated by the certificate
+    assert verify_orthogonality(table, cd, n)
+    ctx = get_context(n)
+    # element b is g^b and class b is {g^b}, so chi_a(g^b) = z^(ab)
+    assert cd.representatives == tuple(range(n))
+    expected = {tuple(ctx.eta_power(a * b % n).coeffs for b in range(n)) for a in range(n)}
+    got = {tuple(v.coeffs for v in row) for row in table.values}
+    assert got == expected
+    assert table.degrees == (1,) * n

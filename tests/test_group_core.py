@@ -12,6 +12,8 @@ from cayley_spectra import (
     parse_permutation,
     power_of,
 )
+from cayley_spectra import group_core
+from conftest import CORPUS
 
 
 # independent oracle: conjugacy classes of a permutation group computed from
@@ -231,3 +233,61 @@ def test_power_of_agrees_with_iterated_multiplication():
         for t in range(15):
             assert power_of(x, t, g) == acc
             acc = int(g.mul[acc, x])
+
+
+# ---------------------------------------------------------------------------
+# the row-wise multiplication table fill against the column fill it replaced
+
+
+def _bfs_table_by_columns(identity, gens, mul_fn, label_fn, description, cap):
+    """Breadth-first closure with the table filled one column at a time.
+
+    Column b is column pb permuted by right multiplication with the generator
+    that discovered b.  Permutations are composed by the reference _compose.
+    """
+    if mul_fn is group_core._compose:
+        mul_fn = _compose
+    elems = [identity]
+    index = {identity: 0}
+    parents = [(-1, -1)]
+    qi = 0
+    while qi < len(elems):
+        for gi, g in enumerate(gens):
+            y = mul_fn(elems[qi], g)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+                parents.append((qi, gi))
+        qi += 1
+    n = len(elems)
+    rgen = [np.array([index[mul_fn(x, g)] for x in elems], dtype=np.int32) for g in gens]
+    mul = np.empty((n, n), dtype=np.int32)
+    mul[:, 0] = np.arange(n, dtype=np.int32)
+    for b in range(1, n):
+        pb, gi = parents[b]
+        mul[:, b] = rgen[gi][mul[:, pb]]
+    return group_core.Group(mul, description, tuple(label_fn(x) for x in elems))
+
+
+@pytest.mark.parametrize(
+    "text", CORPUS + ["symmetric(7)", "alternating(7)", "perm[(1 2 3 4 5 6),(1 2)(3 4)]"]
+)
+def test_row_fill_matches_column_fill(text, monkeypatch):
+    spec = GroupSpec.from_json(text)
+    rows = build_group(spec)
+    monkeypatch.setattr(group_core, "_bfs_table", _bfs_table_by_columns)
+    columns = build_group(spec)
+    assert rows.mul.dtype == columns.mul.dtype == np.int32
+    assert rows.mul.flags.c_contiguous
+    assert np.array_equal(rows.mul, columns.mul)
+    assert rows.labels == columns.labels
+    assert rows.description == columns.description == spec.describe()
+
+
+def test_product_descriptions_name_every_factor():
+    for text in (
+        "product(cyclic(2),cyclic(3))",
+        "product(cyclic(2),symmetric(3),cyclic(2))",
+        "product(cyclic(2),product(cyclic(3),cyclic(2)),perm[(1 2)])",
+    ):
+        assert build_group(GroupSpec.from_json(text)).description == text
