@@ -11,6 +11,7 @@ validated against the exact orthogonality relations before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
@@ -294,8 +295,9 @@ def dixon_character_table(group: Group, cd: ClassData, cm: Optional[ClassMatrice
     return table
 
 
+@lru_cache(maxsize=2)
 def _power_basis(m: int) -> np.ndarray:
-    """Row e holds the reduced power-basis coefficients of z^e, e < m."""
+    """Row e holds the reduced power-basis coefficients of z^e, e < m (cached, read-only)."""
     ctx = get_context(m)
     tail = np.array(ctx.phi[:-1], dtype=np.int64)
     out = np.zeros((m, ctx.degree), dtype=np.int64)
@@ -305,6 +307,7 @@ def _power_basis(m: int) -> np.ndarray:
         out[e] = cur
         top = cur[-1]
         cur = np.concatenate(([0], cur[:-1])) - top * tail  # z^deg = -(phi without its top)
+    out.flags.writeable = False
     return out
 
 

@@ -135,9 +135,9 @@ def _assemble_job(args: argparse.Namespace) -> dict:
     if args.elements is not None:
         job["connection"] = {"elements": _int_list(args.elements, "elements")}
     if args.connection is not None:
-        job["connection"] = _maybe_json(args.connection)
+        job["connection"] = _maybe_json(args.connection, "connection")
     if args.gamma is not None:
-        job["gamma"] = _maybe_json(args.gamma)
+        job["gamma"] = _maybe_json(args.gamma, "gamma")
     if args.oracle is not None:
         job["oracle"] = args.oracle
     if args.tol is not None:
@@ -180,15 +180,15 @@ def _int_list(text: str, field: str) -> list[int]:
         raise InputError(field, f"expected integers, got {text!r}")
 
 
-def _maybe_json(text: str):
+def _maybe_json(text: str, field: str):
     text = text.strip()
     if text.startswith("{") or text.startswith("["):
         try:
             return json.loads(text)
         except ValueError as exc:
-            raise InputError("connection", f"invalid JSON: {exc}")
+            raise InputError(field, f"invalid JSON: {exc}")
     if text and all(c.isdigit() or c in ", " for c in text):
-        return [int(p) for p in text.replace(",", " ").split()]
+        return _int_list(text, field)
     return text
 
 
@@ -203,9 +203,10 @@ def _group_from_job(job: dict) -> tuple[GroupSpec, Group, ClassData]:
     return spec, group, conjugacy_classes(group)
 
 
-def _table_from_job(group: Group, cd: ClassData) -> CharacterTable:
+def _group_limited(fn, *args):
+    """fn(*args); a table or int64 bound too small for the group is bad input naming it."""
     try:
-        return dixon_character_table(group, cd)
+        return fn(*args)
     except ResourceLimitError as exc:
         raise InputError("group", str(exc))
 
@@ -253,14 +254,6 @@ def _refuse_oversize_sweep(job: dict, group: Group, cd: ClassData) -> None:
         check_sweep_size(cd.k, totient(group.exponent))
     except ResourceLimitError as exc:
         raise InputError("sweep_limit", str(exc))
-
-
-def _class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSweep:
-    """The batched sweep over every subset of non-identity classes."""
-    try:
-        return class_sweep(group, cd, table)
-    except ResourceLimitError as exc:
-        raise InputError("group", str(exc))
 
 
 def _sweep_payload(base: dict, sweep: ClassSweep, left: tuple, right: tuple):
@@ -361,8 +354,8 @@ def _run_float_oracle(sp: Spectrum, group: Group, conn: ConnectionSet, job: dict
 def cmd_spectrum(job: dict):
     spec, group, cd = _group_from_job(job)
     conn = _connection_from_job(job, group, cd)
-    table = _table_from_job(group, cd)
-    sp = eigenvalues_via_characters(conn, table, cd)
+    table = _group_limited(dixon_character_table, group, cd)
+    sp = _group_limited(eigenvalues_via_characters, conn, table, cd)
     payload = {
         "schema": SCHEMA,
         "command": "spectrum",
@@ -404,14 +397,14 @@ def cmd_check_integrality(job: dict):
     spec, group, cd = _group_from_job(job)
     if _wants_sweep(job):
         _refuse_oversize_sweep(job, group, cd)
-    table = _table_from_job(group, cd)
+    table = _group_limited(dixon_character_table, group, cd)
     base = {
         "schema": SCHEMA,
         "command": "check-integrality",
         "group": _group_json(spec, group),
     }
     if _wants_sweep(job):
-        sweep = _class_sweep(group, cd, table)
+        sweep = _group_limited(class_sweep, group, cd, table)
         return _sweep_payload(
             base,
             sweep,
@@ -419,7 +412,7 @@ def cmd_check_integrality(job: dict):
             ("power_closed", sweep_power_closed(sweep)),
         )
     conn = _connection_from_job(job, group, cd)
-    rep = check_integrality(group, cd, conn, table)
+    rep = _group_limited(check_integrality, group, cd, conn, table)
     base.update(
         {
             "connection": _connection_json(conn),
@@ -438,7 +431,7 @@ def cmd_check_membership(job: dict):
     gamma = _gamma_from_job(job, group.exponent)
     if _wants_sweep(job):
         _refuse_oversize_sweep(job, group, cd)
-    table = _table_from_job(group, cd)
+    table = _group_limited(dixon_character_table, group, cd)
     merged = galois_conjugacy_classes(group, cd, gamma)
     base = {
         "schema": SCHEMA,
@@ -447,7 +440,7 @@ def cmd_check_membership(job: dict):
         "gamma": _gamma_json(gamma),
     }
     if _wants_sweep(job):
-        sweep = _class_sweep(group, cd, table)
+        sweep = _group_limited(class_sweep, group, cd, table)
         return _sweep_payload(
             base,
             sweep,
@@ -455,7 +448,7 @@ def cmd_check_membership(job: dict):
             ("class_closed", sweep_class_closed(sweep, merged)),
         )
     conn = _connection_from_job(job, group, cd)
-    rep = check_membership(group, cd, conn, table, gamma, merged)
+    rep = _group_limited(check_membership, group, cd, conn, table, gamma, merged)
     base.update(
         {
             "connection": _connection_json(conn),
@@ -471,7 +464,7 @@ def cmd_check_membership(job: dict):
 
 def cmd_character_table(job: dict):
     spec, group, cd = _group_from_job(job)
-    table = _table_from_job(group, cd)
+    table = _group_limited(dixon_character_table, group, cd)
     rows = []
     for r in range(table.k):
         rows.append(
@@ -568,7 +561,7 @@ def _sweep_checks(
     does per subset, the powers of every element with the unit group's
     class merge.
     """
-    sweep = _class_sweep(group, cd, table)
+    sweep = _group_limited(class_sweep, group, cd, table)
     closed = sweep_power_closed(sweep)
     integrality_ok = bool((sweep.integral == closed).all())
     membership_ok = all(

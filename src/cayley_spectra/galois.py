@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -221,21 +221,25 @@ def _power_closure_witness(
     """First (x, t) with x in the set, gcd(t,|x|)=1 but x^t outside; None if closed."""
     elems = set(int(x) for x in elements)
     for x in sorted(elems):
-        o = int(group.orders[x])
-        for t in range(1, o + 1):
-            if gcd(t, o) == 1 and power_of(x, t, group) not in elems:
+        for t, y in _unit_powers(x, group):
+            if y not in elems:
                 return (x, t)
     return None
+
+
+def _unit_powers(x: int, group: Group) -> Iterator[tuple[int, int]]:
+    """(t, x^t) for every t in 1..|x| coprime to |x|, in ascending t."""
+    o = int(group.orders[x])
+    for t in range(1, o + 1):
+        if gcd(t, o) == 1:
+            yield t, power_of(x, t, group)
 
 
 def power_closure(elements: Iterable[int], group: Group) -> tuple[int, ...]:
     """Smallest power-closed superset of the given element set."""
     out = set(int(x) for x in elements)
     for x in sorted(out.copy()):
-        o = int(group.orders[x])
-        for t in range(1, o + 1):
-            if gcd(t, o) == 1:
-                out.add(power_of(x, t, group))
+        out.update(y for _, y in _unit_powers(x, group))
     return tuple(sorted(out))
 
 

@@ -10,7 +10,7 @@ order, so every downstream output is reproducible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Optional, Sequence
 

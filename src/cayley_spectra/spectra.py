@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import numbers
-from math import gcd
 from typing import Optional
 
 import numpy as np
@@ -31,6 +30,7 @@ from .cyclotomic import (
     get_context,
     is_fixed_by,
     reduce_raw,
+    totient,
 )
 from .errors import InternalConsistencyError, ResourceLimitError
 from .galois import (
@@ -38,10 +38,11 @@ from .galois import (
     GaloisSubgroup,
     _generating_set,
     _power_closure_witness,
+    _unit_powers,
     galois_conjugacy_classes,
     is_union_of_galois_classes,
 )
-from .group_core import TABLE_BYTE_BUDGET, ClassData, Group, power_of
+from .group_core import TABLE_BYTE_BUDGET, ClassData, Group
 
 __all__ = [
     "ClassSweep",
@@ -179,82 +180,156 @@ class Spectrum:
     contains_identity: bool
 
 
+# ---------------------------------------------------------------------------
+# the character formula on 0/1 class masks
+
+
+def _check_int64(bound: int, what: str) -> None:
+    if bound >= 2**63:
+        raise ResourceLimitError(f"{what} may reach {bound}, beyond exact int64 arithmetic")
+
+
+def _formula(cd: ClassData, table: CharacterTable, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the character formula on every row of masks as one int64 product.
+
+    masks is an (S, k) 0/1 int64 array, row s the indicator of a union of
+    classes.  With T the table's coefficient array and s the class sizes,
+    returns weighted = s * T, shaped (k, k * phi) with row j holding
+    s_j * chi_r(g_j) for every r, and the numerators N = M @ (s * T), shaped
+    (S, k, phi): N[s, r] is the numerator of character r's eigenvalue on
+    row s over the divisor chi_r(1).  The spectrum identities are checked
+    on every row and a rational non-integer eigenvalue is refused.
+
+    Exactness: with L the largest |coefficient| in T, every partial sum of a
+    numerator is at most n L in absolute value, and every partial sum of the
+    trace identity sum_r d_r N[:, r] at most n^2 L, as sum_r d_r <= sum_r
+    d_r^2 = n.  The Galois defects of _outside_subfield have partial sums at
+    most n L |sigma_t - I|_1, |.|_1 the largest column L1 norm.  The rows of
+    sigma_t are distinct rows of the power-basis table B, as e -> e t is
+    injective mod m for a unit t, so |sigma_t - I|_1 <= |B|_1 + 1 for every
+    unit t.  Both bounds are checked against 2^63 before any product.
+    """
+    n, k = sum(cd.sizes), cd.k
+    coeffs = table_coefficients(table)
+    phi = coeffs.shape[2]
+    entry_bound = n * int(np.abs(coeffs).max())
+    _check_int64(n * entry_bound, "the trace identity")
+    shift_norm = int(np.abs(_power_basis(table.m)).sum(axis=0).max()) + 1
+    _check_int64(entry_bound * shift_norm, "a Galois defect")
+    coeffs = coeffs.astype(np.int64)
+    sizes = np.array(cd.sizes, dtype=np.int64)
+    weighted = (coeffs * sizes[None, :, None]).transpose(1, 0, 2).reshape(k, k * phi)
+    numerators = (masks @ weighted).reshape(len(masks), k, phi)
+    degrees = np.array(table.degrees, dtype=np.int64)
+    _check_sweep_identities(coeffs, masks, numerators, sizes, degrees, n)
+
+    rational = ~numerators[:, :, 1:].any(axis=2)
+    split = rational & (numerators[:, :, 0] % degrees != 0)
+    if split.any():
+        s, r = np.argwhere(split)[0]
+        value = Fraction(int(numerators[s, r, 0]), int(degrees[r]))
+        raise InternalConsistencyError(f"rational non-integer eigenvalue {value} for character {r}")
+    return weighted, numerators
+
+
+def _check_sweep_identities(coeffs, masks, numerators, sizes, degrees, n: int) -> None:
+    """The spectrum identities on every mask row, plus the degree column.
+
+    The multiplicities d_r^2 sum to n, the identity class carries the
+    degrees, the trivial character's eigenvalue is |C| and the trace
+    sum_r d_r N_r is n when C holds the identity and 0 otherwise.
+    """
+    if int(degrees @ degrees) != n:
+        raise InternalConsistencyError("multiplicities do not sum to the group order")
+    if (coeffs[:, 0, 0] != degrees).any() or coeffs[:, 0, 1:].any():
+        raise InternalConsistencyError("identity class values differ from the degrees")
+    if (numerators[:, 0, 0] != masks @ sizes).any() or numerators[:, 0, 1:].any():
+        raise InternalConsistencyError("trivial eigenvalue differs from |C|")
+    trace = degrees @ numerators
+    trace[:, 0] -= n * masks[:, 0]
+    if trace.any():
+        raise InternalConsistencyError("trace identity fails")
+
+
+def _outside_subfield(weighted: np.ndarray, masks: np.ndarray, m: int, gamma: GaloisSubgroup) -> np.ndarray:
+    """(S, k) flags: whether character r's eigenvalue on mask row s is moved by gamma.
+
+    The map z -> z^t acts on coefficient rows as the phi x phi matrix sigma_t
+    whose row e holds z^(e t).  A value is fixed by gamma exactly when it is
+    fixed by each element of a generating set, since the fixed field of a
+    group is the fixed field of any set generating it.  For each generator
+    the per-class defect (s * T) @ (sigma_t - I) is formed once and the
+    masks are applied to it; an eigenvalue is outside the fixed field when
+    a coefficient of its defect sum is nonzero.
+
+    Exactness: _formula has checked that every partial sum fits in int64.
+    """
+    if gamma.m != m:
+        raise ValueError(f"subgroup modulus {gamma.m} does not match conductor {m}")
+    count, k = masks.shape
+    basis = _power_basis(m)
+    phi = basis.shape[1]
+    eye = np.eye(phi, dtype=np.int64)
+    outside = np.zeros((count, k), dtype=bool)
+    for t in _generating_set(gamma):
+        shift = basis[(np.arange(phi) * t) % m] - eye
+        defect = (weighted.reshape(k * k, phi) @ shift).reshape(k, k * phi)
+        outside |= (masks @ defect).reshape(count, k, phi).any(axis=2)
+    return outside
+
+
+def _read_spectrum(table: CharacterTable, row: np.ndarray, n: int, size: int, identity: bool) -> Spectrum:
+    """The Spectrum of one mask row, from its (k, phi) numerators."""
+    ctx = get_context(table.m)
+    entries = tuple(
+        SpectrumEntry(r, d, d * d, EigenValue(CycInt(ctx, tuple(coeffs)), d))
+        for r, (d, coeffs) in enumerate(zip(table.degrees, row.tolist()))
+    )
+    return Spectrum(entries, group_order=n, connection_size=size, contains_identity=identity)
+
+
+def _mask(connection: ConnectionSet, cd: ClassData) -> np.ndarray:
+    """The connection's indicator over the k classes, as one (1, k) mask row."""
+    mask = np.zeros((1, cd.k), dtype=np.int64)
+    mask[0, list(connection.class_indices)] = 1
+    return mask
+
+
+def _first(flags: np.ndarray) -> Optional[int]:
+    """Index of the first set flag, or None."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if len(hits) else None
+
+
+# ---------------------------------------------------------------------------
+# one connection set
+
+
 def eigenvalues_via_characters(
     connection: ConnectionSet, table: CharacterTable, cd: ClassData
 ) -> Spectrum:
     """Evaluate the character formula for every irreducible character.
 
     The per-entry numerator is the plain character sum over C, the divisor is
-    the degree.  Construction re-checks the exact trace identities, so a
-    returned Spectrum is internally consistent.
+    the degree.  _formula runs on the connection's one mask row and checks
+    the exact spectrum identities, so a returned Spectrum is internally
+    consistent.
     """
-    ctx = get_context(table.m)
-    n = sum(cd.sizes)
-    entries = []
-    for r, row in enumerate(table.values):
-        acc = ctx.zero
-        for j in connection.class_indices:
-            acc = acc + row[j] * cd.sizes[j]
-        d = table.degrees[r]
-        entries.append(
-            SpectrumEntry(
-                character=r,
-                degree=d,
-                multiplicity=d * d,
-                value=EigenValue(numerator=acc, denominator=d),
-            )
-        )
-    spectrum = Spectrum(
-        entries=tuple(entries),
-        group_order=n,
-        connection_size=connection.size,
-        contains_identity=connection.contains_identity,
+    _, numerators = _formula(cd, table, _mask(connection, cd))
+    return _read_spectrum(
+        table, numerators[0], sum(cd.sizes), connection.size, connection.contains_identity
     )
-    _check_spectrum_identities(spectrum, ctx)
-    return spectrum
-
-
-def _check_spectrum_identities(sp: Spectrum, ctx) -> None:
-    if sum(e.multiplicity for e in sp.entries) != sp.group_order:
-        raise InternalConsistencyError("multiplicities do not sum to the group order")
-    triv = sp.entries[0].value.as_fraction()
-    if triv != Fraction(sp.connection_size):
-        raise InternalConsistencyError("trivial eigenvalue differs from |C|")
-    trace = ctx.zero
-    for e in sp.entries:
-        trace = trace + e.value.numerator * e.degree
-    expected = sp.group_order if sp.contains_identity else 0
-    if as_rational(trace) != expected:
-        raise InternalConsistencyError("trace identity fails")
 
 
 def all_eigenvalues_integral(sp: Spectrum) -> bool:
     """Whether every eigenvalue is a rational integer (exact test)."""
-    return _first_non_integral(sp) is None
-
-
-def _first_non_integral(sp: Spectrum) -> Optional[int]:
-    for e in sp.entries:
-        f = e.value.as_fraction()
-        if f is None:
-            return e.character
-        if f.denominator != 1:
-            raise InternalConsistencyError(
-                f"rational non-integer eigenvalue {f} for character {e.character}"
-            )
-    return None
+    fractions = (e.value.as_fraction() for e in sp.entries)
+    return all(f is not None and f.denominator == 1 for f in fractions)
 
 
 def all_eigenvalues_in_subfield(sp: Spectrum, gamma: GaloisSubgroup) -> bool:
     """Whether every eigenvalue lies in the subfield fixed by gamma."""
-    return _first_outside_subfield(sp, gamma) is None
-
-
-def _first_outside_subfield(sp: Spectrum, gamma: GaloisSubgroup) -> Optional[int]:
-    for e in sp.entries:
-        if not is_fixed_by(e.value.numerator, gamma):
-            return e.character
-    return None
+    return all(is_fixed_by(e.value.numerator, gamma) for e in sp.entries)
 
 
 @dataclass(frozen=True)
@@ -272,8 +347,8 @@ def check_integrality(
     group: Group, cd: ClassData, connection: ConnectionSet, table: CharacterTable
 ) -> IntegralityReport:
     """Evaluate eigenvalue integrality and power closure independently."""
-    sp = eigenvalues_via_characters(connection, table, cd)
-    bad_char = _first_non_integral(sp)
+    _, numerators = _formula(cd, table, _mask(connection, cd))
+    bad_char = _first(numerators[0, :, 1:].any(axis=1))
     witness = _power_closure_witness(connection.elements, group)
     integral = bad_char is None
     closed = witness is None
@@ -306,8 +381,9 @@ def check_membership(
     merged: Optional[GaloisConjugacyClasses] = None,
 ) -> MembershipReport:
     """Evaluate subfield membership against Galois-class closure of C."""
-    sp = eigenvalues_via_characters(connection, table, cd)
-    bad_char = _first_outside_subfield(sp, gamma)
+    mask = _mask(connection, cd)
+    weighted, _ = _formula(cd, table, mask)
+    bad_char = _first(_outside_subfield(weighted, mask, table.m, gamma)[0])
     if merged is None:
         merged = galois_conjugacy_classes(group, cd, gamma)
     elif merged.gamma.m != gamma.m or merged.gamma.elements != gamma.elements:
@@ -346,20 +422,15 @@ def check_sweep_size(k: int, phi: int) -> None:
         )
 
 
-def _check_int64(bound: int, what: str) -> None:
-    if bound >= 2**63:
-        raise ResourceLimitError(f"{what} may reach {bound}, beyond exact int64 arithmetic")
-
-
 @dataclass(eq=False)
 class ClassSweep:
     """The spectra of every union of non-identity classes of one group.
 
     Subset s is the bitmask s over classes 1..k-1 (bit i for class i + 1), so
     ``subsets`` runs in the order of ``range(2 ** (k - 1))``.  ``masks[s]`` is
-    its 0/1 indicator over all k classes and ``numerators[s, r]`` the
-    power-basis coefficients of the numerator of character r's eigenvalue,
-    exactly what eigenvalues_via_characters gives for that subset.
+    its 0/1 indicator over all k classes, and ``weighted`` and
+    ``numerators`` are what _formula returns for those masks: the same rows
+    that eigenvalues_via_characters reads for a single connection set.
     """
 
     group: Group
@@ -375,45 +446,16 @@ class ClassSweep:
 def class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSweep:
     """Evaluate the character formula on all 2^(k-1) subsets as one int64 product.
 
-    With T the table's coefficient array, s the class sizes and M the subset
-    masks, the numerators are N = M @ (s * T).  The spectrum identities that
-    eigenvalues_via_characters checks per subset are checked on the whole
-    batch, so a returned sweep is internally consistent.
-
-    Exactness: with L the largest |coefficient| in T, every partial sum of a
-    numerator is at most n L in absolute value, and every partial sum of the
-    trace identity sum_r d_r N[:, r] at most n^2 L, as sum_r d_r <= sum_r
-    d_r^2 = n.  The Galois defects of sweep_in_subfield have partial sums at
-    most n L |sigma_t - I|_1, |.|_1 the largest column L1 norm.  The rows of
-    sigma_t are distinct rows of the power-basis table B, as e -> e t is
-    injective mod m for a unit t, so |sigma_t - I|_1 <= |B|_1 + 1 for every
-    unit t.  Both bounds are checked against 2^63 before any product, so
-    every ResourceLimitError of a sweep is raised here.
+    The sweep is refused by check_sweep_size before any array is built;
+    then _formula runs on the subsets' masks, in bitmask order, and checks
+    its exactness bounds and the spectrum identities on the whole batch.
     """
-    n, k = group.n, cd.k
-    coeffs = table_coefficients(table)
-    phi = coeffs.shape[2]
-    check_sweep_size(k, phi)
-    entry_bound = n * int(np.abs(coeffs).max())
-    _check_int64(n * entry_bound, "the sweep's trace identity")
-    shift_norm = int(np.abs(_power_basis(table.m)).sum(axis=0).max()) + 1
-    _check_int64(entry_bound * shift_norm, "a Galois defect")
-    coeffs = coeffs.astype(np.int64)
+    k = cd.k
+    check_sweep_size(k, totient(table.m))
     count = 1 << (k - 1)
     masks = np.zeros((count, k), dtype=np.int64)
     masks[:, 1:] = (np.arange(count)[:, None] >> np.arange(k - 1)) & 1
-    sizes = np.array(cd.sizes, dtype=np.int64)
-    weighted = (coeffs * sizes[None, :, None]).transpose(1, 0, 2).reshape(k, k * phi)
-    numerators = (masks @ weighted).reshape(count, k, phi)
-    degrees = np.array(table.degrees, dtype=np.int64)
-    _check_sweep_identities(coeffs, masks, numerators, sizes, degrees, n)
-
-    rational = ~numerators[:, :, 1:].any(axis=2)
-    split = rational & (numerators[:, :, 0] % degrees != 0)
-    if split.any():
-        s, r = np.argwhere(split)[0]
-        value = Fraction(int(numerators[s, r, 0]), int(degrees[r]))
-        raise InternalConsistencyError(f"rational non-integer eigenvalue {value} for character {r}")
+    weighted, numerators = _formula(cd, table, masks)
     subsets = tuple(
         tuple(j for j in range(1, k) if s >> (j - 1) & 1) for s in range(count)
     )
@@ -425,22 +467,8 @@ def class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSwee
         masks=masks,
         weighted=weighted,
         numerators=numerators,
-        integral=rational.all(axis=1),
+        integral=~numerators[:, :, 1:].any(axis=(1, 2)),
     )
-
-
-def _check_sweep_identities(coeffs, masks, numerators, sizes, degrees, n: int) -> None:
-    """The checks of _check_spectrum_identities on every subset, plus the degree column."""
-    if int(degrees @ degrees) != n:
-        raise InternalConsistencyError("multiplicities do not sum to the group order")
-    if (coeffs[:, 0, 0] != degrees).any() or coeffs[:, 0, 1:].any():
-        raise InternalConsistencyError("identity class values differ from the degrees")
-    if (numerators[:, 0, 0] != masks @ sizes).any() or numerators[:, 0, 1:].any():
-        raise InternalConsistencyError("trivial eigenvalue differs from |C|")
-    trace = np.tensordot(numerators, degrees, axes=([1], [0]))
-    trace[:, 0] -= n * masks[:, 0]
-    if trace.any():
-        raise InternalConsistencyError("trace identity fails")
 
 
 def _closed_under(sweep: ClassSweep, cover) -> np.ndarray:
@@ -470,10 +498,8 @@ def sweep_power_closed(sweep: ClassSweep, every_element: bool = False) -> np.nda
     for elements in members:
         bits = 0
         for x in elements:
-            o = int(group.orders[x])
-            for t in range(1, o + 1):
-                if gcd(t, o) == 1:
-                    bits |= 1 << int(cd.class_of[power_of(x, t, group)])
+            for _, y in _unit_powers(x, group):
+                bits |= 1 << int(cd.class_of[y])
         reach.append(bits)
     return _closed_under(sweep, reach)
 
@@ -489,50 +515,14 @@ def sweep_class_closed(sweep: ClassSweep, merged: GaloisConjugacyClasses) -> np.
 
 
 def sweep_in_subfield(sweep: ClassSweep, gamma: GaloisSubgroup) -> np.ndarray:
-    """Whether every eigenvalue of each subset lies in the fixed field of gamma.
-
-    The map z -> z^t acts on coefficient rows as the phi x phi matrix sigma_t
-    whose row e holds z^(e t).  A value is fixed by gamma exactly when it is
-    fixed by each element of a generating set, since the fixed field of a
-    group is the fixed field of any set generating it.  For each generator
-    the per-class defect (s * T) @ (sigma_t - I) is formed once and the masks
-    are applied to it; a subset is inside when every defect sum vanishes.
-
-    Exactness: class_sweep has checked that every partial sum fits in int64.
-    """
-    table = sweep.table
-    if gamma.m != table.m:
-        raise ValueError(f"subgroup modulus {gamma.m} does not match conductor {table.m}")
-    k = sweep.cd.k
-    basis = _power_basis(table.m)
-    phi = basis.shape[1]
-    eye = np.eye(phi, dtype=np.int64)
-    inside = np.ones(len(sweep.subsets), dtype=bool)
-    for t in _generating_set(gamma):
-        shift = basis[(np.arange(phi) * t) % table.m] - eye
-        defect = (sweep.weighted.reshape(k * k, phi) @ shift).reshape(k, k * phi)
-        inside &= ~(sweep.masks @ defect).any(axis=1)
-    return inside
+    """Whether every eigenvalue of each subset lies in the fixed field of gamma."""
+    return ~_outside_subfield(sweep.weighted, sweep.masks, sweep.table.m, gamma).any(axis=1)
 
 
 def sweep_spectrum(sweep: ClassSweep, s: int) -> Spectrum:
     """Subset s's Spectrum, read from the sweep's numerators."""
-    ctx = get_context(sweep.table.m)
-    entries = tuple(
-        SpectrumEntry(
-            character=r,
-            degree=d,
-            multiplicity=d * d,
-            value=EigenValue(numerator=CycInt(ctx, tuple(row)), denominator=d),
-        )
-        for r, (d, row) in enumerate(zip(sweep.table.degrees, sweep.numerators[s].tolist()))
-    )
-    return Spectrum(
-        entries=entries,
-        group_order=sweep.group.n,
-        connection_size=sum(sweep.cd.sizes[j] for j in sweep.subsets[s]),
-        contains_identity=False,
-    )
+    size = sum(sweep.cd.sizes[j] for j in sweep.subsets[s])
+    return _read_spectrum(sweep.table, sweep.numerators[s], sweep.group.n, size, False)
 
 
 # ---------------------------------------------------------------------------

@@ -119,11 +119,17 @@ def test_input_errors_name_the_field(capsys):
           "--gamma", "5"], "gamma"),
         (["classes"], "group"),
         ([], "command"),
+        # digits that str.isdigit accepts but int() does not parse
+        (["spectrum", "--group", "cyclic(4)", "--connection", "\u00b2"], "connection"),
+        (["check-membership", "--group", "cyclic(5)", "--classes", "1",
+          "--gamma", "\u00b3"], "gamma"),
+        (["check-membership", "--group", "cyclic(5)", "--classes", "1",
+          "--gamma", "[2,"], "gamma"),
     ]:
         code = run(argv)
         err = capsys.readouterr().err
         assert code == 2
-        assert field in err
+        assert err.startswith(f"input error: {field}:"), (argv, err)
 
 
 def test_sweep_limit(capsys):
@@ -324,6 +330,25 @@ def test_sweep_int64_bound_exits_two_naming_group(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("input error: group:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--group", "cyclic(5)", "--classes", "1"],
+        ["check-integrality", "--group", "cyclic(5)", "--classes", "1"],
+        ["check-membership", "--group", "cyclic(5)", "--classes", "1,4", "--gamma", "rational"],
+    ],
+)
+def test_single_connection_int64_bound_exits_two_naming_group(monkeypatch, capsys, argv):
+    real = spectra._power_basis
+    monkeypatch.setattr(spectra, "_power_basis", lambda m: real(m) << 61)
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error: group:")
+    assert "Galois defect" in captured.err
     assert captured.out == ""
 
 

@@ -6,9 +6,13 @@ import pytest
 from cayley_spectra import (
     CharacterTable,
     CycInt,
+    EigenValue,
     GroupSpec,
     InternalConsistencyError,
     ResourceLimitError,
+    Spectrum,
+    SpectrumEntry,
+    as_rational,
     build_group,
     check_coefficient_symmetry,
     check_integrality,
@@ -21,6 +25,7 @@ from cayley_spectra import (
     eigenvalues_via_characters,
     galois_conjugacy_classes,
     get_context,
+    is_fixed_by,
     is_power_closed,
     make_connection_set,
     power_conjugation_counts,
@@ -32,7 +37,7 @@ from cayley_spectra import (
     sweep_spectrum,
     unit_group,
 )
-from cayley_spectra import spectra
+from cayley_spectra import cli, spectra
 from cayley_spectra.cli import _gamma_lattice, _sweep_checks
 from cayley_spectra.spectra import all_eigenvalues_in_subfield, all_eigenvalues_integral
 
@@ -145,6 +150,7 @@ def test_integrality_check_on_cyclic_five():
     x, t = rep.offending_power
     assert x in conn.elements
     assert power_of(x, t, g) not in conn.elements
+    assert rep.offending_power == (1, 2)  # the least such x, then the least unit t
 
     full = make_connection_set({"classes": [1, 2, 3, 4]}, g, cd)
     rep = check_integrality(g, cd, full, table)
@@ -251,7 +257,79 @@ def test_coefficient_symmetry_for_closed_sets():
 
 
 # ---------------------------------------------------------------------------
-# the batched sweep against the per-subset functions
+# the int64 engine against the per-subset CycInt evaluation
+#
+# The reference below evaluates the character formula one connection set at
+# a time with exact CycInt sums, independently of the int64 engine that
+# serves class_sweep and the single-connection functions alike.
+
+
+def _reference_spectrum(connection, table, cd):
+    """The character formula as one CycInt class sum per character."""
+    ctx = get_context(table.m)
+    n = sum(cd.sizes)
+    entries = []
+    for r, row in enumerate(table.values):
+        acc = ctx.zero
+        for j in connection.class_indices:
+            acc = acc + row[j] * cd.sizes[j]
+        d = table.degrees[r]
+        entries.append(
+            SpectrumEntry(
+                character=r,
+                degree=d,
+                multiplicity=d * d,
+                value=EigenValue(numerator=acc, denominator=d),
+            )
+        )
+    spectrum = Spectrum(
+        entries=tuple(entries),
+        group_order=n,
+        connection_size=connection.size,
+        contains_identity=connection.contains_identity,
+    )
+    _check_spectrum_identities(spectrum, ctx)
+    return spectrum
+
+
+def _check_spectrum_identities(sp, ctx):
+    if sum(e.multiplicity for e in sp.entries) != sp.group_order:
+        raise InternalConsistencyError("multiplicities do not sum to the group order")
+    triv = sp.entries[0].value.as_fraction()
+    if triv != Fraction(sp.connection_size):
+        raise InternalConsistencyError("trivial eigenvalue differs from |C|")
+    trace = ctx.zero
+    for e in sp.entries:
+        trace = trace + e.value.numerator * e.degree
+    expected = sp.group_order if sp.contains_identity else 0
+    if as_rational(trace) != expected:
+        raise InternalConsistencyError("trace identity fails")
+
+
+def _first_non_integral(sp):
+    for e in sp.entries:
+        f = e.value.as_fraction()
+        if f is None:
+            return e.character
+        if f.denominator != 1:
+            raise InternalConsistencyError(
+                f"rational non-integer eigenvalue {f} for character {e.character}"
+            )
+    return None
+
+
+def _first_outside_subfield(sp, gamma):
+    for e in sp.entries:
+        if not is_fixed_by(e.value.numerator, gamma):
+            return e.character
+    return None
+
+
+def _assert_same_spectrum(got, want, where):
+    assert got.entries == want.entries, where
+    assert got.group_order == want.group_order, where
+    assert got.connection_size == want.connection_size, where
+    assert got.contains_identity == want.contains_identity, where
 
 
 def test_class_sweep_matches_per_subset_reference(corpus):
@@ -270,20 +348,55 @@ def test_class_sweep_matches_per_subset_reference(corpus):
         union = [sweep_class_closed(sweep, mg) for mg in merged]
         for s, subset in enumerate(sweep.subsets):
             conn = make_connection_set({"classes": subset}, group, cd)
-            ref = check_integrality(group, cd, conn, table)
-            assert sweep.integral[s] == ref.integral, (spec, subset)
-            assert closed[s] == ref.power_closed == is_power_closed(conn.elements, group)
+            ref = _reference_spectrum(conn, table, cd)
+            bad_char = _first_non_integral(ref)
+            rep = check_integrality(group, cd, conn, table)
+            assert sweep.integral[s] == rep.integral == (bad_char is None), (spec, subset)
+            assert rep.offending_character == bad_char, (spec, subset)
+            assert closed[s] == rep.power_closed == is_power_closed(conn.elements, group)
             assert (closed[s] == unit_closed[s]) == check_power_closure_consistency(
                 group, cd, subset
             ), (spec, subset)
-            sp = eigenvalues_via_characters(conn, table, cd)
-            batched = sweep_spectrum(sweep, s)
-            assert batched.entries == sp.entries, (spec, subset)
-            assert batched.connection_size == sp.connection_size
+            _assert_same_spectrum(sweep_spectrum(sweep, s), ref, (spec, subset))
+            _assert_same_spectrum(eigenvalues_via_characters(conn, table, cd), ref, (spec, subset))
             for gamma, mg, ins, uni in zip(gammas, merged, inside, union):
+                outside = _first_outside_subfield(ref, gamma)
                 rep = check_membership(group, cd, conn, table, gamma, mg)
-                assert ins[s] == rep.in_subfield, (spec, subset, gamma.elements)
-                assert uni[s] == rep.class_closed, (spec, subset, gamma.elements)
+                where = (spec, subset, gamma.elements)
+                assert ins[s] == rep.in_subfield == (outside is None), where
+                assert rep.offending_character == outside, where
+                assert uni[s] == rep.class_closed, where
+            if group.n <= 16:
+                # sweeps never hold class 0: this takes the trace identity's other
+                # branch.  The reference sum over C plus class 0 adds chi_r(1) to
+                # numerator r.
+                with_identity = make_connection_set({"classes": (0, *subset)}, group, cd)
+                got = eigenvalues_via_characters(with_identity, table, cd)
+                want = [e.value.numerator + table.values[e.character][0] for e in ref.entries]
+                assert [e.value.numerator for e in got.entries] == want, (spec, 0, subset)
+                assert [e.value.denominator for e in got.entries] == list(table.degrees)
+                assert got.connection_size == conn.size + 1 and got.contains_identity
+
+
+def test_single_connections_do_no_cyclotomic_arithmetic(monkeypatch, corpus, capsys):
+    def refuse(*args):
+        raise AssertionError("CycInt arithmetic on the spectrum engine's path")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(CycInt, name, refuse)
+    with pytest.raises(AssertionError):
+        get_context(5).one + 1
+    for spec in ("cyclic(5)", "symmetric(4)", "alternating(5)", "generalized-quaternion(16)"):
+        group, cd, table = corpus[spec]
+        gamma = unit_group(group.exponent)
+        for classes in ([1], [0, cd.k - 1], list(range(cd.k))):
+            conn = make_connection_set({"classes": classes}, group, cd)
+            sp = eigenvalues_via_characters(conn, table, cd)
+            assert sp.entries[0].value.as_fraction() == conn.size
+            check_integrality(group, cd, conn, table)
+            check_membership(group, cd, conn, table, gamma)
+        assert cli.run(["spectrum", "--group", spec, "--classes", "0,1"]) == 0
+        assert '"all_integral"' in capsys.readouterr().out
 
 
 def _tampered(table, r, j, p, delta):
@@ -303,12 +416,20 @@ def _tampered(table, r, j, p, delta):
 @pytest.mark.parametrize("spec", ["cyclic(5)", "symmetric(4)", "quaternion(8)"])
 def test_class_sweep_rejects_every_single_coefficient_change(corpus, spec):
     group, cd, table = corpus[spec]
+    # one connection set holding every class, identity included, meets
+    # every table entry through its trace identity
+    everything = make_connection_set({"classes": list(range(cd.k))}, group, cd)
+    entry_points = (
+        lambda t: class_sweep(group, cd, t),
+        lambda t: eigenvalues_via_characters(everything, t, cd),
+    )
     for r in range(table.k):
         for j in range(cd.k):
             for p in range(len(table.values[r][j].coeffs)):
                 for delta in (1, -1):
-                    with pytest.raises(InternalConsistencyError):
-                        class_sweep(group, cd, _tampered(table, r, j, p, delta))
+                    for entry in entry_points:
+                        with pytest.raises(InternalConsistencyError):
+                            entry(_tampered(table, r, j, p, delta))
 
 
 def test_sweep_size_budget_is_checked_without_allocating():
