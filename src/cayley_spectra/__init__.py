@@ -66,6 +66,10 @@ from .oracle import (
     ExactSpectrumReport,
     SpectrumComparison,
     adjacency_matrix,
+    adjacency_stack,
+    batch_compare_spectra,
+    batch_power_closed,
+    batch_verify_spectrum_exact,
     compare_spectra,
     integer_charpoly,
     oracle_power_closed,

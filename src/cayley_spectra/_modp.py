@@ -1,16 +1,24 @@
-"""Prime choosers and the characteristic polynomial over a prime field.
+"""Prime choosers, roots of unity and characteristic polynomials over prime fields.
 
-charpoly works on lists of lists of Python ints: it serves both the exact
-oracle (integer_charpoly, matrices up to the oracle caps, mod 31-bit primes)
-and the character table's eigenspace split (restricted class matrices mod
-the Dixon prime).  The split's other steps are int64 array routines in
-characters.
+charpoly works on lists of lists of Python ints: it serves both
+integer_charpoly (one matrix up to the oracle caps, mod 31-bit primes) and
+the character table's eigenspace split (restricted class matrices mod the
+Dixon prime).  The split's other steps are int64 array routines in
+characters.  charpoly_stack is the same Hessenberg reduction run on an
+(S, n, n) int64 stack at once, one column step for all S matrices; the
+batched exact oracle uses it on the adjacency matrices of a whole sweep.
+_certificate_primes and _element_of_order serve every check that evaluates
+cyclotomic integers at all embeddings mod primes q = 1 (mod m): the table
+certificate and the batched exact oracle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import count
+from math import isqrt
+
+import numpy as np
 
 from .errors import InternalConsistencyError
 
@@ -67,6 +75,40 @@ def _descending_primes(ceiling: int, m: int, bound: int) -> list[int]:
         product *= primes[-1]
 
 
+def _certificate_primes(m: int, bound: int, width: int) -> list[int]:
+    """Distinct primes q = 1 (mod m) with width * q^2 < 2^63, whose product exceeds bound.
+
+    They are taken downward from the largest admissible q, so one prime
+    serves any bound below about 2^63 / width.
+    """
+    return _descending_primes(isqrt((2**63 - 1) // width), m, bound)
+
+
+def _prime_factors(x: int) -> list[int]:
+    out = []
+    f = 2
+    while f * f <= x:
+        if x % f == 0:
+            out.append(f)
+            while x % f == 0:
+                x //= f
+        f += 1
+    if x > 1:
+        out.append(x)
+    return out
+
+
+def _element_of_order(m: int, p: int) -> int:
+    if m == 1:
+        return 1
+    facs = _prime_factors(m)
+    for c in range(2, p):
+        z = pow(c, (p - 1) // m, p)
+        if all(pow(z, m // q, p) != 1 for q in facs):
+            return z
+    raise InternalConsistencyError(f"no element of order {m} in F_{p}")
+
+
 def charpoly(mat, p):
     """Characteristic polynomial mod p, low degree first, via Hessenberg form."""
     n = len(mat)
@@ -104,3 +146,69 @@ def charpoly(mat, p):
                     cur[j] = (cur[j] - coef * c) % p
         polys.append([c % p for c in cur])
     return polys[n]
+
+
+def _power_stack(a: np.ndarray, e: int, q: int) -> np.ndarray:
+    """a^e mod q elementwise, by repeated squaring; a holds residues below q < 2^31.5."""
+    out = np.ones_like(a)
+    base = a
+    while e:
+        if e & 1:
+            out = out * base % q
+        e >>= 1
+        if e:
+            base = base * base % q
+    return out
+
+
+def charpoly_stack(mats: np.ndarray, q: int) -> np.ndarray:
+    """Characteristic polynomials mod q of an (S, n, n) stack, low degree first, shape (S, n + 1).
+
+    Column j of every matrix is cleared below its subdiagonal by one
+    similarity step for the whole stack: a row and column swap brings the
+    first nonzero entry to the pivot, the rows below lose multiples of the
+    pivot row and the pivot column gains the matching multiples of their
+    columns, which is L H L^-1 for a unit lower triangular L.  det(xI - H)
+    of the Hessenberg result H is then expanded along the last column, for
+    the leading blocks of every size, as charpoly does for one matrix.
+
+    Every int64 value stays below (n + 1) q^2: residues are below q, a row
+    update takes one product, and a column update or a term of the
+    expansion sums at most n products of two residues.  The stack is
+    refused unless (n + 1) (q - 1)^2 < 2^63.
+    """
+    batch, n = mats.shape[0], mats.shape[1]
+    if (n + 1) * (q - 1) ** 2 >= 2**63:
+        raise ValueError(f"charpoly of order {n} mod {q} would overflow int64")
+    h = np.array(mats, dtype=np.int64) % q
+    rows = np.arange(batch)
+    for j in range(n - 2):
+        below = h[:, j + 1 :, j] != 0
+        pivot = j + 1 + below.argmax(axis=1)
+        moved = rows[pivot != j + 1]
+        if len(moved):
+            p = pivot[moved]
+            h[moved, j + 1], h[moved, p] = h[moved, p], h[moved, j + 1]
+            h[moved, :, j + 1], h[moved, :, p] = h[moved, :, p], h[moved, :, j + 1]
+        # a zero pivot gets the "inverse" 0, and its column is zero below anyway
+        f = h[:, j + 2 :, j] * _power_stack(h[:, j + 1, j], q - 2, q)[:, None] % q
+        h[:, j + 2 :, j:] = (h[:, j + 2 :, j:] - f[:, :, None] * h[:, j + 1, None, j:]) % q
+        h[:, :, j + 1] = (h[:, :, j + 1] + np.einsum("sri,si->sr", h[:, :, j + 2 :], f)) % q
+    # polys[:, i] is det(xI - H_i) of the leading i x i block; w[:, i] is
+    # the product of the subdiagonal entries h[l, l - 1] for i < l < size
+    polys = np.zeros((batch, n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    w = np.zeros((batch, n), dtype=np.int64)
+    for size in range(1, n + 1):
+        prev = polys[:, size - 1]
+        cur = np.zeros_like(prev)
+        cur[:, 1:] = prev[:, :-1]
+        cur -= h[:, size - 1, size - 1, None] * prev
+        if size > 1:
+            sub = h[:, size - 1, size - 2]
+            w[:, : size - 2] = w[:, : size - 2] * sub[:, None] % q
+            w[:, size - 2] = sub
+            coef = h[:, : size - 1, size - 1] * w[:, : size - 1] % q
+            cur -= np.einsum("si,sij->sj", coef, polys[:, : size - 1])
+        polys[:, size] = cur % q
+    return polys[:, n]

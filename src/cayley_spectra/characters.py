@@ -10,7 +10,7 @@ validated against the exact orthogonality relations before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional, Sequence
@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _modp
+from ._modp import _certificate_primes, _element_of_order
 from .cyclotomic import (
     CycInt,
     as_rational,
@@ -94,6 +95,7 @@ class CharacterTable:
     degrees: tuple[int, ...]
     values: tuple[tuple[CycInt, ...], ...]
     prime: int
+    _coefficients: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -109,31 +111,6 @@ def _least_dixon_prime(n: int, m: int) -> int:
     while cand <= lower or not _modp._is_prime(cand):
         cand += m
     return cand
-
-
-def _prime_factors(x: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= x:
-        if x % f == 0:
-            out.append(f)
-            while x % f == 0:
-                x //= f
-        f += 1
-    if x > 1:
-        out.append(x)
-    return out
-
-
-def _element_of_order(m: int, p: int) -> int:
-    if m == 1:
-        return 1
-    facs = _prime_factors(m)
-    for c in range(2, p):
-        z = pow(c, (p - 1) // m, p)
-        if all(pow(z, m // q, p) != 1 for q in facs):
-            return z
-    raise InternalConsistencyError(f"no element of order {m} in F_{p}")
 
 
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -373,22 +350,27 @@ def _sort_characters(characters, trivial_row):
 
 
 def table_coefficients(table: CharacterTable) -> np.ndarray:
-    """The table as an object array of Python ints, shape (k, k, phi(m)).
+    """The table as a read-only int64 array, shape (k, k, phi(m)), built once per table.
 
     Entry [r, j] is the power-basis coefficient vector of character r on
-    class j.  Object dtype keeps any coefficient exact; callers bound the
-    entries before they cast to int64.
+    class j.  Every coefficient c has |c| < 2^63, or ResourceLimitError is
+    raised; callers bound their sums and products before they form them.
     """
-    return np.array([[v.coeffs for v in row] for row in table.values], dtype=object)
+    if table._coefficients is None:
+        table._coefficients = _coefficient_array(table)
+    return table._coefficients
 
 
-def _certificate_primes(m: int, bound: int, width: int) -> list[int]:
-    """Distinct primes q = 1 (mod m) with width * q^2 < 2^63, whose product exceeds bound.
-
-    They are taken downward from the largest admissible q, so one prime
-    serves any bound below about 2^63 / width.
-    """
-    return _modp._descending_primes(isqrt((2**63 - 1) // width), m, bound)
+def _coefficient_array(table: CharacterTable) -> np.ndarray:
+    too_big = ResourceLimitError("a character value coefficient is beyond int64")
+    try:
+        coeffs = np.array([[v.coeffs for v in row] for row in table.values], dtype=np.int64)
+    except OverflowError:
+        raise too_big from None
+    if (coeffs == np.iinfo(np.int64).min).any():  # its absolute value would wrap
+        raise too_big
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
@@ -421,7 +403,10 @@ def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
         raise InternalConsistencyError("degree squares do not sum to the group order")
     coeffs = table_coefficients(table)
     phi = coeffs.shape[2]
-    norm = int(np.abs(coeffs).sum(axis=2).max())
+    magnitudes = np.abs(coeffs)
+    if int(magnitudes.max(initial=0)) * phi >= 2**63:
+        magnitudes = magnitudes.astype(object)  # the L1 sums could wrap in int64
+    norm = int(magnitudes.sum(axis=2).max())
     units = [u for u in range(m) if gcd(u, m) == 1]
     where = {u: i for i, u in enumerate(units)}
     sizes = np.array(cd.sizes, dtype=np.int64)
@@ -429,7 +414,7 @@ def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
     for q in _certificate_primes(m, n * norm * norm + n, max(phi, k)):
         w = _element_of_order(m, q)
         powers = np.array([pow(w, e, q) for e in range(m)], dtype=np.int64)
-        flat = (coeffs.reshape(k * k, phi) % q).astype(np.int64)
+        flat = coeffs.reshape(k * k, phi) % q
         evaluated = (flat @ powers[exponents] % q).T.reshape(len(units), k, k)
         row_target = np.diag(np.full(k, n % q, dtype=np.int64))
         col_target = np.diag(np.array([n // s % q for s in cd.sizes], dtype=np.int64))

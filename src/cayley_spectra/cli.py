@@ -12,7 +12,9 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from importlib import resources
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
 from .characters import (
@@ -41,10 +43,11 @@ from .group_core import (
 from .oracle import (
     DEFAULT_ORACLE_CAP,
     adjacency_matrix,
+    batch_compare_spectra,
+    batch_power_closed,
+    batch_verify_spectrum_exact,
     compare_spectra,
-    oracle_power_closed,
     oracle_spectrum,
-    verify_spectrum_exact,
 )
 from .spectra import (
     ClassSweep,
@@ -61,7 +64,6 @@ from .spectra import (
     sweep_class_closed,
     sweep_in_subfield,
     sweep_power_closed,
-    sweep_spectrum,
 )
 
 SCHEMA = "v1"
@@ -270,6 +272,68 @@ def _sweep_payload(base: dict, sweep: ClassSweep, left: tuple, right: tuple):
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def _json_text(payload) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) for plain dicts with str keys, lists, tuples and scalars.
+
+    indent makes json use its pure-Python encoder.  Here every container
+    whose members are all scalars, and every scalar, is written by the C
+    encoder in one call, with ",\n" and the members' indent as its item
+    separator; only the containers above those are joined in Python.
+    """
+    if c_make_encoder is None:
+        return json.dumps(payload, sort_keys=True, indent=2)
+    chunks: list[str] = []
+    _write_json(payload, 0, chunks)
+    return "".join(chunks)
+
+
+_CONTAINERS = frozenset({dict, list, tuple})
+
+
+def _write_json(value, depth: int, chunks: list[str]) -> None:
+    kind = type(value)
+    if kind not in _CONTAINERS:
+        chunks += _flat_encoder(0)(value, 0)
+        return
+    if not value:
+        chunks.append("{}" if kind is dict else "[]")
+        return
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    members = value.values() if kind is dict else value
+    if _CONTAINERS.isdisjoint(map(type, members)):
+        text = "".join(_flat_encoder(depth + 1)(value, 0))
+        chunks += (text[0], inner, text[1:-1], outer, text[-1])
+        return
+    scalar = _flat_encoder(0)
+    if kind is dict:
+        chunks.append("{")
+        for i, (k, v) in enumerate(sorted(value.items())):
+            chunks += ("," + inner if i else inner, encode_basestring_ascii(k), ": ")
+            if type(v) in _CONTAINERS:
+                _write_json(v, depth + 1, chunks)
+            else:
+                chunks += scalar(v, 0)
+        chunks += (outer, "}")
+    else:
+        chunks.append("[")
+        for i, v in enumerate(value):
+            chunks.append("," + inner if i else inner)
+            if type(v) in _CONTAINERS:
+                _write_json(v, depth + 1, chunks)
+            else:
+                chunks += scalar(v, 0)
+        chunks += (outer, "]")
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(depth: int):
+    """The C encoder for one container of scalars whose members sit at this indent depth."""
+    return c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        ": ", ",\n" + "  " * depth, True, False, True,
+    )
 
 
 def _approx(value: complex) -> dict:
@@ -555,11 +619,12 @@ def _sweep_checks(
 ) -> dict[str, str]:
     """The outcomes of the five sweep checks.
 
-    The equivalences are decided for all subsets at once; per-subset
-    connection sets and Spectrum objects are built only for the oracles.
-    Power-closure consistency compares, as check_power_closure_consistency
-    does per subset, the powers of every element with the unit group's
-    class merge.
+    The equivalences are decided for all subsets at once, and so are the
+    oracles: they read the subsets' element sets, the group and the claimed
+    eigenvalues (the sweep's numerators over the degrees), never the class
+    algebra.  Power-closure consistency compares, as
+    check_power_closure_consistency does per subset, the powers of every
+    element with the unit group's class merge.
     """
     sweep = _group_limited(class_sweep, group, cd, table)
     closed = sweep_power_closed(sweep)
@@ -580,21 +645,15 @@ def _sweep_checks(
     float_ok = True
     exact_ok = True
     if run_float or run_exact or run_naive:
-        for s, subset in enumerate(sweep.subsets):
-            conn = make_connection_set({"classes": subset}, group, cd)
-            if run_naive and oracle_power_closed(conn.elements, group) != closed[s]:
-                closure_ok = False
-            if not (run_float or run_exact):
-                continue
-            sp = sweep_spectrum(sweep, s)
-            adjacency = adjacency_matrix(group, conn.elements, cap=group.n)
-            if run_float:
-                res = compare_spectra(
-                    sp, oracle_spectrum(adjacency), tolerance=float(job["tolerance"])
-                )
-                float_ok = float_ok and res.passed
-            if run_exact:
-                exact_ok = exact_ok and verify_spectrum_exact(sp, adjacency).passed
+        members = sweep.masks.astype(bool)[:, cd.class_of]  # (S, n) element indicators
+        claims = (sweep.numerators, table.degrees, table.m)
+        if run_naive and (batch_power_closed(group, members) != closed).any():
+            closure_ok = False
+        if run_float:
+            tol = float(job["tolerance"])
+            float_ok = bool(batch_compare_spectra(group, members, *claims, tol).all())
+        if run_exact:
+            exact_ok = bool(batch_verify_spectrum_exact(group, members, *claims).all())
 
     def outcome(ok: bool, ran: bool = True) -> str:
         return ("pass" if ok else "fail") if ran else "skip"
@@ -752,7 +811,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     if job["output"] == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload))
     else:
         print(_render_table(payload))
     return 0 if ok else 1

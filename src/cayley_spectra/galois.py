@@ -58,7 +58,7 @@ def unit_group(m: int) -> GaloisSubgroup:
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     elements = tuple(t for t in range(1, m + 1) if gcd(t, m) == 1)
-    return GaloisSubgroup(m=m, generators=elements, elements=elements)
+    return GaloisSubgroup(m=m, generators=_greedy_generators(m, elements), elements=elements)
 
 
 def subgroup_closure(m: int, generators: Iterable[int]) -> GaloisSubgroup:
@@ -102,12 +102,17 @@ def _generating_set(gamma: GaloisSubgroup) -> tuple[int, ...]:
     Each one at least doubles the subgroup generated so far, so there are
     at most log2 |gamma| of them; the trivial group has none.
     """
+    return _greedy_generators(gamma.m, gamma.elements)
+
+
+def _greedy_generators(m: int, elements: Sequence[int]) -> tuple[int, ...]:
+    """_generating_set of the subgroup with these sorted elements."""
     gens: list[int] = []
     span = frozenset({1})
-    for t in gamma.elements:
+    for t in elements:
         if t not in span:
             gens.append(t)
-            span = _closure_of_set(gamma.m, frozenset(gens))
+            span = _closure_of_set(m, frozenset(gens))
     return tuple(gens)
 
 
@@ -141,7 +146,7 @@ def all_subgroups(m: int) -> list[GaloisSubgroup]:
     subs = []
     for elems in found:
         ordered = tuple(sorted(elems))
-        subs.append(GaloisSubgroup(m=m, generators=ordered, elements=ordered))
+        subs.append(GaloisSubgroup(m=m, generators=_greedy_generators(m, ordered), elements=ordered))
     return sorted(subs, key=lambda s: (s.order, s.elements))
 
 

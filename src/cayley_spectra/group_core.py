@@ -232,28 +232,35 @@ class Group:
         self.identity = 0
         self.description = description
         self.labels = labels
-        self.inv = np.argmax(mul == 0, axis=1).astype(np.int32)
-        self.orders = _element_orders(mul)
+        self.orders, self.inv = _orders_and_inverses(mul)
         self.exponent = int(lcm(*(int(o) for o in self.orders)))
 
     def __repr__(self) -> str:
         return f"Group({self.description}, n={self.n})"
 
 
-def _element_orders(mul: np.ndarray) -> np.ndarray:
+def _orders_and_inverses(mul: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Element orders (int64) and inverses (int32), from the powers x^k for k = 1, 2, ...
+
+    The first k with x^k the identity is the order o of x, and x^(o-1) is its
+    inverse, so no n x n temporary is needed.
+    """
     n = mul.shape[0]
     gens = np.arange(n)
-    cur = gens.copy()
+    prev = np.zeros(n, dtype=mul.dtype)  # x^(k-1)
+    cur = gens.astype(mul.dtype)  # x^k
     orders = np.zeros(n, dtype=np.int64)
+    inv = np.zeros(n, dtype=np.int32)
     k = 1
     while (orders == 0).any():
         if k > n:
             raise ValueError("multiplication table is not a group table")
         fresh = (cur == 0) & (orders == 0)
         orders[fresh] = k
-        cur = mul[cur, gens]
+        inv[fresh] = prev[fresh]
+        prev, cur = cur, mul[cur, gens]
         k += 1
-    return orders
+    return orders, inv
 
 
 def _bfs_table(

@@ -216,7 +216,6 @@ def _formula(cd: ClassData, table: CharacterTable, masks: np.ndarray) -> tuple[n
     _check_int64(n * entry_bound, "the trace identity")
     shift_norm = int(np.abs(_power_basis(table.m)).sum(axis=0).max()) + 1
     _check_int64(entry_bound * shift_norm, "a Galois defect")
-    coeffs = coeffs.astype(np.int64)
     sizes = np.array(cd.sizes, dtype=np.int64)
     weighted = (coeffs * sizes[None, :, None]).transpose(1, 0, 2).reshape(k, k * phi)
     numerators = (masks @ weighted).reshape(len(masks), k, phi)

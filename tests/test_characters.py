@@ -21,12 +21,14 @@ from cayley_spectra import (
     dixon_character_table,
     get_context,
     induced_character_from_cyclic,
+    table_coefficients,
     totient,
     unit_group,
     verify_galois_character_identity,
     verify_orthogonality,
 )
 from cayley_spectra import _modp, characters
+from cayley_spectra.cli import run
 from cayley_spectra.errors import InternalConsistencyError
 from conftest import CORPUS
 
@@ -271,6 +273,35 @@ def _tampered(table, r, j, e, delta):
     coeffs[e] += delta
     values[r][j] = CycInt(v.ctx, tuple(coeffs))
     return dataclasses.replace(table, values=tuple(tuple(row) for row in values))
+
+
+def test_sweep_job_builds_the_coefficient_array_once(monkeypatch, capsys):
+    builds = []
+    real = characters._coefficient_array
+
+    def spy(table):
+        builds.append(table)
+        return real(table)
+
+    monkeypatch.setattr(characters, "_coefficient_array", spy)
+    assert run(["check-integrality", "--group", "symmetric(4)", "--connection", "sweep"]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+    table = builds[0]
+    coeffs = table_coefficients(table)
+    assert coeffs is table_coefficients(table)
+    assert coeffs.dtype == np.int64 and not coeffs.flags.writeable
+    assert coeffs.tolist() == [[list(v.coeffs) for v in row] for row in table.values]
+    assert len(builds) == 1
+
+
+def test_coefficients_beyond_int64_are_refused(corpus):
+    group, cd, table = corpus["cyclic(3)"]
+    c = table.values[1][1].coeffs[0]
+    for huge in (2**63, -(2**63)):
+        with pytest.raises(ResourceLimitError):
+            table_coefficients(_tampered(table, 1, 1, 0, huge - c))
+    assert table_coefficients(_tampered(table, 1, 1, 0, 1 - 2**63 - c))[1, 1, 0] == 1 - 2**63
 
 
 def test_certificate_agrees_with_cycint_loops(corpus):

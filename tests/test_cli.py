@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cayley_spectra import TABLE_BYTE_BUDGET, spectra
+from cayley_spectra import TABLE_BYTE_BUDGET, cli, spectra
 from cayley_spectra.cli import COMMANDS, run
 
 
@@ -455,3 +455,45 @@ def test_exit_contract_holds_for_any_job_document(job):
 
 def _has_non_integer(values) -> bool:
     return isinstance(values, list) and any(isinstance(v, bool) or not isinstance(v, int) for v in values)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+_WRITER_JOBS = [
+    *(["character-table", "--group", g] for g in (
+        "symmetric(7)",
+        "product(cyclic(6),cyclic(6))",
+        "cyclic(40)",
+        "elementary-abelian(2,6)",
+        "cyclic(60)",
+    )),
+    ["check-integrality", "--group", "symmetric(6)", "--connection", "sweep"],
+    ["check-membership", "--group", "alternating(7)", "--connection", "sweep", "--gamma", "rational"],
+    ["check-integrality", "--group", "dihedral(22)", "--connection", "sweep"],
+    ["verify-all"],
+    ["verify-all", "--oracle", "off"],
+]
+
+
+@pytest.mark.parametrize("argv", _WRITER_JOBS, ids=" ".join)
+def test_json_writer_matches_indented_json_dumps(argv):
+    job = cli._assemble_job(cli._arg_parser().parse_args(argv))
+    payload, _ = cli._COMMANDS[job["command"]](job)
+    assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_payloads)
+def test_json_writer_matches_json_dumps_on_nested_payloads(payload):
+    assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)

@@ -10,12 +10,15 @@ from cayley_spectra import (
     conjugacy_classes,
     cyclic_subgroups,
     galois_conjugacy_classes,
+    get_context,
+    is_fixed_by,
     is_power_closed,
     is_union_of_galois_classes,
     power_closure,
     subgroup_closure,
     unit_group,
 )
+from cayley_spectra import cyclotomic
 from cayley_spectra.galois import _generating_set
 from cayley_spectra.oracle import oracle_power_closed
 
@@ -27,6 +30,25 @@ def test_unit_group_values():
     assert unit_group(1).elements == (1,)
     assert unit_group(2).elements == (1,)
     assert unit_group(7).elements == (1, 2, 3, 4, 5, 6)
+
+
+def test_fixed_field_test_applies_one_automorphism_per_generator(monkeypatch):
+    gamma = unit_group(420)  # order 96: C2 x C2 x C4 x C6 needs four generators
+    assert gamma.generators == _generating_set(gamma)
+    assert subgroup_closure(420, gamma.generators).elements == gamma.elements
+    calls = []
+    real = cyclotomic.galois_apply
+
+    def spy(t, a):
+        calls.append(t)
+        return real(t, a)
+
+    monkeypatch.setattr(cyclotomic, "galois_apply", spy)
+    ctx = get_context(420)
+    for value, fixed in ((ctx.from_int(7), True), (ctx.eta, False), (ctx.eta + ctx.eta_power(-1), False)):
+        calls.clear()
+        assert is_fixed_by(value, gamma) is fixed
+        assert 1 <= len(calls) <= 4
 
 
 def test_subgroup_closure():
@@ -67,6 +89,7 @@ def test_all_subgroups_are_closed_and_bounded(m):
         gens = _generating_set(sub)
         assert subgroup_closure(m, gens).elements == sub.elements
         assert 2 ** len(gens) <= sub.order
+        assert sub.generators == gens
         seen.add(sub.elements)
     assert (1,) in seen
     assert units.elements in seen

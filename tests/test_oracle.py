@@ -1,14 +1,20 @@
 import dataclasses
 from fractions import Fraction
-from math import gcd
+import cmath
+from math import comb, gcd
 
 import numpy as np
 import pytest
+from conftest import CORPUS
 
 from cayley_spectra import (
     GroupSpec,
     adjacency_matrix,
+    batch_compare_spectra,
+    batch_power_closed,
+    batch_verify_spectrum_exact,
     build_group,
+    class_sweep,
     compare_spectra,
     conjugacy_classes,
     dixon_character_table,
@@ -17,10 +23,11 @@ from cayley_spectra import (
     make_connection_set,
     oracle_power_closed,
     oracle_spectrum,
+    sweep_spectrum,
     verify_spectrum_exact,
 )
 from cayley_spectra import _modp, oracle
-from cayley_spectra.cyclotomic import CycInt, get_context
+from cayley_spectra.cyclotomic import CycInt, get_context, reduce_raw
 
 
 def _bundle(text):
@@ -249,6 +256,14 @@ def test_exact_verification_rejects_tampered_spectrum():
     report = verify_spectrum_exact(tampered, adj)
     assert not report.passed
     assert report.mismatch_power is not None
+    # the degree still adds up, but a multiplicity is negative
+    lent = (
+        dataclasses.replace(entries[0], multiplicity=-1),
+        dataclasses.replace(entries[1], multiplicity=entries[1].multiplicity + 2),
+        entries[2],
+    )
+    report = verify_spectrum_exact(dataclasses.replace(sp, entries=lent), adj)
+    assert report == oracle.ExactSpectrumReport(passed=False, degree=g.n)
 
 
 def test_compare_spectra_handles_conjugate_pairs():
@@ -309,3 +324,252 @@ def test_float_oracle_matches_characters_on_sample(corpus):
         sp = eigenvalues_via_characters(conn, table, cd)
         adj = adjacency_matrix(group, conn.elements)
         assert compare_spectra(sp, oracle_spectrum(adj)).passed
+
+
+# ---------------------------------------------------------------------------
+# the batched oracles against the per-subset ones
+#
+# _parent_verify_spectrum_exact is the exact check as it was before the
+# modular product: the claimed product expanded in CycInt arithmetic, one
+# binomial factor per distinct value, compared with the integer charpoly.
+
+TOLERANCE = 1e-8
+
+
+def _canonical_value(num, den):
+    g = den
+    for c in num.coeffs:
+        g = gcd(g, c)
+        if g == 1:
+            break
+    g = max(g, 1)
+    return CycInt(num.ctx, tuple(c // g for c in num.coeffs)), den // g
+
+
+def _binomial_power(den, num, mult):
+    """Coefficients of (den*x - num)^mult, low degree first."""
+    powers = [num.ctx.one]  # (-num)^i
+    for _ in range(mult):
+        powers.append(powers[-1] * -num)
+    return [powers[mult - j] * (comb(mult, j) * den**j) for j in range(mult + 1)]
+
+
+def _poly_product(a, b):
+    """Product of CycInt polynomials, summed unreduced and reduced once per coefficient."""
+    ctx = a[0].ctx
+    terms = [[(t, c) for t, c in enumerate(y.coeffs) if c] for y in b]
+    raw = [[0] * (2 * ctx.degree - 1) for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for s, c in enumerate(x.coeffs):
+            if c:
+                for j, ys in enumerate(terms):
+                    acc = raw[i + j]
+                    for t, d in ys:
+                        acc[s + t] += c * d
+    return [reduce_raw(r, ctx) for r in raw]
+
+
+def _parent_verify_spectrum_exact(sp, charpoly):
+    groups = {}
+    ctx = get_context(sp.entries[0].value.numerator.ctx.m)
+    for e in sp.entries:
+        num, den = _canonical_value(e.value.numerator, e.value.denominator)
+        key = (den, num.coeffs)
+        groups[key] = groups.get(key, 0) + e.multiplicity
+    poly = [ctx.one]
+    scale = 1
+    for (den, coeffs), mult in sorted(groups.items()):
+        poly = _poly_product(poly, _binomial_power(den, CycInt(ctx, coeffs), mult))
+        scale *= den**mult
+    if len(poly) != len(charpoly):
+        return oracle.ExactSpectrumReport(passed=False, degree=len(poly) - 1)
+    for i, c in enumerate(charpoly):
+        if poly[i] != ctx.from_int(int(c) * scale):
+            return oracle.ExactSpectrumReport(passed=False, degree=len(poly) - 1, mismatch_power=i)
+    return oracle.ExactSpectrumReport(passed=True, degree=len(poly) - 1)
+
+
+def _sweep_of(corpus, text):
+    group, cd, table = corpus[text]
+    sweep = class_sweep(group, cd, table)
+    return group, table, sweep, sweep.masks.astype(bool)[:, cd.class_of]
+
+
+def _claims(sweep, numerators=None):
+    """(numerators, degrees, m) as the batched oracles take them."""
+    if numerators is None:
+        numerators = sweep.numerators
+    return numerators, sweep.table.degrees, sweep.table.m
+
+
+def _with_numerators(sweep, numerators):
+    return dataclasses.replace(sweep, numerators=numerators)
+
+
+def test_batched_oracles_match_per_subset_oracles_on_the_corpus(corpus):
+    """Every subset of every corpus group: float, exact and naive verdicts equal the per-subset ones.
+
+    The CycInt reference runs wherever a group's sweep costs it under about
+    0.3 s (order <= 24, at most 2^8 subsets); cyclic(10), cyclic(11),
+    cyclic(12) and alternating(5) would take it 12 s.  There every
+    spectrum is true, and the per-subset check passes each of them (see
+    test_spectra_match_float_oracle_and_exact_backend), so the batch must
+    pass every subset.
+    """
+    for text in CORPUS:
+        group, table, sweep, members = _sweep_of(corpus, text)
+        floats = batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE)
+        exact = batch_verify_spectrum_exact(group, members, *_claims(sweep))
+        naive = batch_power_closed(group, members)
+        reference = group.n <= 24 and len(members) <= 256
+        for s, subset in enumerate(sweep.subsets):
+            elements = np.flatnonzero(members[s])
+            sp = sweep_spectrum(sweep, s)
+            adj = adjacency_matrix(group, elements)
+            numeric = oracle_spectrum(adj)
+            assert floats[s] == compare_spectra(sp, numeric, TOLERANCE).passed, (text, subset)
+            assert naive[s] == oracle_power_closed(elements, group), (text, subset)
+            if reference:
+                charpoly = integer_charpoly(adj)
+                assert exact[s] == _parent_verify_spectrum_exact(sp, charpoly).passed, (text, subset)
+        assert exact.all(), text
+
+
+def test_claimed_floats_are_the_floats_compare_spectra_matches(corpus):
+    for text in CORPUS:
+        group, table, sweep, members = _sweep_of(corpus, text)
+        nums, degrees, m = _claims(sweep)
+        roots = [cmath.exp(2j * cmath.pi * e / m) for e in range(nums.shape[2])]
+        re, im = oracle._claimed_values(nums, np.array(degrees), roots)
+        for s in range(len(nums)):
+            for r, entry in enumerate(sweep_spectrum(sweep, s).entries):
+                v = entry.value.to_complex()
+                assert (re[s, r], im[s, r]) == (v.real, v.imag), (text, s, r)
+
+
+@pytest.mark.parametrize(
+    "text", ["symmetric(3)", "quaternion(8)", "dihedral(6)", "symmetric(4)", "cyclic(12)"]
+)
+def test_batched_exact_fails_exactly_the_subset_with_a_changed_coefficient(corpus, text):
+    group, table, sweep, members = _sweep_of(corpus, text)
+    rng = np.random.default_rng(len(text))
+    count, k, phi = sweep.numerators.shape
+    for _ in range(4):
+        s, r, e = int(rng.integers(count)), int(rng.integers(k)), int(rng.integers(phi))
+        for delta in (1, -1):
+            nums = sweep.numerators.copy()
+            nums[s, r, e] += delta
+            verdicts = batch_verify_spectrum_exact(group, members, *_claims(sweep, nums))
+            assert verdicts.tolist() == [t != s for t in range(count)], (s, r, e, delta)
+            if group.n <= 24 and k <= 8:
+                sp = sweep_spectrum(_with_numerators(sweep, nums), s)
+                adj = adjacency_matrix(group, np.flatnonzero(members[s]))
+                assert not _parent_verify_spectrum_exact(sp, integer_charpoly(adj)).passed
+
+
+def test_exact_checks_reject_a_change_by_the_first_prime(corpus, monkeypatch):
+    """A change by the first modulus is invisible to it; the later primes must see it."""
+    primes = []
+    choose = _modp._certificate_primes
+
+    def spy(*args):
+        primes.append(choose(*args))
+        return primes[-1]
+
+    monkeypatch.setattr(_modp, "_certificate_primes", spy)
+    group, table, sweep, members = _sweep_of(corpus, "dihedral(6)")
+    assert batch_verify_spectrum_exact(group, members, *_claims(sweep)).all()
+    first = primes[0][0]
+    assert len(primes[0]) > 1
+    s = 5
+    nums = sweep.numerators.copy()
+    nums[s, 2, 0] += first
+    verdicts = batch_verify_spectrum_exact(group, members, *_claims(sweep, nums))
+    assert verdicts.tolist() == [t != s for t in range(len(members))]
+    sp = sweep_spectrum(_with_numerators(sweep, nums), s)
+    report = verify_spectrum_exact(sp, adjacency_matrix(group, np.flatnonzero(members[s])))
+    assert not report.passed and report.mismatch_power is not None
+    assert primes[-1][0] == first
+
+
+def _shift_one_eigenvalue(monkeypatch, target, shift):
+    """Make eigvals move one eigenvalue of the stack's matrix equal to target by shift."""
+    real = np.linalg.eigvals
+
+    def shifted(a):
+        out = real(a)
+        for i in range(len(out)):
+            if (a[i] == target).all():
+                out[i, 0] += shift
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigvals", shifted)
+
+
+@pytest.mark.parametrize("text", ["cyclic(5)", "dihedral(6)", "alternating(4)"])
+def test_batched_float_fails_a_numeric_eigenvalue_moved_by_ten_tolerances(corpus, monkeypatch, text):
+    group, table, sweep, members = _sweep_of(corpus, text)
+    for s in (1, len(members) - 1):
+        with monkeypatch.context() as patch:
+            target = oracle.adjacency_stack(group, members[s : s + 1])[0]
+            _shift_one_eigenvalue(patch, target, 10 * TOLERANCE)
+            verdicts = batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE)
+        assert verdicts.tolist() == [t != s for t in range(len(members))], s
+
+
+def test_overlapping_balls_fall_back_to_compare_spectra(corpus, monkeypatch):
+    wide = 0.6  # balls of values 1.2 apart or less overlap
+    fallbacks = []
+    real = oracle.compare_spectra
+
+    def spy(sp, numeric, tolerance):
+        fallbacks.append(sp)
+        return real(sp, numeric, tolerance)
+
+    monkeypatch.setattr(oracle, "compare_spectra", spy)
+    for text in ("cyclic(5)", "cyclic(7)", "dihedral(8)"):
+        group, table, sweep, members = _sweep_of(corpus, text)
+        fallbacks.clear()
+        verdicts = batch_compare_spectra(group, members, *_claims(sweep), wide)
+        expected_fallbacks = []
+        for s in range(len(members)):
+            sp = sweep_spectrum(sweep, s)
+            adj = adjacency_matrix(group, np.flatnonzero(members[s]))
+            assert verdicts[s] == real(sp, oracle_spectrum(adj), wide).passed, (text, s)
+            values = [e.value for e in sp.entries]
+            if any(
+                a.numerator * b.denominator != b.numerator * a.denominator
+                and abs(a.to_complex() - b.to_complex()) <= 2 * wide
+                for a in values
+                for b in values
+            ):
+                expected_fallbacks.append(s)
+        assert 0 < len(expected_fallbacks) < len(members), text
+        assert len(fallbacks) == len(expected_fallbacks), text
+
+
+def test_chunk_edges_that_split_a_sweep_give_the_same_verdicts(corpus, monkeypatch):
+    for text in ("dihedral(6)", "cyclic(8)", "symmetric(4)"):
+        group, table, sweep, members = _sweep_of(corpus, text)
+        nums = sweep.numerators.copy()
+        bad = [1, 3, 4, len(nums) - 1]
+        nums[bad, -1, 0] += 1
+        expected = [s not in bad for s in range(len(nums))]
+        for rows in (len(members), 3, 2):
+            monkeypatch.setattr(oracle, "_STACK_BYTES", 8 * group.n**2 * rows)
+            claims = _claims(sweep, nums)
+            assert batch_verify_spectrum_exact(group, members, *claims).tolist() == expected
+            assert batch_compare_spectra(group, members, *claims, TOLERANCE).tolist() == expected
+
+
+def test_charpoly_stack_matches_the_one_matrix_routine():
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2, 3, 6, 11, 24):
+        q = _modp._certificate_primes(1, 10**20, n + 1)[0]
+        mats = rng.integers(-3, 4, size=(9, n, n))
+        mats[::3, :, : n // 2] = 0  # columns with no pivot below the diagonal
+        stacked = _modp.charpoly_stack(mats, q)
+        for mat, poly in zip(mats, stacked):
+            assert poly.tolist() == _modp.charpoly(mat.tolist(), q)
+    with pytest.raises(ValueError, match="overflow"):
+        _modp.charpoly_stack(np.zeros((1, 4, 4), dtype=np.int64), 2**31 - 1)
