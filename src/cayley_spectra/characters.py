@@ -5,14 +5,16 @@ give a family of commuting matrices whose simultaneous eigenvectors are the
 central characters mod p; degrees come out of the orthogonality relation and
 the actual cyclotomic values are recovered through a discrete Fourier
 inversion over the power classes of each representative.  Every table is
-validated against the exact orthogonality relations before being returned.
+certified exactly before being returned: the degree-square sum, the row
+orthogonality relation at one embedding per prime, and the Galois identity
+sigma_t(chi(g)) = chi(g^t), which together imply both orthogonality relations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,11 +27,11 @@ from .cyclotomic import (
     conjugate,
     divide_exact,
     embed,
-    galois_apply,
     get_context,
     reduce_raw,
 )
 from .errors import InternalConsistencyError, ResourceLimitError
+from .galois import GaloisSubgroup, _generating_set, unit_group
 from .group_core import TABLE_BYTE_BUDGET, ClassData, Group
 
 __all__ = [
@@ -103,10 +105,7 @@ class CharacterTable:
 
 
 def _least_dixon_prime(n: int, m: int) -> int:
-    ceil_sqrt = isqrt(n)
-    if ceil_sqrt * ceil_sqrt < n:
-        ceil_sqrt += 1
-    lower = 2 * ceil_sqrt
+    lower = 2 * (isqrt(n - 1) + 1)  # 2 ceil(sqrt(n)) for n >= 1
     cand = m + 1
     while cand <= lower or not _modp._is_prime(cand):
         cand += m
@@ -192,7 +191,7 @@ def _common_eigenrows(c: np.ndarray, p: int) -> list[list[int]]:
     k = c.shape[0]
     _check_split_exact(k, p)
     spaces: list[tuple[np.ndarray, list[int]]] = [(np.eye(k, dtype=np.int64), list(range(k)))]
-    for mat in c:
+    for mat in c[1:]:  # class 0's matrix is the identity, which splits nothing
         nxt: list[tuple[np.ndarray, list[int]]] = []
         for basis, pivots in spaces:
             r = len(pivots)
@@ -374,65 +373,88 @@ def _coefficient_array(table: CharacterTable) -> np.ndarray:
 
 
 def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
-    """Certify the degree-square sum and row and column orthogonality exactly.
+    """Certify the degree-square sum, the row relation and the Galois identity exactly.
 
-    The relations are checked modulo primes q = 1 (mod m), which split
-    completely in Z[z]: the phi(m) maps z -> w^u, w of order m mod q and u a
-    unit mod m, are ring maps Z[z] -> F_q whose kernels are the distinct
-    primes above q, and their intersection is qZ[z].  One product V @ W
-    evaluates the whole table at all of them (V holds the coefficient
-    vectors, W[e, u] = w^(u e)).  Complex conjugation becomes u -> -u, so
-    with E_u the table under u and s the class sizes the relations read
-    (E_u * s) @ E_{-u}^T = n I and E_u^T @ E_{-u} = diag(n / s_i).
+    With G the table, s the class sizes and alpha = G diag(s) G^H - n I, the
+    row relation alpha = 0 is checked at one embedding z -> w of Z[z] into
+    F_q (w of order m, conjugates taken at w^-1) for primes q = 1 (mod m),
+    and sigma_t(chi(g_j)) = chi(g_j^t), sigma_t: z -> z^t, exactly for t in
+    a generating set of the units mod m.  Together they prove:
 
-    Why this is exact: let L be the largest L1 norm of any value's
-    coefficient vector, taken from the table itself, so |sigma(x)| <= L for
-    every value x and every complex embedding sigma.  A row relation
-    alpha = sum_j s_j chi_r(g_j) conj(chi_s(g_j)) - n delta_rs then has
-    |sigma(alpha)| <= n L^2 + n, and a column relation, with k <= n terms
-    and target n / s_i, has the same bound B = n L^2 + n.  If alpha maps to
-    0 under every embedding mod every chosen prime, it lies in Q Z[z] with
-    Q the product of the primes, so alpha = 0 or |N(alpha)| >= Q^phi.  As
-    |N(alpha)| = prod_sigma |sigma(alpha)| <= B^phi and the primes are
-    chosen with Q > B, alpha = 0.  Each prime also satisfies
-    max(phi, k) q^2 < 2^63, so the int64 sums of phi or k products of
-    residues below are exact.
+    1. pi_t, class j -> class of g_j^t, permutes the classes and keeps their
+       sizes: for t coprime to the exponent x -> x^t is a bijection (undone
+       by x -> x^t', t t' = 1 mod m) that commutes with conjugation, as
+       (g x g^-1)^t = g x^t g^-1.  As pi_u pi_t = pi_(tu), the identity on
+       the generators gives it on the whole unit group.
+    2. sigma_t commutes with complex conjugation sigma_-1 (both composites
+       send z to z^-t), so sigma_t(alpha_rs) is alpha_rs summed over pi_t j
+       instead of j, which is alpha_rs as s_(pi_t j) = s_j.  Fixed by every
+       sigma_t, alpha_rs is in Q, hence in Z.
+    3. z -> w is reduction mod q on Z, so the product Q of the primes
+       divides alpha_rs.  With L the largest L1 norm of a value's
+       coefficients, |alpha_rs| <= n L^2 + n = B < Q, so alpha_rs = 0.
+    4. For a square table the row relation gives the column relation:
+       G^-1 = diag(s) G^H / n, so G^H G = n diag(s)^-1.
+    5. No int64 sum wraps: each prime has max(phi, k) q^2 < 2^63 for the
+       sums of phi or k products of residues, and _galois_identity_holds
+       bounds its products as _formula bounds its defects.
     """
     k, m = table.k, table.m
     if sum(d * d for d in table.degrees) != n:
         raise InternalConsistencyError("degree squares do not sum to the group order")
     coeffs = table_coefficients(table)
+    if coeffs.shape[:2] != (k, k) or cd.k != k:
+        raise InternalConsistencyError("the table is not square")
     phi = coeffs.shape[2]
     magnitudes = np.abs(coeffs)
     if int(magnitudes.max(initial=0)) * phi >= 2**63:
         magnitudes = magnitudes.astype(object)  # the L1 sums could wrap in int64
     norm = int(magnitudes.sum(axis=2).max())
-    units = [u for u in range(m) if gcd(u, m) == 1]
-    where = {u: i for i, u in enumerate(units)}
     sizes = np.array(cd.sizes, dtype=np.int64)
-    exponents = np.outer(np.arange(phi), units) % m
+    flat = coeffs.reshape(k * k, phi)
+    exponents = np.stack([np.arange(phi), -np.arange(phi) % m], axis=1)  # z -> w, z -> w^-1
     for q in _certificate_primes(m, n * norm * norm + n, max(phi, k)):
         w = _element_of_order(m, q)
         powers = np.array([pow(w, e, q) for e in range(m)], dtype=np.int64)
-        flat = coeffs.reshape(k * k, phi) % q
-        evaluated = (flat @ powers[exponents] % q).T.reshape(len(units), k, k)
-        row_target = np.diag(np.full(k, n % q, dtype=np.int64))
-        col_target = np.diag(np.array([n // s % q for s in cd.sizes], dtype=np.int64))
-        for i, u in enumerate(units):
-            neg = where[(-u) % m]
-            if neg < i:
-                continue  # the relations under -u are the transposes of those under u
-            e_u, e_neg = evaluated[i], evaluated[neg]
-            bad = np.argwhere((e_u * (sizes % q) % q) @ e_neg.T % q != row_target)
-            if len(bad):
-                raise InternalConsistencyError("row orthogonality fails at (%d,%d)" % tuple(bad[0]))
-            bad = np.argwhere(e_u.T @ e_neg % q != col_target)
-            if len(bad):
-                raise InternalConsistencyError("column orthogonality fails at (%d,%d)" % tuple(bad[0]))
+        at_w, at_conj = (flat % q @ powers[exponents] % q).T.reshape(2, k, k)
+        gram = (at_w * (sizes % q) % q) @ at_conj.T % q
+        bad = np.argwhere(gram != np.diag(np.full(k, n % q, dtype=np.int64)))
+        if len(bad):
+            raise InternalConsistencyError("row orthogonality fails at (%d,%d)" % tuple(bad[0]))
+    if not _galois_identity_holds(coeffs, cd, m, _generating_set(unit_group(m))):
+        raise InternalConsistencyError("Galois character identity fails")
+
+
+def _galois_matrix(m: int, t: int) -> np.ndarray:
+    """sigma_t, the phi x phi matrix of z -> z^t on coefficient rows: row e holds z^(e t)."""
+    basis = _power_basis(m)
+    return basis[np.arange(basis.shape[1]) * t % m]
+
+
+def _galois_identity_holds(coeffs: np.ndarray, cd: ClassData, m: int, generators: Sequence[int]) -> bool:
+    """Whether T sigma_t == T[:, pi_t], i.e. sigma_t(chi_r(g_j)) = chi_r(g_j^t), for each t in generators.
+
+    T is the (k, k, phi) coefficient array and pi_t = cd.power_class[:, t % m].
+    As in _formula, the rows of sigma_t are distinct rows of the power-basis
+    table B, so the partial sums of T sigma_t are at most max|T| |B|_1, |.|_1
+    the largest column L1 norm; when that could reach 2^63 they are formed
+    in Python integers instead.
+    """
+    basis_norm = int(np.abs(_power_basis(m)).sum(axis=0).max())
+    if int(np.abs(coeffs).max(initial=0)) * basis_norm >= 2**63:
+        coeffs = coeffs.astype(object)
+    return all(
+        np.array_equal(coeffs @ _galois_matrix(m, t), coeffs[:, cd.power_class[:, t % m]])
+        for t in generators
+    )
 
 
 def verify_orthogonality(table: CharacterTable, cd: ClassData, group_order: int) -> bool:
-    """Exact row and column orthogonality plus the degree-square sum."""
+    """Exact row and column orthogonality and the degree-square sum.
+
+    The certificate (_validate_table) also requires the Galois identity on
+    the unit group, so an orthogonal table that breaks it is rejected.
+    """
     try:
         _validate_table(table, cd, group_order)
     except InternalConsistencyError:
@@ -441,18 +463,16 @@ def verify_orthogonality(table: CharacterTable, cd: ClassData, group_order: int)
 
 
 def verify_galois_character_identity(
-    table: CharacterTable, cd: ClassData, gamma
+    table: CharacterTable, cd: ClassData, gamma: GaloisSubgroup
 ) -> bool:
-    """Check that applying z -> z^t to values matches evaluating on t-th powers."""
-    m = table.m
-    for t in gamma.elements:
-        if gcd(t, m) != 1:
-            raise ValueError(f"exponent {t} not coprime to conductor {m}")
-        for row in table.values:
-            for j in range(cd.k):
-                if galois_apply(t, row[j]) != row[int(cd.power_class[j, t % m])]:
-                    return False
-    return True
+    """Check that applying z -> z^t to values matches evaluating on t-th powers, for t in gamma.
+
+    It is checked on gamma's generating set, which gives all of gamma
+    (step 1 of _validate_table).
+    """
+    if gamma.m != table.m:
+        raise ValueError(f"subgroup modulus {gamma.m} does not match conductor {table.m}")
+    return _galois_identity_holds(table_coefficients(table), cd, table.m, _generating_set(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -477,26 +497,19 @@ class InducedCharacter:
 def induced_character_from_cyclic(x: int, group: Group, cd: ClassData) -> InducedCharacter:
     """Induce z -> z^i on <x> up to the whole group, by direct enumeration."""
     n = group.n
-    m = group.exponent
     o = int(group.orders[x])
-    powers = [0] * o
+    power_index = np.full(n, o)  # i for x^i, o for an element outside <x>
     cur = 0
     for i in range(o):
-        powers[i] = cur
+        power_index[cur] = i
         cur = int(group.mul[cur, x])
-    power_index = {g: i for i, g in enumerate(powers)}
     octx = get_context(o)
     mul, inv = group.mul, group.inv
     values = []
     for rep in cd.representatives:
-        counts = [0] * o
-        col = mul[mul[inv, rep], np.arange(n)]  # y^-1 * rep * y over all y
-        for y in range(n):
-            i = power_index.get(int(col[y]))
-            if i is not None:
-                counts[i] += 1
-        total = divide_exact(reduce_raw(counts, octx), o)
-        values.append(embed(total, m))
+        hits = power_index[mul[mul[inv, rep], np.arange(n)]]  # y^-1 * rep * y over all y
+        counts = np.bincount(hits, minlength=o + 1)[:o].tolist()
+        values.append(embed(divide_exact(reduce_raw(counts, octx), o), group.exponent))
     return InducedCharacter(base=x, values=tuple(values))
 
 

@@ -71,19 +71,12 @@ def subgroup_closure(m: int, generators: Iterable[int]) -> GaloisSubgroup:
         if gcd(c, m) != 1:
             raise ValueError(f"generator {g} not coprime to modulus {m}")
         gens.append(c)
-    seen = {1}
-    queue = [1]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = _canon(x * g, m)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return GaloisSubgroup(m=m, generators=tuple(gens), elements=tuple(sorted(seen)))
+    elements = tuple(sorted(_closure_of_set(m, frozenset(gens))))
+    return GaloisSubgroup(m=m, generators=tuple(gens), elements=elements)
 
 
 def _closure_of_set(m: int, elems: frozenset[int]) -> frozenset[int]:
+    """The subgroup generated by elems: a breadth-first closure from 1 and elems."""
     seen = set(elems) | {1}
     queue = list(seen)
     while queue:

@@ -397,20 +397,29 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_GROUP_CAP) -> Group:
         identity, gens, mul_fn, label_fn = _family_pieces(spec.family, spec.params)
         return _bfs_table(identity, gens, mul_fn, label_fn, spec.describe(), cap)
     if spec.kind == "direct-product":
-        group = build_group(spec.factors[0], cap)
-        for other_spec in spec.factors[1:]:
-            group = _product_group(group, build_group(other_spec, cap), cap, spec.describe())
-        return group
+        mul, labels = _table(spec, cap)
+        return Group(mul, spec.describe(), labels)
     raise ValueError(f"unknown group spec kind {spec.kind!r}")
 
 
-def _product_group(a: Group, b: Group, cap: int, description: str) -> Group:
-    n = a.n * b.n
-    if n > cap:
-        raise ValueError(f"group size cap {cap} exceeded by direct product of order {n}")
-    mul = (a.mul[:, None, :, None].astype(np.int32) * b.n + b.mul[None, :, None, :]).reshape(n, n)
-    labels = tuple(f"({la},{lb})" for la in a.labels for lb in b.labels)
-    return Group(mul, description, labels)
+def _table(spec: GroupSpec, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The multiplication table and labels of spec, with no Group built for a product.
+
+    A direct product is folded factor by factor, nested products in place,
+    and every step is held to the cap.
+    """
+    if spec.kind != "direct-product":
+        group = build_group(spec, cap)
+        return group.mul, group.labels
+    mul, labels = _table(spec.factors[0], cap)
+    for factor in spec.factors[1:]:
+        b_mul, b_labels = _table(factor, cap)
+        n = len(labels) * len(b_labels)
+        if n > cap:
+            raise ValueError(f"group size cap {cap} exceeded by direct product of order {n}")
+        mul = (mul[:, None, :, None].astype(np.int32) * len(b_labels) + b_mul[None, :, None, :]).reshape(n, n)
+        labels = tuple(f"({la},{lb})" for la in labels for lb in b_labels)
+    return mul, labels
 
 
 def element_order(g: int, group: Group) -> int:

@@ -32,6 +32,8 @@ from .group_core import Group
 from .spectra import EigenValue, Spectrum, SpectrumEntry
 
 DEFAULT_ORACLE_CAP = 400
+# the float oracle's default distance bound, for the CLI and both comparisons
+DEFAULT_TOLERANCE = 1e-8
 # bytes of one chunk of the adjacency stack, held as float64 for the eigensolver
 _STACK_BYTES = 512 << 10
 
@@ -276,7 +278,7 @@ class SpectrumComparison:
     worst_index: Optional[int]
 
 
-def compare_spectra(sp: Spectrum, numeric: Sequence[complex], tolerance: float = 1e-8) -> SpectrumComparison:
+def compare_spectra(sp: Spectrum, numeric: Sequence[complex], tolerance: float = DEFAULT_TOLERANCE) -> SpectrumComparison:
     """Match the exact eigenvalue multiset against a numeric one.
 
     Each exact value (taken in sorted order) is paired greedily with the
@@ -319,7 +321,7 @@ def batch_compare_spectra(
     numerators: np.ndarray,
     degrees: Sequence[int],
     m: int,
-    tolerance: float = 1e-8,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> np.ndarray:
     """compare_spectra's verdict for every row of members, an (S, n) bool array.
 

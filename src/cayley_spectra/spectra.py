@@ -20,6 +20,7 @@ import numpy as np
 from .characters import (
     CharacterTable,
     InducedCharacter,
+    _galois_matrix,
     _power_basis,
     induced_character_from_cyclic,
     table_coefficients,
@@ -266,12 +267,11 @@ def _outside_subfield(weighted: np.ndarray, masks: np.ndarray, m: int, gamma: Ga
     if gamma.m != m:
         raise ValueError(f"subgroup modulus {gamma.m} does not match conductor {m}")
     count, k = masks.shape
-    basis = _power_basis(m)
-    phi = basis.shape[1]
+    phi = weighted.shape[1] // k
     eye = np.eye(phi, dtype=np.int64)
     outside = np.zeros((count, k), dtype=bool)
     for t in _generating_set(gamma):
-        shift = basis[(np.arange(phi) * t) % m] - eye
+        shift = _galois_matrix(m, t) - eye
         defect = (weighted.reshape(k * k, phi) @ shift).reshape(k, k * phi)
         outside |= (masks @ defect).reshape(count, k, phi).any(axis=2)
     return outside

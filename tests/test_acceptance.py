@@ -6,6 +6,7 @@ tolerance is TOLERANCE below, applied when the exact spectrum is compared
 with a floating-point eigensolver.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -199,6 +200,11 @@ def test_negative_controls_are_rejected(corpus):
     assert cmp.worst_index is not None
 
 
+# sha256 of verify-all's stdout on the bundled corpus, JSON and --output table
+VERIFY_ALL_JSON_SHA256 = "04c799118dd0366ff83d1ba1c54a04804219fffe5e6e13e9394a309a7b721b19"
+VERIFY_ALL_TABLE_SHA256 = "ebb782d1da0e4405a6b6eeb998e8c93da58f63bc8ddc7dc1debb6b9ee81bfa2a"
+
+
 def test_verify_all_output_is_byte_identical(capsys):
     first_code = run(["verify-all"])
     first = capsys.readouterr().out
@@ -208,3 +214,7 @@ def test_verify_all_output_is_byte_identical(capsys):
     assert first == second
     doc = json.loads(first)
     assert doc["totals"]["fail"] == 0
+    assert hashlib.sha256(first.encode()).hexdigest() == VERIFY_ALL_JSON_SHA256
+    assert run(["verify-all", "--output", "table"]) == 0
+    table = capsys.readouterr().out
+    assert hashlib.sha256(table.encode()).hexdigest() == VERIFY_ALL_TABLE_SHA256

@@ -19,8 +19,10 @@ from cayley_spectra import (
     conjugacy_classes,
     conjugate,
     dixon_character_table,
+    galois_apply,
     get_context,
     induced_character_from_cyclic,
+    subgroup_closure,
     table_coefficients,
     totient,
     unit_group,
@@ -28,7 +30,7 @@ from cayley_spectra import (
     verify_orthogonality,
 )
 from cayley_spectra import _modp, characters
-from cayley_spectra.cli import run
+from cayley_spectra.cli import _gamma_lattice, run
 from cayley_spectra.errors import InternalConsistencyError
 from conftest import CORPUS
 
@@ -344,6 +346,89 @@ def test_certificate_rejects_a_huge_change_on_several_primes(corpus, monkeypatch
                 assert not verify_orthogonality(bad, cd, group.n), (text, r, j, e)
                 assert len(chosen[0]) > 1, text
                 assert not _orthogonal_by_cycint_loops(bad, cd, group.n)
+
+
+def test_certificate_rejects_a_change_by_the_first_prime(corpus, monkeypatch):
+    """Moving a degree by the first prime q keeps the Galois identity, and
+    every entry of the row relation stays a multiple of q, so only the later
+    primes can reject the table."""
+    chosen = []
+    choose = characters._certificate_primes
+
+    def spy(*args):
+        chosen.append(choose(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(characters, "_certificate_primes", spy)
+    for text in ("cyclic(5)", "quaternion(8)", "alternating(5)"):
+        group, cd, table = corpus[text]
+        phi = table.values[0][0].ctx.degree
+        first = choose(table.m, 1, max(phi, table.k))[0]
+        bad = _tampered(table, table.k - 1, 0, 0, first)
+        assert verify_galois_character_identity(bad, cd, unit_group(group.exponent)), text
+        chosen.clear()
+        assert not verify_orthogonality(bad, cd, group.n), text
+        assert chosen[0][0] == first and len(chosen[0]) > 1, text
+        assert not _orthogonal_by_cycint_loops(bad, cd, group.n)
+
+
+def _with_columns_swapped(table, i, j):
+    order = list(range(table.k))
+    order[i], order[j] = j, i
+    values = tuple(tuple(row[c] for c in order) for row in table.values)
+    return dataclasses.replace(table, values=values)
+
+
+def test_swapped_cyclic_classes_are_orthogonal_but_break_the_galois_identity(corpus):
+    group, cd, table = corpus["cyclic(5)"]
+    swapped = _with_columns_swapped(table, 2, 3)
+    assert _orthogonal_by_cycint_loops(swapped, cd, group.n)
+    assert not verify_orthogonality(swapped, cd, group.n)
+    assert not verify_galois_character_identity(swapped, cd, unit_group(5))
+
+
+@pytest.mark.parametrize("text", ["cyclic(8)", "cyclic(12)"])
+def test_certificate_checks_every_generator(corpus, text):
+    """Swapping the classes of g and g^t, t the first of two generators of
+    the units with t^2 = 1, keeps the identity for t but not for the second."""
+    group, cd, table = corpus[text]
+    units = unit_group(group.exponent)
+    t, u = units.generators
+    j = int(np.flatnonzero(group.orders[list(cd.representatives)] == group.exponent)[0])
+    swapped = _with_columns_swapped(table, j, int(cd.power_class[j, t]))
+    assert _orthogonal_by_cycint_loops(swapped, cd, group.n)
+    assert verify_galois_character_identity(swapped, cd, subgroup_closure(group.exponent, [t]))
+    assert not verify_galois_character_identity(swapped, cd, subgroup_closure(group.exponent, [u]))
+    assert not verify_galois_character_identity(swapped, cd, units)
+    assert not verify_orthogonality(swapped, cd, group.n)
+
+
+def _galois_identity_by_cycint_loop(table, cd, gamma):
+    """Reference: sigma_t(chi(g_j)) == chi(g_j^t) by galois_apply, for every t in gamma."""
+    m = table.m
+    return all(
+        galois_apply(t, row[j]) == row[int(cd.power_class[j, t % m])]
+        for t in gamma.elements
+        for row in table.values
+        for j in range(cd.k)
+    )
+
+
+def test_galois_identity_agrees_with_cycint_loop(corpus):
+    outcomes = set()
+    for text, (group, cd, table) in corpus.items():
+        k, phi = table.k, table.values[0][0].ctx.degree
+        changes = [(k - 1, 0, 0, 1), (k - 1, k - 1, phi - 1, -1), (k // 2, k // 2, 0, 1), (0, k - 1, phi // 2, -1)]
+        tables = [table] + [_tampered(table, *change) for change in changes]
+        for gamma in _gamma_lattice(group.exponent):
+            for i, candidate in enumerate(tables):
+                expected = _galois_identity_by_cycint_loop(candidate, cd, gamma)
+                assert verify_galois_character_identity(candidate, cd, gamma) == expected, (
+                    text, gamma.elements, i
+                )
+                assert expected or i > 0, text
+                outcomes.add((i > 0, expected))
+    assert outcomes == {(False, True), (True, True), (True, False)}
 
 
 def _is_prime_by_trial_division(q):

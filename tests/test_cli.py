@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -190,6 +192,16 @@ def test_table_output(capsys):
     assert code == 0
     assert "eigenvalue" in out
     assert "all eigenvalues integral: True" in out
+
+
+def test_readme_python_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "1 1 12"
+    assert lines[-1] == "True True True"
 
 
 def test_verify_all_small_corpus(tmp_path, capsys):
