@@ -7,9 +7,10 @@ Dixon prime).  The split's other steps are int64 array routines in
 characters.  charpoly_stack is the same Hessenberg reduction run on an
 (S, n, n) int64 stack at once, one column step for all S matrices; the
 batched exact oracle uses it on the adjacency matrices of a whole sweep.
-_certificate_primes and _element_of_order serve every check that evaluates
-cyclotomic integers at all embeddings mod primes q = 1 (mod m): the table
-certificate and the batched exact oracle.
+_certificate_primes and _ring_maps serve every check that evaluates
+cyclotomic integers under the ring maps z -> w^u into F_q, q = 1 (mod m):
+the table certificate, at u = 1 and -1, and the batched exact oracle, at
+every unit u.
 """
 
 from __future__ import annotations
@@ -107,6 +108,16 @@ def _element_of_order(m: int, p: int) -> int:
         if all(pow(z, m // q, p) != 1 for q in facs):
             return z
     raise InternalConsistencyError(f"no element of order {m} in F_{p}")
+
+
+def _ring_maps(m: int, phi: int, q: int, units) -> np.ndarray:
+    """(phi, len(units)) matrix taking coefficient rows into F_q by z -> w^u for each u in units.
+
+    Row e holds w^(e u) mod q, w = _element_of_order(m, q), q = 1 (mod m).
+    """
+    w = _element_of_order(m, q)
+    powers = np.array([pow(w, e, q) for e in range(m)], dtype=np.int64)
+    return powers[np.outer(np.arange(phi), units) % m]
 
 
 def charpoly(mat, p):

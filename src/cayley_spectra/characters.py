@@ -13,16 +13,17 @@ sigma_t(chi(g)) = chi(g^t), which together imply both orthogonality relations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _modp
-from ._modp import _certificate_primes, _element_of_order
+from ._modp import _certificate_primes, _element_of_order, _ring_maps
 from .cyclotomic import (
     CycInt,
+    _galois_matrix,
+    _power_basis,
     as_rational,
     conjugate,
     divide_exact,
@@ -254,37 +255,22 @@ def dixon_character_table(group: Group, cd: ClassData, cm: Optional[ClassMatrice
         chi_p.append([degree * omega[j] % p * inv_sizes[j] % p for j in range(k)])
 
     coeffs = _lift_table(np.array(chi_p, dtype=np.int64), degrees, cd, group, m, p, z)
+    ones = (coeffs[:, :, 0] == 1).all(axis=1) & ~coeffs[:, :, 1:].any(axis=(1, 2))
+    is_trivial = ones & (np.array(degrees) == 1)
+    if not is_trivial.any():
+        raise InternalConsistencyError("trivial character missing from table")
+    trivial = int(is_trivial.argmax())
+    lifted = coeffs.tolist()  # a row's lists of phi coefficients compare as its flattened coefficients
+    order = [trivial] + sorted((r for r in range(k) if r != trivial), key=lambda r: (degrees[r], lifted[r]))
     ctx = get_context(m)
-    characters = [
-        (degree, tuple(CycInt(ctx, tuple(c)) for c in row))
-        for degree, row in zip(degrees, coeffs.tolist())
-    ]
-    trivial_row = tuple(ctx.one for _ in range(k))
-    ordered = _sort_characters(characters, trivial_row)
     table = CharacterTable(
         m=m,
-        degrees=tuple(d for d, _ in ordered),
-        values=tuple(vals for _, vals in ordered),
+        degrees=tuple(degrees[r] for r in order),
+        values=tuple(tuple(CycInt(ctx, tuple(c)) for c in lifted[r]) for r in order),
         prime=p,
     )
     _validate_table(table, cd, n)
     return table
-
-
-@lru_cache(maxsize=2)
-def _power_basis(m: int) -> np.ndarray:
-    """Row e holds the reduced power-basis coefficients of z^e, e < m (cached, read-only)."""
-    ctx = get_context(m)
-    tail = np.array(ctx.phi[:-1], dtype=np.int64)
-    out = np.zeros((m, ctx.degree), dtype=np.int64)
-    cur = np.zeros(ctx.degree, dtype=np.int64)
-    cur[0] = 1
-    for e in range(m):
-        out[e] = cur
-        top = cur[-1]
-        cur = np.concatenate(([0], cur[:-1])) - top * tail  # z^deg = -(phi without its top)
-    out.flags.writeable = False
-    return out
 
 
 def _lift_table(
@@ -331,21 +317,6 @@ def _lift_table(
             )
         out[:, j] = mult @ basis[(m // o) * np.arange(o)]
     return out
-
-
-def _sort_characters(characters, trivial_row):
-    """Trivial character first, the rest by degree then value vectors."""
-    trivial = None
-    rest = []
-    for degree, vals in characters:
-        if degree == 1 and vals == trivial_row and trivial is None:
-            trivial = (degree, vals)
-        else:
-            rest.append((degree, vals))
-    if trivial is None:
-        raise InternalConsistencyError("trivial character missing from table")
-    rest.sort(key=lambda dv: (dv[0], tuple(v.coeffs for v in dv[1])))
-    return [trivial] + rest
 
 
 def table_coefficients(table: CharacterTable) -> np.ndarray:
@@ -412,11 +383,8 @@ def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
     norm = int(magnitudes.sum(axis=2).max())
     sizes = np.array(cd.sizes, dtype=np.int64)
     flat = coeffs.reshape(k * k, phi)
-    exponents = np.stack([np.arange(phi), -np.arange(phi) % m], axis=1)  # z -> w, z -> w^-1
     for q in _certificate_primes(m, n * norm * norm + n, max(phi, k)):
-        w = _element_of_order(m, q)
-        powers = np.array([pow(w, e, q) for e in range(m)], dtype=np.int64)
-        at_w, at_conj = (flat % q @ powers[exponents] % q).T.reshape(2, k, k)
+        at_w, at_conj = (flat % q @ _ring_maps(m, phi, q, (1, -1)) % q).T.reshape(2, k, k)
         gram = (at_w * (sizes % q) % q) @ at_conj.T % q
         bad = np.argwhere(gram != np.diag(np.full(k, n % q, dtype=np.int64)))
         if len(bad):
@@ -425,26 +393,23 @@ def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
         raise InternalConsistencyError("Galois character identity fails")
 
 
-def _galois_matrix(m: int, t: int) -> np.ndarray:
-    """sigma_t, the phi x phi matrix of z -> z^t on coefficient rows: row e holds z^(e t)."""
-    basis = _power_basis(m)
-    return basis[np.arange(basis.shape[1]) * t % m]
-
-
 def _galois_identity_holds(coeffs: np.ndarray, cd: ClassData, m: int, generators: Sequence[int]) -> bool:
     """Whether T sigma_t == T[:, pi_t], i.e. sigma_t(chi_r(g_j)) = chi_r(g_j^t), for each t in generators.
 
     T is the (k, k, phi) coefficient array and pi_t = cd.power_class[:, t % m].
-    As in _formula, the rows of sigma_t are distinct rows of the power-basis
-    table B, so the partial sums of T sigma_t are at most max|T| |B|_1, |.|_1
-    the largest column L1 norm; when that could reach 2^63 they are formed
-    in Python integers instead.
+    T sigma_t is formed as T[..., nz] sigma_t[nz], nz the coefficient columns
+    where T is nonzero somewhere (only column 0 for a rational table).  As in
+    _formula, the rows of sigma_t are distinct rows of the power-basis table
+    B, so its partial sums are at most max|T| |B|_1, |.|_1 the largest column
+    L1 norm; when that could reach 2^63 they are formed in Python integers.
     """
     basis_norm = int(np.abs(_power_basis(m)).sum(axis=0).max())
     if int(np.abs(coeffs).max(initial=0)) * basis_norm >= 2**63:
         coeffs = coeffs.astype(object)
+    nz = np.flatnonzero(coeffs.any(axis=(0, 1)))
+    restricted = coeffs[..., nz]
     return all(
-        np.array_equal(coeffs @ _galois_matrix(m, t), coeffs[:, cd.power_class[:, t % m]])
+        np.array_equal(restricted @ _galois_matrix(m, t)[nz], coeffs[:, cd.power_class[:, t % m]])
         for t in generators
     )
 

@@ -4,6 +4,8 @@ Elements of Z[z], z a primitive m-th root of unity, are stored on the power
 basis {z^0, ..., z^(phi(m)-1)} after reduction modulo the m-th cyclotomic
 polynomial.  Coefficients are arbitrary-precision Python integers, so
 equality, zero tests and rationality tests are plain tuple comparisons.
+Arrays of coefficient rows, the other modules' int64 form, are read through
+_power_basis (z^e), _galois_matrix (z -> z^t) and _complex_parts (floats).
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import InternalConsistencyError
 
@@ -203,6 +207,44 @@ class CycInt:
 
     def __str__(self) -> str:
         return _poly_str(self.coeffs, "z")
+
+
+@lru_cache(maxsize=2)
+def _power_basis(m: int) -> np.ndarray:
+    """Row e holds the reduced power-basis coefficients of z^e, e < m (cached, read-only)."""
+    ctx = get_context(m)
+    tail = np.array(ctx.phi[:-1], dtype=np.int64)
+    out = np.zeros((m, ctx.degree), dtype=np.int64)
+    cur = np.zeros(ctx.degree, dtype=np.int64)
+    cur[0] = 1
+    for e in range(m):
+        out[e] = cur
+        top = cur[-1]
+        cur = np.concatenate(([0], cur[:-1])) - top * tail  # z^deg = -(phi without its top)
+    out.flags.writeable = False
+    return out
+
+
+def _galois_matrix(m: int, t: int) -> np.ndarray:
+    """sigma_t, the phi x phi matrix of z -> z^t on coefficient rows: row e holds z^(e t)."""
+    basis = _power_basis(m)
+    return basis[np.arange(basis.shape[1]) * t % m]
+
+
+def _complex_parts(coeffs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the values whose coefficient rows, at conductor m, are coeffs[..., :].
+
+    The terms are summed in exponent order, as CycInt.to_complex sums them,
+    so each value gets the same floats as to_complex gives it.
+    """
+    re = np.zeros(coeffs.shape[:-1])
+    im = np.zeros(coeffs.shape[:-1])
+    for e in range(coeffs.shape[-1]):
+        z = cmath.exp(2j * cmath.pi * e / m)
+        c = coeffs[..., e].astype(np.float64)
+        re = re + c * z.real
+        im = im + c * z.imag
+    return re, im
 
 
 def _poly_str(coeffs: Sequence[int], symbol: str) -> str:

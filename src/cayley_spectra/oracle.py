@@ -1,11 +1,12 @@
 """Independent checks for spectra and power closure.
 
-Nothing here touches the character machinery, apart from the prime-field
-routines in _modp: the adjacency matrix is built literally from the
-definition, the floating backend feeds it to a dense eigensolver, and the
-exact backend verifies a claimed spectrum against the integer characteristic
-polynomial, compared modulo several primes at every embedding of the
-cyclotomic integers.
+Nothing here touches the character machinery: the adjacency matrix is
+built literally from the definition, the floating backend feeds it to a
+dense eigensolver, and the exact backend verifies a claimed spectrum against
+the integer characteristic polynomial, compared modulo several primes at
+every embedding of the cyclotomic integers.  Shared is the number format
+alone: _modp's primes and ring maps z -> w^u, cyclotomic's power-basis
+floats, and spectra's Spectrum type and reader.
 
 Each check comes twice: per connection set (compare_spectra,
 verify_spectrum_exact, oracle_power_closed) and batched over the rows of an
@@ -18,7 +19,6 @@ the per-set verdict of the per-set check for every row.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
@@ -27,9 +27,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import _modp
-from .cyclotomic import CycInt, get_context
+from .cyclotomic import _complex_parts, get_context
 from .group_core import Group
-from .spectra import EigenValue, Spectrum, SpectrumEntry
+from .spectra import Spectrum, _read_spectrum
 
 DEFAULT_ORACLE_CAP = 400
 # the float oracle's default distance bound, for the CLI and both comparisons
@@ -229,9 +229,7 @@ def _exact_mismatch(
     points = np.arange(n + 1, dtype=np.int64)
     miss = np.zeros((count, n + 1), dtype=bool)
     for q in _modp._certificate_primes(m, scale * charpoly_bound + claimed, max(n + 1, phi)):
-        w = _modp._element_of_order(m, q)
-        powers = np.array([pow(w, e, q) for e in range(m)], dtype=np.int64)
-        embedded = (nums % q).astype(np.int64) @ powers[np.outer(np.arange(phi), units) % m] % q
+        embedded = (nums % q).astype(np.int64) @ _modp._ring_maps(m, phi, q, units) % q
         values = np.ones((count, len(units), n + 1), dtype=np.int64)
         for r in range(k):
             factor = (int(dens[r]) % q * points - embedded[:, r, :, None]) % q
@@ -329,9 +327,9 @@ def batch_compare_spectra(
     coefficients at conductor m, shape (S, K, phi)) with multiplicity
     degrees[r]^2.  Each chunk of the adjacency stack takes one eigvals call.
     The claimed values are formed as CycInt.to_complex forms them, term by
-    term in exponent order and then divided by the degree, and distances
-    are the hypot of the component differences, as abs() of a complex
-    difference computes them.  So the floats below are those compare_spectra
+    term in exponent order (_complex_parts) and then divided by the degree,
+    and distances are the hypot of the component differences, as abs() of a
+    complex difference computes them.  So the floats below are those compare_spectra
     compares.
 
     Values equal as numbers (num * d' == num' * d, exactly) are merged.
@@ -363,14 +361,13 @@ def batch_compare_spectra(
         )
     if int(np.abs(numerators).max(initial=0)) * int(degrees.max()) >= 2**63:
         raise ValueError("claimed numerators too large for exact int64 comparison")
-    phi = numerators.shape[2]
-    roots = [cmath.exp(2j * cmath.pi * e / m) for e in range(phi)]
     mults = degrees * degrees
     out = np.empty(len(members), dtype=bool)
     for rows in _chunks(len(members), group.n):
         nums = numerators[rows]
         numeric = np.linalg.eigvals(adjacency_stack(group, members[rows]).astype(np.float64))
-        re, im = _claimed_values(nums, degrees, roots)
+        re, im = _complex_parts(nums, m)
+        re, im = re / degrees, im / degrees
         clash = np.zeros(len(nums), dtype=bool)
         covered = np.zeros(numeric.shape, dtype=bool)
         verdict = np.ones(len(nums), dtype=bool)
@@ -386,31 +383,10 @@ def batch_compare_spectra(
             verdict &= inside.sum(axis=1) == same @ mults
         verdict &= covered.all(axis=1)
         for s in np.flatnonzero(clash):
-            claimed = _claimed_spectrum(nums[s], degrees, m, group.n)
+            claimed = _read_spectrum(m, degrees.tolist(), nums[s], group.n, 0, False)
             verdict[s] = compare_spectra(claimed, numeric[s], tolerance).passed
         out[rows] = verdict
     return out
-
-
-def _claimed_values(nums: np.ndarray, degrees: np.ndarray, roots: list[complex]):
-    """Real and imaginary parts of nums[:, r] / degrees[r], summed in exponent order."""
-    re = np.zeros(nums.shape[:-1])
-    im = np.zeros(nums.shape[:-1])
-    for e, z in enumerate(roots):
-        c = nums[..., e].astype(np.float64)
-        re = re + c * z.real
-        im = im + c * z.imag
-    return re / degrees, im / degrees
-
-
-def _claimed_spectrum(nums: np.ndarray, degrees: np.ndarray, m: int, n: int) -> Spectrum:
-    """One row's claimed eigenvalues as a Spectrum, for compare_spectra."""
-    ctx = get_context(m)
-    entries = tuple(
-        SpectrumEntry(r, d, d * d, EigenValue(CycInt(ctx, tuple(coeffs)), d))
-        for r, (d, coeffs) in enumerate(zip(degrees.tolist(), nums.tolist()))
-    )
-    return Spectrum(entries, group_order=n, connection_size=0, contains_identity=False)
 
 
 def _cyclic_span(g: int, group: Group) -> frozenset[int]:

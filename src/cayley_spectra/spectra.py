@@ -20,13 +20,13 @@ import numpy as np
 from .characters import (
     CharacterTable,
     InducedCharacter,
-    _galois_matrix,
-    _power_basis,
     induced_character_from_cyclic,
     table_coefficients,
 )
 from .cyclotomic import (
     CycInt,
+    _galois_matrix,
+    _power_basis,
     as_rational,
     get_context,
     is_fixed_by,
@@ -277,12 +277,12 @@ def _outside_subfield(weighted: np.ndarray, masks: np.ndarray, m: int, gamma: Ga
     return outside
 
 
-def _read_spectrum(table: CharacterTable, row: np.ndarray, n: int, size: int, identity: bool) -> Spectrum:
-    """The Spectrum of one mask row, from its (k, phi) numerators."""
-    ctx = get_context(table.m)
+def _read_spectrum(m: int, degrees, row: np.ndarray, n: int, size: int, identity: bool) -> Spectrum:
+    """The Spectrum with eigenvalues row[r] / degrees[r], row holding (k, phi) numerators at conductor m."""
+    ctx = get_context(m)
     entries = tuple(
         SpectrumEntry(r, d, d * d, EigenValue(CycInt(ctx, tuple(coeffs)), d))
-        for r, (d, coeffs) in enumerate(zip(table.degrees, row.tolist()))
+        for r, (d, coeffs) in enumerate(zip(degrees, row.tolist()))
     )
     return Spectrum(entries, group_order=n, connection_size=size, contains_identity=identity)
 
@@ -316,7 +316,7 @@ def eigenvalues_via_characters(
     """
     _, numerators = _formula(cd, table, _mask(connection, cd))
     return _read_spectrum(
-        table, numerators[0], sum(cd.sizes), connection.size, connection.contains_identity
+        table.m, table.degrees, numerators[0], sum(cd.sizes), connection.size, connection.contains_identity
     )
 
 
@@ -521,7 +521,7 @@ def sweep_in_subfield(sweep: ClassSweep, gamma: GaloisSubgroup) -> np.ndarray:
 def sweep_spectrum(sweep: ClassSweep, s: int) -> Spectrum:
     """Subset s's Spectrum, read from the sweep's numerators."""
     size = sum(sweep.cd.sizes[j] for j in sweep.subsets[s])
-    return _read_spectrum(sweep.table, sweep.numerators[s], sweep.group.n, size, False)
+    return _read_spectrum(sweep.table.m, sweep.table.degrees, sweep.numerators[s], sweep.group.n, size, False)
 
 
 # ---------------------------------------------------------------------------

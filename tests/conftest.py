@@ -9,6 +9,14 @@ from cayley_spectra import (
 from cayley_spectra.cli import _default_corpus
 
 CORPUS = _default_corpus()
+# the benchmark's table-ladder groups
+LADDER = (
+    "symmetric(7)",
+    "product(cyclic(6),cyclic(6))",
+    "cyclic(40)",
+    "elementary-abelian(2,6)",
+    "cyclic(60)",
+)
 
 
 def nonidentity_subsets(cd):

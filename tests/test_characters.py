@@ -31,8 +31,9 @@ from cayley_spectra import (
 )
 from cayley_spectra import _modp, characters
 from cayley_spectra.cli import _gamma_lattice, run
+from cayley_spectra.cyclotomic import _galois_matrix
 from cayley_spectra.errors import InternalConsistencyError
-from conftest import CORPUS
+from conftest import CORPUS, LADDER
 
 
 def test_class_matrices_against_triple_loop():
@@ -132,6 +133,49 @@ def test_alternating_five_golden_ratio_values():
     assert golden == [-0.618034, -0.618034, 1.618034, 1.618034]
 
 
+def _tuple_sort_characters(characters, trivial_row):
+    """Reference row order: trivial character first, the rest by degree then value vectors."""
+    trivial = None
+    rest = []
+    for degree, vals in characters:
+        if degree == 1 and vals == trivial_row and trivial is None:
+            trivial = (degree, vals)
+        else:
+            rest.append((degree, vals))
+    if trivial is None:
+        raise InternalConsistencyError("trivial character missing from table")
+    rest.sort(key=lambda dv: (dv[0], tuple(v.coeffs for v in dv[1])))
+    return [trivial] + rest
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_row_order_matches_the_tuple_sort_reference(monkeypatch, reverse):
+    lifted = {}
+    real_split, real_lift = characters._common_eigenrows, characters._lift_table
+
+    def split(c, p):  # reversed, the sort gets its rows in the opposite order
+        rows = real_split(c, p)
+        return rows[::-1] if reverse else rows
+
+    def lift(chi_p, degrees, *rest):
+        lifted["degrees"], lifted["coeffs"] = degrees, real_lift(chi_p, degrees, *rest)
+        return lifted["coeffs"]
+
+    monkeypatch.setattr(characters, "_common_eigenrows", split)
+    monkeypatch.setattr(characters, "_lift_table", lift)
+    for text in [*CORPUS, *LADDER, "cyclic(120)"]:
+        group = build_group(GroupSpec.from_json(text))
+        table = dixon_character_table(group, conjugacy_classes(group))
+        ctx = get_context(table.m)
+        rows = [
+            (d, tuple(CycInt(ctx, tuple(c)) for c in row))
+            for d, row in zip(lifted["degrees"], lifted["coeffs"].tolist())
+        ]
+        expected = _tuple_sort_characters(rows, (ctx.one,) * table.k)
+        assert table.degrees == tuple(d for d, _ in expected), text
+        assert table.values == tuple(vals for _, vals in expected), text
+
+
 def test_trivial_character_comes_first(corpus):
     for text, (group, cd, table) in corpus.items():
         assert table.degrees[0] == 1
@@ -229,14 +273,6 @@ def test_table_size_check_refuses_before_allocation():
     check_table_size(322)
     with pytest.raises(ResourceLimitError):
         check_table_size(323)
-
-
-def test_power_basis_matches_eta_powers():
-    # 105 is the least conductor whose cyclotomic polynomial has a coefficient -2
-    for m in (1, 2, 3, 4, 12, 30, 105):
-        ctx = get_context(m)
-        expected = [list(ctx.eta_power(e).coeffs) for e in range(m)]
-        assert characters._power_basis(m).tolist() == expected, m
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +465,19 @@ def test_galois_identity_agrees_with_cycint_loop(corpus):
                 assert expected or i > 0, text
                 outcomes.add((i > 0, expected))
     assert outcomes == {(False, True), (True, True), (True, False)}
+
+
+def test_galois_products_on_nonzero_columns_equal_the_full_products(corpus):
+    tables = [table for _, _, table in corpus.values()]
+    for text in LADDER:
+        group = build_group(GroupSpec.from_json(text))
+        tables.append(dixon_character_table(group, conjugacy_classes(group)))
+    for table in tables:
+        coeffs = table_coefficients(table)
+        nz = np.flatnonzero(coeffs.any(axis=(0, 1)))
+        for t in unit_group(table.m).elements:
+            sigma = _galois_matrix(table.m, t)
+            assert np.array_equal(coeffs[..., nz] @ sigma[nz], coeffs @ sigma), (table.m, t)
 
 
 def _is_prime_by_trial_division(q):

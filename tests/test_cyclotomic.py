@@ -1,6 +1,7 @@
 import cmath
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from cayley_spectra import (
     reduce_raw,
     totient,
 )
+from cayley_spectra.cyclotomic import CycInt, _complex_parts, _power_basis
 from cayley_spectra.errors import InternalConsistencyError
 
 
@@ -231,3 +233,24 @@ def test_str_rendering():
     assert str(ctx.from_int(-3)) == "-3"
     assert str(ctx.one - ctx.eta_power(1)) == "1 - z"
     assert str(2 * ctx.eta_power(1)) == "2*z"
+
+
+def test_power_basis_matches_eta_powers():
+    # 105 is the least conductor whose cyclotomic polynomial has a coefficient -2
+    for m in (1, 2, 3, 4, 12, 30, 105):
+        ctx = get_context(m)
+        expected = [list(ctx.eta_power(e).coeffs) for e in range(m)]
+        assert _power_basis(m).tolist() == expected, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=120))
+def test_complex_parts_are_the_floats_of_to_complex(data, m):
+    ctx = get_context(m)
+    coeff = st.just(0) | st.integers(min_value=-(2**62), max_value=2**62)
+    row = st.lists(coeff, min_size=ctx.degree, max_size=ctx.degree)
+    rows = data.draw(st.lists(row, min_size=1, max_size=3))
+    re, im = _complex_parts(np.array(rows, dtype=np.int64), m)
+    for i, r in enumerate(rows):
+        v = CycInt(ctx, tuple(r)).to_complex()
+        assert (re[i], im[i]) == (v.real, v.imag), (m, r)

@@ -1,11 +1,11 @@
 import dataclasses
+import json
 from fractions import Fraction
-import cmath
 from math import comb, gcd
 
 import numpy as np
 import pytest
-from conftest import CORPUS
+from conftest import CORPUS, LADDER
 
 from cayley_spectra import (
     GroupSpec,
@@ -27,7 +27,8 @@ from cayley_spectra import (
     verify_spectrum_exact,
 )
 from cayley_spectra import _modp, oracle
-from cayley_spectra.cyclotomic import CycInt, get_context, reduce_raw
+from cayley_spectra.cli import _approx, run
+from cayley_spectra.cyclotomic import CycInt, _complex_parts, get_context, reduce_raw
 
 
 def _bundle(text):
@@ -435,16 +436,23 @@ def test_batched_oracles_match_per_subset_oracles_on_the_corpus(corpus):
         assert exact.all(), text
 
 
-def test_claimed_floats_are_the_floats_compare_spectra_matches(corpus):
+def test_claimed_floats_are_the_floats_compare_spectra_matches(corpus, capsys):
     for text in CORPUS:
         group, table, sweep, members = _sweep_of(corpus, text)
         nums, degrees, m = _claims(sweep)
-        roots = [cmath.exp(2j * cmath.pi * e / m) for e in range(nums.shape[2])]
-        re, im = oracle._claimed_values(nums, np.array(degrees), roots)
+        re, im = _complex_parts(nums, m)
+        re, im = re / np.array(degrees), im / np.array(degrees)  # as batch_compare_spectra forms them
         for s in range(len(nums)):
             for r, entry in enumerate(sweep_spectrum(sweep, s).entries):
                 v = entry.value.to_complex()
                 assert (re[s, r], im[s, r]) == (v.real, v.imag), (text, s, r)
+    # character-table's floats come from the same array call
+    for text in [*CORPUS, *LADDER, "cyclic(120)"]:
+        assert run(["character-table", "--group", text]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        table = corpus[text][2] if text in corpus else _bundle(text)[2]
+        expected = [[_approx(v.to_complex()) for v in row] for row in table.values]
+        assert [[cell["approx"] for cell in row] for row in rows] == expected, text
 
 
 @pytest.mark.parametrize(
