@@ -12,9 +12,10 @@ sigma_t(chi(g)) = chi(g^t), which together imply both orthogonality relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,19 +91,40 @@ class CharacterTable:
     """Irreducible character values as cyclotomic integers at conductor m.
 
     Rows are sorted with the trivial character first, then by degree and
-    lexicographically by reduced value vectors.  values[r][j] is the value of
-    character r on the representative of class j.
+    lexicographically by reduced value vectors.  coefficients[r, j] is the
+    power-basis coefficient vector of character r on the representative of
+    class j: a read-only int64 array of shape (k, k, phi(m)), copied from
+    the constructor's argument.  Every coefficient c has |c| < 2^63, or
+    ResourceLimitError is raised; callers bound their sums and products
+    before they form them.  values is the same table as CycInts, built on
+    first access.
     """
 
     m: int
     degrees: tuple[int, ...]
-    values: tuple[tuple[CycInt, ...], ...]
+    coefficients: np.ndarray
     prime: int
-    _coefficients: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        too_big = ResourceLimitError("a character value coefficient is beyond int64")
+        try:
+            coeffs = np.array(self.coefficients, dtype=np.int64)
+        except OverflowError:
+            raise too_big from None
+        if (coeffs == np.iinfo(np.int64).min).any():  # its absolute value would wrap
+            raise too_big
+        coeffs.flags.writeable = False
+        self.coefficients = coeffs
 
     @property
     def k(self) -> int:
         return len(self.degrees)
+
+    @cached_property
+    def values(self) -> tuple[tuple[CycInt, ...], ...]:
+        """values[r][j] is the value of character r on the representative of class j."""
+        ctx = get_context(self.m)
+        return tuple(tuple(CycInt(ctx, tuple(c)) for c in row) for row in self.coefficients.tolist())
 
 
 def _least_dixon_prime(n: int, m: int) -> int:
@@ -222,10 +244,9 @@ def _common_eigenrows(c: np.ndarray, p: int) -> list[list[int]]:
     return [basis[0].tolist() for basis, _ in spaces]
 
 
-def dixon_character_table(group: Group, cd: ClassData, cm: Optional[ClassMatrices] = None) -> CharacterTable:
+def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
     """Compute the full character table exactly; hard error if validation fails."""
-    if cm is None:
-        cm = class_matrices(group, cd)
+    cm = class_matrices(group, cd)
     n = group.n
     k = cd.k
     m = group.exponent
@@ -262,13 +283,7 @@ def dixon_character_table(group: Group, cd: ClassData, cm: Optional[ClassMatrice
     trivial = int(is_trivial.argmax())
     lifted = coeffs.tolist()  # a row's lists of phi coefficients compare as its flattened coefficients
     order = [trivial] + sorted((r for r in range(k) if r != trivial), key=lambda r: (degrees[r], lifted[r]))
-    ctx = get_context(m)
-    table = CharacterTable(
-        m=m,
-        degrees=tuple(degrees[r] for r in order),
-        values=tuple(tuple(CycInt(ctx, tuple(c)) for c in lifted[r]) for r in order),
-        prime=p,
-    )
+    table = CharacterTable(m=m, degrees=tuple(degrees[r] for r in order), coefficients=coeffs[order], prime=p)
     _validate_table(table, cd, n)
     return table
 
@@ -320,27 +335,8 @@ def _lift_table(
 
 
 def table_coefficients(table: CharacterTable) -> np.ndarray:
-    """The table as a read-only int64 array, shape (k, k, phi(m)), built once per table.
-
-    Entry [r, j] is the power-basis coefficient vector of character r on
-    class j.  Every coefficient c has |c| < 2^63, or ResourceLimitError is
-    raised; callers bound their sums and products before they form them.
-    """
-    if table._coefficients is None:
-        table._coefficients = _coefficient_array(table)
-    return table._coefficients
-
-
-def _coefficient_array(table: CharacterTable) -> np.ndarray:
-    too_big = ResourceLimitError("a character value coefficient is beyond int64")
-    try:
-        coeffs = np.array([[v.coeffs for v in row] for row in table.values], dtype=np.int64)
-    except OverflowError:
-        raise too_big from None
-    if (coeffs == np.iinfo(np.int64).min).any():  # its absolute value would wrap
-        raise too_big
-    coeffs.flags.writeable = False
-    return coeffs
+    """The table's read-only int64 coefficient array, shape (k, k, phi(m))."""
+    return table.coefficients
 
 
 def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
@@ -373,7 +369,7 @@ def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
     k, m = table.k, table.m
     if sum(d * d for d in table.degrees) != n:
         raise InternalConsistencyError("degree squares do not sum to the group order")
-    coeffs = table_coefficients(table)
+    coeffs = table.coefficients
     if coeffs.shape[:2] != (k, k) or cd.k != k:
         raise InternalConsistencyError("the table is not square")
     phi = coeffs.shape[2]
@@ -437,7 +433,7 @@ def verify_galois_character_identity(
     """
     if gamma.m != table.m:
         raise ValueError(f"subgroup modulus {gamma.m} does not match conductor {table.m}")
-    return _galois_identity_holds(table_coefficients(table), cd, table.m, _generating_set(gamma))
+    return _galois_identity_holds(table.coefficients, cd, table.m, _generating_set(gamma))
 
 
 # ---------------------------------------------------------------------------

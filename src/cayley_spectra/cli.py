@@ -17,7 +17,7 @@ from importlib import resources
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
-from .characters import CharacterTable, dixon_character_table, table_coefficients
+from .characters import CharacterTable, dixon_character_table
 from .cyclotomic import CycInt, _complex_parts, _poly_str, totient
 from .errors import InternalConsistencyError, ResourceLimitError
 from .galois import (
@@ -516,10 +516,10 @@ def cmd_check_membership(job: dict):
 def cmd_character_table(job: dict):
     spec, group, cd = _group_from_job(job)
     table = _group_limited(dixon_character_table, group, cd)
-    re, im = _complex_parts(table_coefficients(table), table.m)
+    re, im = _complex_parts(table.coefficients, table.m)
     rows = [
-        [dict(_cyc_json(v), approx=_approx(complex(a, b))) for v, a, b in zip(values, re_row, im_row)]
-        for values, re_row, im_row in zip(table.values, re.tolist(), im.tolist())
+        [{"m": table.m, "coeffs": c, "approx": _approx(complex(a, b))} for c, a, b in zip(*row)]
+        for row in zip(table.coefficients.tolist(), re.tolist(), im.tolist())
     ]
     payload = {
         "schema": SCHEMA,

@@ -3,8 +3,8 @@
 A subgroup of (Z/mZ)* acts on a finite group of exponent m through the power
 maps x -> x^t.  Two elements are Galois-conjugate when one is conjugate to a
 power of the other with the exponent drawn from the subgroup; the resulting
-partition coarsens the ordinary conjugacy classes and is computed here by
-union-find over class indices.
+partition coarsens the ordinary conjugacy classes and is read off the class
+power map: a conjugacy class's orbit under the subgroup is one row of it.
 """
 
 from __future__ import annotations
@@ -165,42 +165,22 @@ def galois_conjugacy_classes(
         raise ValueError(
             f"subgroup modulus {gamma.m} does not match group exponent {group.exponent}"
         )
-    k = cd.k
-    m = gamma.m
-    parent = list(range(k))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for j in range(k):
-        for t in gamma.elements:
-            ra, rb = find(j), find(int(cd.power_class[j, t % m]))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    buckets: dict[int, list[int]] = {}
-    for j in range(k):
-        buckets.setdefault(find(j), []).append(j)
-    groups = sorted(buckets.values(), key=lambda js: min(cd.representatives[j] for j in js))
-    merged_class_of = [0] * k
-    classes = []
-    for gi, js in enumerate(groups):
-        members: list[int] = []
-        for j in js:
-            merged_class_of[j] = gi
-            members.extend(cd.classes[j])
-        classes.append(tuple(sorted(members)))
-    class_of = np.empty(group.n, dtype=np.int32)
-    for gi, members in enumerate(classes):
-        for x in members:
-            class_of[x] = gi
+    # gamma is a group acting on the classes by pi_t (characters._validate_table,
+    # step 1), so row j of the power map over gamma is class j's whole orbit;
+    # representatives increase with the class index, so ranking the orbits'
+    # least classes orders the merged classes by their least representatives
+    least = cd.power_class[:, np.array(gamma.elements) % gamma.m].min(axis=1)
+    is_least = np.zeros(cd.k, dtype=bool)
+    is_least[least] = True
+    merged_class_of = (np.cumsum(is_least) - 1)[least]
+    class_of = merged_class_of[cd.class_of].astype(np.int32)
+    by_class = np.argsort(class_of, kind="stable")  # members ascending within each class
+    classes = np.split(by_class, np.cumsum(np.bincount(class_of))[:-1])
     return GaloisConjugacyClasses(
         gamma=gamma,
-        classes=tuple(classes),
+        classes=tuple(tuple(c.tolist()) for c in classes),
         class_of=class_of,
-        merged_class_of=tuple(merged_class_of),
+        merged_class_of=tuple(merged_class_of.tolist()),
     )
 
 

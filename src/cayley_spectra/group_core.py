@@ -476,7 +476,9 @@ def conjugacy_classes(group: Group) -> ClassData:
     for h in range(n):
         if class_of[h] >= 0:
             continue
-        members = np.unique(mul[mul[inv, h], all_g])
+        is_member = np.zeros(n, dtype=bool)
+        is_member[mul[mul[inv, h], all_g]] = True
+        members = np.flatnonzero(is_member)  # sorted, like np.unique, which would import numpy.ma
         class_of[members] = len(classes)
         classes.append(tuple(int(x) for x in members))
     reps = tuple(c[0] for c in classes)

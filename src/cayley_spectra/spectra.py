@@ -17,12 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .characters import (
-    CharacterTable,
-    InducedCharacter,
-    induced_character_from_cyclic,
-    table_coefficients,
-)
+from .characters import CharacterTable, InducedCharacter, induced_character_from_cyclic
 from .cyclotomic import (
     CycInt,
     _galois_matrix,
@@ -211,7 +206,7 @@ def _formula(cd: ClassData, table: CharacterTable, masks: np.ndarray) -> tuple[n
     unit t.  Both bounds are checked against 2^63 before any product.
     """
     n, k = sum(cd.sizes), cd.k
-    coeffs = table_coefficients(table)
+    coeffs = table.coefficients
     phi = coeffs.shape[2]
     entry_bound = n * int(np.abs(coeffs).max())
     _check_int64(n * entry_bound, "the trace identity")

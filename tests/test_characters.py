@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from math import isqrt, prod
 
 import numpy as np
@@ -29,7 +30,7 @@ from cayley_spectra import (
     verify_galois_character_identity,
     verify_orthogonality,
 )
-from cayley_spectra import _modp, characters
+from cayley_spectra import _modp, characters, cli
 from cayley_spectra.cli import _gamma_lattice, run
 from cayley_spectra.cyclotomic import _galois_matrix
 from cayley_spectra.errors import InternalConsistencyError
@@ -305,41 +306,100 @@ def _orthogonal_by_cycint_loops(table, cd, n):
 
 def _tampered(table, r, j, e, delta):
     """The table with coefficient e of value (r, j) moved by delta."""
-    values = [list(row) for row in table.values]
-    v = values[r][j]
-    coeffs = list(v.coeffs)
-    coeffs[e] += delta
-    values[r][j] = CycInt(v.ctx, tuple(coeffs))
-    return dataclasses.replace(table, values=tuple(tuple(row) for row in values))
+    coeffs = table.coefficients.astype(object)
+    coeffs[r, j, e] += delta
+    return dataclasses.replace(table, coefficients=coeffs)
 
 
-def test_sweep_job_builds_the_coefficient_array_once(monkeypatch, capsys):
-    builds = []
-    real = characters._coefficient_array
+def test_cli_jobs_never_build_the_cycint_view(monkeypatch, capsys):
+    tables = []
 
-    def spy(table):
-        builds.append(table)
-        return real(table)
+    def spy(group, cd):
+        tables.append(dixon_character_table(group, cd))
+        return tables[-1]
 
-    monkeypatch.setattr(characters, "_coefficient_array", spy)
-    assert run(["check-integrality", "--group", "symmetric(4)", "--connection", "sweep"]) == 0
-    capsys.readouterr()
-    assert len(builds) == 1
-    table = builds[0]
+    monkeypatch.setattr(cli, "dixon_character_table", spy)
+    jobs = [
+        ["character-table", "--group", "cyclic(12)"],
+        ["check-integrality", "--group", "symmetric(4)", "--connection", "sweep"],
+        ["check-membership", "--group", "cyclic(5)", "--connection", "sweep", "--gamma", "rational"],
+        ["verify-all"],
+    ]
+    for argv in jobs:
+        tables.clear()
+        assert run(argv) == 0, argv
+        capsys.readouterr()
+        assert tables, argv
+        assert all("values" not in table.__dict__ for table in tables), argv
+    table = tables[0]
     coeffs = table_coefficients(table)
-    assert coeffs is table_coefficients(table)
+    assert coeffs is table.coefficients
     assert coeffs.dtype == np.int64 and not coeffs.flags.writeable
     assert coeffs.tolist() == [[list(v.coeffs) for v in row] for row in table.values]
-    assert len(builds) == 1
 
 
 def test_coefficients_beyond_int64_are_refused(corpus):
     group, cd, table = corpus["cyclic(3)"]
-    c = table.values[1][1].coeffs[0]
+    c = int(table.coefficients[1, 1, 0])
     for huge in (2**63, -(2**63)):
         with pytest.raises(ResourceLimitError):
-            table_coefficients(_tampered(table, 1, 1, 0, huge - c))
-    assert table_coefficients(_tampered(table, 1, 1, 0, 1 - 2**63 - c))[1, 1, 0] == 1 - 2**63
+            _tampered(table, 1, 1, 0, huge - c)
+    assert _tampered(table, 1, 1, 0, 1 - 2**63 - c).coefficients[1, 1, 0] == 1 - 2**63
+
+
+def test_constructor_copies_and_freezes_its_array(corpus):
+    group, cd, table = corpus["cyclic(5)"]
+    coeffs = table.coefficients.copy()
+    copy = dataclasses.replace(table, coefficients=coeffs)
+    coeffs[1, 1, 0] += 1
+    assert np.array_equal(copy.coefficients, table.coefficients)
+    assert not copy.coefficients.flags.writeable
+    with pytest.raises(ValueError):
+        copy.coefficients[1, 1, 0] = 0
+    assert copy.values == table.values
+
+
+def _lines_run(fn, *args):
+    """fn(*args), and the numbers of the lines of characters.py that it ran."""
+    ran = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename != characters.__file__:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return tracer
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(old)
+    return result, ran
+
+
+def test_certificate_sums_in_python_integers_near_int64(corpus):
+    """Coefficients near 2^62 send the L1 norm and the Galois products to
+    their Python-integer branches, whose verdicts match the CycInt loops."""
+    with open(characters.__file__) as f:
+        source = list(enumerate(f, 1))
+    (norm_branch,) = [i for i, line in source if "magnitudes = magnitudes.astype(object)" in line]
+    (galois_branch,) = [i for i, line in source if "coeffs = coeffs.astype(object)" in line]
+    group, cd, table = corpus["cyclic(5)"]
+    units = unit_group(group.exponent)
+    scaled = table.coefficients.astype(object)
+    scaled[1] *= 2**62 // int(np.abs(scaled[1]).max())  # the Galois identity is linear in a row
+    changed = _tampered(table, 1, 1, 0, 2**62 - int(table.coefficients[1, 1, 0]))
+    cases = [(dataclasses.replace(table, coefficients=scaled), True), (changed, False)]
+    for candidate, galois_holds in cases:
+        assert int(np.abs(candidate.coefficients).max()) >= 2**62
+        verdict, ran = _lines_run(verify_galois_character_identity, candidate, cd, units)
+        assert verdict == galois_holds == _galois_identity_by_cycint_loop(candidate, cd, units)
+        assert galois_branch in ran
+        verdict, ran = _lines_run(verify_orthogonality, candidate, cd, group.n)
+        assert not verdict and not _orthogonal_by_cycint_loops(candidate, cd, group.n)
+        assert norm_branch in ran
 
 
 def test_certificate_agrees_with_cycint_loops(corpus):
@@ -411,8 +471,7 @@ def test_certificate_rejects_a_change_by_the_first_prime(corpus, monkeypatch):
 def _with_columns_swapped(table, i, j):
     order = list(range(table.k))
     order[i], order[j] = j, i
-    values = tuple(tuple(row[c] for c in order) for row in table.values)
-    return dataclasses.replace(table, values=values)
+    return dataclasses.replace(table, coefficients=table.coefficients[:, order])
 
 
 def test_swapped_cyclic_classes_are_orthogonal_but_break_the_galois_identity(corpus):

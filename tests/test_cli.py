@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cayley_spectra
 from cayley_spectra import TABLE_BYTE_BUDGET, cli, spectra
 from cayley_spectra.cli import COMMANDS, run
 
@@ -509,3 +513,20 @@ _json_payloads = st.recursive(
 @given(_json_payloads)
 def test_json_writer_matches_json_dumps_on_nested_payloads(payload):
     assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_cli_jobs_do_not_import_numpy_ma():
+    """np.unique imports numpy.ma on its first call, 12-16 ms of a job's start-up."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from cayley_spectra.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['verify-all']) == 0\n"
+        "    assert run(['character-table', '--group', 'cyclic(12)']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cayley_spectra.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from cayley_spectra import (
     unit_group,
 )
 from cayley_spectra import cyclotomic
+from cayley_spectra.cli import _gamma_lattice
 from cayley_spectra.galois import _generating_set
 from cayley_spectra.oracle import oracle_power_closed
 
@@ -192,3 +194,57 @@ def test_gamma_symmetry_of_merged_classes(corpus):
                 for t in gamma.elements:
                     image = cd.power_class[j, t % m]
                     assert merged.merged_class_of[image] == merged.merged_class_of[j]
+
+
+def _merged_by_union_find(group, cd, gamma):
+    """Reference: union-find merges j with the class of rep_j^t for every t in gamma."""
+    k, m = cd.k, gamma.m
+    parent = list(range(k))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for j in range(k):
+        for t in gamma.elements:
+            ra, rb = find(j), find(int(cd.power_class[j, t % m]))
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    buckets = {}
+    for j in range(k):
+        buckets.setdefault(find(j), []).append(j)
+    groups = sorted(buckets.values(), key=lambda js: min(cd.representatives[j] for j in js))
+    merged_class_of = [0] * k
+    classes = []
+    for gi, js in enumerate(groups):
+        for j in js:
+            merged_class_of[j] = gi
+        classes.append(tuple(sorted(x for j in js for x in cd.classes[j])))
+    class_of = np.empty(group.n, dtype=np.int32)
+    for gi, members in enumerate(classes):
+        class_of[list(members)] = gi
+    return tuple(classes), class_of, tuple(merged_class_of)
+
+
+def test_power_map_orbits_match_union_find(corpus):
+    groups = [(group, cd) for group, cd, _ in corpus.values()]
+    for text in ("symmetric(5)", "symmetric(6)", "alternating(7)", "dihedral(22)",
+                 "product(cyclic(6),cyclic(6))", "cyclic(40)"):
+        group = build_group(GroupSpec.from_json(text))
+        groups.append((group, conjugacy_classes(group)))
+    pairs = 0
+    for group, cd in groups:
+        m = group.exponent
+        for gamma in _gamma_lattice(m) + (all_subgroups(m) if m <= 60 else []):
+            merged = galois_conjugacy_classes(group, cd, gamma)
+            classes, class_of, merged_class_of = _merged_by_union_find(group, cd, gamma)
+            assert merged.gamma is gamma
+            assert merged.classes == classes, (group.n, gamma.elements)
+            assert merged.class_of.dtype == class_of.dtype
+            assert np.array_equal(merged.class_of, class_of), (group.n, gamma.elements)
+            assert merged.merged_class_of == merged_class_of, (group.n, gamma.elements)
+            assert all(type(x) is int for x in merged.merged_class_of + merged.classes[-1])
+            pairs += 1
+    assert pairs == 393

@@ -400,17 +400,9 @@ def test_single_connections_do_no_cyclotomic_arithmetic(monkeypatch, corpus, cap
 
 
 def _tampered(table, r, j, p, delta):
-    values = [list(row) for row in table.values]
-    v = values[r][j]
-    coeffs = list(v.coeffs)
-    coeffs[p] += delta
-    values[r][j] = CycInt(v.ctx, tuple(coeffs))
-    return CharacterTable(
-        m=table.m,
-        degrees=table.degrees,
-        values=tuple(tuple(row) for row in values),
-        prime=table.prime,
-    )
+    coeffs = table.coefficients.copy()
+    coeffs[r, j, p] += delta
+    return CharacterTable(m=table.m, degrees=table.degrees, coefficients=coeffs, prime=table.prime)
 
 
 @pytest.mark.parametrize("spec", ["cyclic(5)", "symmetric(4)", "quaternion(8)"])
