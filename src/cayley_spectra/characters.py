@@ -80,9 +80,10 @@ def class_matrices(group: Group, cd: ClassData) -> ClassMatrices:
     check_table_size(k)
     c = np.zeros((k, k, k), dtype=np.int64)
     a_cls = cd.class_of
-    for l, g in enumerate(cd.representatives):
-        b = group.mul[group.inv, g]  # b[a] = a^-1 * g_l, so a * b[a] = g_l
-        np.add.at(c[:, :, l], (a_cls, a_cls[b]), 1)
+    # b[l, a] = a^-1 * g_l, so a * b[l, a] = g_l
+    b = group.product(group.inv, np.array(cd.representatives)[:, None])
+    for l in range(k):
+        np.add.at(c[:, :, l], (a_cls, a_cls[b[l]]), 1)
     return ClassMatrices(k=k, sizes=cd.sizes, c=c)
 
 
@@ -457,18 +458,14 @@ class InducedCharacter:
 
 def induced_character_from_cyclic(x: int, group: Group, cd: ClassData) -> InducedCharacter:
     """Induce z -> z^i on <x> up to the whole group, by direct enumeration."""
-    n = group.n
-    o = int(group.orders[x])
-    power_index = np.full(n, o)  # i for x^i, o for an element outside <x>
-    cur = 0
-    for i in range(o):
-        power_index[cur] = i
-        cur = int(group.mul[cur, x])
+    (walk,) = group.walks([x])
+    o = len(walk)
+    power_index = np.full(group.n, o)  # i for x^i, o for an element outside <x>
+    power_index[walk] = np.arange(o)
     octx = get_context(o)
-    mul, inv = group.mul, group.inv
     values = []
     for rep in cd.representatives:
-        hits = power_index[mul[mul[inv, rep], np.arange(n)]]  # y^-1 * rep * y over all y
+        hits = power_index[group.conjugates(rep)]  # y^-1 * rep * y over all y
         counts = np.bincount(hits, minlength=o + 1)[:o].tolist()
         values.append(embed(divide_exact(reduce_raw(counts, octx), o), group.exponent))
     return InducedCharacter(base=x, values=tuple(values))

@@ -434,7 +434,7 @@ def cmd_classes(job: dict):
                 "index": j,
                 "size": cd.sizes[j],
                 "order": int(group.orders[cd.representatives[j]]),
-                "representative": group.labels[cd.representatives[j]],
+                "representative": group.label(cd.representatives[j]),
                 "members": list(cd.classes[j]),
                 "inverse_class": cd.inverse_class[j],
             }
@@ -532,7 +532,7 @@ def cmd_character_table(job: dict):
             {
                 "index": j,
                 "size": cd.sizes[j],
-                "representative": group.labels[cd.representatives[j]],
+                "representative": group.label(cd.representatives[j]),
             }
             for j in range(cd.k)
         ],

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .group_core import ClassData, Group, power_of
+from .group_core import ClassData, Group
 
 __all__ = [
     "GaloisConjugacyClasses",
@@ -198,26 +198,26 @@ def _power_closure_witness(
 ) -> Optional[tuple[int, int]]:
     """First (x, t) with x in the set, gcd(t,|x|)=1 but x^t outside; None if closed."""
     elems = set(int(x) for x in elements)
-    for x in sorted(elems):
-        for t, y in _unit_powers(x, group):
-            if y not in elems:
-                return (x, t)
+    for x, t, y in _unit_powers(sorted(elems), group):
+        if y not in elems:
+            return (x, t)
     return None
 
 
-def _unit_powers(x: int, group: Group) -> Iterator[tuple[int, int]]:
-    """(t, x^t) for every t in 1..|x| coprime to |x|, in ascending t."""
-    o = int(group.orders[x])
-    for t in range(1, o + 1):
-        if gcd(t, o) == 1:
-            yield t, power_of(x, t, group)
+def _unit_powers(xs: Sequence[int], group: Group) -> Iterator[tuple[int, int, int]]:
+    """(x, t, x^t) for each x of xs in order and every t in 1..|x| coprime to |x|, in ascending t."""
+    for x, walk in zip(xs, group.walks(xs)):
+        o = len(walk)
+        walk = walk.tolist()
+        for t in range(1, o + 1):
+            if gcd(t, o) == 1:
+                yield x, t, walk[t % o]
 
 
 def power_closure(elements: Iterable[int], group: Group) -> tuple[int, ...]:
     """Smallest power-closed superset of the given element set."""
     out = set(int(x) for x in elements)
-    for x in sorted(out.copy()):
-        out.update(y for _, y in _unit_powers(x, group))
+    out.update(y for _, _, y in _unit_powers(sorted(out), group))
     return tuple(sorted(out))
 
 

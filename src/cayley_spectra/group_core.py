@@ -1,24 +1,39 @@
-"""Finite groups as explicit multiplication tables, plus conjugacy data.
+"""Finite groups as element coordinates with a vectorised product, plus conjugacy data.
 
 Groups are built from permutation generators in cycle notation, from a small
 catalogue of named families, or as direct products.  Elements are integer
 indices with the identity at 0; for generated groups the indexing is the
 breadth-first discovery order from the identity, applying generators in input
 order, so every downstream output is reproducible.
+
+No multiplication table is stored.  Each element is a row of small integers:
+permutation images, residues, or (i, j) pairs for the dihedral and quaternion
+families.  A product of index arrays combines the rows and finds each result
+again by its key (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, ch. 4).  A direct product indexes the pair (a, b)
+as a * |B| + b and multiplies each factor on its own.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from math import lcm
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from math import lcm, prod
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 DEFAULT_GROUP_CAP = 5040
 # bytes the (k, k, k) int64 class structure-constant tensor may take
 TABLE_BYTE_BUDGET = 256 << 20
+# results per step of Group.product; a permutation product on d points holds
+# about 16 d bytes of temporaries per result
+_PRODUCT_BLOCK = 1 << 15
+# key spaces up to this size are looked up in a dense key -> index array
+_DENSE_KEYS = 1 << 20
+# a Group keeps the power walks of all its elements when they fit in this many powers
+_WALK_TABLE = 1 << 15
 
 _FAMILIES = (
     "cyclic",
@@ -190,11 +205,6 @@ def parse_permutation(text: str, domain: Optional[int] = None) -> tuple[int, ...
     return tuple(images)
 
 
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation i -> a[b[i]] of two image tuples on the same points."""
-    return tuple(map(a.__getitem__, b))
-
-
 def _perm_label(images: Sequence[int]) -> str:
     seen = [False] * len(images)
     out = []
@@ -218,110 +228,291 @@ def _perm_label(images: Sequence[int]) -> str:
 
 
 class Group:
-    """A finite group given by its full multiplication table.
+    """A finite group whose elements are indices, multiplied as whole arrays.
 
-    mul[a, b] is the index of the product, the identity is index 0, inv and
-    orders are per-element arrays and exponent is the lcm of all orders.
+    The identity is index 0.  product(a, b) is the index array of a * b for
+    broadcastable index arrays a and b; inv and orders are per-element arrays
+    and exponent is the lcm of all orders.  mul, the n x n table with
+    mul[a, b] = product(a, b), and labels are built on first access.
     """
 
-    __slots__ = ("n", "mul", "inv", "orders", "exponent", "identity", "description", "labels")
+    __slots__ = (
+        "n", "inv", "orders", "exponent", "identity", "description", "_law", "_mul", "_labels", "_walk_table"
+    )
 
-    def __init__(self, mul: np.ndarray, description: str, labels: tuple[str, ...]):
-        self.n = int(mul.shape[0])
-        self.mul = mul
+    def __init__(self, law, description: str):
+        self._law = law
+        self.n = law.n
         self.identity = 0
         self.description = description
-        self.labels = labels
-        self.orders, self.inv = _orders_and_inverses(mul)
-        self.exponent = int(lcm(*(int(o) for o in self.orders)))
+        self._mul: Optional[np.ndarray] = None
+        self._labels: Optional[tuple[str, ...]] = None
+        self._walk_table: Optional[np.ndarray] = None
+        if self.n * (self.n + 1) <= _WALK_TABLE:
+            # every order divides n, so x^0 .. x^n holds each first return to the identity
+            walks = self.powers(np.arange(self.n), self.n + 1)
+            self.orders = np.argmax(walks[:, 1:] == 0, axis=1).astype(np.int64) + 1
+            self.inv = walks[np.arange(self.n), self.orders - 1].astype(np.int32)
+            self._walk_table = walks[:, : self.orders.max()].copy()
+            self._walk_table.flags.writeable = False
+        else:
+            self.orders, self.inv = _orders_and_inverses(self)
+        self.exponent = int(lcm(*set(self.orders.tolist())))
 
     def __repr__(self) -> str:
         return f"Group({self.description}, n={self.n})"
 
+    def product(self, a, b) -> np.ndarray:
+        """Indices of a * b, elementwise over the broadcast of the index arrays a and b.
 
-def _orders_and_inverses(mul: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        Work is done in blocks of _PRODUCT_BLOCK results, so the temporaries
+        stay small however large the result is.
+        """
+        a = np.asarray(a, dtype=np.intp)
+        b = np.asarray(b, dtype=np.intp)
+        if a.size * b.size <= _PRODUCT_BLOCK or (a.shape == b.shape and a.size <= _PRODUCT_BLOCK):
+            return self._law.product(a, b)
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        a = np.broadcast_to(a, shape).reshape(-1)
+        b = np.broadcast_to(b, shape).reshape(-1)
+        out = np.empty(a.size, dtype=np.intp)
+        for start in range(0, a.size, _PRODUCT_BLOCK):
+            block = slice(start, start + _PRODUCT_BLOCK)
+            out[block] = self._law.product(a[block], b[block])
+        return out.reshape(shape)
+
+    def powers(self, x, length: int) -> np.ndarray:
+        """x^0, ..., x^(length-1) along a new last axis, for an index or index array x.
+
+        The walk doubles: with x^0 .. x^w known, one product of x^w with
+        x^1 .. x^w gives x^(w+1) .. x^(2w), so length powers take about
+        log2(length) products.
+        """
+        x = np.asarray(x, dtype=np.intp)
+        walk = np.empty(x.shape + (max(length, 2),), dtype=np.intp)
+        walk[..., 0] = 0
+        walk[..., 1] = x
+        w = 1  # walk[..., : w + 1] holds x^0 .. x^w
+        while w + 1 < length:
+            need = min(w, length - 1 - w)
+            walk[..., w + 1 : w + 1 + need] = self.product(walk[..., w : w + 1], walk[..., 1 : 1 + need])
+            w += need
+        return walk[..., :length]
+
+    def walks(self, xs) -> Iterator[np.ndarray]:
+        """The powers x^0 .. x^(|x|-1) of each x of the index sequence xs, in order.
+
+        When the walks of all elements fit in _WALK_TABLE powers, they are
+        taken at once on first use and kept.  Otherwise the walks of xs are
+        taken together, in batches of at most _PRODUCT_BLOCK powers.
+        """
+        xs = np.asarray(xs, dtype=np.intp).reshape(-1)
+        longest = int(self.orders.max())
+        if self._walk_table is None and self.n * longest <= _WALK_TABLE:
+            self._walk_table = self.powers(np.arange(self.n), longest)
+            self._walk_table.flags.writeable = False
+        orders = self.orders[xs].tolist()
+        if self._walk_table is not None:
+            for x, o in zip(xs.tolist(), orders):
+                yield self._walk_table[x, :o]
+            return
+        step = max(1, _PRODUCT_BLOCK // longest)
+        for start in range(0, xs.size, step):
+            for walk, o in zip(self.powers(xs[start : start + step], longest), orders[start : start + step]):
+                yield walk[:o]
+
+    def conjugates(self, h) -> np.ndarray:
+        """g^-1 h g for every g, along a new last axis, for an index or index array h."""
+        h = np.asarray(h, dtype=np.intp)[..., None]
+        return self.product(self.product(self.inv, h), np.arange(self.n))
+
+    def label(self, x: int) -> str:
+        """The printed name of element x."""
+        return self._law.label(int(x))
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Every element's label, in index order, built on first access."""
+        if self._labels is None:
+            self._labels = tuple(self._law.label(x) for x in range(self.n))
+        return self._labels
+
+    @property
+    def mul(self) -> np.ndarray:
+        """The read-only n x n int32 multiplication table, built on first access."""
+        if self._mul is None:
+            idx = np.arange(self.n)
+            mul = np.empty((self.n, self.n), dtype=np.int32)
+            rows = max(1, _PRODUCT_BLOCK // max(self.n, 1))
+            for start in range(0, self.n, rows):
+                mul[start : start + rows] = self.product(idx[start : start + rows, None], idx)
+            mul.flags.writeable = False
+            self._mul = mul
+        return self._mul
+
+
+def _orders_and_inverses(group: Group) -> tuple[np.ndarray, np.ndarray]:
     """Element orders (int64) and inverses (int32), from the powers x^k for k = 1, 2, ...
 
     The first k with x^k the identity is the order o of x, and x^(o-1) is its
-    inverse, so no n x n temporary is needed.
+    inverse.  Only the elements whose order is still open are multiplied.
+    Groups whose walks x^0 .. x^n fit in _WALK_TABLE read both from those
+    walks instead, in about log2(n) products.
     """
-    n = mul.shape[0]
-    gens = np.arange(n)
-    prev = np.zeros(n, dtype=mul.dtype)  # x^(k-1)
-    cur = gens.astype(mul.dtype)  # x^k
-    orders = np.zeros(n, dtype=np.int64)
-    inv = np.zeros(n, dtype=np.int32)
+    orders = np.zeros(group.n, dtype=np.int64)
+    inv = np.zeros(group.n, dtype=np.int32)
+    todo = np.arange(group.n)  # elements of unknown order
+    prev = np.zeros(group.n, dtype=np.intp)  # x^(k-1) for x in todo
+    cur = todo  # x^k
     k = 1
-    while (orders == 0).any():
-        if k > n:
-            raise ValueError("multiplication table is not a group table")
-        fresh = (cur == 0) & (orders == 0)
-        orders[fresh] = k
-        inv[fresh] = prev[fresh]
-        prev, cur = cur, mul[cur, gens]
+    while todo.size:
+        done = cur == 0
+        orders[todo[done]] = k
+        inv[todo[done]] = prev[done]
+        todo, prev = todo[~done], cur[~done]
+        cur = group.product(prev, todo)
         k += 1
     return orders, inv
 
 
-def _bfs_table(
-    identity,
-    gens: Sequence,
-    mul_fn: Callable,
-    label_fn: Callable,
-    description: str,
-    cap: int,
-) -> Group:
-    elems = [identity]
-    index = {identity: 0}
-    parents: list[tuple[int, int]] = [(-1, -1)]
-    qi = 0
-    while qi < len(elems):
-        x = elems[qi]
-        for gi, g in enumerate(gens):
-            y = mul_fn(x, g)
-            if y not in index:
-                if len(elems) >= cap:
+class _Rows:
+    """Elements as rows of small ints, composed row by row and found again by key.
+
+    compose(x, y) gives the rows of x * y for broadcastable row arrays x and
+    y, and label names one row (a list).  The first len(radix) coordinates
+    determine a row, coordinate i lying in range(radix[i]).  When they have
+    at most _DENSE_KEYS values, the key of a row is its mixed-radix value,
+    looked up in a dense key -> index array.  Otherwise it is the bytes of
+    those coordinates, looked up in the sorted keys.
+    """
+
+    def __init__(self, identity, gens, compose, radix, label, cap: int, dtype=np.int64):
+        self._compose = compose
+        self._label = label
+        self._width = len(radix)
+        space = prod(radix)
+        self._weights = self._void = None
+        if space <= _DENSE_KEYS:
+            self._weights = np.array([prod(radix[:i]) for i in range(self._width)], dtype=np.int64)
+        else:
+            self._void = np.dtype((np.void, self._width * np.dtype(dtype).itemsize))
+        gen_rows = np.array(gens, dtype=dtype).reshape(len(gens), len(identity))
+        self.rows = _closure(np.array([identity], dtype=dtype), gen_rows, self._times, self._keys, cap)
+        self.n = len(self.rows)
+        keys = self._keys(self.rows)
+        if self._weights is not None:
+            self._where = np.zeros(space, dtype=np.intp)
+            self._where[keys] = np.arange(self.n)
+        else:
+            self._order = np.argsort(keys)
+            self._sorted = keys[self._order]
+        self.generators = self.index(gen_rows).tolist()
+
+    def _times(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Rows of x[i] * y[j] for row arrays x and y, i-major."""
+        return self._compose(x[:, None], y[None]).reshape(len(x) * len(y), x.shape[1])
+
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        rows = rows[..., : self._width]
+        if self._weights is not None:
+            return rows @ self._weights
+        return np.ascontiguousarray(rows).view(self._void)[..., 0]
+
+    def index(self, rows: np.ndarray) -> np.ndarray:
+        """Indices of the elements with the given rows, which must be elements."""
+        if self._weights is not None:
+            return self._where[self._keys(rows)]
+        return self._order[np.searchsorted(self._sorted, self._keys(rows))]
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.index(self._compose(self.rows[a], self.rows[b]))
+
+    def label(self, x: int) -> str:
+        return self._label(self.rows[x].tolist())
+
+
+class _Permutations(_Rows):
+    """Permutations as image rows; x * y is the permutation i -> x[y[i]]."""
+
+    def __init__(self, identity, gens, cap: int):
+        d = len(identity)
+        dtype = np.min_scalar_type(max(d - 1, 0))
+        # the first d - 1 images of a permutation determine the last
+        super().__init__(identity, gens, None, (d,) * (d - 1), _perm_label, cap, dtype)
+        self._d = d
+        self._flat = self.rows.reshape(-1)
+
+    def _times(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x[:, y].reshape(len(x) * len(y), x.shape[1])
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # image i of a * b is entry b[i] of row a, read from the flattened rows
+        return self.index(self._flat[a[..., None] * self._d + self.rows[b]])
+
+
+class _DirectProduct:
+    """Pairs (a, b) of two factors, indexed a * |B| + b and multiplied factor by factor."""
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+        self.n = left.n * right.n
+        self.generators = [g * right.n for g in left.generators] + right.generators
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        nb = self.right.n
+        return self.left.product(a // nb, b // nb) * nb + self.right.product(a % nb, b % nb)
+
+    def label(self, x: int) -> str:
+        nb = self.right.n
+        return f"({self.left.label(x // nb)},{self.right.label(x % nb)})"
+
+
+def _closure(identity: np.ndarray, gens: np.ndarray, times: Callable, keys: Callable, cap: int) -> np.ndarray:
+    """Rows of every element generated, in breadth-first order from the identity.
+
+    The closure runs level by level.  A level is the frontier times every
+    generator, frontier-major, and keeps the first occurrence of each element
+    not seen before.  That is the order of a one-element queue that takes
+    elements in discovery order and generators in input order.
+    """
+    levels = [identity]
+    seen = set(keys(identity).tolist())
+    frontier = identity
+    while len(frontier):
+        candidates = times(frontier, gens)
+        fresh = []
+        for i, key in enumerate(keys(candidates).tolist()):
+            if key not in seen:
+                if len(seen) >= cap:
                     raise ValueError(f"group size cap {cap} exceeded while closing generators")
-                index[y] = len(elems)
-                elems.append(y)
-                parents.append((qi, gi))
-        qi += 1
-    n = len(elems)
-    # lgen[gi][c] is the index of g * elems[c]; with elems[a] = elems[pa] * g,
-    # a * c = pa * (g * c), so row a is row pa read at lgen[gi]
-    lgen = [
-        np.array([index[mul_fn(g, x)] for x in elems], dtype=np.int32) for g in gens
-    ]
-    mul = np.empty((n, n), dtype=np.int32)
-    mul[0] = np.arange(n, dtype=np.int32)
-    for a in range(1, n):
-        pa, gi = parents[a]
-        np.take(mul[pa], lgen[gi], out=mul[a])
-    return Group(mul, description, tuple(label_fn(x) for x in elems))
+                seen.add(key)
+                fresh.append(i)
+        frontier = candidates[fresh]
+        levels.append(frontier)
+    return np.concatenate(levels)
 
 
-def _family_pieces(family: str, params: tuple[int, ...]):
-    """identity, generators, multiplication and label callables for a family."""
+def _family_law(family: str, params: tuple[int, ...], cap: int):
+    """The element rows and product of a named family."""
     if family == "cyclic":
         (n,) = _expect_params(family, params, 1)
         if n < 1:
             raise ValueError(f"cyclic order must be positive, got {n}")
-        return 0, [1 % n], lambda a, b: (a + b) % n, str
+        return _Rows((0,), [(1 % n,)], lambda x, y: (x + y) % n, (n,), lambda r: str(r[0]), cap)
     if family == "dihedral":
         (n,) = _expect_params(family, params, 1)
         if n < 1:
             raise ValueError(f"dihedral parameter must be positive, got {n}")
 
         def dmul(x, y):
-            i, j = x
-            k, l = y
-            return ((i + k) % n if j == 0 else (i - k) % n, j ^ l)
+            # r^i s^j * r^k s^l = r^(i + k or i - k) s^(j ^ l)
+            i = (x[..., 0] + (1 - 2 * x[..., 1]) * y[..., 0]) % n
+            return np.stack([i, x[..., 1] ^ y[..., 1]], axis=-1)
 
-        def dlabel(x):
-            i, j = x
-            return f"r{i}" + (" s" if j else "")
+        def dlabel(r):
+            return f"r{r[0]}" + (" s" if r[1] else "")
 
-        return (0, 0), [(1 % n, 0), (0, 1)], dmul, dlabel
+        return _Rows((0, 0), [(1 % n, 0), (0, 1)], dmul, (n, 2), dlabel, cap)
     if family in ("quaternion", "generalized-quaternion"):
         (order,) = _expect_params(family, params, 1)
         if family == "quaternion" and order != 8:
@@ -332,18 +523,13 @@ def _family_pieces(family: str, params: tuple[int, ...]):
         quarter = order // 4
 
         def qmul(x, y):
-            i, j = x
-            k, l = y
-            i2 = i + k if j == 0 else i - k
-            if j and l:
-                i2 += quarter
-            return (i2 % half, j ^ l)
+            i = x[..., 0] + (1 - 2 * x[..., 1]) * y[..., 0] + quarter * (x[..., 1] & y[..., 1])
+            return np.stack([i % half, x[..., 1] ^ y[..., 1]], axis=-1)
 
-        def qlabel(x):
-            i, j = x
-            return f"a{i}" + (" b" if j else "")
+        def qlabel(r):
+            return f"a{r[0]}" + (" b" if r[1] else "")
 
-        return (0, 0), [(1, 0), (0, 1)], qmul, qlabel
+        return _Rows((0, 0), [(1, 0), (0, 1)], qmul, (half, 2), qlabel, cap)
     if family in ("symmetric", "alternating"):
         (n,) = _expect_params(family, params, 1)
         if not 1 <= n <= 7:
@@ -360,19 +546,19 @@ def _family_pieces(family: str, params: tuple[int, ...]):
             if n >= 4:
                 pts = range(1, n + 1) if n % 2 == 1 else range(2, n + 1)
                 gens.append(parse_permutation("(" + " ".join(str(i) for i in pts) + ")", n))
-        identity = tuple(range(n))
-        return identity, gens, _compose, _perm_label
+        return _Permutations(tuple(range(n)), gens, cap)
     if family == "elementary-abelian":
         p, k = _expect_params(family, params, 2)
         if k < 1 or p < 2 or any(p % q == 0 for q in range(2, p)):
             raise ValueError(f"elementary-abelian needs a prime p and k >= 1, got ({p},{k})")
-        identity = (0,) * k
         gens = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-        return (
-            identity,
+        return _Rows(
+            (0,) * k,
             gens,
-            lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
-            lambda x: "(" + ",".join(str(c) for c in x) + ")",
+            lambda x, y: (x + y) % p,
+            (p,) * k,
+            lambda r: "(" + ",".join(str(c) for c in r) + ")",
+            cap,
         )
     raise ValueError(f"unknown family name {family!r}")
 
@@ -384,42 +570,35 @@ def _expect_params(family: str, params: tuple[int, ...], count: int) -> tuple[in
 
 
 def build_group(spec: GroupSpec, cap: int = DEFAULT_GROUP_CAP) -> Group:
-    """Realize a GroupSpec as an explicit table, enforcing the size cap."""
+    """Realize a GroupSpec as a Group, enforcing the size cap."""
+    return Group(_law(spec, cap), spec.describe())
+
+
+def _law(spec: GroupSpec, cap: int):
+    """The element rows and product of spec, with no Group built for a factor.
+
+    A direct product is folded factor by factor, nested products in place,
+    and every step is held to the cap.
+    """
     if spec.kind == "permutation-generators":
         domain = 0
         for g in spec.generators:
             images = parse_permutation(g)
             domain = max(domain, len(images))
         gens = [parse_permutation(g, domain) for g in spec.generators]
-        identity = tuple(range(domain))
-        return _bfs_table(identity, gens, _compose, _perm_label, spec.describe(), cap)
+        return _Permutations(tuple(range(domain)), gens, cap)
     if spec.kind == "named-family":
-        identity, gens, mul_fn, label_fn = _family_pieces(spec.family, spec.params)
-        return _bfs_table(identity, gens, mul_fn, label_fn, spec.describe(), cap)
+        return _family_law(spec.family, spec.params, cap)
     if spec.kind == "direct-product":
-        mul, labels = _table(spec, cap)
-        return Group(mul, spec.describe(), labels)
+        law = _law(spec.factors[0], cap)
+        for factor in spec.factors[1:]:
+            right = _law(factor, cap)
+            n = law.n * right.n
+            if n > cap:
+                raise ValueError(f"group size cap {cap} exceeded by direct product of order {n}")
+            law = _DirectProduct(law, right)
+        return law
     raise ValueError(f"unknown group spec kind {spec.kind!r}")
-
-
-def _table(spec: GroupSpec, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The multiplication table and labels of spec, with no Group built for a product.
-
-    A direct product is folded factor by factor, nested products in place,
-    and every step is held to the cap.
-    """
-    if spec.kind != "direct-product":
-        group = build_group(spec, cap)
-        return group.mul, group.labels
-    mul, labels = _table(spec.factors[0], cap)
-    for factor in spec.factors[1:]:
-        b_mul, b_labels = _table(factor, cap)
-        n = len(labels) * len(b_labels)
-        if n > cap:
-            raise ValueError(f"group size cap {cap} exceeded by direct product of order {n}")
-        mul = (mul[:, None, :, None].astype(np.int32) * len(b_labels) + b_mul[None, :, None, :]).reshape(n, n)
-        labels = tuple(f"({la},{lb})" for la in labels for lb in b_labels)
-    return mul, labels
 
 
 def element_order(g: int, group: Group) -> int:
@@ -433,17 +612,9 @@ def exponent(group: Group) -> int:
 
 
 def power_of(g: int, t: int, group: Group) -> int:
-    """g^t by repeated squaring on the table; t may be any integer."""
-    o = int(group.orders[g])
-    e = t % o
-    result = 0
-    base = g
-    while e:
-        if e & 1:
-            result = int(group.mul[result, base])
-        base = int(group.mul[base, base])
-        e >>= 1
-    return result
+    """g^t, read from the power walk of g; t may be any integer."""
+    (walk,) = group.walks([g])
+    return int(walk[t % len(walk)])
 
 
 # ---------------------------------------------------------------------------
@@ -459,44 +630,52 @@ class ClassData:
     representatives: tuple[int, ...]
     sizes: tuple[int, ...]
     inverse_class: tuple[int, ...]
-    power_class: np.ndarray  # shape (k, exponent); [j, t] = class of rep_j ** t
+    group: Group = field(repr=False)
 
     @property
     def k(self) -> int:
         return len(self.classes)
 
+    @cached_property
+    def power_class(self) -> np.ndarray:
+        """Shape (k, exponent), int32; [j, t] = class of rep_j ** t.  Built on first access."""
+        t = np.arange(self.group.exponent)
+        return np.stack([self.class_of[walk[t % len(walk)]] for walk in self.group.walks(self.representatives)])
+
 
 def conjugacy_classes(group: Group) -> ClassData:
-    """Partition the group into conjugacy orbits under h -> g^-1 h g."""
+    """Partition the group into conjugacy orbits under h -> g^-1 h g.
+
+    Conjugation by the generators, which generate the group, has the same
+    orbits.  Each element's least orbit-mate is found by taking minima over
+    the generators' conjugation maps and jumping to the least element's own
+    least, until nothing changes; the fixed point is constant on every
+    orbit, and the least member of an orbit is its own least.  Classes are
+    numbered by their least members, which are the representatives.
+    """
     n = group.n
-    mul, inv = group.mul, group.inv
-    all_g = np.arange(n)
-    class_of = np.full(n, -1, dtype=np.int32)
-    classes: list[tuple[int, ...]] = []
-    for h in range(n):
-        if class_of[h] >= 0:
-            continue
-        is_member = np.zeros(n, dtype=bool)
-        is_member[mul[mul[inv, h], all_g]] = True
-        members = np.flatnonzero(is_member)  # sorted, like np.unique, which would import numpy.ma
-        class_of[members] = len(classes)
-        classes.append(tuple(int(x) for x in members))
-    reps = tuple(c[0] for c in classes)
-    sizes = tuple(len(c) for c in classes)
-    inverse_class = tuple(int(class_of[group.inv[r]]) for r in reps)
-    m = group.exponent
-    k = len(classes)
-    power_class = np.empty((k, m), dtype=np.int32)
-    rep_arr = np.array(reps)
-    cur = np.zeros(k, dtype=rep_arr.dtype)  # rep_j ** t for every j at once
-    for t in range(m):
-        power_class[:, t] = class_of[cur]
-        cur = mul[cur, rep_arr]
+    idx = np.arange(n)
+    gens = np.array(group._law.generators, dtype=np.intp)[:, None]
+    maps = group.product(group.product(group.inv[gens], idx), gens)  # [i, x] = s_i^-1 x s_i
+    least = idx
+    while True:
+        nxt = least
+        for conj in maps:
+            nxt = np.minimum(nxt, least[conj])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, least):
+            break
+        least = nxt
+    is_rep = least == idx
+    class_of = (np.cumsum(is_rep) - 1)[least].astype(np.int32)
+    by_class = np.argsort(class_of, kind="stable")  # members ascending within each class
+    classes = np.split(by_class, np.cumsum(np.bincount(class_of))[:-1])
+    reps = np.flatnonzero(is_rep)
     return ClassData(
-        classes=tuple(classes),
+        classes=tuple(tuple(c.tolist()) for c in classes),
         class_of=class_of,
-        representatives=reps,
-        sizes=sizes,
-        inverse_class=inverse_class,
-        power_class=power_class,
+        representatives=tuple(reps.tolist()),
+        sizes=tuple(len(c) for c in classes),
+        inverse_class=tuple(class_of[group.inv[reps]].tolist()),
+        group=group,
     )

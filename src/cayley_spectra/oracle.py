@@ -62,13 +62,17 @@ def adjacency_matrix(group: Group, elements: Iterable[int], cap: int = DEFAULT_O
     targets = np.zeros(n, dtype=bool)
     for x in elements:
         targets[int(x)] = True
-    quotients = group.mul[:, group.inv]  # [g, h] = g * h^-1
-    return targets[quotients].astype(np.int8)
+    return targets[_quotients(group)].astype(np.int8)
 
 
 def adjacency_stack(group: Group, members: np.ndarray) -> np.ndarray:
     """The (S, n, n) 0/1 stack of adjacency_matrix for each row of members, an (S, n) bool array."""
-    return members[:, group.mul[:, group.inv]].astype(np.int8)
+    return members[:, _quotients(group)].astype(np.int8)
+
+
+def _quotients(group: Group) -> np.ndarray:
+    """The (n, n) index array [g, h] = g * h^-1."""
+    return group.product(np.arange(group.n)[:, None], group.inv)
 
 
 def _chunks(count: int, n: int) -> Iterator[slice]:
@@ -389,13 +393,10 @@ def batch_compare_spectra(
     return out
 
 
-def _cyclic_span(g: int, group: Group) -> frozenset[int]:
-    out = {0}
-    cur = g
-    while cur != 0:
-        out.add(cur)
-        cur = int(group.mul[cur, g])
-    return frozenset(out)
+def _cyclic_spans(xs: Iterable[int], group: Group) -> dict[int, frozenset[int]]:
+    """x -> the elements of <x>, enumerated from the power walk of x."""
+    xs = sorted(set(xs))
+    return {x: frozenset(walk.tolist()) for x, walk in zip(xs, group.walks(xs))}
 
 
 def oracle_power_closed(elements: Iterable[int], group: Group) -> bool:
@@ -405,10 +406,12 @@ def oracle_power_closed(elements: Iterable[int], group: Group) -> bool:
     enumerated subgroups, not exponent arithmetic) must again be in the set.
     """
     chosen = set(int(x) for x in elements)
+    spans = _cyclic_spans(chosen, group)
+    inner = _cyclic_spans((y for span in spans.values() for y in span), group)
     for x in chosen:
-        span = _cyclic_span(x, group)
+        span = spans[x]
         for y in span:
-            if _cyclic_span(y, group) == span and y not in chosen:
+            if inner[y] == span and y not in chosen:
                 return False
     return True
 
@@ -423,9 +426,9 @@ def batch_power_closed(group: Group, members: np.ndarray) -> np.ndarray:
     counts at most n terms of 0 or 1, so it is exact.
     """
     n = group.n
-    spans = [_cyclic_span(x, group) for x in range(n)]
+    spans = _cyclic_spans(range(n), group)
     gens = np.zeros((n, n), dtype=np.float32)
-    for x, span in enumerate(spans):
+    for x, span in spans.items():
         for y in span:
             if spans[y] == span:
                 gens[x, y] = 1

@@ -482,19 +482,16 @@ def sweep_power_closed(sweep: ClassSweep, every_element: bool = False) -> np.nda
     contains the reach of each of its classes.  The representative alone
     gives the whole reach: each x in class j is g rep_j g^-1 for some g, and
     x^t = g rep_j^t g^-1 lies in the class of rep_j^t.  So by default the
-    reach is read from rep_j only (k * phi(o) power_of calls); with
-    every_element it is read from every member, the element-level test that
-    does not lean on that argument (n * phi(o) calls).
+    reach is read from the power walks of the representatives only (k
+    walks); with every_element it is read from every member, the
+    element-level test that does not lean on that argument (n walks).
     """
     group, cd = sweep.group, sweep.cd
-    members = cd.classes if every_element else [(rep,) for rep in cd.representatives]
-    reach = []
-    for elements in members:
-        bits = 0
-        for x in elements:
-            for _, y in _unit_powers(x, group):
-                bits |= 1 << int(cd.class_of[y])
-        reach.append(bits)
+    members = range(group.n) if every_element else cd.representatives
+    class_of = cd.class_of.tolist()
+    reach = [0] * cd.k
+    for x, _, y in _unit_powers(members, group):
+        reach[class_of[x]] |= 1 << class_of[y]
     return _closed_under(sweep, reach)
 
 
@@ -543,23 +540,20 @@ def power_conjugation_counts(
     cd: ClassData,
     induced: Optional[InducedCharacter] = None,
 ) -> PowerConjugationCounts:
-    """Tally conjugations of C into <x> and verify the induced-sum identity."""
-    n = group.n
+    """Tally conjugations of C into <x> and verify the induced-sum identity.
+
+    The pairs (z, y) with y^-1 z y = x^i are the y with y x^i y^-1 in C (and
+    z that element), so a_i counts the y that conjugate x^i into C.
+    """
     m = group.exponent
-    o = int(group.orders[x])
-    power_index = np.full(n, -1, dtype=np.int64)
-    cur = 0
-    for i in range(o):
-        power_index[cur] = i
-        cur = int(group.mul[cur, x])
-    mul, inv = group.mul, group.inv
-    all_y = np.arange(n)
-    counts = np.zeros(o, dtype=np.int64)
-    for z in connection.elements:
-        conjugates = mul[mul[inv, z], all_y]  # y^-1 z y over all y
-        hits = power_index[conjugates]
-        hits = hits[hits >= 0]
-        counts += np.bincount(hits, minlength=o)
+    (walk,) = group.walks([x])
+    o = len(walk)
+    in_set = np.zeros(group.n, dtype=bool)
+    in_set[list(connection.elements)] = True
+    rows = max(1, (1 << 16) // group.n)  # powers conjugated per step
+    counts = np.concatenate(
+        [in_set[group.conjugates(walk[i : i + rows])].sum(axis=1) for i in range(0, o, rows)]
+    )
     raw = [0] * m
     step = m // o
     for i, a in enumerate(counts):

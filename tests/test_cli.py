@@ -316,6 +316,27 @@ def test_oversize_table_is_refused_before_allocation(capsys):
 
 
 @pytest.mark.parametrize(
+    "command, code, bound",
+    [("classes", 0, 24 << 20), ("character-table", 2, 8 << 20)],
+)
+def test_cyclic_5040_jobs_allocate_no_order_by_exponent_array(capsys, command, code, bound):
+    """A (k, exponent) power map of cyclic(5040) alone would be 5040^2 int32 entries, 97 MiB."""
+    tracemalloc.start()
+    try:
+        got = run([command, "--group", "cyclic(5040)"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert got == code
+    if code == 2:
+        assert captured.err.startswith("input error: group:")
+    else:
+        assert len(json.loads(captured.out)["classes"]) == 5040
+    assert peak < bound, peak
+
+
+@pytest.mark.parametrize(
     "argv, stdin",
     [
         (["check-integrality", "--group", "cyclic(40)", "--connection", "sweep"], None),

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from cayley_spectra import (
     GroupSpec,
     build_group,
     conjugacy_classes,
+    dixon_character_table,
     element_order,
     exponent,
     parse_permutation,
     power_of,
 )
 from cayley_spectra import group_core
-from conftest import CORPUS
+from conftest import CORPUS, LADDER
 
 
 # independent oracle: conjugacy classes of a permutation group computed from
@@ -109,6 +111,9 @@ def test_trivial_group():
     assert g.n == 1
     assert g.exponent == 1
     assert conjugacy_classes(g).k == 1
+    for spec in (GroupSpec.permutation([]), GroupSpec.from_json("perm[(),()]")):
+        g = build_group(spec)
+        assert (g.n, g.labels, conjugacy_classes(g).k) == (1, ("()",), 1)
 
 
 def test_quaternion_orders():
@@ -236,17 +241,81 @@ def test_power_of_agrees_with_iterated_multiplication():
 
 
 # ---------------------------------------------------------------------------
-# the row-wise multiplication table fill against the column fill it replaced
+# the table-free group against the multiplication table it replaced
+#
+# The reference is the table builder the package used before: scalar
+# element tuples closed breadth-first, the n x n table filled row by row,
+# direct products folded into one table, and orders and inverses read from
+# the table.  The column fill is a second, independent way to the same table.
 
 
-def _bfs_table_by_columns(identity, gens, mul_fn, label_fn, description, cap):
-    """Breadth-first closure with the table filled one column at a time.
+def _reference_pieces(spec):
+    """identity, generators, scalar multiplication and label of a non-product spec."""
+    if spec.kind == "permutation-generators":
+        domain = max((len(parse_permutation(g)) for g in spec.generators), default=0)
+        gens = [parse_permutation(g, domain) for g in spec.generators]
+        return tuple(range(domain)), gens, _compose, _perm_label
+    family, params = spec.family, spec.params
+    if family == "cyclic":
+        (n,) = params
+        return 0, [1 % n], lambda a, b: (a + b) % n, str
+    if family == "dihedral":
+        (n,) = params
 
-    Column b is column pb permuted by right multiplication with the generator
-    that discovered b.  Permutations are composed by the reference _compose.
-    """
-    if mul_fn is group_core._compose:
-        mul_fn = _compose
+        def dmul(x, y):
+            (i, j), (k, l) = x, y
+            return ((i + k) % n if j == 0 else (i - k) % n, j ^ l)
+
+        return (0, 0), [(1 % n, 0), (0, 1)], dmul, lambda x: f"r{x[0]}" + (" s" if x[1] else "")
+    if family in ("quaternion", "generalized-quaternion"):
+        (order,) = params
+        half, quarter = order // 2, order // 4
+
+        def qmul(x, y):
+            (i, j), (k, l) = x, y
+            i2 = i + k if j == 0 else i - k
+            if j and l:
+                i2 += quarter
+            return (i2 % half, j ^ l)
+
+        return (0, 0), [(1, 0), (0, 1)], qmul, lambda x: f"a{x[0]}" + (" b" if x[1] else "")
+    if family in ("symmetric", "alternating"):
+        (n,) = params
+        cycle = "(" + " ".join(str(i) for i in range(1, n + 1)) + ")"
+        if family == "symmetric":
+            texts = ["(1 2)", cycle][: max(0, min(n - 1, 2))]
+        else:
+            pts = range(1, n + 1) if n % 2 == 1 else range(2, n + 1)
+            texts = ["(1 2 3)", "(" + " ".join(str(i) for i in pts) + ")"][: max(0, min(n - 2, 2))]
+        return tuple(range(n)), [parse_permutation(t, n) for t in texts], _compose, _perm_label
+    assert family == "elementary-abelian"
+    p, k = params
+    gens = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
+    return (
+        (0,) * k,
+        gens,
+        lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
+        lambda x: "(" + ",".join(str(c) for c in x) + ")",
+    )
+
+
+def _perm_label(images):
+    seen, out = set(), []
+    for start in range(len(images)):
+        if start in seen or images[start] == start:
+            continue
+        cyc, nxt = [start], images[start]
+        seen.add(start)
+        while nxt != start:
+            cyc.append(nxt)
+            seen.add(nxt)
+            nxt = images[nxt]
+        out.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
+    return "".join(out) if out else "()"
+
+
+def _closure(identity, gens, mul_fn):
+    """Elements in breadth-first order, their index, and (parent, generator) of each."""
     elems = [identity]
     index = {identity: 0}
     parents = [(-1, -1)]
@@ -259,6 +328,25 @@ def _bfs_table_by_columns(identity, gens, mul_fn, label_fn, description, cap):
                 elems.append(y)
                 parents.append((qi, gi))
         qi += 1
+    return elems, index, parents
+
+
+def _fill_by_rows(identity, gens, mul_fn):
+    """Row a is row pa read at lgen[gi], where elems[a] = elems[pa] * g and lgen[gi][c] = g * c."""
+    elems, index, parents = _closure(identity, gens, mul_fn)
+    n = len(elems)
+    lgen = [np.array([index[mul_fn(g, x)] for x in elems], dtype=np.int32) for g in gens]
+    mul = np.empty((n, n), dtype=np.int32)
+    mul[0] = np.arange(n, dtype=np.int32)
+    for a in range(1, n):
+        pa, gi = parents[a]
+        np.take(mul[pa], lgen[gi], out=mul[a])
+    return mul, elems
+
+
+def _fill_by_columns(identity, gens, mul_fn):
+    """Column b is column pb permuted by right multiplication with the generator that found b."""
+    elems, index, parents = _closure(identity, gens, mul_fn)
     n = len(elems)
     rgen = [np.array([index[mul_fn(x, g)] for x in elems], dtype=np.int32) for g in gens]
     mul = np.empty((n, n), dtype=np.int32)
@@ -266,22 +354,117 @@ def _bfs_table_by_columns(identity, gens, mul_fn, label_fn, description, cap):
     for b in range(1, n):
         pb, gi = parents[b]
         mul[:, b] = rgen[gi][mul[:, pb]]
-    return group_core.Group(mul, description, tuple(label_fn(x) for x in elems))
+    return mul, elems
 
 
-@pytest.mark.parametrize(
-    "text", CORPUS + ["symmetric(7)", "alternating(7)", "perm[(1 2 3 4 5 6),(1 2)(3 4)]"]
+def _reference_table(spec, fill=_fill_by_rows):
+    """The multiplication table and labels of spec; a direct product is folded factor by factor."""
+    if spec.kind != "direct-product":
+        identity, gens, mul_fn, label_fn = _reference_pieces(spec)
+        mul, elems = fill(identity, gens, mul_fn)
+        return mul, tuple(label_fn(x) for x in elems)
+    mul, labels = _reference_table(spec.factors[0], fill)
+    for factor in spec.factors[1:]:
+        b_mul, b_labels = _reference_table(factor, fill)
+        n = len(labels) * len(b_labels)
+        mul = (mul[:, None, :, None].astype(np.int32) * len(b_labels) + b_mul[None, :, None, :]).reshape(n, n)
+        labels = tuple(f"({la},{lb})" for la in labels for lb in b_labels)
+    return mul, labels
+
+
+def _reference_orders_and_inverses(mul):
+    n = mul.shape[0]
+    gens = np.arange(n)
+    prev, cur = np.zeros(n, dtype=mul.dtype), gens.astype(mul.dtype)
+    orders, inv = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int32)
+    k = 1
+    while (orders == 0).any():
+        fresh = (cur == 0) & (orders == 0)
+        orders[fresh] = k
+        inv[fresh] = prev[fresh]
+        prev, cur = cur, mul[cur, gens]
+        k += 1
+    return orders, inv
+
+
+REFERENCE_GROUPS = list(
+    dict.fromkeys(
+        CORPUS
+        + list(LADDER)
+        + [
+            "symmetric(6)",
+            "alternating(7)",
+            "perm[(1 2 3 4 5 6),(1 2)(3 4)]",
+            # 8 points, and 300 points in uint16 rows: keys past the dense
+            # lookup, found as bytes in the sorted keys
+            "perm[(1 2 3 4 5 6 7 8),(1 8)(2 7)(3 6)(4 5)]",
+            "perm[(1 2 3)(4 5),(1 300)]",
+            "product(cyclic(2),product(symmetric(3),cyclic(3)),quaternion(8))",
+        ]
+    )
 )
-def test_row_fill_matches_column_fill(text, monkeypatch):
+
+
+@pytest.mark.parametrize("text", REFERENCE_GROUPS)
+def test_row_fill_matches_column_fill(text):
+    """The lazy table equals the column-filled reference table."""
     spec = GroupSpec.from_json(text)
-    rows = build_group(spec)
-    monkeypatch.setattr(group_core, "_bfs_table", _bfs_table_by_columns)
-    columns = build_group(spec)
-    assert rows.mul.dtype == columns.mul.dtype == np.int32
-    assert rows.mul.flags.c_contiguous
-    assert np.array_equal(rows.mul, columns.mul)
-    assert rows.labels == columns.labels
-    assert rows.description == columns.description == spec.describe()
+    group = build_group(spec)
+    assert group.mul.dtype == np.int32
+    assert group.mul.flags.c_contiguous and not group.mul.flags.writeable
+    assert np.array_equal(group.mul, _reference_table(spec, _fill_by_columns)[0])
+
+
+@pytest.mark.parametrize("text", REFERENCE_GROUPS)
+def test_table_free_group_matches_reference_table(text):
+    """Products, labels, orders and inverses equal those of the row-filled reference table."""
+    spec = GroupSpec.from_json(text)
+    group = build_group(spec)
+    mul, labels = _reference_table(spec)
+    n = group.n
+    rng = np.random.default_rng(n)
+    a, b = rng.integers(0, n, (5, 1, 40)), rng.integers(0, n, (3, 40))
+    assert np.array_equal(group.product(a, b), mul[a, b])
+    assert np.array_equal(group.product(a[0, 0, 0], b), mul[a[0, 0, 0], b])
+    assert group.labels == labels
+    assert [group.label(x) for x in b[0]] == [labels[x] for x in b[0]]
+    orders, inv = _reference_orders_and_inverses(mul)
+    assert group.orders.dtype == np.int64 and group.inv.dtype == np.int32
+    assert np.array_equal(group.orders, orders)
+    assert np.array_equal(group.inv, inv)
+    assert group.description == spec.describe()
+
+
+def test_blocked_products_match_single_products(monkeypatch):
+    group = build_group(GroupSpec.from_json("alternating(5)"))
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(0, 60, (9, 1)), rng.integers(0, 60, (1, 11))
+    whole = group.product(a, b)
+    monkeypatch.setattr(group_core, "_PRODUCT_BLOCK", 4)
+    assert np.array_equal(group.product(a, b), whole)
+    assert np.array_equal(group.product(a[:, 0], b[0, :9]), group.mul[a[:, 0], b[0, :9]])
+
+
+@pytest.mark.parametrize("kept", [True, False])
+@pytest.mark.parametrize("text", ["cyclic(12)", "dihedral(7)", "alternating(5)", "product(symmetric(3),cyclic(4))"])
+def test_power_walks_are_iterated_products(text, kept, monkeypatch):
+    if not kept:
+        monkeypatch.setattr(group_core, "_WALK_TABLE", 0)
+    group = build_group(GroupSpec.from_json(text))
+    idx = np.arange(group.n)
+    iterated = [np.zeros(group.n, dtype=np.int64)]
+    for _ in range(group.exponent + 2):
+        iterated.append(group.mul[iterated[-1], idx])
+    iterated = np.stack(iterated, axis=1)
+    for length in range(group.exponent + 3):
+        assert np.array_equal(group.powers(idx, length), iterated[:, :length])
+    monkeypatch.setattr(group_core, "_PRODUCT_BLOCK", 16)  # several batches of walks
+    walks = list(group.walks(idx[::-1]))
+    assert len(walks) == group.n
+    for x, walk in zip(idx[::-1], walks):
+        assert walk.tolist() == iterated[x, : group.orders[x]].tolist()
+    assert list(group.walks([])) == []
+    assert (group._walk_table is not None) == kept
 
 
 def test_product_descriptions_name_every_factor():
@@ -291,3 +474,25 @@ def test_product_descriptions_name_every_factor():
         "product(cyclic(2),product(cyclic(3),cyclic(2)),perm[(1 2)])",
     ):
         assert build_group(GroupSpec.from_json(text)).description == text
+
+
+def test_symmetric_seven_table_builds_without_an_n_by_n_array():
+    """S7's multiplication table alone would be 5040^2 int32 entries, 97 MiB."""
+    tracemalloc.start()
+    try:
+        group = build_group(GroupSpec.named("symmetric", 7))
+        cd = conjugacy_classes(group)
+        table = dixon_character_table(group, cd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (group.n, cd.k, table.degrees[-1]) == (5040, 15, 35)
+    assert peak < 16 << 20, peak
+
+
+def test_power_class_is_built_on_first_access():
+    group = build_group(GroupSpec.named("dihedral", 5))
+    cd = conjugacy_classes(group)
+    assert "power_class" not in vars(cd)
+    assert cd.power_class.shape == (cd.k, group.exponent) and cd.power_class.dtype == np.int32
+    assert cd.power_class is cd.power_class

@@ -2,7 +2,8 @@
 
 The power-basis format has one home, cyclotomic, and the independent oracle
 shares nothing with the character path but that format: it reads the group,
-the adjacency matrices and a claimed spectrum.
+the adjacency matrices and a claimed spectrum.  Only group_core reads a
+group's n x n multiplication table, so no job builds it.
 """
 
 import ast
@@ -65,3 +66,13 @@ def test_spectra_imports_nothing_private_from_characters():
     for module, names in _package_imports(_trees()["spectra"]):
         if module == "characters":
             assert names is not None and not any(name.startswith("_") for name in names), names
+
+
+def test_only_group_core_reads_the_multiplication_table():
+    readers = {
+        module
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "mul"
+    }
+    assert readers <= {"group_core"}, readers
