@@ -190,16 +190,49 @@ def _check_split_exact(k: int, p: int) -> None:
     """Refuse a split whose int64 arithmetic mod p could wrap: require k (p - 1)^2 < 2^63.
 
     Every array of the split holds residues in [0, p).  A product of a space's
-    basis (at most k rows) with a k x k class matrix, or of nullspace rows with
-    a basis, sums at most k products of two residues, so each entry is at most
-    k (p - 1)^2.  The row reduction's outer-product update, a row's scaling by
-    an inverse and a Horner step stay below p (p - 1) <= 2 (p - 1)^2, within
-    the same bound for k >= 2; with k = 1 the split does no arithmetic.
+    basis (at most k rows) with a k x k class matrix, of nullspace rows with
+    a basis, a Krylov step row @ R and the product Q @ K of the quotient
+    coefficients with the Krylov stack each sum at most k products of two
+    residues, so each entry is at most k (p - 1)^2.  The row reduction's
+    outer-product update, a row's scaling by an inverse, a Horner step and a
+    synthetic division step, lam q_j + f_j, stay at most p (p - 1) <= 2 (p - 1)^2,
+    within the same bound for k >= 2; with k = 1 the split does no arithmetic.
     """
     if k * (p - 1) ** 2 >= 2**63:
         raise ResourceLimitError(
             f"eigenspace split of {k} classes mod {p} would overflow int64: k (p - 1)^2 >= 2^63"
         )
+
+
+def _krylov_start(r: int, p: int) -> np.ndarray:
+    """The fixed start row u of a space's Krylov stack: spread residues, not the all-ones row.
+
+    The all-ones row is the trivial character's eigenvector in the first
+    space of an abelian group, where every other Krylov row would vanish.
+    """
+    i = np.arange(r, dtype=np.int64)
+    return (i * i * 7919 + i * 104729 + 1) % p
+
+
+def _krylov_eigenrows(restricted: np.ndarray, charpoly: list[int], roots: np.ndarray, p: int) -> np.ndarray:
+    """Row i is u q(R), q = f / (x - roots[i]): a left eigenrow of R for roots[i], or zero.
+
+    R = restricted and f = charpoly, its characteristic polynomial.  For a
+    root lam, x = u q(R) has x (R - lam I) = u f(R) = 0 (Cayley-Hamilton).
+    The rows u R^j, j < r, are stacked once as K; one synthetic division over
+    all roots gives the quotient coefficients Q, and X = Q K, in O(r^3).
+    """
+    r = restricted.shape[0]
+    krylov = np.empty((r, r), dtype=np.int64)
+    krylov[0] = _krylov_start(r, p)
+    for j in range(1, r):
+        krylov[j] = krylov[j - 1] @ restricted % p
+    lam = roots.astype(np.int64)
+    quotient = np.empty((lam.size, r), dtype=np.int64)  # column j: coefficient of x^j in q
+    quotient[:, r - 1] = charpoly[r]
+    for j in range(r - 1, 0, -1):
+        quotient[:, j - 1] = (charpoly[j] + lam * quotient[:, j]) % p
+    return quotient @ krylov % p
 
 
 def _common_eigenrows(c: np.ndarray, p: int) -> list[list[int]]:
@@ -208,9 +241,20 @@ def _common_eigenrows(c: np.ndarray, p: int) -> list[list[int]]:
     c[i] is the i-th class matrix mod p, shape (k, k, k).  Each space is held
     as its reduced row echelon basis with the pivot columns; a vector of the
     space is fixed by its pivot entries, so the image of the basis read at
-    the pivots is the restricted map.  Each root of its characteristic
-    polynomial cuts the space down to the left nullspace of the shifted
-    restriction.
+    the pivots is the restricted map R, r x r.  One Krylov stack per space
+    gives an eigenrow for every root of R's characteristic polynomial f at
+    once (_krylov_eigenrows), O(r^3) for the whole space; a nonzero one is
+    taken as its root's whole eigenspace.  A root whose row is zero cuts the
+    space down to the left nullspace of R - lam I instead, one elimination
+    for that root alone.  A simple root's row is zero for about 1 in p start
+    rows.  A repeated root's row is always zero: the class algebra mod p is
+    split semisimple (p does not divide n), so R is diagonalizable and
+    f / (x - lam) is a multiple of its minimal polynomial.
+
+    covered == r certifies the split.  A root adds at most the dimension g
+    of its eigenspace to covered: 1 from its Krylov row, g from elimination.
+    The g sum to at most r, so covered == r forces every eigenspace to be
+    whole, and g = 1 for each root taken from its Krylov row.
     """
     k = c.shape[0]
     _check_split_exact(k, p)
@@ -223,10 +267,19 @@ def _common_eigenrows(c: np.ndarray, p: int) -> list[list[int]]:
                 nxt.append((basis, pivots))
                 continue
             restricted = (basis @ mat.T % p)[:, pivots]  # row vectors act by v -> v . mat^T
-            roots = _poly_roots(_modp.charpoly(restricted.tolist(), p), p)
+            charpoly = _modp.charpoly(restricted.tolist(), p)
+            roots = _poly_roots(charpoly, p)
+            found = _krylov_eigenrows(restricted, charpoly, roots, p) @ basis % p
+            lead_col = (found != 0).argmax(axis=1)
+            lead = found[np.arange(roots.size), lead_col]
+            found = found * _modp._power_stack(lead, p - 2, p)[:, None] % p  # rref of one row
             diagonal = np.arange(r)
             covered = 0
-            for lam in roots:
+            for lam, row, col, nonzero in zip(roots.tolist(), found, lead_col.tolist(), lead.tolist()):
+                if nonzero:
+                    covered += 1
+                    nxt.append((row[None], [col]))
+                    continue
                 shifted = restricted.copy()
                 shifted[diagonal, diagonal] -= lam
                 left_null = _left_nullspace(shifted, p)
@@ -253,30 +306,8 @@ def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
     m = group.exponent
     p = _least_dixon_prime(n, m)
     z = _element_of_order(m, p)
-    rows = _common_eigenrows(cm.c % p, p)
-
-    sizes = cd.sizes
-    inv_sizes = [pow(s % p, p - 2, p) for s in sizes]
-    sqrt_cap = isqrt(n)
-    degrees = []
-    chi_p = []
-    for v in rows:
-        v0 = v[0] % p
-        if v0 == 0:
-            raise InternalConsistencyError("eigenvector vanishes on the identity class")
-        scale = pow(v0, p - 2, p)
-        omega = [x * scale % p for x in v]
-        denom = sum(omega[j] * omega[cd.inverse_class[j]] % p * inv_sizes[j] for j in range(k)) % p
-        if denom == 0:
-            raise InternalConsistencyError("degenerate norm in degree recovery")
-        d_sq = n % p * pow(denom, p - 2, p) % p
-        degree = next((d for d in range(1, sqrt_cap + 1) if d * d % p == d_sq), None)
-        if degree is None:
-            raise InternalConsistencyError("no admissible degree lift")
-        degrees.append(degree)
-        chi_p.append([degree * omega[j] % p * inv_sizes[j] % p for j in range(k)])
-
-    coeffs = _lift_table(np.array(chi_p, dtype=np.int64), degrees, cd, group, m, p, z)
+    degrees, chi_p = _degrees_and_values(_common_eigenrows(cm.c % p, p), cd, n, p)
+    coeffs = _lift_table(chi_p, degrees, cd, group, m, p, z)
     ones = (coeffs[:, :, 0] == 1).all(axis=1) & ~coeffs[:, :, 1:].any(axis=(1, 2))
     is_trivial = ones & (np.array(degrees) == 1)
     if not is_trivial.any():
@@ -287,6 +318,38 @@ def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
     table = CharacterTable(m=m, degrees=tuple(degrees[r] for r in order), coefficients=coeffs[order], prime=p)
     _validate_table(table, cd, n)
     return table
+
+
+def _degrees_and_values(
+    rows: list[list[int]], cd: ClassData, n: int, p: int
+) -> tuple[list[int], np.ndarray]:
+    """Degrees d and character values mod p from the common eigenrows of the class matrices.
+
+    A row scaled to 1 on the identity class is the central character
+    omega(C_j) = |C_j| chi(g_j) / d, and sum_j omega_j omega_j' / |C_j| =
+    n / d^2, j' the class of the inverses.  The values are d omega_j / |C_j|.
+    Residues stay below p throughout: the norm sums k products of two
+    residues, within _check_split_exact's bound, and every other step takes
+    one product.  d is the d <= isqrt(n) with d^2 = n / norm (mod p), found
+    for all rows at once in a (k, isqrt(n)) table of d^2 mod p.  Only one d
+    can match, as p > 2 sqrt(n) (_least_dixon_prime): d1^2 = d2^2 (mod p)
+    would make p divide d1 - d2 or d1 + d2, which lie in (-p, p) and (0, p).
+    """
+    rows = np.array(rows, dtype=np.int64)
+    if not rows[:, 0].all():
+        raise InternalConsistencyError("eigenvector vanishes on the identity class")
+    omega = rows * _modp._power_stack(rows[:, 0], p - 2, p)[:, None] % p
+    inv_sizes = _modp._power_stack(np.array(cd.sizes, dtype=np.int64) % p, p - 2, p)
+    denom = (omega * omega[:, cd.inverse_class] % p) @ inv_sizes % p
+    if not denom.all():
+        raise InternalConsistencyError("degenerate norm in degree recovery")
+    d_sq = n % p * _modp._power_stack(denom, p - 2, p) % p
+    cands = np.arange(1, isqrt(n) + 1, dtype=np.int64)
+    hit = cands * cands % p == d_sq[:, None]
+    if not hit.any(axis=1).all():
+        raise InternalConsistencyError("no admissible degree lift")
+    degrees = cands[hit.argmax(axis=1)]
+    return degrees.tolist(), degrees[:, None] * omega % p * inv_sizes % p
 
 
 def _lift_table(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -352,26 +352,51 @@ class Group:
 
 
 def _orders_and_inverses(group: Group) -> tuple[np.ndarray, np.ndarray]:
-    """Element orders (int64) and inverses (int32), from the powers x^k for k = 1, 2, ...
+    """Element orders (int64) and inverses (int32), from the powers of the elements still open.
 
-    The first k with x^k the identity is the order o of x, and x^(o-1) is its
-    inverse.  Only the elements whose order is still open are multiplied.
+    Every order is at most n <= b^2, b = ceil(sqrt(n)).  First the powers x^k,
+    k <= b, are taken one product per step: the first k with x^k the identity
+    is the order o of x and x^(k-1) its inverse, and x leaves the walk.  An
+    element still open has o > b.  Its baby steps x^0 .. x^b come from one
+    doubling walk (Group.powers), in blocks of at most _PRODUCT_BLOCK powers,
+    and then it takes giant steps x^(tb).  The first t with x^(tb) among
+    x^0 .. x^(b-1), as x^s, is t = ceil(o / b), with s = tb - o: for smaller
+    t, b <= tb < o, and two exponents below b < o that agree mod o are
+    equal.  So o = tb - s, and the inverse is x^(o-1) = x^((t-1)b) x^(b-1-s).
     Groups whose walks x^0 .. x^n fit in _WALK_TABLE read both from those
-    walks instead, in about log2(n) products.
+    walks instead.
     """
-    orders = np.zeros(group.n, dtype=np.int64)
-    inv = np.zeros(group.n, dtype=np.int32)
-    todo = np.arange(group.n)  # elements of unknown order
-    prev = np.zeros(group.n, dtype=np.intp)  # x^(k-1) for x in todo
-    cur = todo  # x^k
-    k = 1
-    while todo.size:
+    n = group.n
+    orders = np.zeros(n, dtype=np.int64)
+    inv = np.zeros(n, dtype=np.int32)
+    b = isqrt(n - 1) + 1
+    todo = np.arange(n)  # elements of order k or more
+    prev, cur = np.zeros(n, dtype=np.intp), todo  # x^(k-1) and x^k for x in todo
+    for k in range(1, b + 1):
         done = cur == 0
         orders[todo[done]] = k
         inv[todo[done]] = prev[done]
         todo, prev = todo[~done], cur[~done]
+        if k == b or not todo.size:
+            break
         cur = group.product(prev, todo)
-        k += 1
+    step = max(1, _PRODUCT_BLOCK // (b + 1))
+    for start in range(0, todo.size, step):
+        xs = todo[start : start + step]
+        walk = group.powers(xs, b + 1)
+        baby, stride = walk[:, :b], walk[:, b]  # x^0 .. x^(b-1) and x^b
+        prev, giant, t = np.zeros_like(stride), stride, 1  # x^((t-1)b) and x^(tb)
+        while xs.size:
+            hit = baby == giant[:, None]
+            done = hit.any(axis=1)
+            if done.any():
+                closed = np.flatnonzero(done)
+                s = hit[closed].argmax(axis=1)
+                orders[xs[closed]] = t * b - s
+                inv[xs[closed]] = group.product(prev[closed], baby[closed, b - 1 - s])
+                xs, baby, stride, giant = xs[~done], baby[~done], stride[~done], giant[~done]
+            prev, giant = giant, group.product(giant, stride)
+            t += 1
     return orders, inv
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import sys
 from math import isqrt, prod
 
@@ -676,7 +677,7 @@ def _class_tensor_mod(text, p=None):
     return class_matrices(group, cd).c % p, p
 
 
-SPLIT_EXTRA = ("cyclic(40)", "elementary-abelian(2,6)", "product(cyclic(6),cyclic(6))")
+SPLIT_EXTRA = ("cyclic(40)", "cyclic(60)", "elementary-abelian(2,6)", "product(cyclic(6),cyclic(6))")
 
 
 @pytest.mark.parametrize("text", tuple(CORPUS) + SPLIT_EXTRA)
@@ -685,6 +686,75 @@ def test_split_matches_list_reference(text):
     rows = characters._common_eigenrows(c, p)
     assert len(rows) == c.shape[0]
     assert sorted(rows) == sorted(_ref_common_eigenrows(c.tolist(), p))
+
+
+def _counting_split(monkeypatch):
+    """Count the roots the split meets and the per-root eliminations it runs."""
+    counts = {"roots": 0, "eliminations": 0}
+    real_roots, real_nullspace = characters._poly_roots, characters._left_nullspace
+
+    def roots(coeffs, p):
+        found = real_roots(coeffs, p)
+        counts["roots"] += len(found)
+        return found
+
+    def nullspace(a, p):
+        counts["eliminations"] += 1
+        return real_nullspace(a, p)
+
+    monkeypatch.setattr(characters, "_poly_roots", roots)
+    monkeypatch.setattr(characters, "_left_nullspace", nullspace)
+    return counts
+
+
+@pytest.mark.parametrize("text", ("cyclic(40)", "cyclic(60)", "cyclic(120)"))
+def test_split_takes_simple_roots_from_the_krylov_stack(text, monkeypatch):
+    """Only the roots whose Krylov row is zero (about 1/p of them) fall back to elimination.
+
+    Falling back on a whole space whenever one row is zero gives the same
+    rows, so only this count shows it.
+    """
+    c, p = _class_tensor_mod(text)
+    counts = _counting_split(monkeypatch)
+    characters._common_eigenrows(c, p)
+    assert counts["roots"] == c.shape[0]
+    assert counts["eliminations"] < 0.1 * counts["roots"], counts
+
+
+def test_split_by_krylov_rows_equals_the_per_root_elimination():
+    """A zero start row leaves every root to elimination, the split before the Krylov stack."""
+    c, p = _class_tensor_mod("cyclic(120)")
+    fast = characters._common_eigenrows(c, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characters, "_krylov_start", lambda r, p: np.zeros(r, dtype=np.int64))
+        counts = _counting_split(mp)
+        slow = characters._common_eigenrows(c, p)
+    assert counts["eliminations"] == counts["roots"] == 120
+    assert fast == slow
+
+
+@pytest.mark.parametrize("text", ("cyclic(40)", "product(cyclic(6),cyclic(6))"))
+def test_split_falls_back_per_root_when_krylov_rows_vanish(text, monkeypatch):
+    """Started at an eigenvector, every other root's Krylov row is zero; each falls back alone.
+
+    In an abelian group every class has size 1, so the all-ones row is a
+    common eigenvector of the first space, the trivial character's.
+    """
+    c, p = _class_tensor_mod(text)
+    expected = characters._common_eigenrows(c, p)
+    monkeypatch.setattr(characters, "_krylov_start", lambda r, p: np.ones(r, dtype=np.int64))
+    counts = _counting_split(monkeypatch)
+    assert characters._common_eigenrows(c, p) == expected
+    if text == "cyclic(40)":  # one space, 40 simple roots: only the trivial one is proved by its row
+        assert counts["eliminations"] == counts["roots"] - 1 == 39
+
+
+def test_krylov_start_is_not_the_trivial_eigenvector():
+    for r, p in ((2, 3), (36, 13), (120, 241)):
+        u = characters._krylov_start(r, p)
+        assert u.dtype == np.int64 and u.shape == (r,)
+        assert ((0 <= u) & (u < p)).all()
+        assert (u != 1).any()
 
 
 @pytest.mark.parametrize("p", (3, 7))
@@ -728,6 +798,65 @@ def test_rref_and_left_nullspace_match_list_reference(case):
 @given(st.sampled_from((2, 3, 13, 61, 421)), st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8))
 def test_poly_roots_match_exhaustive_scan(p, coeffs):
     assert characters._poly_roots(coeffs, p).tolist() == _ref_poly_roots(coeffs, p)
+
+
+def _ref_degrees_and_values(rows, cd, n, p):
+    """Degree recovery as one loop per eigenrow, the reference for the array version."""
+    inv_sizes = [pow(s % p, p - 2, p) for s in cd.sizes]
+    degrees, chi_p = [], []
+    for v in rows:
+        scale = pow(v[0] % p, p - 2, p)
+        omega = [x * scale % p for x in v]
+        denom = sum(omega[j] * omega[cd.inverse_class[j]] % p * inv_sizes[j] for j in range(cd.k)) % p
+        d_sq = n % p * pow(denom, p - 2, p) % p
+        degree = next(d for d in range(1, isqrt(n) + 1) if d * d % p == d_sq)
+        degrees.append(degree)
+        chi_p.append([degree * omega[j] % p * inv_sizes[j] % p for j in range(cd.k)])
+    return degrees, chi_p
+
+
+@pytest.mark.parametrize("text", tuple(CORPUS) + LADDER + ("cyclic(120)", "alternating(7)"))
+def test_degree_recovery_matches_the_loop_reference(text):
+    group = build_group(GroupSpec.from_json(text))
+    cd = conjugacy_classes(group)
+    p = characters._least_dixon_prime(group.n, group.exponent)
+    rows = characters._common_eigenrows(class_matrices(group, cd).c % p, p)
+    degrees, chi_p = characters._degrees_and_values(rows, cd, group.n, p)
+    ref_degrees, ref_chi_p = _ref_degrees_and_values(rows, cd, group.n, p)
+    assert degrees == ref_degrees
+    assert chi_p.dtype == np.int64 and chi_p.tolist() == ref_chi_p
+
+
+def test_degree_recovery_refuses_rows_that_are_no_central_characters():
+    group = build_group(GroupSpec.from_json("symmetric(4)"))
+    cd = conjugacy_classes(group)
+    n, p = group.n, characters._least_dixon_prime(group.n, group.exponent)
+    rows = characters._common_eigenrows(class_matrices(group, cd).c % p, p)
+
+    def recover(row):
+        return characters._degrees_and_values([*rows[:2], row, *rows[3:]], cd, n, p)
+
+    with pytest.raises(InternalConsistencyError, match="vanishes on the identity class"):
+        recover([0] + rows[2][1:])
+    # a row that is 1 on the identity and x on class j has the norm 1 + x^2 / |C_j|,
+    # as every class of S4 is its own inverse class
+    assert cd.inverse_class == tuple(range(cd.k))
+    squares = {d * d % p for d in range(1, isqrt(n) + 1)}
+    seen = set()
+    for j, x in itertools.product(range(1, cd.k), range(p)):
+        denom = (1 + x * x * pow(cd.sizes[j], p - 2, p)) % p
+        if denom == 0:
+            message = "degenerate norm"
+        elif n * pow(denom, p - 2, p) % p not in squares:
+            message = "no admissible degree lift"
+        else:
+            continue
+        row = [1] + [0] * (cd.k - 1)
+        row[j] = x
+        with pytest.raises(InternalConsistencyError, match=message):
+            recover(row)
+        seen.add(message)
+    assert seen == {"degenerate norm", "no admissible degree lift"}
 
 
 def test_split_int64_guard_at_its_boundary():

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -433,6 +434,50 @@ def test_table_free_group_matches_reference_table(text):
     assert np.array_equal(group.orders, orders)
     assert np.array_equal(group.inv, inv)
     assert group.description == spec.describe()
+
+
+def _orders_and_inverses_by_steps(group):
+    """One product per power, x^k = x^(k-1) * x, until every element has met the identity."""
+    orders, inv = np.zeros(group.n, dtype=np.int64), np.zeros(group.n, dtype=np.int32)
+    todo, prev, cur, k = np.arange(group.n), np.zeros(group.n, dtype=np.intp), np.arange(group.n), 1
+    while todo.size:
+        done = cur == 0
+        orders[todo[done]], inv[todo[done]] = k, prev[done]
+        todo, prev = todo[~done], cur[~done]
+        cur, k = group.product(prev, todo), k + 1
+    return orders, inv
+
+
+@pytest.mark.parametrize(
+    "text, blocks",
+    [
+        # 2,228 rotations have order above b = 71: 5 blocks of 455 baby walks
+        ("dihedral(2520)", 5),
+        # S5 x C7 on 12 points: orders up to 42, past b = ceil(sqrt(840)) = 29
+        ("perm[(1 2 3 4 5),(1 2),(6 7 8 9 10 11 12)]", 1),
+        ("cyclic(997)", 2),
+    ],
+)
+def test_orders_by_giant_steps_equal_the_per_step_walk(text, blocks, monkeypatch):
+    group = build_group(GroupSpec.from_json(text))
+    assert group.n * (group.n + 1) > group_core._WALK_TABLE  # built by _orders_and_inverses
+    b = isqrt(group.n - 1) + 1
+    baby_walks = []
+    real_powers = group_core.Group.powers
+
+    def powers(self, x, length):
+        baby_walks.append(length)
+        return real_powers(self, x, length)
+
+    monkeypatch.setattr(group_core.Group, "powers", powers)
+    orders, inv = group_core._orders_and_inverses(group)
+    assert baby_walks == [b + 1] * blocks
+    ref_orders, ref_inv = _orders_and_inverses_by_steps(group)
+    assert orders.dtype == np.int64 and inv.dtype == np.int32
+    assert np.array_equal(orders, ref_orders)
+    assert np.array_equal(inv, ref_inv)
+    assert np.array_equal(group.orders, orders) and np.array_equal(group.inv, inv)
+    assert int(orders.max()) > b  # some elements took giant steps
 
 
 def test_blocked_products_match_single_products(monkeypatch):
