@@ -177,13 +177,17 @@ def _left_nullspace(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def _poly_roots(coeffs: list[int], p: int) -> np.ndarray:
-    """All roots in F_p, ascending: one Horner scan over every residue at once."""
-    x = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
+def _poly_values(coeffs: list[int], x: np.ndarray, p: int) -> np.ndarray:
+    """The polynomial with these ascending coefficients at every residue of x, mod p (Horner)."""
+    acc = np.zeros(x.size, dtype=np.int64)
     for c in reversed(coeffs):
         acc = (acc * x + c) % p
-    return np.flatnonzero(acc == 0)
+    return acc
+
+
+def _poly_roots(coeffs: list[int], p: int) -> np.ndarray:
+    """All roots in F_p, ascending: one Horner scan over every residue at once."""
+    return np.flatnonzero(_poly_values(coeffs, np.arange(p, dtype=np.int64), p) == 0)
 
 
 def _check_split_exact(k: int, p: int) -> None:
@@ -242,13 +246,15 @@ def _common_eigenrows(c: np.ndarray, p: int) -> list[list[int]]:
     as its reduced row echelon basis with the pivot columns; a vector of the
     space is fixed by its pivot entries, so the image of the basis read at
     the pivots is the restricted map R, r x r.  One Krylov stack per space
-    gives an eigenrow for every root of R's characteristic polynomial f at
-    once (_krylov_eigenrows), O(r^3) for the whole space; a nonzero one is
-    taken as its root's whole eigenspace.  A root whose row is zero cuts the
-    space down to the left nullspace of R - lam I instead, one elimination
-    for that root alone.  A simple root's row is zero for about 1 in p start
-    rows.  A repeated root's row is always zero: the class algebra mod p is
-    split semisimple (p does not divide n), so R is diagonalizable and
+    gives an eigenrow for every simple root of R's characteristic
+    polynomial f at once (_krylov_eigenrows), O(r^3) for the whole space; a
+    nonzero one is taken as its root's whole eigenspace.  A root whose row
+    is zero, and every repeated root (f'(lam) = 0 mod p), cuts the space down
+    to the left nullspace of R - lam I instead, one elimination for that
+    root alone; a space with no simple root builds no Krylov stack.  A
+    simple root's row is zero for about 1 in p start rows.  A repeated
+    root's row would always be zero: the class algebra mod p is split
+    semisimple (p does not divide n), so R is diagonalizable and
     f / (x - lam) is a multiple of its minimal polynomial.
 
     covered == r certifies the split.  A root adds at most the dimension g
@@ -269,17 +275,24 @@ def _common_eigenrows(c: np.ndarray, p: int) -> list[list[int]]:
             restricted = (basis @ mat.T % p)[:, pivots]  # row vectors act by v -> v . mat^T
             charpoly = _modp.charpoly(restricted.tolist(), p)
             roots = _poly_roots(charpoly, p)
-            found = _krylov_eigenrows(restricted, charpoly, roots, p) @ basis % p
-            lead_col = (found != 0).argmax(axis=1)
-            lead = found[np.arange(roots.size), lead_col]
-            found = found * _modp._power_stack(lead, p - 2, p)[:, None] % p  # rref of one row
+            derivative = [j * charpoly[j] % p for j in range(1, r + 1)]
+            simple = _poly_values(derivative, roots, p) != 0
+            krylov_rows = iter(())
+            if simple.any():
+                found = _krylov_eigenrows(restricted, charpoly, roots[simple], p) @ basis % p
+                lead_col = (found != 0).argmax(axis=1)
+                lead = found[np.arange(len(found)), lead_col]
+                found = found * _modp._power_stack(lead, p - 2, p)[:, None] % p  # rref of one row
+                krylov_rows = zip(found, lead_col.tolist(), lead.tolist())
             diagonal = np.arange(r)
             covered = 0
-            for lam, row, col, nonzero in zip(roots.tolist(), found, lead_col.tolist(), lead.tolist()):
-                if nonzero:
-                    covered += 1
-                    nxt.append((row[None], [col]))
-                    continue
+            for lam, is_simple in zip(roots.tolist(), simple.tolist()):
+                if is_simple:
+                    row, col, nonzero = next(krylov_rows)
+                    if nonzero:
+                        covered += 1
+                        nxt.append((row[None], [col]))
+                        continue
                 shifted = restricted.copy()
                 shifted[diagonal, diagonal] -= lam
                 left_null = _left_nullspace(shifted, p)

@@ -14,6 +14,7 @@ import math
 import sys
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
@@ -258,11 +259,16 @@ def _refuse_oversize_sweep(job: dict, group: Group, cd: ClassData) -> None:
 def _sweep_payload(base: dict, sweep: ClassSweep, left: tuple, right: tuple):
     """Add one row per subset comparing the two named decisions; ok when all agree."""
     (left_name, left_values), (right_name, right_values) = left, right
-    rows = [
-        {"classes": list(c), left_name: a, right_name: b, "agree": a == b}
-        for c, a, b in zip(sweep.subsets, left_values.tolist(), right_values.tolist())
-    ]
-    disagreements = sum(not row["agree"] for row in rows)
+    agree = left_values == right_values
+    rows = Columns(
+        {
+            "classes": sweep.subsets,
+            left_name: left_values.tolist(),
+            right_name: right_values.tolist(),
+            "agree": agree.tolist(),
+        }
+    )
+    disagreements = len(rows) - int(agree.sum())
     base.update({"sweep": rows, "subsets": len(rows), "disagreements": disagreements})
     return base, disagreements == 0
 
@@ -271,39 +277,76 @@ def _sweep_payload(base: dict, sweep: ClassSweep, left: tuple, right: tuple):
 # serialization
 
 
+class Columns:
+    """A JSON list of objects that all have the same keys, held as one column per key.
+
+    Each column holds the objects' values in order: a list of scalars, a
+    list of flat lists of scalars, or another Columns.  The writer encodes a
+    whole column at once, so a bulk block costs no dict per object.
+    """
+
+    __slots__ = ("columns", "length")
+
+    def __init__(self, columns: dict):
+        lengths = {len(c) for c in columns.values()}
+        if len(lengths) > 1:
+            raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+        self.columns = columns
+        self.length = lengths.pop() if lengths else 0
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, key: str):
+        return self.columns[key]
+
+
 def _json_text(payload) -> str:
     """json.dumps(payload, sort_keys=True, indent=2) for plain dicts with str keys, lists, tuples and scalars.
 
-    indent makes json use its pure-Python encoder.  Here every container
-    whose members are all scalars, and every scalar, is written by the C
-    encoder in one call, with ",\n" and the members' indent as its item
-    separator; only the containers above those are joined in Python.
+    A Columns is written as the list of its objects.  indent makes json use
+    its pure-Python encoder.  Here every container whose members are all
+    scalars, and every scalar, is written by the C encoder in one call, with
+    ",\n" and the members' indent as its item separator; so is every column
+    of a Columns (_column_texts), and of a list of same-shaped Columns.
+    Only the containers above those are joined in Python.
     """
-    if c_make_encoder is None:
-        return json.dumps(payload, sort_keys=True, indent=2)
     chunks: list[str] = []
     _write_json(payload, 0, chunks)
     return "".join(chunks)
 
 
-_CONTAINERS = frozenset({dict, list, tuple})
+_CONTAINERS = frozenset({dict, list, tuple, Columns})
+_LISTS = frozenset({list, tuple})
 
 
 def _write_json(value, depth: int, chunks: list[str]) -> None:
     kind = type(value)
     if kind not in _CONTAINERS:
-        chunks += _flat_encoder(0)(value, 0)
+        chunks += _flat_encoder(",\n")(value, 0)
         return
     if not value:
         chunks.append("{}" if kind is dict else "[]")
         return
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if kind is Columns:
+        chunks.append(_list_text(_object_texts([value], depth + 1), depth))
+        return
     members = value.values() if kind is dict else value
     if _CONTAINERS.isdisjoint(map(type, members)):
-        text = "".join(_flat_encoder(depth + 1)(value, 0))
+        text = "".join(_flat_encoder(",\n" + "  " * (depth + 1))(value, 0))
         chunks += (text[0], inner, text[1:-1], outer, text[-1])
         return
-    scalar = _flat_encoder(0)
+    if kind is not dict and _one_shape(value):
+        # a list of Columns of one shape: each column of all of them in one call
+        texts = _object_texts(value, depth + 2)
+        lists, start = [], 0
+        for block in value:
+            lists.append(_list_text(texts[start : start + len(block)], depth + 1))
+            start += len(block)
+        chunks.append(_list_text(lists, depth))
+        return
+    scalar = _flat_encoder(",\n")
     if kind is dict:
         chunks.append("{")
         for i, (k, v) in enumerate(sorted(value.items())):
@@ -325,12 +368,74 @@ def _write_json(value, depth: int, chunks: list[str]) -> None:
 
 
 @lru_cache(maxsize=None)
-def _flat_encoder(depth: int):
-    """The C encoder for one container of scalars whose members sit at this indent depth."""
+def _flat_encoder(item_separator: str):
+    """The C encoder for one container of scalars, with this separator between its members."""
     return c_make_encoder(
         None, json.JSONEncoder().default, encode_basestring_ascii, None,
-        ": ", ",\n" + "  " * depth, True, False, True,
+        ": ", item_separator, True, False, True,
     )
+
+
+def _list_text(items: list[str], depth: int) -> str:
+    """The list of these member texts, written at this depth."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _shape(block: Columns) -> tuple:
+    """The keys of block, with the shape of each column that is a Columns."""
+    return tuple(
+        (key, _shape(column) if type(column) is Columns else None)
+        for key, column in sorted(block.columns.items())
+    )
+
+
+def _one_shape(values) -> bool:
+    """Whether values are all Columns with the same keys, nested the same way."""
+    return all(type(v) is Columns for v in values) and len(set(map(_shape, values))) == 1
+
+
+def _object_texts(blocks: list[Columns], depth: int) -> list[str]:
+    """The text of every object of blocks (one shape), in order, each written at this depth."""
+    keys = sorted(blocks[0].columns)
+    inner = "\n" + "  " * (depth + 1)
+    fields = ("," + inner).join(encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
+    template = "{" + inner + fields + "\n" + "  " * depth + "}"
+    columns = []
+    for key in keys:
+        parts = [block.columns[key] for block in blocks]
+        if type(parts[0]) is Columns:
+            columns.append(_object_texts(parts, depth + 1))
+        else:
+            columns.append(_column_texts([v for part in parts for v in part], depth + 1))
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _column_texts(values: list, depth: int) -> list[str]:
+    """The text of each value of a column, each written at this depth.
+
+    A column of scalars, or of flat lists of scalars, takes one C-encoder
+    call.  The encoder never writes NUL or a newline inside a scalar: with
+    ensure_ascii it escapes every control character in a string.  So
+    scalars are parted by a NUL separator, and with the members' separator
+    sep, which starts with a newline, the rows of a list column are parted
+    by "]" + sep + "[".  Any other value is written on its own.
+    """
+    if _CONTAINERS.isdisjoint(map(type, values)):
+        return "".join(_flat_encoder("\x00")(values, 0))[1:-1].split("\x00") if values else []
+    if set(map(type, values)) <= _LISTS and _CONTAINERS.isdisjoint(map(type, chain.from_iterable(values))):
+        sep = ",\n" + "  " * (depth + 1)
+        text = "".join(_flat_encoder(sep)(values, 0))
+        head, tail = "[" + sep[1:], "\n" + "  " * depth + "]"
+        return [head + row + tail if row else "[]" for row in text[2:-2].split("]" + sep + "[")]
+    out = []
+    for v in values:
+        chunks: list[str] = []
+        _write_json(v, depth, chunks)
+        out.append("".join(chunks))
+    return out
 
 
 def _approx(value: complex) -> dict:
@@ -518,8 +623,19 @@ def cmd_character_table(job: dict):
     table = _group_limited(dixon_character_table, group, cd)
     re, im = _complex_parts(table.coefficients, table.m)
     rows = [
-        [{"m": table.m, "coeffs": c, "approx": _approx(complex(a, b))} for c, a, b in zip(*row)]
-        for row in zip(table.coefficients.tolist(), re.tolist(), im.tolist())
+        Columns(
+            {
+                "m": [table.m] * cd.k,
+                "coeffs": coeffs,
+                "approx": Columns(  # rounded as _approx rounds
+                    {
+                        "re": [round(a, 12) + 0.0 for a in row_re],
+                        "im": [round(b, 12) + 0.0 for b in row_im],
+                    }
+                ),
+            }
+        )
+        for coeffs, row_re, row_im in zip(table.coefficients.tolist(), re.tolist(), im.tolist())
     ]
     payload = {
         "schema": SCHEMA,
@@ -528,14 +644,13 @@ def cmd_character_table(job: dict):
         "conductor": table.m,
         "prime": table.prime,
         "degrees": list(table.degrees),
-        "classes": [
+        "classes": Columns(
             {
-                "index": j,
-                "size": cd.sizes[j],
-                "representative": group.label(cd.representatives[j]),
+                "index": list(range(cd.k)),
+                "size": list(cd.sizes),
+                "representative": [group.label(r) for r in cd.representatives],
             }
-            for j in range(cd.k)
-        ],
+        ),
         "rows": rows,
     }
     return payload, True
@@ -735,11 +850,9 @@ def _render_table(payload: dict) -> str:
         )
         if "sweep" in payload:
             lines.append(f"{'classes':24}  {sides[0]:12}  {sides[1]:12}  agree")
-            for r in payload["sweep"]:
-                lines.append(
-                    f"{str(r['classes']):24}  {str(r[sides[0]]):12}"
-                    f"  {str(r[sides[1]]):12}  {r['agree']}"
-                )
+            sweep = payload["sweep"]
+            for c, a, b, agree in zip(sweep["classes"], sweep[sides[0]], sweep[sides[1]], sweep["agree"]):
+                lines.append(f"{str(list(c)):24}  {str(a):12}  {str(b):12}  {agree}")
             lines.append(
                 f"{payload['subsets']} subsets, {payload['disagreements']} disagreements"
             )
@@ -752,13 +865,10 @@ def _render_table(payload: dict) -> str:
             f"group {g['spec']}  order {g['order']}  conductor {payload['conductor']}"
             f"  prime {payload['prime']}"
         )
-        heads = [c["representative"] for c in payload["classes"]]
-        lines.append("degree | " + "  ".join(heads))
+        lines.append("degree | " + "  ".join(payload["classes"]["representative"]))
         for deg, row in zip(payload["degrees"], payload["rows"]):
-            cells = []
-            for v in row:
-                a = v["approx"]
-                cells.append(f"{a['re']:.6f}{a['im']:+.6f}i")
+            a = row["approx"]
+            cells = [f"{re:.6f}{im:+.6f}i" for re, im in zip(a["re"], a["im"])]
             lines.append(f"{deg:6d} | " + "  ".join(cells))
     elif cmd == "verify-all":
         for r in payload["groups"]:

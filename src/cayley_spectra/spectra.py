@@ -450,14 +450,14 @@ def class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSwee
     masks = np.zeros((count, k), dtype=np.int64)
     masks[:, 1:] = (np.arange(count)[:, None] >> np.arange(k - 1)) & 1
     weighted, numerators = _formula(cd, table, masks)
-    subsets = tuple(
-        tuple(j for j in range(1, k) if s >> (j - 1) & 1) for s in range(count)
-    )
+    subsets = [()]
+    for j in range(1, k):  # the subsets with bit j - 1 set follow those without, in order
+        subsets += [s + (j,) for s in subsets]
     return ClassSweep(
         group=group,
         cd=cd,
         table=table,
-        subsets=subsets,
+        subsets=tuple(subsets),
         masks=masks,
         weighted=weighted,
         numerators=numerators,

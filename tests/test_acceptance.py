@@ -205,6 +205,53 @@ VERIFY_ALL_JSON_SHA256 = "04c799118dd0366ff83d1ba1c54a04804219fffe5e6e13e9394a30
 VERIFY_ALL_TABLE_SHA256 = "ebb782d1da0e4405a6b6eeb998e8c93da58f63bc8ddc7dc1debb6b9ee81bfa2a"
 
 
+# sha256 of the benchmark jobs' stdout (perfbench/workloads.py), JSON and --output table
+JOB_STDOUT_SHA256 = {
+    "character-table --group symmetric(7)": (
+        "c2af4509e61d2d38dfd4beb6a9f93ec649d88507c478abce03f5959a4189e334",
+        "07e71a80a960615b496d52f44a4e8f314107cad9bdd245a15801e76c91189b4a",
+    ),
+    "character-table --group product(cyclic(6),cyclic(6))": (
+        "9b10d0979dba85c1b96e974e8ec138ecb88871ffd0ca1f7b9044bf6946df9d1a",
+        "ed3c63a85000c8fc5524bb612ea8dcd40c445212f77237f836be18f9f0a1ee5f",
+    ),
+    "character-table --group cyclic(40)": (
+        "072f1452eb048905b7df05eda64d3faaba6479a8e939986b7e157f7c47a2a771",
+        "79644344b92ea83dd80264c6487a08e9b47235fdd0f83bc8c893c04dfa5e2e59",
+    ),
+    "character-table --group elementary-abelian(2,6)": (
+        "b5bc763931a466c71017d9579c318701ff6ba4732c3af3df05e0223cc0c6a30a",
+        "10c1625778d3866ddfa733bb6b3e3833ec5edd06b4fc1bb8403d2c0bb90153d1",
+    ),
+    "character-table --group cyclic(60)": (
+        "f6514d4aef853a1b14b8afd8a56d802efa6aba86f23a2d190fc81396475d5abd",
+        "ab7f2268c364a126794d64312f7ca15ad15d4f8c415fc259c59f614279611e72",
+    ),
+    "check-integrality --group symmetric(6) --connection sweep": (
+        "ee65f773ecd47fc4aca27372944defca84d6dd1e432b8b0b8bbdddc58691c2df",
+        "7f195e3823f9c7588be4b1fafba1709f03eadfa8a2ed6f491d02b5d45de3b796",
+    ),
+    "check-membership --group alternating(7) --connection sweep --gamma rational": (
+        "40931834dadce7147c5a0cc28652441a41eb566680c46bbd1a93c1b9049038d1",
+        "b553a9ac629591cd49aa180538cafec6d40bc4b959eed2afd2fdc52906453cd0",
+    ),
+    "check-integrality --group dihedral(22) --connection sweep": (
+        "c3b49a374dab8804762c4bf567c1abbeb3001e5994639b8a4808cb38c67bbf32",
+        "6f0b04952637c6dddaa57c67face37a72f4416869b62e47c6e466d935545d147",
+    ),
+}
+
+
+@pytest.mark.parametrize("job", JOB_STDOUT_SHA256)
+def test_benchmark_job_output_is_byte_identical(job, capsys):
+    argv = job.split()
+    digests = []
+    for output in ("json", "table"):
+        assert run([*argv, "--output", output]) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(digests) == JOB_STDOUT_SHA256[job]
+
+
 def test_verify_all_output_is_byte_identical(capsys):
     first_code = run(["verify-all"])
     first = capsys.readouterr().out

@@ -749,6 +749,28 @@ def test_split_falls_back_per_root_when_krylov_rows_vanish(text, monkeypatch):
         assert counts["eliminations"] == counts["roots"] - 1 == 39
 
 
+def test_split_sends_repeated_roots_straight_to_elimination(monkeypatch):
+    """On 2^6 every space with r >= 4 has two roots of multiplicity r / 2, and no simple root.
+
+    Those 31 spaces build no Krylov stack; the 32 spaces of two simple roots
+    take both from theirs.  The 62 repeated roots are eliminated one by one.
+    """
+    c, p = _class_tensor_mod("elementary-abelian(2,6)")
+    expected = characters._common_eigenrows(c, p)
+    stacks = []
+    krylov = characters._krylov_eigenrows
+
+    def counted(restricted, charpoly, roots, q):
+        stacks.append(len(roots))
+        return krylov(restricted, charpoly, roots, q)
+
+    monkeypatch.setattr(characters, "_krylov_eigenrows", counted)
+    counts = _counting_split(monkeypatch)
+    assert characters._common_eigenrows(c, p) == expected
+    assert stacks == [2] * 32
+    assert counts == {"roots": 126, "eliminations": 62}
+
+
 def test_krylov_start_is_not_the_trivial_eigenvector():
     for r, p in ((2, 3), (36, 13), (120, 241)):
         u = characters._krylov_start(r, p)

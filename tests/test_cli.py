@@ -513,16 +513,75 @@ _WRITER_JOBS = [
 ]
 
 
+def _plain(value):
+    """The payload with every column block expanded into its list of dicts."""
+    if isinstance(value, cli.Columns):
+        keys = list(value.columns)
+        return [dict(zip(keys, row)) for row in zip(*(_plain(value[key]) for key in keys))]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _job_payload(argv):
+    job = cli._assemble_job(cli._arg_parser().parse_args(argv))
+    return cli._COMMANDS[job["command"]](job)[0]
+
+
 @pytest.mark.parametrize("argv", _WRITER_JOBS, ids=" ".join)
 def test_json_writer_matches_indented_json_dumps(argv):
-    job = cli._assemble_job(cli._arg_parser().parse_args(argv))
-    payload, _ = cli._COMMANDS[job["command"]](job)
-    assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    payload = _job_payload(argv)
+    assert cli._json_text(payload) == json.dumps(_plain(payload), sort_keys=True, indent=2)
 
 
-_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.text(alphabet='a"\\\x00\n]%\u00e9\u20ac', max_size=6)
+)
+_keys = st.text(max_size=4) | st.text(alphabet='ab"\\\x00%\u00e9', max_size=3)
+
+
+def _column_blocks(n: int, depth: int = 2):
+    """Column blocks of n objects: scalar, flat-list, mixed and nested-block columns."""
+    column = (
+        st.lists(_json_scalars, min_size=n, max_size=n)
+        | st.lists(st.lists(_json_scalars, max_size=3) | st.tuples(_json_scalars), min_size=n, max_size=n)
+        | st.lists(_json_scalars | st.dictionaries(_keys, _json_scalars, max_size=2), min_size=n, max_size=n)
+    )
+    if depth:
+        column |= _column_blocks(n, depth - 1)
+    return st.dictionaries(_keys, column, min_size=1, max_size=3).map(cli.Columns)
+
+
+def _rows(block, start, stop):
+    """Objects start..stop of a column block, as a column block."""
+    return cli.Columns(
+        {
+            key: _rows(column, start, stop) if isinstance(column, cli.Columns) else column[start:stop]
+            for key, column in block.columns.items()
+        }
+    )
+
+
+def _cut_block(block, sizes):
+    """The block cut into consecutive blocks of one shape, the last taking what is left."""
+    out, start = [], 0
+    for size in sizes:
+        out.append(_rows(block, start, min(start + size, len(block))))
+        start = min(start + size, len(block))
+    return out + [_rows(block, start, len(block))]
+
+
+_blocks = st.integers(0, 4).flatmap(_column_blocks)
+_block_lists = st.builds(_cut_block, st.integers(0, 6).flatmap(_column_blocks), st.lists(st.integers(0, 3), max_size=3))
 _json_payloads = st.recursive(
-    _json_scalars,
+    _json_scalars | _blocks | _block_lists,
     lambda inner: st.lists(inner, max_size=4)
     | st.tuples(inner, inner)
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
@@ -532,8 +591,67 @@ _json_payloads = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(_json_payloads)
+@example(cli.Columns({}))
+@example([cli.Columns({"a": []}), cli.Columns({"a": []})])
+@example(cli.Columns({"%s": [[], ["\x00"], ("]",)], "b": cli.Columns({"c": [1.5, None, "\u00e9"]})}))
+@example(cli.Columns({"a": [[[1], []], [{"b": 2}]]}))
+@example([cli.Columns({"a": [1]}), cli.Columns({"b": [2]}), cli.Columns({"a": cli.Columns({"b": [3]})})])
 def test_json_writer_matches_json_dumps_on_nested_payloads(payload):
-    assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    assert cli._json_text(payload) == json.dumps(_plain(payload), sort_keys=True, indent=2)
+
+
+def test_column_block_refuses_columns_of_unequal_lengths():
+    with pytest.raises(ValueError, match="unequal lengths"):
+        cli.Columns({"a": [1, 2], "b": [3]})
+
+
+def _writer_calls(payload):
+    """Calls of _write_json and of C encoders while writing payload."""
+    counts = {"write_json": 0, "encoder": 0}
+    write_json, make_encoder = cli._write_json, cli.c_make_encoder
+
+    def counted_write_json(*args):
+        counts["write_json"] += 1
+        return write_json(*args)
+
+    def counted_make_encoder(*args):
+        encoder = make_encoder(*args)
+
+        def encode(*call):
+            counts["encoder"] += 1
+            return encoder(*call)
+
+        return encode
+
+    cli._flat_encoder.cache_clear()
+    try:
+        with mock.patch.object(cli, "_write_json", counted_write_json), mock.patch.object(
+            cli, "c_make_encoder", counted_make_encoder
+        ):
+            cli._json_text(payload)
+    finally:
+        cli._flat_encoder.cache_clear()
+    return counts
+
+
+@pytest.mark.parametrize(
+    "small, large",
+    [
+        (["check-integrality", "--group", "dihedral(10)", "--connection", "sweep"],
+         ["check-integrality", "--group", "dihedral(22)", "--connection", "sweep"]),
+        (["character-table", "--group", "cyclic(12)"], ["character-table", "--group", "cyclic(60)"]),
+    ],
+    ids=("sweep", "table"),
+)
+def test_json_writer_calls_do_not_grow_with_rows(small, large):
+    """A sweep of 128 or 8,192 rows, a table of 12 x 12 or 60 x 60 cells: the same writer calls.
+
+    Each column of a bulk block is encoded in one call, and the rows of a
+    table share those calls.
+    """
+    few, many = _job_payload(small), _job_payload(large)
+    assert len(cli._json_text(many)) > 10 * len(cli._json_text(few))
+    assert _writer_calls(many) == _writer_calls(few)
 
 
 def test_cli_jobs_do_not_import_numpy_ma():
