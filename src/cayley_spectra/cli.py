@@ -14,8 +14,9 @@ import math
 import sys
 from functools import lru_cache
 from importlib import resources
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from pathlib import Path
 from typing import Optional
 
 from .characters import CharacterTable, dixon_character_table
@@ -114,13 +115,10 @@ def _load_document(path: Optional[str]) -> dict:
     if path is None:
         return {}
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
-    except OSError as exc:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError("input", str(exc))
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise InputError("input", f"invalid JSON: {exc}")
+    doc = _json_input(text, "input")
     if not isinstance(doc, dict):
         raise InputError("input", "job document must be a JSON object")
     return doc
@@ -183,13 +181,18 @@ def _int_list(text: str, field: str) -> list[int]:
 def _maybe_json(text: str, field: str):
     text = text.strip()
     if text.startswith("{") or text.startswith("["):
-        try:
-            return json.loads(text)
-        except ValueError as exc:
-            raise InputError(field, f"invalid JSON: {exc}")
+        return _json_input(text, field)
     if text and all(c.isdigit() or c in ", " for c in text):
         return _int_list(text, field)
     return text
+
+
+def _json_input(text: str, field: str):
+    """The decoded JSON text of this field; text that is invalid or nested too deeply to decode is bad input."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(field, f"invalid JSON: {exc}")
 
 
 def _group_from_job(job: dict) -> tuple[GroupSpec, Group, ClassData]:
@@ -280,9 +283,9 @@ def _sweep_payload(base: dict, sweep: ClassSweep, left: tuple, right: tuple):
 class Columns:
     """A JSON list of objects that all have the same keys, held as one column per key.
 
-    Each column holds the objects' values in order: a list of scalars, a
-    list of flat lists of scalars, or another Columns.  The writer encodes a
-    whole column at once, so a bulk block costs no dict per object.
+    Each column holds the objects' values in order: a list of JSON values,
+    or another Columns.  The writer encodes a whole column at once, so a
+    bulk block costs no dict per object.
     """
 
     __slots__ = ("columns", "length")
@@ -305,66 +308,74 @@ def _json_text(payload) -> str:
     """json.dumps(payload, sort_keys=True, indent=2) for plain dicts with str keys, lists, tuples and scalars.
 
     A Columns is written as the list of its objects.  indent makes json use
-    its pure-Python encoder.  Here every container whose members are all
-    scalars, and every scalar, is written by the C encoder in one call, with
-    ",\n" and the members' indent as its item separator; so is every column
-    of a Columns (_column_texts), and of a list of same-shaped Columns.
-    Only the containers above those are joined in Python.
+    its pure-Python encoder; _texts writes the same text in as few C-encoder
+    calls as the kinds of the values allow.
     """
-    chunks: list[str] = []
-    _write_json(payload, 0, chunks)
-    return "".join(chunks)
+    return _texts([payload], 0)[0]
 
 
 _CONTAINERS = frozenset({dict, list, tuple, Columns})
 _LISTS = frozenset({list, tuple})
 
 
-def _write_json(value, depth: int, chunks: list[str]) -> None:
+def _texts(values: list, depth: int) -> list[str]:
+    """The text of each value, each written at this depth.
+
+    Values of one kind share their encoder calls:
+    - scalars take one call.  The encoder never writes NUL or a newline
+      inside a scalar: with ensure_ascii it escapes every control character
+      in a string.  So the scalars are parted by a NUL separator;
+    - flat lists of scalars take one call with the members' separator sep,
+      which starts with a newline, and are parted by "]" + sep + "[";
+    - other lists write the members of all of them as one batch;
+    - Columns of one shape write each column of all of them as one batch;
+    - dicts with the same keys are written as one Columns block.
+    Values of mixed kinds are written as one batch per kind (_kind).
+    """
+    kinds = set(map(type, values))
+    if _CONTAINERS.isdisjoint(kinds):
+        return "".join(_flat_encoder("\x00")(values, 0))[1:-1].split("\x00") if values else []
+    if kinds <= _LISTS:
+        if _CONTAINERS.isdisjoint(map(type, chain.from_iterable(values))):
+            sep = ",\n" + "  " * (depth + 1)
+            text = "".join(_flat_encoder(sep)(values, 0))
+            head, tail = "[" + sep[1:], "\n" + "  " * depth + "]"
+            return [head + row + tail if row else "[]" for row in text[2:-2].split("]" + sep + "[")]
+        return _cut(_texts(list(chain.from_iterable(values)), depth + 1), values, depth)
+    if kinds == {Columns} and len(set(map(_kind, values))) == 1:
+        return _cut(_object_texts(values, depth + 1), values, depth)
+    if kinds == {dict} and len(set(map(frozenset, values))) == 1:
+        if not values[0]:
+            return ["{}"] * len(values)
+        return _object_texts([Columns({key: [v[key] for v in values] for key in values[0]})], depth)
+    batches: dict = {}
+    for i, value in enumerate(values):
+        batches.setdefault(_kind(value), []).append(i)
+    texts = [""] * len(values)
+    for members in batches.values():
+        for i, text in zip(members, _texts([values[i] for i in members], depth)):
+            texts[i] = text
+    return texts
+
+
+def _kind(value):
+    """What values must share to be written in one batch.
+
+    That is the keys of a dict, and the shape of a Columns: its keys, with
+    the shape of each column that is a Columns.
+    """
     kind = type(value)
-    if kind not in _CONTAINERS:
-        chunks += _flat_encoder(",\n")(value, 0)
-        return
-    if not value:
-        chunks.append("{}" if kind is dict else "[]")
-        return
-    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    if kind is Columns:
-        chunks.append(_list_text(_object_texts([value], depth + 1), depth))
-        return
-    members = value.values() if kind is dict else value
-    if _CONTAINERS.isdisjoint(map(type, members)):
-        text = "".join(_flat_encoder(",\n" + "  " * (depth + 1))(value, 0))
-        chunks += (text[0], inner, text[1:-1], outer, text[-1])
-        return
-    if kind is not dict and _one_shape(value):
-        # a list of Columns of one shape: each column of all of them in one call
-        texts = _object_texts(value, depth + 2)
-        lists, start = [], 0
-        for block in value:
-            lists.append(_list_text(texts[start : start + len(block)], depth + 1))
-            start += len(block)
-        chunks.append(_list_text(lists, depth))
-        return
-    scalar = _flat_encoder(",\n")
     if kind is dict:
-        chunks.append("{")
-        for i, (k, v) in enumerate(sorted(value.items())):
-            chunks += ("," + inner if i else inner, encode_basestring_ascii(k), ": ")
-            if type(v) in _CONTAINERS:
-                _write_json(v, depth + 1, chunks)
-            else:
-                chunks += scalar(v, 0)
-        chunks += (outer, "}")
-    else:
-        chunks.append("[")
-        for i, v in enumerate(value):
-            chunks.append("," + inner if i else inner)
-            if type(v) in _CONTAINERS:
-                _write_json(v, depth + 1, chunks)
-            else:
-                chunks += scalar(v, 0)
-        chunks += (outer, "]")
+        return frozenset(value)
+    if kind is Columns:
+        return tuple((key, _kind(column)) for key, column in sorted(value.columns.items()))
+    return "list" if kind in _LISTS else "scalar"
+
+
+def _cut(texts: list[str], lists: list, depth: int) -> list[str]:
+    """The member texts, in order, cut back into lists of these lengths, each written at this depth."""
+    members = iter(texts)
+    return [_list_text(list(islice(members, len(v))), depth) for v in lists]
 
 
 @lru_cache(maxsize=None)
@@ -384,19 +395,6 @@ def _list_text(items: list[str], depth: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
-def _shape(block: Columns) -> tuple:
-    """The keys of block, with the shape of each column that is a Columns."""
-    return tuple(
-        (key, _shape(column) if type(column) is Columns else None)
-        for key, column in sorted(block.columns.items())
-    )
-
-
-def _one_shape(values) -> bool:
-    """Whether values are all Columns with the same keys, nested the same way."""
-    return all(type(v) is Columns for v in values) and len(set(map(_shape, values))) == 1
-
-
 def _object_texts(blocks: list[Columns], depth: int) -> list[str]:
     """The text of every object of blocks (one shape), in order, each written at this depth."""
     keys = sorted(blocks[0].columns)
@@ -409,38 +407,17 @@ def _object_texts(blocks: list[Columns], depth: int) -> list[str]:
         if type(parts[0]) is Columns:
             columns.append(_object_texts(parts, depth + 1))
         else:
-            columns.append(_column_texts([v for part in parts for v in part], depth + 1))
+            columns.append(_texts(list(chain.from_iterable(parts)), depth + 1))
     return list(map(template.__mod__, zip(*columns)))
 
 
-def _column_texts(values: list, depth: int) -> list[str]:
-    """The text of each value of a column, each written at this depth.
-
-    A column of scalars, or of flat lists of scalars, takes one C-encoder
-    call.  The encoder never writes NUL or a newline inside a scalar: with
-    ensure_ascii it escapes every control character in a string.  So
-    scalars are parted by a NUL separator, and with the members' separator
-    sep, which starts with a newline, the rows of a list column are parted
-    by "]" + sep + "[".  Any other value is written on its own.
-    """
-    if _CONTAINERS.isdisjoint(map(type, values)):
-        return "".join(_flat_encoder("\x00")(values, 0))[1:-1].split("\x00") if values else []
-    if set(map(type, values)) <= _LISTS and _CONTAINERS.isdisjoint(map(type, chain.from_iterable(values))):
-        sep = ",\n" + "  " * (depth + 1)
-        text = "".join(_flat_encoder(sep)(values, 0))
-        head, tail = "[" + sep[1:], "\n" + "  " * depth + "]"
-        return [head + row + tail if row else "[]" for row in text[2:-2].split("]" + sep + "[")]
-    out = []
-    for v in values:
-        chunks: list[str] = []
-        _write_json(v, depth, chunks)
-        out.append("".join(chunks))
-    return out
+def _rounded(values: list[float]) -> list[float]:
+    """values rounded to 12 decimals, with -0.0 written as 0.0."""
+    return [round(x, 12) + 0.0 for x in values]
 
 
 def _approx(value: complex) -> dict:
-    re = round(value.real, 12) + 0.0
-    im = round(value.imag, 12) + 0.0
+    re, im = _rounded([value.real, value.imag])
     return {"re": re, "im": im}
 
 
@@ -627,12 +604,7 @@ def cmd_character_table(job: dict):
             {
                 "m": [table.m] * cd.k,
                 "coeffs": coeffs,
-                "approx": Columns(  # rounded as _approx rounds
-                    {
-                        "re": [round(a, 12) + 0.0 for a in row_re],
-                        "im": [round(b, 12) + 0.0 for b in row_im],
-                    }
-                ),
+                "approx": Columns({"re": _rounded(row_re), "im": _rounded(row_im)}),
             }
         )
         for coeffs, row_re, row_im in zip(table.coefficients.tolist(), re.tolist(), im.tolist())

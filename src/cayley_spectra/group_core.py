@@ -90,29 +90,15 @@ class GroupSpec:
 
     @staticmethod
     def from_json(obj) -> "GroupSpec":
-        """Parse a spec from decoded JSON (dict or shorthand string)."""
-        if isinstance(obj, str):
-            return _parse_spec_string(obj)
-        if isinstance(obj, dict):
-            if "generators" in obj:
-                gens = obj["generators"]
-                if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
-                    raise ValueError("group.generators must be a list of cycle strings")
-                return GroupSpec.permutation(gens)
-            if "family" in obj:
-                params = obj.get("params", [])
-                if not isinstance(params, list) or not all(
-                    isinstance(x, int) and not isinstance(x, bool) for x in params
-                ):
-                    raise ValueError("group.params must be a list of integers")
-                return GroupSpec.named(str(obj["family"]), *params)
-            if "product" in obj:
-                factors = obj["product"]
-                if not isinstance(factors, list) or len(factors) < 2:
-                    raise ValueError("group.product must list at least two factor specs")
-                return GroupSpec.product(*(GroupSpec.from_json(f) for f in factors))
-            raise ValueError("group spec dict needs 'generators', 'family' or 'product'")
-        raise ValueError(f"cannot parse group spec from {type(obj).__name__}")
+        """Parse a spec from decoded JSON (dict or shorthand string).
+
+        A spec nested past the interpreter's recursion limit is refused with
+        ValueError, as any other malformed spec is.
+        """
+        try:
+            return _spec_from_json(obj)
+        except RecursionError:
+            raise ValueError("group spec is nested too deeply") from None
 
     def describe(self) -> str:
         if self.kind == "permutation-generators":
@@ -120,6 +106,31 @@ class GroupSpec:
         if self.kind == "named-family":
             return f"{self.family}({','.join(str(p) for p in self.params)})"
         return "product(" + ",".join(f.describe() for f in self.factors) + ")"
+
+
+def _spec_from_json(obj) -> GroupSpec:
+    if isinstance(obj, str):
+        return _parse_spec_string(obj)
+    if isinstance(obj, dict):
+        if "generators" in obj:
+            gens = obj["generators"]
+            if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+                raise ValueError("group.generators must be a list of cycle strings")
+            return GroupSpec.permutation(gens)
+        if "family" in obj:
+            params = obj.get("params", [])
+            if not isinstance(params, list) or not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in params
+            ):
+                raise ValueError("group.params must be a list of integers")
+            return GroupSpec.named(str(obj["family"]), *params)
+        if "product" in obj:
+            factors = obj["product"]
+            if not isinstance(factors, list) or len(factors) < 2:
+                raise ValueError("group.product must list at least two factor specs")
+            return GroupSpec.product(*(_spec_from_json(f) for f in factors))
+        raise ValueError("group spec dict needs 'generators', 'family' or 'product'")
+    raise ValueError(f"cannot parse group spec from {type(obj).__name__}")
 
 
 def _split_top_level(s: str) -> list[str]:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -136,6 +137,35 @@ def test_input_errors_name_the_field(capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"input error: {field}:"), (argv, err)
+
+
+_DEEP_JSON = "[" * 200000
+_DEEP_SPEC = "product(" * 1200 + "cyclic(2)" + ",cyclic(2))" * 1200
+
+
+@pytest.mark.parametrize(
+    "argv, document, field",
+    [
+        (["classes"], b'{"group": "cyclic(\xe9)"}', "input"),
+        (["classes"], _DEEP_JSON.encode(), "input"),
+        (["spectrum", "--group", "cyclic(4)", "--connection", _DEEP_JSON], None, "connection"),
+        (["check-membership", "--group", "cyclic(5)", "--classes", "1", "--gamma", _DEEP_JSON], None, "gamma"),
+        (["classes", "--group", _DEEP_SPEC], None, "group"),
+        (["verify-all"], json.dumps({"groups": [_DEEP_SPEC]}).encode(), "groups"),
+    ],
+    ids=("non-utf8-input", "deep-input", "deep-connection", "deep-gamma", "deep-group", "deep-groups"),
+)
+def test_undecodable_or_deeply_nested_input_names_the_field(tmp_path, capsys, argv, document, field):
+    """Text that cannot be decoded, or is nested past the recursion limit, is bad input, not a traceback."""
+    if document is not None:
+        path = tmp_path / "job.json"
+        path.write_bytes(document)
+        argv = [*argv, "--input", str(path)]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"input error: {field}:")
+    assert captured.out == ""
 
 
 def test_sweep_limit(capsys):
@@ -510,6 +540,10 @@ _WRITER_JOBS = [
     ["check-integrality", "--group", "dihedral(22)", "--connection", "sweep"],
     ["verify-all"],
     ["verify-all", "--oracle", "off"],
+    ["classes", "--group", "cyclic(12)"],
+    ["spectrum", "--group", "symmetric(5)", "--classes", "1,2"],
+    ["check-integrality", "--group", "dihedral(4)", "--classes", "1"],
+    ["check-membership", "--group", "cyclic(5)", "--classes", "1", "--gamma", "rational"],
 ]
 
 
@@ -578,13 +612,22 @@ def _cut_block(block, sizes):
     return out + [_rows(block, start, len(block))]
 
 
+def _dict_lists(inner):
+    """Lists of dicts with one key set (empty dicts too), some followed by dicts with other keys."""
+    same = st.lists(_keys, max_size=3, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, inner)), max_size=4)
+    )
+    return same | st.builds(operator.add, same, st.lists(st.dictionaries(_keys, inner, max_size=2), min_size=1, max_size=2))
+
+
 _blocks = st.integers(0, 4).flatmap(_column_blocks)
 _block_lists = st.builds(_cut_block, st.integers(0, 6).flatmap(_column_blocks), st.lists(st.integers(0, 3), max_size=3))
 _json_payloads = st.recursive(
     _json_scalars | _blocks | _block_lists,
     lambda inner: st.lists(inner, max_size=4)
     | st.tuples(inner, inner)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | _dict_lists(inner),
     max_leaves=40,
 )
 
@@ -596,6 +639,9 @@ _json_payloads = st.recursive(
 @example(cli.Columns({"%s": [[], ["\x00"], ("]",)], "b": cli.Columns({"c": [1.5, None, "\u00e9"]})}))
 @example(cli.Columns({"a": [[[1], []], [{"b": 2}]]}))
 @example([cli.Columns({"a": [1]}), cli.Columns({"b": [2]}), cli.Columns({"a": cli.Columns({"b": [3]})})])
+@example({})
+@example([{}])
+@example((None, {}))
 def test_json_writer_matches_json_dumps_on_nested_payloads(payload):
     assert cli._json_text(payload) == json.dumps(_plain(payload), sort_keys=True, indent=2)
 
@@ -606,13 +652,13 @@ def test_column_block_refuses_columns_of_unequal_lengths():
 
 
 def _writer_calls(payload):
-    """Calls of _write_json and of C encoders while writing payload."""
-    counts = {"write_json": 0, "encoder": 0}
-    write_json, make_encoder = cli._write_json, cli.c_make_encoder
+    """Calls of _texts and of C encoders while writing payload."""
+    counts = {"texts": 0, "encoder": 0}
+    texts, make_encoder = cli._texts, cli.c_make_encoder
 
-    def counted_write_json(*args):
-        counts["write_json"] += 1
-        return write_json(*args)
+    def counted_texts(*args):
+        counts["texts"] += 1
+        return texts(*args)
 
     def counted_make_encoder(*args):
         encoder = make_encoder(*args)
@@ -625,7 +671,7 @@ def _writer_calls(payload):
 
     cli._flat_encoder.cache_clear()
     try:
-        with mock.patch.object(cli, "_write_json", counted_write_json), mock.patch.object(
+        with mock.patch.object(cli, "_texts", counted_texts), mock.patch.object(
             cli, "c_make_encoder", counted_make_encoder
         ):
             cli._json_text(payload)
@@ -640,14 +686,20 @@ def _writer_calls(payload):
         (["check-integrality", "--group", "dihedral(10)", "--connection", "sweep"],
          ["check-integrality", "--group", "dihedral(22)", "--connection", "sweep"]),
         (["character-table", "--group", "cyclic(12)"], ["character-table", "--group", "cyclic(60)"]),
+        (["classes", "--group", "cyclic(12)"], ["classes", "--group", "cyclic(5040)"]),
+        (["spectrum", "--group", "cyclic(4)", "--classes", "1", "--oracle", "off"],
+         ["spectrum", "--group", "cyclic(60)", "--classes", "1", "--oracle", "off"]),
     ],
-    ids=("sweep", "table"),
+    ids=("sweep", "table", "classes", "spectrum"),
 )
 def test_json_writer_calls_do_not_grow_with_rows(small, large):
-    """A sweep of 128 or 8,192 rows, a table of 12 x 12 or 60 x 60 cells: the same writer calls.
+    """A sweep of 128 or 8,192 rows, a table of 12 x 12 or 60 x 60 cells,
+    12 or 5,040 classes, a spectrum of 4 or 60 entries: the same writer calls.
 
-    Each column of a bulk block is encoded in one call, and the rows of a
-    table share those calls.
+    Each column of a bulk block, and each key of a list of dicts with the
+    same keys, is encoded in one call, and the rows of a table share those
+    calls.  A spectrum's values are rational or cyclotomic dicts, with two
+    key sets, and each key set takes its own batch.
     """
     few, many = _job_payload(small), _job_payload(large)
     assert len(cli._json_text(many)) > 10 * len(cli._json_text(few))
