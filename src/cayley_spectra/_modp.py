@@ -5,8 +5,10 @@ integer_charpoly (one matrix up to the oracle caps, mod 31-bit primes) and
 the character table's eigenspace split (restricted class matrices mod the
 Dixon prime).  The split's other steps are int64 array routines in
 characters.  charpoly_stack is the same Hessenberg reduction run on an
-(S, n, n) int64 stack at once, one column step for all S matrices; the
-batched exact oracle uses it on the adjacency matrices of a whole sweep.
+(S, n, n) int64 stack at once, one column step for all S matrices, each
+mod its own prime; the batched exact oracle stacks a chunk of a sweep's
+adjacency matrices once per certificate prime and reduces them in one
+pass, so numpy's per-call cost is paid once per chunk, not once per prime.
 _certificate_primes and _ring_maps serve every check that evaluates
 cyclotomic integers under the ring maps z -> w^u into F_q, q = 1 (mod m):
 the table certificate, at u = 1 and -1, and the batched exact oracle, at
@@ -99,6 +101,7 @@ def _prime_factors(x: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def _element_of_order(m: int, p: int) -> int:
     if m == 1:
         return 1
@@ -172,26 +175,34 @@ def _power_stack(a: np.ndarray, e: int, q: int) -> np.ndarray:
     return out
 
 
-def charpoly_stack(mats: np.ndarray, q: int) -> np.ndarray:
-    """Characteristic polynomials mod q of an (S, n, n) stack, low degree first, shape (S, n + 1).
+def charpoly_stack(mats: np.ndarray, q: int | np.ndarray) -> np.ndarray:
+    """Characteristic polynomials of an (S, n, n) stack, low degree first, shape (S, n + 1).
 
+    Matrix s is reduced mod q[s]: q is one prime for the whole stack or an
+    (S,) array of primes, so the matrices of several primes share one pass.
     Column j of every matrix is cleared below its subdiagonal by one
     similarity step for the whole stack: a row and column swap brings the
     first nonzero entry to the pivot, the rows below lose multiples of the
     pivot row and the pivot column gains the matching multiples of their
-    columns, which is L H L^-1 for a unit lower triangular L.  det(xI - H)
-    of the Hessenberg result H is then expanded along the last column, for
-    the leading blocks of every size, as charpoly does for one matrix.
+    columns, which is L H L^-1 for a unit lower triangular L.  The pivots'
+    inverses are Python's pow(x, -1, q), one per matrix and column.
+    det(xI - H) of the Hessenberg result H is then expanded along the last
+    column, for the leading blocks of every size, as charpoly does for one
+    matrix.
 
     Every int64 value stays below (n + 1) q^2: residues are below q, a row
     update takes one product, and a column update or a term of the
     expansion sums at most n products of two residues.  The stack is
-    refused unless (n + 1) (q - 1)^2 < 2^63.
+    refused unless (n + 1) (q - 1)^2 < 2^63 for its largest q.
     """
     batch, n = mats.shape[0], mats.shape[1]
-    if (n + 1) * (q - 1) ** 2 >= 2**63:
-        raise ValueError(f"charpoly of order {n} mod {q} would overflow int64")
-    h = np.array(mats, dtype=np.int64) % q
+    moduli = np.broadcast_to(np.asarray(q, dtype=np.int64), (batch,))
+    if batch and (n + 1) * (int(moduli.max()) - 1) ** 2 >= 2**63:
+        raise ValueError(f"charpoly of order {n} mod {int(moduli.max())} would overflow int64")
+    q2, q1 = moduli[:, None, None], moduli[:, None]
+    primes = moduli.tolist()
+    h = np.array(mats, dtype=np.int64)
+    h %= q2
     rows = np.arange(batch)
     for j in range(n - 2):
         below = h[:, j + 1 :, j] != 0
@@ -202,9 +213,12 @@ def charpoly_stack(mats: np.ndarray, q: int) -> np.ndarray:
             h[moved, j + 1], h[moved, p] = h[moved, p], h[moved, j + 1]
             h[moved, :, j + 1], h[moved, :, p] = h[moved, :, p], h[moved, :, j + 1]
         # a zero pivot gets the "inverse" 0, and its column is zero below anyway
-        f = h[:, j + 2 :, j] * _power_stack(h[:, j + 1, j], q - 2, q)[:, None] % q
-        h[:, j + 2 :, j:] = (h[:, j + 2 :, j:] - f[:, :, None] * h[:, j + 1, None, j:]) % q
-        h[:, :, j + 1] = (h[:, :, j + 1] + np.einsum("sri,si->sr", h[:, :, j + 2 :], f)) % q
+        inverse = [pow(x, -1, p) if x else 0 for x, p in zip(h[:, j + 1, j].tolist(), primes)]
+        f = h[:, j + 2 :, j] * np.array(inverse, dtype=np.int64)[:, None] % q1
+        block = h[:, j + 2 :, j:]
+        block -= f[:, :, None] * h[:, j + 1, None, j:]
+        block %= q2
+        h[:, :, j + 1] = (h[:, :, j + 1] + np.einsum("sri,si->sr", h[:, :, j + 2 :], f)) % q1
     # polys[:, i] is det(xI - H_i) of the leading i x i block; w[:, i] is
     # the product of the subdiagonal entries h[l, l - 1] for i < l < size
     polys = np.zeros((batch, n + 1, n + 1), dtype=np.int64)
@@ -217,9 +231,9 @@ def charpoly_stack(mats: np.ndarray, q: int) -> np.ndarray:
         cur -= h[:, size - 1, size - 1, None] * prev
         if size > 1:
             sub = h[:, size - 1, size - 2]
-            w[:, : size - 2] = w[:, : size - 2] * sub[:, None] % q
+            w[:, : size - 2] = w[:, : size - 2] * sub[:, None] % q1
             w[:, size - 2] = sub
-            coef = h[:, : size - 1, size - 1] * w[:, : size - 1] % q
+            coef = h[:, : size - 1, size - 1] * w[:, : size - 1] % q1
             cur -= np.einsum("si,sij->sj", coef, polys[:, : size - 1])
-        polys[:, size] = cur % q
+        polys[:, size] = cur % q1
     return polys[:, n]

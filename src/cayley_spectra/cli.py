@@ -21,7 +21,7 @@ from typing import Optional
 
 from .characters import CharacterTable, dixon_character_table
 from .cyclotomic import CycInt, _complex_parts, _poly_str, totient
-from .errors import InternalConsistencyError, ResourceLimitError
+from .errors import InternalConsistencyError, ResourceLimitError, shown
 from .galois import (
     GaloisSubgroup,
     all_subgroups,
@@ -154,18 +154,18 @@ def _assemble_job(args: argparse.Namespace) -> dict:
     if "command" not in job:
         raise InputError("command", f"missing; expected one of {', '.join(COMMANDS)}")
     if job["command"] not in COMMANDS:
-        raise InputError("command", f"unknown command {job['command']!r}")
+        raise InputError("command", f"unknown command {shown(job['command'])}")
     if job["oracle"] not in ("auto", "on", "off"):
-        raise InputError("oracle", f"expected auto, on or off, got {job['oracle']!r}")
+        raise InputError("oracle", f"expected auto, on or off, got {shown(job['oracle'])}")
     if job["output"] not in ("json", "table"):
-        raise InputError("output", f"expected json or table, got {job['output']!r}")
+        raise InputError("output", f"expected json or table, got {shown(job['output'])}")
     tol = job["tolerance"]
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not math.isfinite(tol) or tol < 0:
-        raise InputError("tolerance", f"expected a finite number >= 0, got {tol!r}")
+        raise InputError("tolerance", f"expected a finite number >= 0, got {shown(tol)}")
     for field in ("oracle_cap", "sweep_limit"):
         value = job[field]
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise InputError(field, f"expected an integer >= 0, got {value!r}")
+            raise InputError(field, f"expected an integer >= 0, got {shown(value)}")
     if "group_cap" in job:
         raise InputError("group_cap", f"not a job field; groups are capped at order {DEFAULT_GROUP_CAP}")
     return job
@@ -175,7 +175,7 @@ def _int_list(text: str, field: str) -> list[int]:
     try:
         return [int(p) for p in text.replace(",", " ").split()]
     except ValueError:
-        raise InputError(field, f"expected integers, got {text!r}")
+        raise InputError(field, f"expected integers, got {shown(text)}")
 
 
 def _maybe_json(text: str, field: str):
@@ -241,7 +241,7 @@ def _gamma_from_job(job: dict, m: int) -> GaloisSubgroup:
             return subgroup_closure(m, tuple(_index(t, "generator") for t in spec))
     except (ValueError, TypeError) as exc:
         raise InputError("gamma", str(exc))
-    raise InputError("gamma", f"cannot parse {spec!r}")
+    raise InputError("gamma", f"cannot parse {shown(spec)}")
 
 
 def _wants_sweep(job: dict) -> bool:

@@ -1,4 +1,12 @@
-"""Shared exception types."""
+"""Shared exception types, and the one way an error message shows an input value."""
+
+import reprlib
+
+# an input value in an error message: at most 6 members of a list or dict, 3
+# levels deep, and a long string, number or other value cut in the middle
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel = 3
+_SHOWN.maxstring = _SHOWN.maxlong = _SHOWN.maxother = 60
 
 
 class InternalConsistencyError(RuntimeError):
@@ -12,3 +20,9 @@ class InternalConsistencyError(RuntimeError):
 
 class ResourceLimitError(ValueError):
     """A job too large for a fixed memory budget, refused before allocation."""
+
+
+def shown(value) -> str:
+    """repr(value) cut to about 80 characters, for an error message that names an offending input."""
+    text = _SHOWN.repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."

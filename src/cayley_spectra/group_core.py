@@ -24,6 +24,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .errors import shown
+
 DEFAULT_GROUP_CAP = 5040
 # bytes the (k, k, k) int64 class structure-constant tensor may take
 TABLE_BYTE_BUDGET = 256 << 20
@@ -141,14 +143,14 @@ def _split_top_level(s: str) -> list[str]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ValueError(f"unbalanced parentheses in group spec {s!r}")
+                raise ValueError(f"unbalanced parentheses in group spec {shown(s)}")
         if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
     if depth:
-        raise ValueError(f"unbalanced parentheses in group spec {s!r}")
+        raise ValueError(f"unbalanced parentheses in group spec {shown(s)}")
     parts.append("".join(cur))
     return parts
 
@@ -160,7 +162,7 @@ def _parse_spec_string(s: str) -> GroupSpec:
         return GroupSpec.permutation([p.strip() for p in _split_top_level(bracket.group(1))])
     m = re.fullmatch(r"([a-z-]+)\((.*)\)", s)
     if not m:
-        raise ValueError(f"cannot parse group spec string {s!r}")
+        raise ValueError(f"cannot parse group spec string {shown(s)}")
     name, body = m.group(1), m.group(2)
     if name == "product":
         return GroupSpec.product(*(_parse_spec_string(p) for p in _split_top_level(body)))
@@ -171,9 +173,9 @@ def _parse_spec_string(s: str) -> GroupSpec:
         try:
             params = [int(p) for p in _split_top_level(body)]
         except ValueError:
-            raise ValueError(f"non-integer parameter in group spec {s!r}") from None
+            raise ValueError(f"non-integer parameter in group spec {shown(s)}") from None
         return GroupSpec.named(name, *params)
-    raise ValueError(f"unknown family name {name!r}")
+    raise ValueError(f"unknown family name {shown(name)}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +193,7 @@ def parse_permutation(text: str, domain: Optional[int] = None) -> tuple[int, ...
         cycles: list[list[int]] = []
     else:
         if not re.fullmatch(r"(?:\s*\(\s*\d+(?:[\s,]+\d+)*\s*\))+\s*", text):
-            raise ValueError(f"malformed cycle notation: {text!r}")
+            raise ValueError(f"malformed cycle notation: {shown(text)}")
         cycles = [
             [int(p) for p in re.split(r"[\s,]+", body.strip())]
             for body in re.findall(r"\(([^()]*)\)", text)
@@ -200,9 +202,9 @@ def parse_permutation(text: str, domain: Optional[int] = None) -> tuple[int, ...
     for cyc in cycles:
         for p in cyc:
             if p < 1:
-                raise ValueError(f"malformed cycle notation: point {p} in {text!r}")
+                raise ValueError(f"malformed cycle notation: point {p} in {shown(text)}")
             if p in seen:
-                raise ValueError(f"malformed cycle notation: repeated point {p} in {text!r}")
+                raise ValueError(f"malformed cycle notation: repeated point {p} in {shown(text)}")
             seen.add(p)
     d = max(seen) if seen else 0
     if domain is not None:
@@ -596,7 +598,7 @@ def _family_law(family: str, params: tuple[int, ...], cap: int):
             lambda r: "(" + ",".join(str(c) for c in r) + ")",
             cap,
         )
-    raise ValueError(f"unknown family name {family!r}")
+    raise ValueError(f"unknown family name {shown(family)}")
 
 
 def _expect_params(family: str, params: tuple[int, ...], count: int) -> tuple[int, ...]:
@@ -634,7 +636,7 @@ def _law(spec: GroupSpec, cap: int):
                 raise ValueError(f"group size cap {cap} exceeded by direct product of order {n}")
             law = _DirectProduct(law, right)
         return law
-    raise ValueError(f"unknown group spec kind {spec.kind!r}")
+    raise ValueError(f"unknown group spec kind {shown(spec.kind)}")
 
 
 def element_order(g: int, group: Group) -> int:

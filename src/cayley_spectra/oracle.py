@@ -15,14 +15,22 @@ batch_verify_spectrum_exact, batch_power_closed).  The batched checks read
 only the group, the stack of adjacency matrices and the claimed eigenvalues
 numerators[s, r] / degrees[r] with multiplicity degrees[r]^2, and return
 the per-set verdict of the per-set check for every row.
+
+The batched spectrum checks solve one matrix per pair of inverse sets:
+A(C^-1) = A(C)^T, so both sets have one eigenvalue multiset and one
+characteristic polynomial (_solved_runs).  Each row's own claim is still
+compared with that shared result.  The exact check reduces the stack for
+all its primes in one charpoly_stack call, and both exact checks bound the
+characteristic polynomial's coefficients by Hadamard's inequality
+(_charpoly_bound).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from math import gcd, isqrt, prod
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +42,9 @@ from .spectra import Spectrum, _read_spectrum
 DEFAULT_ORACLE_CAP = 400
 # the float oracle's default distance bound, for the CLI and both comparisons
 DEFAULT_TOLERANCE = 1e-8
-# bytes of one chunk of the adjacency stack, held as float64 for the eigensolver
+# bytes of one chunk of a batched check: its adjacency stack, as the float
+# eigensolver or the stacked primes of the exact check hold it, and the
+# temporaries of matching its rows' claims (_solved_runs)
 _STACK_BYTES = 512 << 10
 
 __all__ = [
@@ -75,11 +85,51 @@ def _quotients(group: Group) -> np.ndarray:
     return group.product(np.arange(group.n)[:, None], group.inv)
 
 
-def _chunks(count: int, n: int) -> Iterator[slice]:
-    """Consecutive row ranges whose float64 adjacency stacks take at most _STACK_BYTES (one row at least)."""
-    step = max(1, _STACK_BYTES // (8 * n * n))
-    for start in range(0, count, step):
-        yield slice(start, start + step)
+def _solved_runs(
+    group: Group, members: np.ndarray, matrix_bytes: int, row_bytes: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(stack, rows, local): runs of the matrices to solve, as (R, n, n) 0/1 stacks, with the rows each run serves and each row's matrix in its run.
+
+    g h^-1 lies in C^-1 exactly when h g^-1 lies in C, so A(C^-1) = A(C)^T,
+    and the two have one characteristic polynomial and one eigenvalue
+    multiset.  Row s is served by the first row whose set is its own or
+    members[s, group.inv], found by packed-bit keys; that row serves
+    itself, so each pair of inverse sets (and each repeated set) costs one
+    matrix.  A run holds as many matrices as fit in _STACK_BYTES at
+    matrix_bytes each, plus row_bytes for each of the two rows a matrix
+    serves apart from repeated sets (one matrix at least).
+    """
+    count = len(members)
+    key = np.dtype((np.void, -(-group.n // 8)))
+    own = np.ascontiguousarray(np.packbits(members, axis=1)).view(key).ravel().tolist()
+    inverse = np.ascontiguousarray(np.packbits(members[:, group.inv], axis=1)).view(key).ravel().tolist()
+    first = dict(zip(reversed(own), range(count - 1, -1, -1)))
+    serve = np.minimum(
+        np.array([first[k] for k in own], dtype=np.int64),
+        np.array([first.get(k, count) for k in inverse], dtype=np.int64),
+    )
+    solves = serve == np.arange(count)
+    solved = np.flatnonzero(solves)
+    slot = (np.cumsum(solves) - 1)[serve]
+    quotients = _quotients(group)
+    step = max(1, _STACK_BYTES // (matrix_bytes + 2 * row_bytes))
+    for start in range(0, len(solved), step):
+        rows = np.flatnonzero((slot >= start) & (slot < start + step))
+        yield members[solved[start : start + step]][:, quotients], rows, slot[rows] - start
+
+
+def _charpoly_bound(square_norm: int, n: int) -> int:
+    """(1 + ceil(rho))^n, rho = sqrt(square_norm): a bound on every coefficient of det(xI - A) for an n x n matrix A whose rows have 2-norm at most rho.
+
+    Why it holds: the coefficient of x^(n-i) is (-1)^i times the sum of the
+    C(n, i) principal i x i minors of A.  The rows of such a minor are parts
+    of rows of A, so each has 2-norm at most rho, and by Hadamard's
+    inequality the minor is at most rho^i in absolute value.  So the
+    coefficient is at most C(n, i) ceil(rho)^i, a term of the binomial
+    expansion of (1 + ceil(rho))^n.
+    """
+    root = isqrt(square_norm)
+    return (1 + root + (root * root < square_norm)) ** n
 
 
 def oracle_spectrum(adjacency: np.ndarray) -> np.ndarray:
@@ -94,17 +144,18 @@ def integer_charpoly(adjacency: np.ndarray) -> tuple[int, ...]:
     (_modp.charpoly), and the residues are joined by the Chinese remainder
     theorem and read as symmetric residues.
 
-    Why this is exact: let r be the largest row L1 norm of A.  It is the
-    norm induced by the max norm, so every eigenvalue has |lambda| <= r.
-    The coefficient of x^(n-i) is (-1)^i e_i(lambda_1, ..., lambda_n), so
-    |e_i| <= C(n, i) r^i, and these bounds sum to (1 + r)^n.  Primes are
-    added until their product M exceeds 2 (1 + r)^n, so each coefficient is
-    the one integer in (-M/2, M/2] with its residues.
+    Why this is exact: let rho be the largest row 2-norm of A.  Each
+    principal i x i minor has rows that are parts of rows of A, so by
+    Hadamard's inequality it is at most rho^i in absolute value.  The
+    coefficient of x^(n-i) is (-1)^i times the sum of the C(n, i) such
+    minors, so it is at most C(n, i) ceil(rho)^i, and these bounds sum to
+    (1 + ceil(rho))^n (_charpoly_bound).  Primes are added until their
+    product M exceeds twice that, so each coefficient is the one integer in
+    (-M/2, M/2] with its residues.
     """
     rows = [[int(x) for x in row] for row in adjacency]
     n = len(rows)
-    r = max((sum(abs(x) for x in row) for row in rows), default=0)
-    bound = 2 * (1 + r) ** n
+    bound = 2 * _charpoly_bound(max((sum(x * x for x in row) for row in rows), default=0), n)
     coeffs = [0] * (n + 1)
     modulus = 1
     for p in _modp._descending_primes(2**31 - 1, 2, bound):
@@ -147,10 +198,9 @@ def verify_spectrum_exact(
         [[e.value.numerator.coeffs for e in sp.entries]], dtype=object
     ).reshape(1, len(sp.entries), get_context(m).degree)
     dens = [e.value.denominator for e in sp.entries]
-    bound = max(abs(c) for c in charpoly)
-    miss = int(
-        _exact_mismatch(nums, dens, mults, m, bound, lambda q: np.array([[c % q for c in charpoly]]))[0]
-    )
+    primes = _exact_primes(nums, dens, mults, m, max(abs(c) for c in charpoly))
+    residues = np.array([[[c % q for c in charpoly]] for q in primes], dtype=np.int64)
+    miss = int(_exact_mismatch(nums, dens, mults, m, primes, residues)[0])
     if miss >= 0:
         return ExactSpectrumReport(passed=False, degree=degree, mismatch_power=miss)
     return ExactSpectrumReport(passed=True, degree=degree)
@@ -163,23 +213,56 @@ def batch_verify_spectrum_exact(
 
     Row s claims the eigenvalue numerators[s, r] / degrees[r] (power-basis
     coefficients at conductor m, shape (S, K, phi)) with multiplicity
-    degrees[r]^2.  The characteristic polynomials of each chunk of the
-    adjacency stack come from _modp.charpoly_stack, and the row L1 norm r of
-    a 0/1 adjacency matrix is its set's size, so every coefficient is at
-    most (1 + r)^n in absolute value (see integer_charpoly).
+    degrees[r]^2.  The characteristic polynomials come from one
+    _modp.charpoly_stack call per chunk, for every prime at once, on one
+    matrix of each pair of inverse sets (_solved_runs); every row's own
+    claim is compared with its matrix's polynomial.
+
+    Why the primes suffice: a row of A(C) holds |C| ones, so its 2-norm is
+    rho = sqrt(|C|).  The coefficient of x^(n-i) is (-1)^i times the sum of
+    the C(n, i) principal i x i minors, each at most rho^i in absolute
+    value by Hadamard's inequality, since its rows are parts of rows of
+    A(C).  So every coefficient is at most (1 + ceil(rho))^n
+    (_charpoly_bound), the bound _exact_primes is given, with the largest
+    |C| of the sweep.
     """
     mults = [int(d) * int(d) for d in degrees]
+    n = group.n
     out = np.zeros(len(members), dtype=bool)
-    if sum(mults) != group.n:
+    if sum(mults) != n:
         return out
-    for rows in _chunks(len(members), group.n):
-        stack = adjacency_stack(group, members[rows])
-        bound = (1 + int(members[rows].sum(axis=1).max())) ** group.n
-        miss = _exact_mismatch(
-            numerators[rows], degrees, mults, m, bound, lambda q: _modp.charpoly_stack(stack, q)
-        )
-        out[rows] = miss < 0
+    primes = _exact_primes(
+        numerators, degrees, mults, m, _charpoly_bound(int(members.sum(axis=1).max(initial=0)), n)
+    )
+    # bytes for each prime: per matrix, the int64 Hessenberg matrix, its
+    # update temporary and the leading blocks' polynomials; per row, the
+    # claimed product's values, factors, powers and coefficients at every
+    # unit, (units, n + 1) each
+    matrix_bytes = 8 * len(primes) * (2 * n * n + (n + 1) ** 2)
+    row_bytes = 8 * len(primes) * 5 * numerators.shape[2] * (n + 1)
+    for stack, rows, local in _solved_runs(group, members, matrix_bytes, row_bytes):
+        stacked = np.broadcast_to(stack, (len(primes), *stack.shape)).reshape(-1, n, n)
+        residues = _modp.charpoly_stack(stacked, np.repeat(primes, len(stack)))
+        residues = residues.reshape(len(primes), len(stack), n + 1)[:, local]
+        out[rows] = _exact_mismatch(numerators[rows], degrees, mults, m, primes, residues) < 0
     return out
+
+
+def _exact_primes(
+    nums: np.ndarray, dens: Sequence[int], mults: Sequence[int], m: int, charpoly_bound: int
+) -> list[int]:
+    """The primes of _exact_mismatch for the claims nums when every characteristic polynomial coefficient is at most charpoly_bound.
+
+    Their product exceeds B = scale * charpoly_bound + prod_r (dens[r] +
+    max_s |nums[s, r]|_1)^mults[r], where scale = prod_r dens[r]^mults[r]
+    and |.|_1 is the L1 norm of a coefficient vector; they satisfy
+    max(n + 1, phi) q^2 < 2^63.
+    """
+    count, k, phi = nums.shape
+    scale = prod(int(d) ** int(mu) for d, mu in zip(dens, mults))
+    l1 = np.abs(nums).sum(axis=2).max(axis=0) if k and count else [0] * k
+    claimed = prod((int(d) + int(a)) ** int(mu) for d, a, mu in zip(dens, l1, mults))
+    return _modp._certificate_primes(m, scale * charpoly_bound + claimed, max(sum(mults) + 1, phi))
 
 
 def _exact_mismatch(
@@ -187,16 +270,16 @@ def _exact_mismatch(
     dens: Sequence[int],
     mults: Sequence[int],
     m: int,
-    charpoly_bound: int,
-    charpoly_mod: Callable[[int], np.ndarray],
+    primes: Sequence[int],
+    charpolys: np.ndarray,
 ) -> np.ndarray:
     """Per row s, the lowest power of x at which D_s = scale * f_s - prod_r (dens[r] x - nums[s, r])^mults[r] has a nonzero coefficient, or -1 when D_s = 0.
 
     nums is an (S, K, phi) array of power-basis coefficients at conductor m
     (int64 or Python ints), scale = prod_r dens[r]^mults[r], and f_s is
     the characteristic polynomial of degree n = sum(mults) whose residues
-    mod q charpoly_mod(q) returns, shape (S, n + 1); each coefficient of
-    f_s is at most charpoly_bound in absolute value.
+    mod primes[i] are charpolys[i, s], shape (len(primes), S, n + 1).  The
+    primes come from _exact_primes, for a bound on f_s's coefficients.
 
     For a prime q = 1 (mod m) and w of order m mod q, each unit u mod m
     gives the ring map Z[z] -> F_q, z -> w^u.  Under it the claimed product
@@ -210,8 +293,8 @@ def _exact_mismatch(
     coefficient vector, so each coefficient of the claimed product is
     bounded under sigma by prod_r (dens[r] + |nums[s, r]|_1)^mults[r],
     the product's value at x = 1 with every term made positive, and
-    |sigma(c)| <= B = scale * charpoly_bound + that product.  The primes
-    are added until their product M exceeds B.  If c maps to 0 under every
+    |sigma(c)| <= B, the bound of _exact_primes; the product M of the
+    primes exceeds B.  If c maps to 0 under every
     unit at every prime, then c lies in q Z[z] for each q, because q splits
     completely in Z[z] and the kernels of the phi maps are the primes above
     q, whose intersection is q Z[z].  So c lies in M Z[z], and if c != 0
@@ -227,20 +310,20 @@ def _exact_mismatch(
     count, k, phi = nums.shape
     n = sum(mults)
     scale = prod(int(d) ** int(mu) for d, mu in zip(dens, mults))
-    l1 = np.abs(nums).sum(axis=2).max(axis=0) if k else []
-    claimed = prod((int(d) + int(a)) ** int(mu) for d, a, mu in zip(dens, l1, mults))
     units = [u for u in range(m) if gcd(u, m) == 1]
+    # axis 0 runs over the primes, and q broadcasts each one over its block
+    q = np.array(primes, dtype=np.int64)[:, None, None, None]
+    maps = np.stack([_modp._ring_maps(m, phi, p, units) for p in primes])[:, None]
+    embedded = (nums % q).astype(np.int64) @ maps % q
     points = np.arange(n + 1, dtype=np.int64)
-    miss = np.zeros((count, n + 1), dtype=bool)
-    for q in _modp._certificate_primes(m, scale * charpoly_bound + claimed, max(n + 1, phi)):
-        embedded = (nums % q).astype(np.int64) @ _modp._ring_maps(m, phi, q, units) % q
-        values = np.ones((count, len(units), n + 1), dtype=np.int64)
-        for r in range(k):
-            factor = (int(dens[r]) % q * points - embedded[:, r, :, None]) % q
-            values = values * _modp._power_stack(factor, int(mults[r]), q) % q
-        product = values @ _inverse_vandermonde(n, q).T % q
-        target = charpoly_mod(q) * (scale % q) % q
-        miss |= (product != target[:, None, :]).any(axis=1)
+    values = np.ones((len(primes), count, len(units), n + 1), dtype=np.int64)
+    for r in range(k):
+        factor = (int(dens[r]) % q * points - embedded[:, :, r, :, None]) % q
+        values = values * _modp._power_stack(factor, int(mults[r]), q) % q
+    inverse = np.stack([_inverse_vandermonde(n, p).T for p in primes])[:, None]
+    product = values @ inverse % q
+    target = charpolys * np.array([scale % p for p in primes], dtype=np.int64)[:, None, None] % q[..., 0]
+    miss = (product != target[:, :, None, :]).any(axis=(0, 2))
     return np.where(miss.any(axis=1), miss.argmax(axis=1), -1)
 
 
@@ -329,12 +412,37 @@ def batch_compare_spectra(
 
     Row s claims the eigenvalue numerators[s, r] / degrees[r] (power-basis
     coefficients at conductor m, shape (S, K, phi)) with multiplicity
-    degrees[r]^2.  Each chunk of the adjacency stack takes one eigvals call.
+    degrees[r]^2.  Each chunk takes one eigvals call, on one matrix of each
+    pair of inverse sets (_solved_runs), and every row's own claim is
+    matched against its matrix's eigenvalues (_float_verdicts).
+    """
+    degrees = np.asarray(degrees, dtype=np.int64)
+    if int(degrees @ degrees) != group.n:
+        raise ValueError(
+            f"spectrum size mismatch: {int(degrees @ degrees)} exact vs {group.n} numeric values"
+        )
+    if int(np.abs(numerators).max(initial=0)) * int(degrees.max()) >= 2**63:
+        raise ValueError("claimed numerators too large for exact int64 comparison")
+    n, (count, k, _) = group.n, numerators.shape
+    out = np.empty(count, dtype=bool)
+    # per matrix: the bool and float64 stacks and the eigensolver's copy;
+    # per row: about three 8-byte arrays of shape (K, n) and three of (K, K)
+    for stack, rows, local in _solved_runs(group, members, 17 * n * n, 24 * k * (n + k)):
+        numeric = np.linalg.eigvals(stack.astype(np.float64))
+        out[rows] = _float_verdicts(numerators[rows], degrees, m, numeric[local], tolerance)
+    return out
+
+
+def _float_verdicts(
+    nums: np.ndarray, degrees: np.ndarray, m: int, numeric: np.ndarray, tolerance: float
+) -> np.ndarray:
+    """compare_spectra's verdict for each row s: the claim nums[s] / degrees against the numeric values numeric[s].
+
     The claimed values are formed as CycInt.to_complex forms them, term by
     term in exponent order (_complex_parts) and then divided by the degree,
     and distances are the hypot of the component differences, as abs() of a
-    complex difference computes them.  So the floats below are those compare_spectra
-    compares.
+    complex difference computes them.  So the floats below are those
+    compare_spectra compares.
 
     Values equal as numbers (num * d' == num' * d, exactly) are merged.
     Call the closed disc of radius tol around a merged value its ball.
@@ -356,40 +464,47 @@ def batch_compare_spectra(
     few units in the last place, so balls count as disjoint only when
     distinct values are more than 2 tol (1 + 2^-40) apart.  A row where
     two balls come closer, or where two equal values differ as floats,
-    falls back to compare_spectra itself.
+    falls back to compare_spectra itself.  Each test runs on the whole
+    chunk at once: on the pairs r < t of claimed values (_value_pairs), and
+    as [s, r, i] on claimed value r and numeric value i of row s.
     """
-    degrees = np.asarray(degrees, dtype=np.int64)
-    if int(degrees @ degrees) != group.n:
-        raise ValueError(
-            f"spectrum size mismatch: {int(degrees @ degrees)} exact vs {group.n} numeric values"
-        )
-    if int(np.abs(numerators).max(initial=0)) * int(degrees.max()) >= 2**63:
-        raise ValueError("claimed numerators too large for exact int64 comparison")
+    re, im = _complex_parts(nums, m)
+    re, im = re / degrees, im / degrees
+    count, k = re.shape
+    r, t = _value_pairs(k)
+    same = np.ones((count, len(r)), dtype=bool)
+    for e in range(nums.shape[2]):
+        same &= nums[:, r, e] * degrees[t] == nums[:, t, e] * degrees[r]
+    twin = (re[:, r] == re[:, t]) & (im[:, r] == im[:, t])
+    near = _within(re[:, r] - re[:, t], im[:, r] - im[:, t], 2 * tolerance * (1 + 2**-40))
+    clash = np.where(same, ~twin, near).any(axis=1)
+    inside = _within(numeric.real[:, None] - re[:, :, None], numeric.imag[:, None] - im[:, :, None], tolerance)
+    equal = np.zeros((count, k, k), dtype=bool)
+    equal[:, r, t] = equal[:, t, r] = same
     mults = degrees * degrees
-    out = np.empty(len(members), dtype=bool)
-    for rows in _chunks(len(members), group.n):
-        nums = numerators[rows]
-        numeric = np.linalg.eigvals(adjacency_stack(group, members[rows]).astype(np.float64))
-        re, im = _complex_parts(nums, m)
-        re, im = re / degrees, im / degrees
-        clash = np.zeros(len(nums), dtype=bool)
-        covered = np.zeros(numeric.shape, dtype=bool)
-        verdict = np.ones(len(nums), dtype=bool)
-        for r in range(len(degrees)):
-            same = (nums[:, r, None, :] * degrees[:, None] == nums * degrees[r]).all(axis=2)
-            twin = (re == re[:, r, None]) & (im == im[:, r, None])
-            gap = np.hypot(re - re[:, r, None], im - im[:, r, None])
-            clash |= np.where(same, ~twin, gap <= 2 * tolerance * (1 + 2**-40)).any(axis=1)
-            inside = (
-                np.hypot(numeric.real - re[:, r, None], numeric.imag - im[:, r, None]) <= tolerance
-            )
-            covered |= inside
-            verdict &= inside.sum(axis=1) == same @ mults
-        verdict &= covered.all(axis=1)
-        for s in np.flatnonzero(clash):
-            claimed = _read_spectrum(m, degrees.tolist(), nums[s], group.n, 0, False)
-            verdict[s] = compare_spectra(claimed, numeric[s], tolerance).passed
-        out[rows] = verdict
+    verdict = inside.any(axis=1).all(axis=1) & (inside.sum(axis=2) == mults + equal @ mults).all(axis=1)
+    for s in np.flatnonzero(clash):
+        claimed = _read_spectrum(m, degrees.tolist(), nums[s], numeric.shape[1], 0, False)
+        verdict[s] = compare_spectra(claimed, numeric[s], tolerance).passed
+    return verdict
+
+
+@lru_cache(maxsize=64)
+def _value_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs r < t of k claimed values; a value and itself are always the same, bit for bit."""
+    return np.triu_indices(k, 1)
+
+
+def _within(dx: np.ndarray, dy: np.ndarray, bound: float) -> np.ndarray:
+    """hypot(dx, dy) <= bound elementwise, with hypot taken only inside the box |dx|, |dy| <= bound (1 + 2^-40).
+
+    Outside the box the answer is no: hypot is within a few units in the
+    last place of sqrt(dx^2 + dy^2) >= max(|dx|, |dy|).
+    """
+    box = bound * (1 + 2**-40)
+    out = (np.abs(dx) <= box) & (np.abs(dy) <= box)
+    hits = np.flatnonzero(out)
+    out.flat[hits] = np.hypot(dx.flat[hits], dy.flat[hits]) <= bound
     return out
 
 

@@ -28,7 +28,7 @@ from .cyclotomic import (
     reduce_raw,
     totient,
 )
-from .errors import InternalConsistencyError, ResourceLimitError
+from .errors import InternalConsistencyError, ResourceLimitError, shown
 from .galois import (
     GaloisConjugacyClasses,
     GaloisSubgroup,
@@ -123,7 +123,7 @@ def make_connection_set(spec, group: Group, cd: ClassData) -> ConnectionSet:
 def _index(x, what: str) -> int:
     """x as an int; a float, a bool or a string is refused, never truncated."""
     if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Integral):
-        raise ValueError(f"{what} {x!r} is not an integer")
+        raise ValueError(f"{what} {shown(x)} is not an integer")
     return int(x)
 
 

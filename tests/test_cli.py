@@ -117,26 +117,54 @@ def test_character_table_command(capsys):
     assert all(c == 0 for c in trivial[0]["coeffs"][1:])
 
 
-def test_input_errors_name_the_field(capsys):
-    for argv, field in [
-        (["spectrum", "--group", "widget(3)", "--classes", "1"], "group"),
-        (["spectrum", "--group", "cyclic(4)", "--classes", "11"], "connection"),
-        (["spectrum", "--group", "cyclic(4)"], "connection"),
+_LONG_CONNECTION = "[[" + ",".join(["1"] * 100000) + "]]"
+_LONG_CLASSES = ",".join(["1"] * 75000)
+
+
+def test_input_errors_name_the_field(monkeypatch, capsys):
+    """Exit 2 naming the field, with under 1 KB of stderr however large the offending value is."""
+    for argv, document, field in [
+        (["spectrum", "--group", "widget(3)", "--classes", "1"], None, "group"),
+        (["spectrum", "--group", "cyclic(4)", "--classes", "11"], None, "connection"),
+        (["spectrum", "--group", "cyclic(4)"], None, "connection"),
         (["check-membership", "--group", "cyclic(5)", "--classes", "1",
-          "--gamma", "5"], "gamma"),
-        (["classes"], "group"),
-        ([], "command"),
+          "--gamma", "5"], None, "gamma"),
+        (["classes"], None, "group"),
+        ([], None, "command"),
         # digits that str.isdigit accepts but int() does not parse
-        (["spectrum", "--group", "cyclic(4)", "--connection", "\u00b2"], "connection"),
+        (["spectrum", "--group", "cyclic(4)", "--connection", "\u00b2"], None, "connection"),
         (["check-membership", "--group", "cyclic(5)", "--classes", "1",
-          "--gamma", "\u00b3"], "gamma"),
+          "--gamma", "\u00b3"], None, "gamma"),
         (["check-membership", "--group", "cyclic(5)", "--classes", "1",
-          "--gamma", "[2,"], "gamma"),
+          "--gamma", "[2,"], None, "gamma"),
+        # oversized values are shown cut, never echoed whole
+        (["spectrum", "--group", "cyclic(3)", "--connection", _LONG_CONNECTION,
+          "--classes", _LONG_CLASSES], None, "connection"),
+        (["spectrum", "--group", "cyclic(3)", "--classes", _LONG_CLASSES + ",x"], None, "classes"),
+        (["spectrum", "--group", "cyclic(3)", "--connection",
+          json.dumps({"elements": ["z" * 100000]})], None, "connection"),
+        (["classes", "--group", "x" * 150000], None, "group"),
+        (["classes", "--group", "w" * 100000 + "(3)"], None, "group"),
+        (["classes", "--group", "cyclic(" + "7" * 100000 + "x)"], None, "group"),
+        (["classes", "--group", "perm[(1,2" + ",3" * 50000 + "]"], None, "group"),
+        (["classes", "--group", "perm[(1,2)(3," + "4 " * 50000 + ")]"], None, "group"),
+        (["check-membership", "--group", "cyclic(5)", "--classes", "1",
+          "--gamma", json.dumps({"generators": "y" * 100000})], None, "gamma"),
+        (["--input", "-"], {"command": "c" * 100000}, "command"),
+        (["spectrum", "--input", "-"], {"oracle": "o" * 100000}, "oracle"),
+        (["spectrum", "--input", "-"], {"output": ["t"] * 100000}, "output"),
+        (["spectrum", "--input", "-"], {"tolerance": "1" * 100000}, "tolerance"),
+        (["spectrum", "--input", "-"], {"sweep_limit": [[[[[1] * 100000]]]]}, "sweep_limit"),
+        (["check-membership", "--input", "-"],
+         {"group": "cyclic(5)", "connection": [1], "gamma": {"generators": {"g": "y" * 100000}}}, "gamma"),
     ]:
+        if document is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
         code = run(argv)
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"input error: {field}:"), (argv, err)
+        assert err.startswith(f"input error: {field}:"), (argv[:3], err[:200])
+        assert len(err.encode()) < 1024, (argv[:3], len(err))
 
 
 _DEEP_JSON = "[" * 200000

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from fractions import Fraction
 from math import comb, gcd
 
@@ -514,15 +515,95 @@ def _shift_one_eigenvalue(monkeypatch, target, shift):
     monkeypatch.setattr(np.linalg, "eigvals", shifted)
 
 
+def _partner(group, members, s):
+    """The row whose element set is the inverse of row s's."""
+    return int(np.flatnonzero((members == members[s, group.inv]).all(axis=1))[0])
+
+
 @pytest.mark.parametrize("text", ["cyclic(5)", "dihedral(6)", "alternating(4)"])
 def test_batched_float_fails_a_numeric_eigenvalue_moved_by_ten_tolerances(corpus, monkeypatch, text):
+    """A moved eigenvalue of the one matrix solved for a pair of inverse sets fails both rows of the pair.
+
+    Row 1 holds class 1 alone, which is its own inverse only in dihedral(6);
+    the last row holds every class and is its own inverse.
+    """
     group, table, sweep, members = _sweep_of(corpus, text)
+    pairs = 0
     for s in (1, len(members) - 1):
+        partner = _partner(group, members, s)
+        pairs += partner != s
         with monkeypatch.context() as patch:
-            target = oracle.adjacency_stack(group, members[s : s + 1])[0]
+            target = oracle.adjacency_stack(group, members[min(s, partner) : min(s, partner) + 1])[0]
             _shift_one_eigenvalue(patch, target, 10 * TOLERANCE)
             verdicts = batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE)
-        assert verdicts.tolist() == [t != s for t in range(len(members))], s
+        assert verdicts.tolist() == [t not in (s, partner) for t in range(len(members))], s
+    assert pairs == (text != "dihedral(6)")
+
+
+def _eigvals_spy(monkeypatch):
+    """Record the number of matrices of every eigvals call."""
+    sizes = []
+    real = np.linalg.eigvals
+
+    def spy(a):
+        sizes.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    return sizes
+
+
+def test_the_cyclic_12_sweep_solves_one_matrix_per_pair_of_inverse_sets(corpus, monkeypatch):
+    """2,048 subsets: 64 are their own inverse and 1,984 form 992 pairs, so 1,056 matrices."""
+    group, table, sweep, members = _sweep_of(corpus, "cyclic(12)")
+    sizes = _eigvals_spy(monkeypatch)
+    assert batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE).all()
+    assert sum(sizes) == 1056
+    stacks = []
+    real = _modp.charpoly_stack
+
+    def spy(mats, q):
+        stacks.append((len(mats), len(set(np.ravel(q).tolist()))))
+        return real(mats, q)
+
+    monkeypatch.setattr(_modp, "charpoly_stack", spy)
+    assert batch_verify_spectrum_exact(group, members, *_claims(sweep)).all()
+    primes = {p for _, p in stacks}
+    assert len(primes) == 1
+    assert sum(size for size, _ in stacks) == 1056 * primes.pop()
+
+
+def test_adjacency_stack_of_the_inverse_sets_is_the_transpose(corpus):
+    """A(C^-1) = A(C)^T on every subset of every corpus group."""
+    for text in CORPUS:
+        group, table, sweep, members = _sweep_of(corpus, text)
+        stack = oracle.adjacency_stack(group, members)
+        assert (oracle.adjacency_stack(group, members[:, group.inv]) == stack.transpose(0, 2, 1)).all(), text
+
+
+def _per_row_verdicts(group, sweep, members, s, nums):
+    """The per-row compare_spectra and verify_spectrum_exact verdicts on row s's claim."""
+    sp = sweep_spectrum(_with_numerators(sweep, nums), s)
+    adj = adjacency_matrix(group, np.flatnonzero(members[s]))
+    return compare_spectra(sp, oracle_spectrum(adj), TOLERANCE).passed, verify_spectrum_exact(sp, adj).passed
+
+
+@pytest.mark.parametrize("text", ["cyclic(12)", "alternating(4)", "cyclic(8)"])
+def test_a_claim_changed_on_the_row_that_is_not_solved_is_rejected(corpus, text):
+    """Only the numeric work is shared by a pair of inverse sets: each row's own claim is still checked."""
+    group, table, sweep, members = _sweep_of(corpus, text)
+    rng = np.random.default_rng(len(text))
+    count, k, phi = sweep.numerators.shape
+    later = [s for s in range(count) if _partner(group, members, s) < s]
+    assert later
+    for s in rng.choice(later, size=min(3, len(later)), replace=False).tolist():
+        r, e = int(rng.integers(k)), int(rng.integers(phi))
+        nums = sweep.numerators.copy()
+        nums[s, r, e] += 1
+        expected = [t != s for t in range(count)]
+        assert batch_verify_spectrum_exact(group, members, *_claims(sweep, nums)).tolist() == expected
+        assert batch_compare_spectra(group, members, *_claims(sweep, nums), TOLERANCE).tolist() == expected
+        assert _per_row_verdicts(group, sweep, members, s, nums) == (False, False)
 
 
 def test_overlapping_balls_fall_back_to_compare_spectra(corpus, monkeypatch):
@@ -557,17 +638,25 @@ def test_overlapping_balls_fall_back_to_compare_spectra(corpus, monkeypatch):
 
 
 def test_chunk_edges_that_split_a_sweep_give_the_same_verdicts(corpus, monkeypatch):
+    """One run for the whole sweep, runs of a few matrices, and one matrix per run agree."""
     for text in ("dihedral(6)", "cyclic(8)", "symmetric(4)"):
         group, table, sweep, members = _sweep_of(corpus, text)
         nums = sweep.numerators.copy()
         bad = [1, 3, 4, len(nums) - 1]
         nums[bad, -1, 0] += 1
         expected = [s not in bad for s in range(len(nums))]
-        for rows in (len(members), 3, 2):
-            monkeypatch.setattr(oracle, "_STACK_BYTES", 8 * group.n**2 * rows)
+        for s in bad:
+            assert _per_row_verdicts(group, sweep, members, s, nums) == (False, False)
+        runs = []
+        for budget in (1 << 30, 400 * group.n**2, 1):
+            monkeypatch.setattr(oracle, "_STACK_BYTES", budget)
             claims = _claims(sweep, nums)
             assert batch_verify_spectrum_exact(group, members, *claims).tolist() == expected
-            assert batch_compare_spectra(group, members, *claims, TOLERANCE).tolist() == expected
+            with monkeypatch.context() as patch:
+                sizes = _eigvals_spy(patch)
+                assert batch_compare_spectra(group, members, *claims, TOLERANCE).tolist() == expected
+            runs.append(len(sizes))
+        assert runs[0] == 1 < runs[1] < runs[2] == sum(sizes), (text, runs)
 
 
 def test_charpoly_stack_matches_the_one_matrix_routine():
@@ -581,3 +670,52 @@ def test_charpoly_stack_matches_the_one_matrix_routine():
             assert poly.tolist() == _modp.charpoly(mat.tolist(), q)
     with pytest.raises(ValueError, match="overflow"):
         _modp.charpoly_stack(np.zeros((1, 4, 4), dtype=np.int64), 2**31 - 1)
+
+
+def test_charpoly_stack_takes_one_prime_per_matrix():
+    """A (S,) array of primes gives each matrix the polynomial of a one-prime call."""
+    rng = np.random.default_rng(17)
+    for n in (0, 1, 2, 5, 12, 24):
+        primes = _modp._certificate_primes(1, 10**40, n + 1)
+        assert len(primes) > 1
+        mats = rng.integers(-3, 4, size=(3 * len(primes), n, n))
+        mats[::4, :, : n // 2] = 0  # columns with no pivot below the diagonal
+        q = np.array(primes * 3)
+        stacked = _modp.charpoly_stack(mats, q)
+        for mat, p, poly in zip(mats, q.tolist(), stacked):
+            assert poly.tolist() == _modp.charpoly_stack(mat[None], p)[0].tolist()
+            assert poly.tolist() == _modp.charpoly(mat.tolist(), p)
+
+
+def test_hadamard_bound_covers_every_coefficient():
+    """|coefficient of x^(n-i)| <= C(n, i) ceil(rho)^i, summing to the bound, on 0/1 and integer matrices."""
+    rng = np.random.default_rng(19)
+    for entries in ((0, 2), (-4, 5)):
+        for _ in range(30):
+            n = int(rng.integers(0, 13))
+            mat = rng.integers(*entries, size=(n, n))
+            square_norm = int((mat * mat).sum(axis=1).max(initial=0))
+            rho = oracle._charpoly_bound(square_norm, 1) - 1
+            assert (rho - 1) ** 2 < square_norm <= rho**2 or square_norm == rho == 0
+            coeffs = _reference_charpoly(mat.tolist())
+            for i in range(n + 1):
+                assert abs(coeffs[n - i]) <= comb(n, i) * rho**i, (mat, i)
+            assert max(abs(c) for c in coeffs) <= oracle._charpoly_bound(square_norm, n)
+
+
+@pytest.mark.parametrize("text", ["cyclic(12)", "alternating(5)", "symmetric(4)"])
+def test_batched_oracles_allocate_within_the_stack_budget(corpus, text):
+    """Stacks, stacked primes and matching temporaries all count in _STACK_BYTES."""
+    group, table, sweep, members = _sweep_of(corpus, text)
+    for check in (
+        lambda: batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE),
+        lambda: batch_verify_spectrum_exact(group, members, *_claims(sweep)),
+    ):
+        assert check().all()  # warm the prime, ring map and Vandermonde caches
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * oracle._STACK_BYTES, (text, peak)
