@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from functools import lru_cache
 from importlib import resources
@@ -21,7 +22,7 @@ from typing import Optional
 
 from .characters import CharacterTable, dixon_character_table
 from .cyclotomic import CycInt, _complex_parts, _poly_str, totient
-from .errors import InternalConsistencyError, ResourceLimitError, shown
+from .errors import InternalConsistencyError, ResourceLimitError, cut, shown
 from .galois import (
     GaloisSubgroup,
     all_subgroups,
@@ -92,22 +93,38 @@ class InputError(Exception):
 # job assembly
 
 
+# flag -> (job field, help); every value is read as text and checked with the job
+_FLAGS = {
+    "--input": ("input", "job JSON file, or - for stdin"),
+    "--group": ("group", "group spec string, e.g. dihedral(4)"),
+    "--classes": ("classes", "comma-separated conjugacy class indices"),
+    "--elements": ("elements", "comma-separated element indices"),
+    "--connection": ("connection", 'connection spec: JSON, "all-nonidentity" or "sweep"'),
+    "--gamma": ("gamma", 'unit subgroup: generators "3,5", "rational" or "splitting"'),
+    "--oracle": ("oracle", "auto, on or off"),
+    "--tol": ("tolerance", "oracle comparison tolerance"),
+    "--output": ("output", "json or table"),
+    "--sweep-limit": ("sweep_limit", "most classes a sweep may take"),
+}
+
+
+class _ArgParser(argparse.ArgumentParser):
+    """An argument parser whose errors are bad input, naming the flag's job field."""
+
+    def error(self, message):
+        flag = re.match(r"argument (\S+): ", message)
+        field = _FLAGS[flag.group(1)][0] if flag and flag.group(1) in _FLAGS else "arguments"
+        raise InputError(field, cut(message))
+
+
 def _arg_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgParser(
         prog="cayley-spectra",
         description="Exact spectra of normal Cayley digraphs and related checks.",
     )
-    p.add_argument("command", nargs="?", choices=COMMANDS)
-    p.add_argument("--input", help="job JSON file, or - for stdin")
-    p.add_argument("--group", help="group spec string, e.g. dihedral(4)")
-    p.add_argument("--classes", help="comma-separated conjugacy class indices")
-    p.add_argument("--elements", help="comma-separated element indices")
-    p.add_argument("--connection", help='connection spec: JSON, "all-nonidentity" or "sweep"')
-    p.add_argument("--gamma", help='unit subgroup: generators "3,5", "rational" or "splitting"')
-    p.add_argument("--oracle", choices=("auto", "on", "off"))
-    p.add_argument("--tol", type=float, help="oracle comparison tolerance")
-    p.add_argument("--output", choices=("json", "table"))
-    p.add_argument("--sweep-limit", type=int, dest="sweep_limit")
+    p.add_argument("command", nargs="?", help=f"one of {', '.join(COMMANDS)}")
+    for flag, (field, text) in _FLAGS.items():
+        p.add_argument(flag, dest=field, help=text)
     return p
 
 
@@ -138,12 +155,12 @@ def _assemble_job(args: argparse.Namespace) -> dict:
         job["gamma"] = _maybe_json(args.gamma, "gamma")
     if args.oracle is not None:
         job["oracle"] = args.oracle
-    if args.tol is not None:
-        job["tolerance"] = args.tol
+    if args.tolerance is not None:
+        job["tolerance"] = _parsed(float, args.tolerance, "tolerance", "a finite number >= 0")
     if args.output is not None:
         job["output"] = args.output
     if args.sweep_limit is not None:
-        job["sweep_limit"] = args.sweep_limit
+        job["sweep_limit"] = _parsed(int, args.sweep_limit, "sweep_limit", "an integer >= 0")
     if args.command is not None:
         job["command"] = args.command
     job.setdefault("oracle", "auto")
@@ -169,6 +186,14 @@ def _assemble_job(args: argparse.Namespace) -> dict:
     if "group_cap" in job:
         raise InputError("group_cap", f"not a job field; groups are capped at order {DEFAULT_GROUP_CAP}")
     return job
+
+
+def _parsed(kind, text: str, field: str, expected: str):
+    """kind(text); text kind cannot read is bad input."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(field, f"expected {expected}, got {shown(text)}")
 
 
 def _int_list(text: str, field: str) -> list[int]:
@@ -867,9 +892,8 @@ _COMMANDS = {
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    args = _arg_parser().parse_args(argv)
     try:
-        job = _assemble_job(args)
+        job = _assemble_job(_arg_parser().parse_args(argv))
         payload, ok = _COMMANDS[job["command"]](job)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -24,5 +24,9 @@ class ResourceLimitError(ValueError):
 
 def shown(value) -> str:
     """repr(value) cut to about 80 characters, for an error message that names an offending input."""
-    text = _SHOWN.repr(value)
+    return cut(_SHOWN.repr(value))
+
+
+def cut(text: str) -> str:
+    """text cut to at most 80 characters."""
     return text if len(text) <= 80 else text[:77] + "..."

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .errors import shown
 from .group_core import ClassData, Group
 
 __all__ = [
@@ -56,7 +57,7 @@ class GaloisSubgroup:
 def unit_group(m: int) -> GaloisSubgroup:
     """The full unit group mod m; for m = 1 the trivial group {1}."""
     if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
+        raise ValueError(f"modulus must be positive, got {shown(m)}")
     elements = tuple(t for t in range(1, m + 1) if gcd(t, m) == 1)
     return GaloisSubgroup(m=m, generators=_greedy_generators(m, elements), elements=elements)
 
@@ -64,12 +65,12 @@ def unit_group(m: int) -> GaloisSubgroup:
 def subgroup_closure(m: int, generators: Iterable[int]) -> GaloisSubgroup:
     """Close a generator list under multiplication mod m."""
     if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
+        raise ValueError(f"modulus must be positive, got {shown(m)}")
     gens = []
     for g in generators:
         c = _canon(g, m)
         if gcd(c, m) != 1:
-            raise ValueError(f"generator {g} not coprime to modulus {m}")
+            raise ValueError(f"generator {shown(g)} not coprime to modulus {m}")
         gens.append(c)
     elements = tuple(sorted(_closure_of_set(m, frozenset(gens))))
     return GaloisSubgroup(m=m, generators=tuple(gens), elements=elements)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isqrt, lcm, prod
+from math import factorial, isqrt, lcm, prod
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -245,20 +245,16 @@ class Group:
 
     The identity is index 0.  product(a, b) is the index array of a * b for
     broadcastable index arrays a and b; inv and orders are per-element arrays
-    and exponent is the lcm of all orders.  mul, the n x n table with
-    mul[a, b] = product(a, b), and labels are built on first access.
+    and exponent is the lcm of all orders.  labels are built on first access.
     """
 
-    __slots__ = (
-        "n", "inv", "orders", "exponent", "identity", "description", "_law", "_mul", "_labels", "_walk_table"
-    )
+    __slots__ = ("n", "inv", "orders", "exponent", "identity", "description", "_law", "_labels", "_walk_table")
 
     def __init__(self, law, description: str):
         self._law = law
         self.n = law.n
         self.identity = 0
         self.description = description
-        self._mul: Optional[np.ndarray] = None
         self._labels: Optional[tuple[str, ...]] = None
         self._walk_table: Optional[np.ndarray] = None
         if self.n * (self.n + 1) <= _WALK_TABLE:
@@ -349,19 +345,6 @@ class Group:
         if self._labels is None:
             self._labels = tuple(self._law.label(x) for x in range(self.n))
         return self._labels
-
-    @property
-    def mul(self) -> np.ndarray:
-        """The read-only n x n int32 multiplication table, built on first access."""
-        if self._mul is None:
-            idx = np.arange(self.n)
-            mul = np.empty((self.n, self.n), dtype=np.int32)
-            rows = max(1, _PRODUCT_BLOCK // max(self.n, 1))
-            for start in range(0, self.n, rows):
-                mul[start : start + rows] = self.product(idx[start : start + rows, None], idx)
-            mul.flags.writeable = False
-            self._mul = mul
-        return self._mul
 
 
 def _orders_and_inverses(group: Group) -> tuple[np.ndarray, np.ndarray]:
@@ -531,16 +514,18 @@ def _closure(identity: np.ndarray, gens: np.ndarray, times: Callable, keys: Call
 
 
 def _family_law(family: str, params: tuple[int, ...], cap: int):
-    """The element rows and product of a named family."""
+    """The element rows and product of a named family; a family of order over cap is refused before any element is built."""
     if family == "cyclic":
         (n,) = _expect_params(family, params, 1)
         if n < 1:
-            raise ValueError(f"cyclic order must be positive, got {n}")
+            raise ValueError(f"cyclic order must be positive, got {shown(n)}")
+        _refuse_over_cap(family, params, n, cap)
         return _Rows((0,), [(1 % n,)], lambda x, y: (x + y) % n, (n,), lambda r: str(r[0]), cap)
     if family == "dihedral":
         (n,) = _expect_params(family, params, 1)
         if n < 1:
-            raise ValueError(f"dihedral parameter must be positive, got {n}")
+            raise ValueError(f"dihedral parameter must be positive, got {shown(n)}")
+        _refuse_over_cap(family, params, 2 * n, cap)
 
         def dmul(x, y):
             # r^i s^j * r^k s^l = r^(i + k or i - k) s^(j ^ l)
@@ -556,7 +541,8 @@ def _family_law(family: str, params: tuple[int, ...], cap: int):
         if family == "quaternion" and order != 8:
             raise ValueError("quaternion takes order 8; use generalized-quaternion otherwise")
         if order % 4 != 0 or order < 8:
-            raise ValueError(f"generalized quaternion order must be a multiple of 4, >= 8; got {order}")
+            raise ValueError(f"generalized quaternion order must be a multiple of 4, >= 8; got {shown(order)}")
+        _refuse_over_cap(family, params, order, cap)
         half = order // 2  # a has order `half`, b*b = a^(half/2)
         quarter = order // 4
 
@@ -571,7 +557,8 @@ def _family_law(family: str, params: tuple[int, ...], cap: int):
     if family in ("symmetric", "alternating"):
         (n,) = _expect_params(family, params, 1)
         if not 1 <= n <= 7:
-            raise ValueError(f"{family} degree must be between 1 and 7, got {n}")
+            raise ValueError(f"{family} degree must be between 1 and 7, got {shown(n)}")
+        _refuse_over_cap(family, params, factorial(n) // (2 if family == "alternating" and n > 1 else 1), cap)
         gens: list[tuple[int, ...]] = []
         if family == "symmetric":
             if n >= 2:
@@ -587,7 +574,11 @@ def _family_law(family: str, params: tuple[int, ...], cap: int):
         return _Permutations(tuple(range(n)), gens, cap)
     if family == "elementary-abelian":
         p, k = _expect_params(family, params, 2)
-        if k < 1 or p < 2 or any(p % q == 0 for q in range(2, p)):
+        if k < 1 or p < 2:
+            raise ValueError(f"elementary-abelian needs a prime p and k >= 1, got ({shown(p)},{shown(k)})")
+        # p^k > cap exactly when p^min(k, b) > cap, b = cap.bit_length() + 1, since 2^b > cap
+        _refuse_over_cap(family, params, p ** min(k, cap.bit_length() + 1), cap)
+        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             raise ValueError(f"elementary-abelian needs a prime p and k >= 1, got ({p},{k})")
         gens = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
         return _Rows(
@@ -599,6 +590,12 @@ def _family_law(family: str, params: tuple[int, ...], cap: int):
             cap,
         )
     raise ValueError(f"unknown family name {shown(family)}")
+
+
+def _refuse_over_cap(family: str, params: tuple[int, ...], order: int, cap: int) -> None:
+    if order > cap:
+        named = f"{family}({','.join(shown(p) for p in params)})"
+        raise ValueError(f"group size cap {cap} exceeded by {named}")
 
 
 def _expect_params(family: str, params: tuple[int, ...], count: int) -> tuple[int, ...]:

@@ -16,10 +16,18 @@ only the group, the stack of adjacency matrices and the claimed eigenvalues
 numerators[s, r] / degrees[r] with multiplicity degrees[r]^2, and return
 the per-set verdict of the per-set check for every row.
 
-The batched spectrum checks solve one matrix per pair of inverse sets:
-A(C^-1) = A(C)^T, so both sets have one eigenvalue multiset and one
+The float check diagonalizes a sweep once (_joint_spectrum).  When the
+rows' element sets are unions of conjugation-closed atoms, every A(C) is a
+sum of class-sum matrices, which lie in the centre of the group algebra, so
+all of them commute, each is normal (A(C)^T = A(C^-1)), and they share one
+unitary eigenbasis.  One eigh of a Hermitian combination finds it, each
+row's eigenvalues are a product with the atoms' joint eigenvalues, and the
+Hoffman-Wielandt inequality bounds their distance to the true spectrum.
+A sweep that is not such a union, or whose bound fails, falls back to one
+eigvals per pair of inverse sets.  The exact check solves one matrix per
+pair of inverse sets: A(C^-1) = A(C)^T, so both sets have one
 characteristic polynomial (_solved_runs).  Each row's own claim is still
-compared with that shared result.  The exact check reduces the stack for
+compared with the shared result.  The exact check reduces the stack for
 all its primes in one charpoly_stack call, and both exact checks bound the
 characteristic polynomial's coefficients by Hadamard's inequality
 (_charpoly_bound).
@@ -412,9 +420,11 @@ def batch_compare_spectra(
 
     Row s claims the eigenvalue numerators[s, r] / degrees[r] (power-basis
     coefficients at conductor m, shape (S, K, phi)) with multiplicity
-    degrees[r]^2.  Each chunk takes one eigvals call, on one matrix of each
-    pair of inverse sets (_solved_runs), and every row's own claim is
-    matched against its matrix's eigenvalues (_float_verdicts).
+    degrees[r]^2.  Its numeric eigenvalues come from the sweep's joint
+    eigenbasis (_joint_spectrum) when that is certified; otherwise each
+    chunk takes one eigvals call, on one matrix of each pair of inverse sets
+    (_solved_runs).  Every row's own claim is matched against its numeric
+    values (_float_verdicts), in chunks of _STACK_BYTES.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     if int(degrees @ degrees) != group.n:
@@ -425,12 +435,104 @@ def batch_compare_spectra(
         raise ValueError("claimed numerators too large for exact int64 comparison")
     n, (count, k, _) = group.n, numerators.shape
     out = np.empty(count, dtype=bool)
-    # per matrix: the bool and float64 stacks and the eigensolver's copy;
     # per row: about three 8-byte arrays of shape (K, n) and three of (K, K)
-    for stack, rows, local in _solved_runs(group, members, 17 * n * n, 24 * k * (n + k)):
-        numeric = np.linalg.eigvals(stack.astype(np.float64))
-        out[rows] = _float_verdicts(numerators[rows], degrees, m, numeric[local], tolerance)
+    row_bytes = 24 * k * (n + k)
+    joint = _joint_spectrum(group, members, tolerance) if count else None
+    if joint is None:
+        # per matrix: the bool and float64 stacks and the eigensolver's copy
+        for stack, rows, local in _solved_runs(group, members, 17 * n * n, row_bytes):
+            numeric = np.linalg.eigvals(stack.astype(np.float64))
+            out[rows] = _float_verdicts(numerators[rows], degrees, m, numeric[local], tolerance)
+        return out
+    atoms, values = joint
+    step = max(1, _STACK_BYTES // (16 * n + row_bytes))  # and each row's numeric values
+    for start in range(0, count, step):
+        rows = slice(start, start + step)
+        numeric = atoms[rows].astype(np.float64) @ values
+        out[rows] = _float_verdicts(numerators[rows], degrees, m, numeric, tolerance)
     return out
+
+
+def _joint_spectrum(
+    group: Group, members: np.ndarray, tolerance: float
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(atoms, values): row s's numeric eigenvalues are atoms[s] @ values, each within tolerance / 64 of a true eigenvalue of A(row s) under a one-to-one matching; None when that is not certified.
+
+    An atom is a set of elements that lie in the same rows: atoms is the
+    (S, a) bool array of the atoms each row holds, for the a atoms that some
+    row holds, and values[b, i] is the i-th joint eigenvalue of A(atom b).
+    A(C) is linear in C's indicator, so A(row s) = sum_b atoms[s, b] A_b.
+
+    Why the values are eigenvalues.  When every atom is closed under
+    conjugation (checked exactly, with Group.conjugates), each A_b is a sum
+    of class-sum matrices, which lie in the centre of the group algebra.
+    So the A_b and their transposes A_b^T = A(atom b^-1) all commute, each
+    is normal, and they have one unitary eigenbasis.  On a common
+    eigenvector where A_b takes the value w_b, A_b^T takes conj(w_b), so
+    the Hermitian H = sum_b c_b ((1 + i) A_b + (1 - i) A_b^T) takes
+    sum_b c_b (2 Re w_b - 2 Im w_b).  The weights c_b, the square roots of
+    the first primes (_weights), are there to keep distinct joint
+    eigenvalues apart in H.  eigh(H) = (., V) then gives values[b, i] =
+    (V^H A_b V)[i, i], with the residual rho_b = |A_b V - V diag(values[b])|_F.
+    Where H joins two joint eigenspaces, V mixes them and a residual shows it.
+
+    The bound.  Let eps = |V^H V - I|_F <= 1/8 and P = (V^H V)^(1/2), so
+    that Q = V P^-1 is unitary, |P^-1|_2 <= 1 + eps and |P^-1 - I|_F <=
+    sqrt(2) eps.  Let D = diag(atoms[s] @ values); its entries are at most
+    (1 + eps) n in size, since |v^H A_b v| <= |atom b| |v|^2.  The residual
+    R = A(row s) V - V D is the sum of A_b V - V diag(values[b]) over the
+    atoms the row holds, so |R|_F <= sum_b rho_b.  Then A(row s) Q - Q D = R P^-1 +
+    V (D P^-1 - P^-1 D) is at most (1 + eps)(sum_b rho_b + 2 sqrt(2)
+    (1 + eps) n eps) in Frobenius norm, below delta = (1 + eps)(sum_b rho_b
+    + 4 n eps).  A(row s) and Q D Q^H are normal, so by the
+    Hoffman-Wielandt inequality (Hoffman and Wielandt, Duke Math. J. 20,
+    1953) a matching pairs their eigenvalues with squared distances summing
+    to at most delta^2: each pair is within delta.  The sweep is certified
+    when delta, computed in floating point as every float check is, is at
+    most tolerance / 64, which leaves the matching of claims nearly all of
+    its tolerance.
+    """
+    n = group.n
+    key = np.dtype((np.void, -(-len(members) // 8)))
+    columns = np.ascontiguousarray(np.packbits(members.T, axis=1)).view(key).ravel().tolist()
+    atom_of: dict = {}
+    label = np.array([atom_of.setdefault(c, len(atom_of)) for c in columns], dtype=np.intp)
+    if (label[group.conjugates(np.arange(n))] != label[:, None]).any():
+        return None
+    element_of = np.empty(len(atom_of), dtype=np.intp)
+    element_of[label] = np.arange(n)  # one element of each atom
+    atoms = members[:, element_of]
+    held = np.flatnonzero(atoms.any(axis=0))
+    quotients = label[_quotients(group)]  # the atom of g h^-1
+    weight = np.zeros(len(atom_of))
+    weight[held] = _weights(len(held))
+    weighted = weight[quotients]  # sum_b c_b A_b
+    _, basis = np.linalg.eigh((weighted + weighted.T) + 1j * (weighted - weighted.T))
+    # products of the real and imaginary parts, which BLAS runs in one thread
+    # at sizes where it splits a complex product over threads
+    re, im = basis.real.copy(), basis.imag.copy()
+    values = np.empty((len(held), n), dtype=complex)
+    residual = 0.0
+    for b, atom in enumerate(held.tolist()):
+        adjacency = (quotients == atom).astype(np.float64)
+        image = adjacency @ re + 1j * (adjacency @ im)
+        values[b] = np.einsum("ij,ij->j", basis.conj(), image)
+        residual += np.linalg.norm(image - basis * values[b])
+    eps = np.hypot(np.linalg.norm(re.T @ re + im.T @ im - np.eye(n)), np.linalg.norm(re.T @ im - im.T @ re))
+    if not (eps <= 1 / 8 and (1 + eps) * (residual + 4 * n * eps) <= tolerance / 64):
+        return None
+    return atoms[:, held], values
+
+
+def _weights(count: int) -> np.ndarray:
+    """The square roots of the first count primes."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return np.sqrt(np.array(primes, dtype=np.float64))
 
 
 def _float_verdicts(

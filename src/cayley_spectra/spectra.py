@@ -93,19 +93,19 @@ def make_connection_set(spec, group: Group, cd: ClassData) -> ConnectionSet:
             idxs = [_index(j, "class index") for j in spec["classes"]]
             for j in idxs:
                 if not 0 <= j < cd.k:
-                    raise ValueError(f"class index {j} out of range 0..{cd.k - 1}")
+                    raise ValueError(f"class index {shown(j)} out of range 0..{cd.k - 1}")
             return _from_classes(idxs, cd)
         if "representatives" in spec:
             reps = [_index(g, "element") for g in spec["representatives"]]
             for g in reps:
                 if not 0 <= g < group.n:
-                    raise ValueError(f"element {g} out of range 0..{group.n - 1}")
+                    raise ValueError(f"element {shown(g)} out of range 0..{group.n - 1}")
             return _from_classes((int(cd.class_of[g]) for g in reps), cd)
         if "elements" in spec:
             elems = sorted({_index(g, "element") for g in spec["elements"]})
             for g in elems:
                 if not 0 <= g < group.n:
-                    raise ValueError(f"element {g} out of range 0..{group.n - 1}")
+                    raise ValueError(f"element {shown(g)} out of range 0..{group.n - 1}")
             chosen = set(elems)
             idxs = sorted({int(cd.class_of[g]) for g in elems})
             for j in idxs:

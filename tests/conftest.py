@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cayley_spectra import (
@@ -17,6 +18,12 @@ LADDER = (
     "elementary-abelian(2,6)",
     "cyclic(60)",
 )
+
+
+def multiplication_table(group):
+    """The n x n index array [a, b] = a * b, from Group.product."""
+    idx = np.arange(group.n)
+    return group.product(idx[:, None], idx)
 
 
 def nonidentity_subsets(cd):

@@ -35,20 +35,21 @@ from cayley_spectra import _modp, characters, cli
 from cayley_spectra.cli import _gamma_lattice, run
 from cayley_spectra.cyclotomic import _galois_matrix
 from cayley_spectra.errors import InternalConsistencyError
-from conftest import CORPUS, LADDER
+from conftest import CORPUS, LADDER, multiplication_table
 
 
 def test_class_matrices_against_triple_loop():
     g = build_group(GroupSpec.permutation(["(1 2)", "(1 2 3)"]))
     cd = conjugacy_classes(g)
     cm = class_matrices(g, cd)
+    mul = multiplication_table(g)
     for i in range(cd.k):
         for j in range(cd.k):
             for l, rep in enumerate(cd.representatives):
                 count = 0
                 for a in cd.classes[i]:
                     for b in cd.classes[j]:
-                        if g.mul[a, b] == rep:
+                        if mul[a, b] == rep:
                             count += 1
                 assert cm.c[i, j, l] == count
 

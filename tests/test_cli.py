@@ -157,6 +157,26 @@ def test_input_errors_name_the_field(monkeypatch, capsys):
         (["spectrum", "--input", "-"], {"sweep_limit": [[[[[1] * 100000]]]]}, "sweep_limit"),
         (["check-membership", "--input", "-"],
          {"group": "cyclic(5)", "connection": [1], "gamma": {"generators": {"g": "y" * 100000}}}, "gamma"),
+        # flag values are checked with the job, not by the argument parser
+        (["spectrum", "--group", "cyclic(3)", "--classes", "1", "--oracle", "o" * 100000], None, "oracle"),
+        (["spectrum", "--group", "cyclic(3)", "--classes", "1", "--output", "t" * 100000], None, "output"),
+        (["spectrum", "--group", "cyclic(3)", "--classes", "1", "--tol", "1" * 100000 + "x"], None, "tolerance"),
+        (["spectrum", "--group", "cyclic(3)", "--classes", "1", "--sweep-limit", "9" * 100000], None, "sweep_limit"),
+        (["c" * 100000, "--group", "cyclic(3)"], None, "command"),
+        # the parser's own errors name the flag, or the arguments as a whole
+        (["spectrum", "--group", "cyclic(3)", "--tol"], None, "tolerance"),
+        (["spectrum", "--group", "cyclic(3)", "--classes", "1", "x" * 100000], None, "arguments"),
+        (["spectrum", "--group", "cyclic(3)", "--o=" + "x" * 100000], None, "arguments"),
+        # integers are shown cut as well
+        (["spectrum", "--group", "cyclic(3)", "--classes", "9" * 4000], None, "connection"),
+        (["spectrum", "--group", "cyclic(3)", "--elements", "9" * 4000], None, "connection"),
+        (["spectrum", "--group", "cyclic(3)", "--connection", json.dumps({"representatives": [-(10**4000)]})],
+         None, "connection"),
+        (["check-membership", "--group", "cyclic(5)", "--classes", "1", "--gamma", "5" * 4000], None, "gamma"),
+        (["classes", "--group", "cyclic(-" + "9" * 4000 + ")"], None, "group"),
+        (["classes", "--group", "dihedral(" + "9" * 4000 + ")"], None, "group"),
+        (["classes", "--group", "generalized-quaternion(" + "4" * 4000 + ")"], None, "group"),
+        (["classes", "--group", "symmetric(" + "8" * 4000 + ")"], None, "group"),
     ]:
         if document is not None:
             monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
@@ -165,6 +185,44 @@ def test_input_errors_name_the_field(monkeypatch, capsys):
         assert code == 2
         assert err.startswith(f"input error: {field}:"), (argv[:3], err[:200])
         assert len(err.encode()) < 1024, (argv[:3], len(err))
+
+
+# each would overflow int64, allocate without bound, or trial-divide for minutes
+_OVER_CAP = (
+    "cyclic(9223372036854775808)",
+    "dihedral(9223372036854775808)",
+    "product(cyclic(2),cyclic(18446744073709551616))",
+    "generalized-quaternion(36893488147419103232)",
+    "elementary-abelian(2,1000000000000000000000000000000)",
+    "elementary-abelian(1000000007,1)",
+    "elementary-abelian(2,13)",
+)
+
+
+def test_named_families_over_the_cap_are_refused_before_any_element_is_built():
+    """In a child process held to 1 GiB of address space and 60 s, each spec exits 2 naming the group and the cap."""
+    script = (
+        "import contextlib, io, json, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from cayley_spectra.cli import run\n"
+        "out = []\n"
+        "for text in sys.argv[1:]:\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
+        "        out.append((run(['classes', '--group', text]), err.getvalue()))\n"
+        "print(json.dumps(out))\n"
+    )
+    src = str(Path(cayley_spectra.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *_OVER_CAP], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    for text, (code, err) in zip(_OVER_CAP, json.loads(done.stdout)):
+        assert code == 2, text
+        assert err.startswith("input error: group: group size cap 5040 exceeded by "), (text, err)
+        assert len(err.encode()) < 1024, text
 
 
 _DEEP_JSON = "[" * 200000

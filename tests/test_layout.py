@@ -2,8 +2,8 @@
 
 The power-basis format has one home, cyclotomic, and the independent oracle
 shares nothing with the character path but that format: it reads the group,
-the adjacency matrices and a claimed spectrum.  Only group_core reads a
-group's n x n multiplication table, so no job builds it.
+the adjacency matrices and a claimed spectrum.  A Group keeps no n x n
+multiplication table, and no module reads one as an attribute named mul.
 """
 
 import ast
@@ -68,11 +68,11 @@ def test_spectra_imports_nothing_private_from_characters():
             assert names is not None and not any(name.startswith("_") for name in names), names
 
 
-def test_only_group_core_reads_the_multiplication_table():
+def test_no_module_reads_a_multiplication_table():
     readers = {
         module
         for module, tree in _trees().items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "mul"
     }
-    assert readers <= {"group_core"}, readers
+    assert not readers, readers

@@ -6,7 +6,7 @@ from math import comb, gcd
 
 import numpy as np
 import pytest
-from conftest import CORPUS, LADDER
+from conftest import CORPUS, LADDER, multiplication_table
 
 from cayley_spectra import (
     GroupSpec,
@@ -43,9 +43,10 @@ def test_adjacency_from_definition():
     conn = make_connection_set({"classes": [1]}, g, cd)
     adj = adjacency_matrix(g, conn.elements)
     chosen = set(conn.elements)
+    mul = multiplication_table(g)
     for a in range(g.n):
         for b in range(g.n):
-            arc = int(g.mul[a, g.inv[b]]) in chosen
+            arc = int(mul[a, g.inv[b]]) in chosen
             assert adj[a, b] == (1 if arc else 0)
 
 
@@ -515,6 +516,27 @@ def _shift_one_eigenvalue(monkeypatch, target, shift):
     monkeypatch.setattr(np.linalg, "eigvals", shifted)
 
 
+def _shift_one_joint_eigenvalue(monkeypatch, atom, shift):
+    """Move the first joint eigenvalue of one atom by shift once the sweep's basis is certified; the list returned gets the column of rows that hold the atom."""
+    real = oracle._joint_spectrum
+    held = []
+
+    def shifted(*args):
+        atoms, values = real(*args)
+        values = values.copy()
+        values[atom, 0] += shift
+        held.append(atoms[:, atom])
+        return atoms, values
+
+    monkeypatch.setattr(oracle, "_joint_spectrum", shifted)
+    return held
+
+
+def _colliding_weights(monkeypatch):
+    """Give every atom the weight 1, so that the joint eigenbasis is not separated and the float check falls back to eigvals."""
+    monkeypatch.setattr(oracle, "_weights", np.ones)
+
+
 def _partner(group, members, s):
     """The row whose element set is the inverse of row s's."""
     return int(np.flatnonzero((members == members[s, group.inv]).all(axis=1))[0])
@@ -522,43 +544,83 @@ def _partner(group, members, s):
 
 @pytest.mark.parametrize("text", ["cyclic(5)", "dihedral(6)", "alternating(4)"])
 def test_batched_float_fails_a_numeric_eigenvalue_moved_by_ten_tolerances(corpus, monkeypatch, text):
-    """A moved eigenvalue of the one matrix solved for a pair of inverse sets fails both rows of the pair.
+    """A moved numeric eigenvalue fails exactly the rows whose values it enters.
 
-    Row 1 holds class 1 alone, which is its own inverse only in dihedral(6);
-    the last row holds every class and is its own inverse.
+    On the joint path, a joint eigenvalue of one atom enters every row that
+    holds the atom, and an atom of a class sweep is one class: its column is
+    the membership column of the class's elements.  On the per-pair path,
+    an eigenvalue of the one matrix solved for a pair of inverse sets enters
+    both rows of the pair.  Row 1 holds class 1 alone, which is its own
+    inverse only in dihedral(6); the last row holds every class and is its
+    own inverse.
     """
     group, table, sweep, members = _sweep_of(corpus, text)
+    claims = _claims(sweep)
+    atoms = oracle._joint_spectrum(group, members, TOLERANCE)[0]
+    assert atoms.shape[1] == table.k - 1
+    for atom in range(atoms.shape[1]):
+        with monkeypatch.context() as patch:
+            held = _shift_one_joint_eigenvalue(patch, atom, 10 * TOLERANCE)
+            verdicts = batch_compare_spectra(group, members, *claims, TOLERANCE)
+        (column,) = held
+        assert any((members[:, g] == column).all() for g in range(group.n)), atom
+        assert column.any() and not column.all()
+        assert verdicts.tolist() == (~column).tolist(), atom
     pairs = 0
     for s in (1, len(members) - 1):
         partner = _partner(group, members, s)
         pairs += partner != s
         with monkeypatch.context() as patch:
+            _colliding_weights(patch)
             target = oracle.adjacency_stack(group, members[min(s, partner) : min(s, partner) + 1])[0]
             _shift_one_eigenvalue(patch, target, 10 * TOLERANCE)
-            verdicts = batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE)
+            verdicts = batch_compare_spectra(group, members, *claims, TOLERANCE)
         assert verdicts.tolist() == [t not in (s, partner) for t in range(len(members))], s
     assert pairs == (text != "dihedral(6)")
 
 
-def _eigvals_spy(monkeypatch):
-    """Record the number of matrices of every eigvals call."""
-    sizes = []
-    real = np.linalg.eigvals
+def _shapes_spy(monkeypatch, name):
+    """Record the shape of the array passed to every call of np.linalg.<name>."""
+    shapes = []
+    real = getattr(np.linalg, name)
 
     def spy(a):
-        sizes.append(len(a))
+        shapes.append(a.shape)
         return real(a)
 
-    monkeypatch.setattr(np.linalg, "eigvals", spy)
-    return sizes
+    monkeypatch.setattr(np.linalg, name, spy)
+    return shapes
+
+
+def _calls_spy(monkeypatch, module, name):
+    """Count the calls of module.<name>."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def test_the_cyclic_12_sweep_solves_one_matrix_per_pair_of_inverse_sets(corpus, monkeypatch):
-    """2,048 subsets: 64 are their own inverse and 1,984 form 992 pairs, so 1,056 matrices."""
+    """2,048 subsets: 64 are their own inverse and 1,984 form 992 pairs, so 1,056 matrices.
+
+    The exact check reduces those matrices for every prime, and so does the
+    float check's per-pair path, with eigvals; the joint path makes one
+    eigh of one 12 x 12 matrix and no eigvals call.
+    """
     group, table, sweep, members = _sweep_of(corpus, "cyclic(12)")
-    sizes = _eigvals_spy(monkeypatch)
+    eighs = _shapes_spy(monkeypatch, "eigh")
+    stacks = _shapes_spy(monkeypatch, "eigvals")
     assert batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE).all()
-    assert sum(sizes) == 1056
+    assert eighs == [(12, 12)] and stacks == []
+    with monkeypatch.context() as patch:
+        _colliding_weights(patch)
+        assert batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE).all()
+    assert sum(shape[0] for shape in stacks) == 1056
     stacks = []
     real = _modp.charpoly_stack
 
@@ -571,6 +633,72 @@ def test_the_cyclic_12_sweep_solves_one_matrix_per_pair_of_inverse_sets(corpus, 
     primes = {p for _, p in stacks}
     assert len(primes) == 1
     assert sum(size for size, _ in stacks) == 1056 * primes.pop()
+
+
+def _greedy_distance(exact, numeric):
+    """The largest distance of compare_spectra's greedy matching of two numeric multisets."""
+    pool = list(numeric)
+    worst = 0.0
+    for a in exact:
+        j = min(range(len(pool)), key=lambda t: abs(pool[t] - a))
+        worst = max(worst, abs(pool.pop(j) - a))
+    return worst
+
+
+def test_every_corpus_sweep_takes_the_joint_path(corpus, monkeypatch):
+    """At the default tolerance the joint eigenbasis is certified on all 28 sweeps, no eigvals runs, and every row's values are within tolerance / 64 of eigvals'."""
+    for text in CORPUS:
+        group, table, sweep, members = _sweep_of(corpus, text)
+        atoms, values = oracle._joint_spectrum(group, members, TOLERANCE)
+        assert atoms.shape == (len(members), table.k - 1), text
+        with monkeypatch.context() as patch:
+            stacks = _shapes_spy(patch, "eigvals")
+            assert batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE).all(), text
+        assert stacks == [], text
+        for s in range(0, len(members), max(1, len(members) // 64)):
+            numeric = oracle_spectrum(adjacency_matrix(group, np.flatnonzero(members[s])))
+            assert _greedy_distance(atoms[s] @ values, numeric) <= TOLERANCE / 64, (text, s)
+
+
+def _per_row_float(group, sweep, members, s, nums):
+    """compare_spectra's verdict on row s's claim against eigvals of row s's matrix."""
+    sp = sweep_spectrum(_with_numerators(sweep, nums), s)
+    return compare_spectra(sp, oracle_spectrum(adjacency_matrix(group, np.flatnonzero(members[s]))), TOLERANCE).passed
+
+
+@pytest.mark.parametrize("text", ["cyclic(5)", "dihedral(6)", "symmetric(4)", "alternating(5)"])
+def test_colliding_weights_fall_back_to_the_per_pair_path(corpus, monkeypatch, text):
+    """Equal weights give one eigenspace of H to every nontrivial character; the residual bound sees it, and the per-pair path gives the per-row verdicts."""
+    group, table, sweep, members = _sweep_of(corpus, text)
+    nums = sweep.numerators.copy()
+    bad = [1, len(nums) - 1]
+    nums[bad, -1, 0] += 1
+    _colliding_weights(monkeypatch)
+    assert oracle._joint_spectrum(group, members, TOLERANCE) is None
+    verdicts = batch_compare_spectra(group, members, *_claims(sweep, nums), TOLERANCE)
+    expected = [_per_row_float(group, sweep, members, s, nums) for s in range(len(members))]
+    assert verdicts.tolist() == expected == [s not in bad for s in range(len(members))]
+
+
+@pytest.mark.parametrize("text", ["symmetric(3)", "dihedral(4)", "alternating(4)", "symmetric(4)"])
+def test_rows_that_are_not_unions_of_classes_fall_back_to_the_per_pair_path(corpus, text):
+    """A row that holds part of a class makes an atom that is not closed under conjugation, so the sweep takes eigvals, and each row still gets its per-row verdict."""
+    group, table, sweep, members = _sweep_of(corpus, text)
+    members = members.copy()
+    changed = 0
+    for s in range(1, len(members), 2):
+        # drop one element whose class has more than one element
+        held = np.flatnonzero(members[s]).tolist()
+        g = next((g for g in held if len(set(group.conjugates(g).tolist())) > 1), None)
+        if g is not None:
+            members[s, g] = False
+            changed += 1
+    assert changed
+    assert oracle._joint_spectrum(group, members, TOLERANCE) is None
+    verdicts = batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE)
+    expected = [_per_row_float(group, sweep, members, s, sweep.numerators) for s in range(len(members))]
+    assert verdicts.tolist() == expected
+    assert not all(expected)
 
 
 def test_adjacency_stack_of_the_inverse_sets_is_the_transpose(corpus):
@@ -638,7 +766,11 @@ def test_overlapping_balls_fall_back_to_compare_spectra(corpus, monkeypatch):
 
 
 def test_chunk_edges_that_split_a_sweep_give_the_same_verdicts(corpus, monkeypatch):
-    """One run for the whole sweep, runs of a few matrices, and one matrix per run agree."""
+    """One chunk for the whole sweep, chunks of a few rows or matrices, and one row or matrix per chunk agree.
+
+    The joint path's chunks are counted by its matching calls, and the
+    per-pair path's, forced by colliding weights, by its eigvals calls.
+    """
     for text in ("dihedral(6)", "cyclic(8)", "symmetric(4)"):
         group, table, sweep, members = _sweep_of(corpus, text)
         nums = sweep.numerators.copy()
@@ -647,16 +779,24 @@ def test_chunk_edges_that_split_a_sweep_give_the_same_verdicts(corpus, monkeypat
         expected = [s not in bad for s in range(len(nums))]
         for s in bad:
             assert _per_row_verdicts(group, sweep, members, s, nums) == (False, False)
-        runs = []
-        for budget in (1 << 30, 400 * group.n**2, 1):
-            monkeypatch.setattr(oracle, "_STACK_BYTES", budget)
-            claims = _claims(sweep, nums)
-            assert batch_verify_spectrum_exact(group, members, *claims).tolist() == expected
-            with monkeypatch.context() as patch:
-                sizes = _eigvals_spy(patch)
-                assert batch_compare_spectra(group, members, *claims, TOLERANCE).tolist() == expected
-            runs.append(len(sizes))
-        assert runs[0] == 1 < runs[1] < runs[2] == sum(sizes), (text, runs)
+        n, k = group.n, table.k
+        claims = _claims(sweep, nums)
+        # a few rows, or a few matrices, per chunk
+        for joint, middle in ((True, 100 * k * (n + k)), (False, 400 * n * n)):
+            runs = []
+            for budget in (1 << 30, middle, 1):
+                monkeypatch.setattr(oracle, "_STACK_BYTES", budget)
+                assert batch_verify_spectrum_exact(group, members, *claims).tolist() == expected
+                with monkeypatch.context() as patch:
+                    if not joint:
+                        _colliding_weights(patch)
+                    stacks = _shapes_spy(patch, "eigvals")
+                    chunks = _calls_spy(patch, oracle, "_float_verdicts")
+                    assert batch_compare_spectra(group, members, *claims, TOLERANCE).tolist() == expected
+                assert len(stacks) == (0 if joint else len(chunks)), (text, joint)
+                runs.append(len(chunks))
+            last = len(members) if joint else sum(shape[0] for shape in stacks)
+            assert runs[0] == 1 < runs[1] < runs[2] == last, (text, joint, runs)
 
 
 def test_charpoly_stack_matches_the_one_matrix_routine():

@@ -41,7 +41,7 @@ from cayley_spectra import cli, spectra
 from cayley_spectra.cli import _gamma_lattice, _sweep_checks
 from cayley_spectra.spectra import all_eigenvalues_in_subfield, all_eigenvalues_integral
 
-from conftest import CORPUS, nonidentity_subsets
+from conftest import CORPUS, multiplication_table, nonidentity_subsets
 
 
 def _bundle(text):
@@ -193,9 +193,10 @@ def _oracle_counts(x, conn, group):
     order = int(group.orders[x])
     powers = [power_of(x, i, group) for i in range(order)]
     counts = [0] * order
+    mul = multiplication_table(group)
     for z in conn.elements:
         for y in range(group.n):
-            w = group.mul[group.mul[group.inv[y], z], y]
+            w = mul[mul[group.inv[y], z], y]
             if w in powers:
                 counts[powers.index(int(w))] += 1
     return tuple(counts)
