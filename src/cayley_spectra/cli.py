@@ -20,6 +20,8 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .characters import CharacterTable, dixon_character_table
 from .cyclotomic import CycInt, _complex_parts, _poly_str, totient
 from .errors import InternalConsistencyError, ResourceLimitError, cut, shown
@@ -329,17 +331,40 @@ class Columns:
         return self.columns[key]
 
 
+class Indexed:
+    """The JSON list [block's object i for i in index], for a Columns block.
+
+    A character table holds few distinct values, so its rows are one block
+    of the distinct values and an index per row: the writer writes each of
+    the block's objects once, and each row joins their texts.  As on a
+    Columns, a key gives that column of the listed objects.
+    """
+
+    __slots__ = ("block", "index")
+
+    def __init__(self, block: Columns, index: list[int]):
+        self.block = block
+        self.index = index
+
+    def __getitem__(self, key: str):
+        column = self.block[key]
+        if type(column) is Columns:
+            return Indexed(column, self.index)
+        return [column[i] for i in self.index]
+
+
 def _json_text(payload) -> str:
     """json.dumps(payload, sort_keys=True, indent=2) for plain dicts with str keys, lists, tuples and scalars.
 
-    A Columns is written as the list of its objects.  indent makes json use
-    its pure-Python encoder; _texts writes the same text in as few C-encoder
-    calls as the kinds of the values allow.
+    A Columns is written as the list of its objects, an Indexed as the list
+    of the objects it lists.  indent makes json use its pure-Python
+    encoder; _texts writes the same text in as few C-encoder calls as the
+    kinds of the values allow.
     """
     return _texts([payload], 0)[0]
 
 
-_CONTAINERS = frozenset({dict, list, tuple, Columns})
+_CONTAINERS = frozenset({dict, list, tuple, Columns, Indexed})
 _LISTS = frozenset({list, tuple})
 
 
@@ -354,6 +379,8 @@ def _texts(values: list, depth: int) -> list[str]:
       which starts with a newline, and are parted by "]" + sep + "[";
     - other lists write the members of all of them as one batch;
     - Columns of one shape write each column of all of them as one batch;
+    - Indexed lists over blocks of one shape write each distinct block's
+      objects once, in one batch, and join each list from their texts;
     - dicts with the same keys are written as one Columns block.
     Values of mixed kinds are written as one batch per kind (_kind).
     """
@@ -369,6 +396,11 @@ def _texts(values: list, depth: int) -> list[str]:
         return _cut(_texts(list(chain.from_iterable(values)), depth + 1), values, depth)
     if kinds == {Columns} and len(set(map(_kind, values))) == 1:
         return _cut(_object_texts(values, depth + 1), values, depth)
+    if kinds == {Indexed} and len(set(map(_kind, values))) == 1:
+        blocks = {id(v.block): v.block for v in values}
+        texts = iter(_object_texts(list(blocks.values()), depth + 1))
+        objects = {key: list(islice(texts, len(block))) for key, block in blocks.items()}
+        return [_list_text([objects[id(v.block)][i] for i in v.index], depth) for v in values]
     if kinds == {dict} and len(set(map(frozenset, values))) == 1:
         if not values[0]:
             return ["{}"] * len(values)
@@ -386,14 +418,17 @@ def _texts(values: list, depth: int) -> list[str]:
 def _kind(value):
     """What values must share to be written in one batch.
 
-    That is the keys of a dict, and the shape of a Columns: its keys, with
-    the shape of each column that is a Columns.
+    That is the keys of a dict, the shape of a Columns (its keys, with the
+    shape of each column that is a Columns), and the shape of an Indexed
+    list's block.
     """
     kind = type(value)
     if kind is dict:
         return frozenset(value)
     if kind is Columns:
         return tuple((key, _kind(column)) for key, column in sorted(value.columns.items()))
+    if kind is Indexed:
+        return Indexed, _kind(value.block)
     return "list" if kind in _LISTS else "scalar"
 
 
@@ -623,17 +658,20 @@ def cmd_check_membership(job: dict):
 def cmd_character_table(job: dict):
     spec, group, cd = _group_from_job(job)
     table = _group_limited(dixon_character_table, group, cd)
-    re, im = _complex_parts(table.coefficients, table.m)
-    rows = [
-        Columns(
-            {
-                "m": [table.m] * cd.k,
-                "coeffs": coeffs,
-                "approx": Columns({"re": _rounded(row_re), "im": _rounded(row_im)}),
-            }
-        )
-        for coeffs, row_re, row_im in zip(table.coefficients.tolist(), re.tolist(), im.tolist())
-    ]
+    k = cd.k
+    entries = np.ascontiguousarray(table.coefficients).reshape(k * k, -1)
+    key = np.dtype((np.void, entries.shape[1] * entries.itemsize))
+    distinct: dict = {}  # each distinct coefficient row's bytes -> its number, in order of first entry
+    index = [distinct.setdefault(row, len(distinct)) for row in entries.view(key).ravel().tolist()]
+    values = np.frombuffer(b"".join(distinct), dtype=entries.dtype).reshape(len(distinct), -1)
+    re, im = _complex_parts(values, table.m)
+    block = Columns(
+        {
+            "m": [table.m] * len(values),
+            "coeffs": values.tolist(),
+            "approx": Columns({"re": _rounded(re.tolist()), "im": _rounded(im.tolist())}),
+        }
+    )
     payload = {
         "schema": SCHEMA,
         "command": "character-table",
@@ -648,7 +686,7 @@ def cmd_character_table(job: dict):
                 "representative": [group.label(r) for r in cd.representatives],
             }
         ),
-        "rows": rows,
+        "rows": [Indexed(block, index[r * k : (r + 1) * k]) for r in range(k)],
     }
     return payload, True
 

@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from ._modp import _prime_factors
 from .errors import InternalConsistencyError
 
 __all__ = [
@@ -50,41 +51,48 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _poly_divmod_exact(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Divide by a monic divisor over Z, returning (quotient, remainder)."""
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    num = list(num)
-    dn = len(den) - 1
-    q = [0] * max(len(num) - dn, 1)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            off = i - dn
-            q[off] = c
-            for j, dj in enumerate(den):
-                num[off + j] -= c * dj
-    return q, num[:dn]
+def _times_binomial(poly: list[int], d: int) -> list[int]:
+    """poly (x^d - 1)."""
+    return [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+
+
+def _over_binomial(poly: list[int], d: int) -> list[int]:
+    """poly / (x^d - 1), which must divide it: poly = q (x^d - 1) gives q_j = q_(j-d) - poly_j."""
+    q = [0] * (len(poly) - d)
+    for j in range(len(q)):
+        q[j] = (q[j - d] if j >= d else 0) - poly[j]
+    if _times_binomial(q, d) != poly:
+        raise InternalConsistencyError(f"x^{d}-1 does not divide a cyclotomic product")
+    return q
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, constant term first.
 
-    Computed by exact division of x^m - 1 by the product of the cyclotomic
-    polynomials of the proper divisors of m.  Always monic of degree phi(m).
+    With rad the product of the distinct primes of m, Phi_m(x) =
+    Phi_rad(x^(m/rad)), and Phi_rad = prod_{d | rad} (x^d - 1)^mu(rad/d) by
+    Moebius inversion of x^n - 1 = prod_{d | n} Phi_d.  The factors of
+    exponent 1 are multiplied in first, so each division by a factor of
+    exponent -1 is exact.  Always monic of degree phi(m).
     """
     if m < 1:
         raise ValueError(f"conductor must be positive, got {m}")
-    num: list[int] = [-1] + [0] * (m - 1) + [1]
-    den: list[int] = [1]
-    for d in range(1, m):
-        if m % d == 0:
-            den = _poly_mul(den, cyclotomic_polynomial(d))
-    q, r = _poly_divmod_exact(num, den)
-    if any(r):
-        raise InternalConsistencyError(f"x^{m}-1 not divisible by product of proper factors")
-    return tuple(q)
+    primes = _prime_factors(m)
+    divisors = [(1, (-1) ** len(primes))]  # (d, mu(rad / d)) for each divisor d of rad
+    for q in primes:
+        divisors += [(d * q, -mu) for d, mu in divisors]
+    poly = [1]
+    for d, mu in divisors:
+        if mu == 1:
+            poly = _times_binomial(poly, d)
+    for d, mu in divisors:
+        if mu == -1:
+            poly = _over_binomial(poly, d)
+    stride = m // divisors[-1][0]
+    spread = [0] * ((len(poly) - 1) * stride + 1)
+    spread[::stride] = poly
+    return tuple(spread)
 
 
 @dataclass(frozen=True)

@@ -241,15 +241,28 @@ JOB_STDOUT_SHA256 = {
     ),
 }
 
+# a table of 14,400 entries with 120 distinct values, recorded when each entry was written on its own
+LARGE_TABLE_STDOUT_SHA256 = (
+    "0f5f2e6792bf2bcda033a31dd34317e4fe98acc36afcb726393e239b98cafe31",
+    "8bea127abd6cc1f1668965ec560457da854c7208012626a52f3659122c7a7935",
+)
 
-@pytest.mark.parametrize("job", JOB_STDOUT_SHA256)
-def test_benchmark_job_output_is_byte_identical(job, capsys):
-    argv = job.split()
+
+def _stdout_sha256(argv, capsys):
     digests = []
     for output in ("json", "table"):
         assert run([*argv, "--output", output]) == 0
         digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
-    assert tuple(digests) == JOB_STDOUT_SHA256[job]
+    return tuple(digests)
+
+
+@pytest.mark.parametrize("job", JOB_STDOUT_SHA256)
+def test_benchmark_job_output_is_byte_identical(job, capsys):
+    assert _stdout_sha256(job.split(), capsys) == JOB_STDOUT_SHA256[job]
+
+
+def test_large_table_output_is_byte_identical(capsys):
+    assert _stdout_sha256(["character-table", "--group", "cyclic(120)"], capsys) == LARGE_TABLE_STDOUT_SHA256
 
 
 def test_verify_all_output_is_byte_identical(capsys):

@@ -772,6 +772,29 @@ def test_split_sends_repeated_roots_straight_to_elimination(monkeypatch):
     assert counts == {"roots": 126, "eliminations": 62}
 
 
+def test_split_passes_spaces_where_a_class_matrix_is_scalar(monkeypatch):
+    """On C6 x C6 (p = 13 < k = 36) a class matrix that acts as a scalar on a space splits nothing.
+
+    Such a space is passed on without a characteristic polynomial: 7 spaces
+    are visited for their roots, and 6 roots are eliminated (30 of each
+    when every space is split by every class matrix it meets).
+    """
+    c, p = _class_tensor_mod("product(cyclic(6),cyclic(6))")
+    expected = sorted(_ref_common_eigenrows(c.tolist(), p))
+    visits = []
+    charpoly = characters._modp.charpoly
+
+    def counted(a, q):
+        visits.append(len(a))
+        return charpoly(a, q)
+
+    monkeypatch.setattr(characters._modp, "charpoly", counted)
+    counts = _counting_split(monkeypatch)
+    assert sorted(characters._common_eigenrows(c, p)) == expected
+    assert len(visits) == 7
+    assert counts["eliminations"] == 6
+
+
 def test_krylov_start_is_not_the_trivial_eigenvector():
     for r, p in ((2, 3), (36, 13), (120, 241)):
         u = characters._krylov_start(r, p)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import cayley_spectra
 from cayley_spectra import TABLE_BYTE_BUDGET, cli, spectra
 from cayley_spectra.cli import COMMANDS, run
+from conftest import CORPUS
 
 
 def _run_json(capsys, argv):
@@ -620,6 +621,7 @@ _WRITER_JOBS = [
         "cyclic(40)",
         "elementary-abelian(2,6)",
         "cyclic(60)",
+        "cyclic(1)",
     )),
     ["check-integrality", "--group", "symmetric(6)", "--connection", "sweep"],
     ["check-membership", "--group", "alternating(7)", "--connection", "sweep", "--gamma", "rational"],
@@ -634,10 +636,13 @@ _WRITER_JOBS = [
 
 
 def _plain(value):
-    """The payload with every column block expanded into its list of dicts."""
+    """The payload with every column block expanded into its list of dicts, and every Indexed into its list."""
     if isinstance(value, cli.Columns):
         keys = list(value.columns)
         return [dict(zip(keys, row)) for row in zip(*(_plain(value[key]) for key in keys))]
+    if isinstance(value, cli.Indexed):
+        objects = _plain(value.block)
+        return [objects[i] for i in value.index]
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -706,10 +711,20 @@ def _dict_lists(inner):
     return same | st.builds(operator.add, same, st.lists(st.dictionaries(_keys, inner, max_size=2), min_size=1, max_size=2))
 
 
+def _indexed_lists(blocks):
+    """Indexed lists over these blocks of one shape, some sharing a block, with repeated or no indices."""
+    indexed = st.sampled_from(blocks).flatmap(
+        lambda block: st.lists(st.integers(0, max(len(block) - 1, 0)), max_size=4 if len(block) else 0).map(
+            lambda index: cli.Indexed(block, index)
+        )
+    )
+    return st.lists(indexed, min_size=1, max_size=4)
+
+
 _blocks = st.integers(0, 4).flatmap(_column_blocks)
 _block_lists = st.builds(_cut_block, st.integers(0, 6).flatmap(_column_blocks), st.lists(st.integers(0, 3), max_size=3))
 _json_payloads = st.recursive(
-    _json_scalars | _blocks | _block_lists,
+    _json_scalars | _blocks | _block_lists | _block_lists.flatmap(_indexed_lists),
     lambda inner: st.lists(inner, max_size=4)
     | st.tuples(inner, inner)
     | st.dictionaries(st.text(max_size=4), inner, max_size=4)
@@ -730,6 +745,48 @@ _json_payloads = st.recursive(
 @example((None, {}))
 def test_json_writer_matches_json_dumps_on_nested_payloads(payload):
     assert cli._json_text(payload) == json.dumps(_plain(payload), sort_keys=True, indent=2)
+
+
+_ENTRIES = cli.Columns(
+    {"m": [3, 3, 3], "coeffs": [[1, 0], [0, 1], [-1, -1]], "approx": cli.Columns({"re": [1.0, -0.5, -0.5], "im": [0.0, 0.866, -0.866]})}
+)
+_OTHER_ENTRIES = cli.Columns({"m": [4, 4], "coeffs": [[1, 0], [0, -1]], "approx": cli.Columns({"re": [1.0, 0.0], "im": [0.0, -1.0]})})
+_OTHER_SHAPE = cli.Columns({"a": [None, "\x00]"], "b": [[1, [2]], ()]})
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        cli.Indexed(_ENTRIES, [2, 0, 1]),
+        {"rows": cli.Indexed(_ENTRIES, [1]), "x": 1},
+        cli.Columns({"row": [cli.Indexed(_ENTRIES, [0, 0]), cli.Indexed(_ENTRIES, [])], "n": [1, 2]}),
+        [cli.Indexed(_ENTRIES, [1, 2]), 5, "s", [1, [2]], _OTHER_SHAPE, cli.Indexed(_ENTRIES, [0]), None, {"a": 1}],
+        [cli.Indexed(_ENTRIES, [2, 1]), cli.Indexed(_OTHER_ENTRIES, [1, 1, 0]), cli.Indexed(_ENTRIES, [0])],
+        [cli.Indexed(_ENTRIES, [0]), cli.Indexed(_OTHER_SHAPE, [1, 0]), cli.Indexed(_OTHER_ENTRIES, [1])],
+        [cli.Indexed(_ENTRIES, [1, 1, 1, 1]), cli.Indexed(_ENTRIES, []), cli.Indexed(cli.Columns({}), [])],
+        [[cli.Indexed(_ENTRIES, [0])], {"r": [cli.Indexed(_OTHER_ENTRIES, [1])]}, _ENTRIES],
+    ],
+    ids=("top", "in-dict", "in-columns", "mixed", "two-blocks", "two-shapes", "repeated-and-empty", "nested"),
+)
+def test_json_writer_writes_an_indexed_list_as_the_list_it_means(payload):
+    assert cli._json_text(payload) == json.dumps(_plain(payload), sort_keys=True, indent=2)
+
+
+def _per_entry(node):
+    """The Columns of the objects an Indexed lists, one object per entry."""
+    return cli.Columns(
+        {key: _per_entry(node[key]) if isinstance(node[key], cli.Indexed) else node[key] for key in node.block.columns}
+    )
+
+
+def test_table_rows_read_as_distinct_values_write_as_one_value_per_entry():
+    """A table's rows are its distinct values and an index; written either way, the text is the same."""
+    for text in CORPUS:
+        payload = _job_payload(["character-table", "--group", text])
+        per_entry = dict(payload, rows=[_per_entry(row) for row in payload["rows"]])
+        assert all(len(row) == len(payload["degrees"]) for row in per_entry["rows"])
+        assert cli._render_table(payload) == cli._render_table(per_entry), text
+        assert cli._json_text(payload) == cli._json_text(per_entry), text
 
 
 def test_column_block_refuses_columns_of_unequal_lengths():
