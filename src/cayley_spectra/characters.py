@@ -47,6 +47,7 @@ __all__ = [
     "induced_character_from_cyclic",
     "table_coefficients",
     "verify_galois_character_identity",
+    "verify_orthogonality",
 ]
 
 

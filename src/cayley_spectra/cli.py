@@ -27,7 +27,6 @@ from .cyclotomic import CycInt, _complex_parts, _poly_str, totient
 from .errors import InternalConsistencyError, ResourceLimitError, cut, shown
 from .galois import (
     GaloisSubgroup,
-    all_subgroups,
     cyclic_subgroups,
     galois_conjugacy_classes,
     subgroup_closure,
@@ -73,14 +72,6 @@ DEFAULT_SWEEP_LIMIT = 14
 NAIVE_ORACLE_CAP = 60
 EXACT_VERIFY_ORDER = 24
 EXACT_VERIFY_CLASSES = 8
-COMMANDS = (
-    "spectrum",
-    "classes",
-    "check-integrality",
-    "check-membership",
-    "character-table",
-    "verify-all",
-)
 
 
 class InputError(Exception):
@@ -247,6 +238,10 @@ def _connection_from_job(job: dict, group: Group, cd: ClassData) -> ConnectionSe
         raise InputError("connection", "missing connection set")
     if isinstance(conn, list):
         conn = {"classes": conn}
+    if isinstance(conn, dict):  # the key make_connection_set reads must hold a list
+        key = next((key for key in ("classes", "representatives", "elements") if key in conn), None)
+        if key and not isinstance(conn[key], list):
+            raise InputError("connection", f"{key}: expected a list of integers, got {shown(conn[key])}")
     try:
         return make_connection_set(conn, group, cd)
     except (ValueError, TypeError) as exc:
@@ -528,13 +523,16 @@ def _spectrum_json(sp: Spectrum) -> list[dict]:
 # commands
 
 
+def _runs_float_oracle(job: dict, group: Group) -> bool:
+    """Whether the float oracle runs on this group: off never, on always, auto up to oracle_cap."""
+    return job["oracle"] == "on" or (job["oracle"] == "auto" and group.n <= job["oracle_cap"])
+
+
 def _run_float_oracle(sp: Spectrum, group: Group, conn: ConnectionSet, job: dict):
-    """Returns an oracle report dict, or None when switched off or too big."""
-    mode = job["oracle"]
-    cap = int(job["oracle_cap"])
-    if mode == "off" or (mode == "auto" and group.n > cap):
+    """Returns an oracle report dict, or None when the job's oracle mode skips it."""
+    if not _runs_float_oracle(job, group):
         return None
-    adjacency = adjacency_matrix(group, conn.elements, cap=max(cap, group.n))
+    adjacency = adjacency_matrix(group, conn.elements, cap=group.n)
     res = compare_spectra(sp, oracle_spectrum(adjacency), tolerance=float(job["tolerance"]))
     return {
         "kind": "dense-eigensolver",
@@ -700,16 +698,6 @@ def _default_corpus() -> list[str]:
     return json.loads(text)["groups"]
 
 
-def _gamma_lattice(m: int) -> list[GaloisSubgroup]:
-    """Subgroups of the units mod m used for the membership sweep."""
-    if totient(m) <= 24:
-        return all_subgroups(m)
-    seen = {}
-    for g in [subgroup_closure(m, ())] + cyclic_subgroups(m) + [unit_group(m)]:
-        seen[g.elements] = g
-    return [seen[k] for k in sorted(seen)]
-
-
 _SWEEP_CHECKS = (
     "integrality-equivalence",
     "membership-equivalence",
@@ -738,17 +726,14 @@ def _verify_group(entry, job: dict) -> dict:
     # which checks orthogonality and the Galois identity on the unit group
     checks["character-orthogonality"] = "pass"
     checks["galois-character-identity"] = "pass"
-    units = unit_group(group.exponent)
     if sweeps:
-        checks.update(_sweep_checks(job, group, cd, table, units))
+        checks.update(_sweep_checks(job, group, cd, table))
     else:
         checks.update(dict.fromkeys(_SWEEP_CHECKS, "skip"))
     return report
 
 
-def _sweep_checks(
-    job: dict, group: Group, cd: ClassData, table: CharacterTable, units: GaloisSubgroup
-) -> dict[str, str]:
+def _sweep_checks(job: dict, group: Group, cd: ClassData, table: CharacterTable) -> dict[str, str]:
     """The outcomes of the five sweep checks.
 
     The equivalences are decided for all subsets at once, and so are the
@@ -757,6 +742,13 @@ def _sweep_checks(
     algebra.  Power-closure consistency compares, as
     check_power_closure_consistency does per subset, the powers of every
     element with the unit group's class merge.
+
+    Membership equivalence on the cyclic subgroups <t> of the units gives
+    it on every gamma: each side for gamma is the AND over t in gamma of
+    that side for <t> (an eigenvalue is fixed by gamma iff by each sigma_t,
+    and C is gamma-closed iff closed under each pi_t).  <1> is the trivial
+    group, so it is in the list; the full unit group, and every non-cyclic
+    gamma, follow from their cyclic subgroups.
     """
     sweep = _group_limited(class_sweep, group, cd, table)
     closed = sweep_power_closed(sweep)
@@ -766,12 +758,13 @@ def _sweep_checks(
             sweep_in_subfield(sweep, gamma)
             == sweep_class_closed(sweep, galois_conjugacy_classes(group, cd, gamma))
         ).all()
-        for gamma in _gamma_lattice(group.exponent)
+        for gamma in cyclic_subgroups(group.exponent)
     )
-    unit_closed = sweep_class_closed(sweep, galois_conjugacy_classes(group, cd, units))
+    unit_merge = galois_conjugacy_classes(group, cd, unit_group(group.exponent))
+    unit_closed = sweep_class_closed(sweep, unit_merge)
     closure_ok = bool((sweep_power_closed(sweep, every_element=True) == unit_closed).all())
 
-    run_float = job["oracle"] != "off" and group.n <= job["oracle_cap"]
+    run_float = _runs_float_oracle(job, group)
     run_exact = group.n <= EXACT_VERIFY_ORDER and cd.k <= EXACT_VERIFY_CLASSES
     run_naive = group.n <= NAIVE_ORACLE_CAP
     float_ok = True
@@ -927,6 +920,7 @@ _COMMANDS = {
     "character-table": cmd_character_table,
     "verify-all": cmd_verify_all,
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(argv: Optional[list[str]] = None) -> int:

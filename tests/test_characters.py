@@ -13,6 +13,7 @@ from cayley_spectra import (
     CycInt,
     GroupSpec,
     ResourceLimitError,
+    all_subgroups,
     as_rational,
     build_group,
     character_multiplicities,
@@ -32,7 +33,7 @@ from cayley_spectra import (
     verify_orthogonality,
 )
 from cayley_spectra import _modp, characters, cli
-from cayley_spectra.cli import _gamma_lattice, run
+from cayley_spectra.cli import run
 from cayley_spectra.cyclotomic import _galois_matrix
 from cayley_spectra.errors import InternalConsistencyError
 from conftest import CORPUS, LADDER, multiplication_table
@@ -517,7 +518,7 @@ def test_galois_identity_agrees_with_cycint_loop(corpus):
         k, phi = table.k, table.values[0][0].ctx.degree
         changes = [(k - 1, 0, 0, 1), (k - 1, k - 1, phi - 1, -1), (k // 2, k // 2, 0, 1), (0, k - 1, phi // 2, -1)]
         tables = [table] + [_tampered(table, *change) for change in changes]
-        for gamma in _gamma_lattice(group.exponent):
+        for gamma in all_subgroups(group.exponent):
             for i, candidate in enumerate(tables):
                 expected = _galois_identity_by_cycint_loop(candidate, cd, gamma)
                 assert verify_galois_character_identity(candidate, cd, gamma) == expected, (

@@ -362,6 +362,20 @@ def test_verify_all_bundled_corpus_loads(capsys):
     assert skipped
 
 
+def test_oracle_mode_means_the_same_for_spectrum_and_verify_all(monkeypatch, capsys):
+    """off never runs the float oracle, on always runs it, and auto runs it up to oracle_cap."""
+    for mode, ran in (("on", True), ("auto", False), ("off", False)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"groups": ["cyclic(4)"], "oracle_cap": 0})))
+        code, doc = _run_json(capsys, ["verify-all", "--input", "-", "--oracle", mode])
+        assert code == 0
+        assert doc["groups"][0]["checks"]["spectrum-oracle-float"] == ("pass" if ran else "skip"), mode
+        job = {"command": "spectrum", "group": "cyclic(4)", "connection": [1], "oracle_cap": 0}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        code, doc = _run_json(capsys, ["--input", "-", "--oracle", mode])
+        assert code == 0
+        assert ("oracle" in doc) == ran, mode
+
+
 @pytest.mark.parametrize(
     "doc, flags, field",
     [
@@ -417,6 +431,26 @@ def test_non_integer_indices_are_refused_not_truncated(monkeypatch, capsys, doc,
     assert captured.err.startswith(f"input error: {field}:")
     assert "is not an integer" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "connection",
+    [{"classes": "12"}, {"elements": None}, {"representatives": 1}, {"classes": {"1": 2}}],
+)
+def test_connection_fields_must_be_lists(monkeypatch, capsys, connection):
+    """A connection field that is not a JSON list is refused as such, never read member by member."""
+    for argv, stdin in (
+        (["spectrum", "--group", "cyclic(5)", "--connection", json.dumps(connection)], None),
+        (["--input", "-"], {"command": "check-integrality", "group": "cyclic(5)", "connection": connection}),
+    ):
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(stdin)))
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("input error: connection:")
+        assert "expected a list of integers" in captured.err
+        assert captured.out == ""
 
 
 def test_oversize_table_is_refused_before_allocation(capsys):
@@ -609,6 +643,88 @@ def test_exit_contract_holds_for_any_job_document(job):
 
 def _has_non_integer(values) -> bool:
     return isinstance(values, list) and any(isinstance(v, bool) or not isinstance(v, int) for v in values)
+
+
+# argv pieces for the fuzz test: commands, flags (abbreviated, unknown or
+# bare as well), group specs whose groups have order at most 24 or are
+# refused, and connection, gamma and number texts, odd, huge or nested deep
+_ARGV_COMMANDS = st.sampled_from([*COMMANDS, "spectra", "", "-", "verify_all"])
+_ARGV_FLAGS = st.sampled_from(
+    [flag for flag in cli._FLAGS if flag != "--input"]
+    + ["--o", "--g", "--tol=0", "--bogus", "-x", "-h", "--help"]
+)
+_ARGV_GROUPS = st.sampled_from(
+    [
+        "cyclic(1)",
+        "cyclic(6)",
+        "dihedral(4)",
+        "symmetric(3)",
+        "alternating(4)",
+        "quaternion(8)",
+        "product(cyclic(2),cyclic(3))",
+        "perm[(1 2),(1 2 3)]",
+        "perm[(1,2,3,4)]",
+        "cyclic(0)",
+        "cyclic(-3)",
+        "widget(3)",
+        "dihedral(",
+        "perm[(1,2]",
+        "perm[(1,1)]",
+        "symmetric(8)",
+        "elementary-abelian(2,13)",
+        '{"family": "cyclic", "params": [4]}',
+        "cyclic(" + "9" * 4000 + ")",
+        _DEEP_SPEC,
+    ]
+)
+_ARGV_VALUES = st.sampled_from(
+    [
+        "1", "1,2", "0,1,2", "-1", "", " ", "1.5", "nan", "1e999", "\u00b2", "9" * 4000,
+        "all-nonidentity", "sweep", "rational", "splitting", "3,5", "auto", "on", "off", "json", "table",
+        "[1]", "[1.5]", "[true]", '{"classes": [1]}', '{"classes": "12"}', '{"elements": null}',
+        '{"elements": [1, 2]}', '{"representatives": [0, 1]}', '{"generators": [5]}', '{"generators": "y"}',
+        '"x"', "{", "[2,", "[" * 5000, "[" * 40 + "1" + "]" * 40, "[" + ",".join(["1"] * 5000) + "]",
+    ]
+)
+# an argv is a command, a group, a connection or gamma and up to two more
+# pieces, each part present or not, so that many of the jobs run
+_ARGV = st.tuples(
+    st.one_of(st.just([]), _ARGV_COMMANDS.map(lambda c: [c])),
+    st.one_of(st.just([]), _ARGV_GROUPS.map(lambda g: ["--group", g])),
+    st.one_of(st.just([]), st.tuples(st.sampled_from(["--classes", "--connection", "--gamma"]), _ARGV_VALUES)),
+    st.lists(
+        st.one_of(
+            st.tuples(_ARGV_FLAGS, st.one_of(_ARGV_VALUES, _ARGV_GROUPS, st.text(max_size=6))),
+            _ARGV_FLAGS.map(lambda f: [f]),
+            _ARGV_COMMANDS.map(lambda c: [c]),
+        ),
+        max_size=2,
+    ),
+).map(lambda parts: [*parts[0], *parts[1], *parts[2], *(arg for piece in parts[3] for arg in piece)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_ARGV)
+@example(argv=["verify-all", "--oracle", "on"])
+@example(argv=["spectrum", "--group", "cyclic(4)", "--connection", '{"elements": null}'])
+@example(argv=["-h"])
+def test_exit_contract_holds_for_any_argv(argv):
+    """Every argv exits 0, 1 or 2 with no traceback, and an exit 2 writes under 1 KB to stderr.
+
+    A verify-all job reads its groups, two of order at most 6, from stdin.
+    """
+    stdin = io.StringIO(json.dumps({"groups": ["cyclic(4)", "symmetric(3)"]}))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run([*argv, "--input", "-"])
+        except SystemExit as exc:  # argparse's help, printed for -h
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("input error: ")
+        assert len(err.getvalue().encode()) < 1024
 
 
 # ---------------------------------------------------------------------------

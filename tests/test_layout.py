@@ -76,3 +76,23 @@ def test_no_module_reads_a_multiplication_table():
         if isinstance(node, ast.Attribute) and node.attr == "mul"
     }
     assert not readers, readers
+
+
+def _declared_all(tree):
+    """The names a module lists in __all__, or None when it has no __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return None
+
+
+def test_package_exports_are_listed_in_their_modules_all():
+    trees = _trees()
+    unlisted = {}
+    for module, names in _package_imports(trees.pop("__init__")):
+        declared = _declared_all(trees[module])
+        if declared is not None:
+            unlisted[module] = sorted(names - declared)
+    assert unlisted and not any(unlisted.values()), unlisted

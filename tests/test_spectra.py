@@ -1,6 +1,7 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cayley_spectra import (
@@ -12,6 +13,7 @@ from cayley_spectra import (
     ResourceLimitError,
     Spectrum,
     SpectrumEntry,
+    all_subgroups,
     as_rational,
     build_group,
     check_coefficient_symmetry,
@@ -38,7 +40,7 @@ from cayley_spectra import (
     unit_group,
 )
 from cayley_spectra import cli, spectra
-from cayley_spectra.cli import _gamma_lattice, _sweep_checks
+from cayley_spectra.cli import _sweep_checks
 from cayley_spectra.spectra import all_eigenvalues_in_subfield, all_eigenvalues_integral
 
 from conftest import CORPUS, multiplication_table, nonidentity_subsets
@@ -342,7 +344,7 @@ def test_class_sweep_matches_per_subset_reference(corpus):
         assert (sweep_power_closed(sweep, every_element=True) == closed).all(), spec
         units = galois_conjugacy_classes(group, cd, unit_group(group.exponent))
         unit_closed = sweep_class_closed(sweep, units)
-        gammas = _gamma_lattice(group.exponent)
+        gammas = all_subgroups(group.exponent)
         assert gammas[0].order == 1  # the splitting field's trivial gamma
         merged = [galois_conjugacy_classes(group, cd, g) for g in gammas]
         inside = [sweep_in_subfield(sweep, g) for g in gammas]
@@ -377,6 +379,31 @@ def test_class_sweep_matches_per_subset_reference(corpus):
                 assert [e.value.numerator for e in got.entries] == want, (spec, 0, subset)
                 assert [e.value.denominator for e in got.entries] == list(table.degrees)
                 assert got.connection_size == conn.size + 1 and got.contains_identity
+
+
+def test_membership_on_every_subgroup_is_decided_by_its_cyclic_subgroups(corpus):
+    """On every subgroup gamma of the units, both sides of membership equivalence are the AND over its <t>.
+
+    So the equivalence on every cyclic subgroup, which is all that
+    verify-all checks, gives it on the whole lattice.
+    """
+    non_cyclic = 0
+    for spec in CORPUS:
+        group, cd, table = corpus[spec]
+        m = group.exponent
+        sweep = class_sweep(group, cd, table)
+        cyclic = {t: subgroup_closure(m, [t]) for t in unit_group(m).elements}
+        inside = {t: sweep_in_subfield(sweep, g) for t, g in cyclic.items()}
+        closed = {t: sweep_class_closed(sweep, galois_conjugacy_classes(group, cd, g)) for t, g in cyclic.items()}
+        for gamma in all_subgroups(m):
+            where = (spec, gamma.elements)
+            gamma_inside = sweep_in_subfield(sweep, gamma)
+            gamma_closed = sweep_class_closed(sweep, galois_conjugacy_classes(group, cd, gamma))
+            assert np.array_equal(gamma_inside, np.logical_and.reduce([inside[t] for t in gamma.elements])), where
+            assert np.array_equal(gamma_closed, np.logical_and.reduce([closed[t] for t in gamma.elements])), where
+            assert np.array_equal(gamma_inside, gamma_closed), where
+            non_cyclic += all(g.elements != gamma.elements for g in cyclic.values())
+    assert non_cyclic
 
 
 def test_single_connections_do_no_cyclotomic_arithmetic(monkeypatch, corpus, capsys):
@@ -479,5 +506,5 @@ def test_element_level_power_closure_sees_a_wrong_class_partition():
     assert (sweep_power_closed(sweep) == units).all()  # blind to the swap
     assert not (sweep_power_closed(sweep, every_element=True) == units).all()
     job = {"oracle": "off", "oracle_cap": 0, "tolerance": 1e-8}
-    checks = _sweep_checks(job, group, wrong, table, unit_group(group.exponent))
+    checks = _sweep_checks(job, group, wrong, table)
     assert checks["power-closure-consistency"] == "fail"
