@@ -2,9 +2,10 @@
 
 Nothing here touches the character machinery: the adjacency matrix is
 built literally from the definition, the floating backend feeds it to a
-dense eigensolver, and the exact backend verifies a claimed spectrum against
-the integer characteristic polynomial, compared modulo several primes at
-every embedding of the cyclotomic integers.  Shared is the number format
+dense eigensolver, and the exact backends compare a claimed spectrum with
+the matrix exactly, modulo several primes at every embedding of the
+cyclotomic integers: per set against the integer characteristic
+polynomial, batched by power sums.  Shared is the number format
 alone: _modp's primes and ring maps z -> w^u, cyclotomic's power-basis
 floats, and spectra's Spectrum type and reader.
 
@@ -24,20 +25,20 @@ unitary eigenbasis.  One eigh of a Hermitian combination finds it, each
 row's eigenvalues are a product with the atoms' joint eigenvalues, and the
 Hoffman-Wielandt inequality bounds their distance to the true spectrum.
 A sweep that is not such a union, or whose bound fails, falls back to one
-eigvals per pair of inverse sets.  The exact check solves one matrix per
-pair of inverse sets: A(C^-1) = A(C)^T, so both sets have one
-characteristic polynomial (_solved_runs).  Each row's own claim is still
-compared with the shared result.  The exact check reduces the stack for
-all its primes in one charpoly_stack call, and both exact checks bound the
-characteristic polynomial's coefficients by Hadamard's inequality
-(_charpoly_bound).
+eigvals per pair of inverse sets.  The batched exact check compares the
+power sums tr(A^j), j = 1..n, from one walk of n steps from the identity,
+with the claim's.  It walks one matrix per pair of inverse sets:
+A(C^-1) = A(C)^T, so both sets have one spectrum (_solved_runs).  Each
+row's own claim is still compared with the shared result.  The per-set
+check compares coefficients with the integer characteristic polynomial,
+whose size Hadamard's inequality bounds (_charpoly_bound).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -51,8 +52,8 @@ DEFAULT_ORACLE_CAP = 400
 # the float oracle's default distance bound, for the CLI and both comparisons
 DEFAULT_TOLERANCE = 1e-8
 # bytes of one chunk of a batched check: its adjacency stack, as the float
-# eigensolver or the stacked primes of the exact check hold it, and the
-# temporaries of matching its rows' claims (_solved_runs)
+# eigensolver or the exact check's walks hold it, and the temporaries of
+# matching its rows' claims (_solved_runs)
 _STACK_BYTES = 512 << 10
 
 __all__ = [
@@ -188,9 +189,9 @@ def verify_spectrum_exact(
 
     Writing each claimed eigenvalue as num/den with multiplicity mu, the
     product of the factors (den*x - num)^mu must equal the characteristic
-    polynomial scaled by the product of the den^mu.  This is the one-matrix
-    call of the batched check (see _exact_mismatch), on the integer
-    characteristic polynomial from integer_charpoly unless one is given.
+    polynomial scaled by the product of the den^mu, modulo primes at every
+    embedding (_exact_mismatch), with the integer characteristic
+    polynomial from integer_charpoly unless one is given.
     The degrees must agree first, and a negative multiplicity fails with
     them; mismatch_power is the lowest power of x whose coefficients differ.
     """
@@ -221,38 +222,103 @@ def batch_verify_spectrum_exact(
 
     Row s claims the eigenvalue numerators[s, r] / degrees[r] (power-basis
     coefficients at conductor m, shape (S, K, phi)) with multiplicity
-    degrees[r]^2.  The characteristic polynomials come from one
-    _modp.charpoly_stack call per chunk, for every prime at once, on one
-    matrix of each pair of inverse sets (_solved_runs); every row's own
-    claim is compared with its matrix's polynomial.
+    mu_r = degrees[r]^2.  Two multisets of n values with equal power sums
+    p_1 .. p_n have one characteristic polynomial (Newton's identities),
+    and A's eigenvalues have p_j = tr(A^j).  So with L the lcm of the
+    degrees and nu_r = numerators[s, r] L / degrees[r], the row passes
+    exactly when c_j = L^j tr(A^j) - sum_r mu_r nu_r^j is 0 in Z[z] for
+    j = 1..n.  tr(A^j) comes from one walk per pair of inverse sets
+    (_solved_runs, _closed_walks), the sums of nu_r^j from
+    _claimed_power_sums.
 
-    Why the primes suffice: a row of A(C) holds |C| ones, so its 2-norm is
-    rho = sqrt(|C|).  The coefficient of x^(n-i) is (-1)^i times the sum of
-    the C(n, i) principal i x i minors, each at most rho^i in absolute
-    value by Hadamard's inequality, since its rows are parts of rows of
-    A(C).  So every coefficient is at most (1 + ceil(rho))^n
-    (_charpoly_bound), the bound _exact_primes is given, with the largest
-    |C| of the sweep.
+    Why the primes suffice: (A^j)[e, e] <= |C|^j, and every complex
+    embedding sigma has |sigma(nu)| <= |nu|_1, the L1 norm of its
+    coefficients, so |sigma(c_j)| <= B = n max(1, L max|C|)^n +
+    n max(1, max_r |nu_r|_1)^n.  The primes q = 1 (mod m) have product
+    M > B.  If c_j maps to 0 under z -> w^u at every unit u and every
+    prime, then c_j lies in q Z[z] for each q, because q splits
+    completely in Z[z] and the kernels of the phi maps are the primes
+    above q, whose intersection is q Z[z].  So c_j lies in M Z[z], and if
+    c_j != 0 then |N(c_j)| >= M^phi; but |N(c_j)| is the product of phi
+    values |sigma(c_j)| < M, so c_j = 0.
     """
     mults = [int(d) * int(d) for d in degrees]
     n = group.n
     out = np.zeros(len(members), dtype=bool)
     if sum(mults) != n:
         return out
-    primes = _exact_primes(
-        numerators, degrees, mults, m, _charpoly_bound(int(members.sum(axis=1).max(initial=0)), n)
-    )
-    # bytes for each prime: per matrix, the int64 Hessenberg matrix, its
-    # update temporary and the leading blocks' polynomials; per row, the
-    # claimed product's values, factors, powers and coefficients at every
-    # unit, (units, n + 1) each
-    matrix_bytes = 8 * len(primes) * (2 * n * n + (n + 1) ** 2)
-    row_bytes = 8 * len(primes) * 5 * numerators.shape[2] * (n + 1)
+    _, k, phi = numerators.shape
+    big = lcm(*(int(d) for d in degrees))
+    scales = [big // int(d) for d in degrees]
+    # |nu_r|_1 by coefficient, so that no (S, K, phi) temporary is made
+    l1 = sum(np.abs(numerators[:, :, e]) for e in range(phi)).max(axis=0, initial=0).tolist()
+    nu = max((int(a) * abs(s) for a, s in zip(l1, scales)), default=0)
+    bound = n * max(1, big * int(members.sum(axis=1).max(initial=0))) ** n + n * max(1, nu) ** n
+    primes = _modp._certificate_primes(m, bound, max(n + 1, phi))
+    # bytes: per matrix, its 0/1 and float64 copies, and per prime its walk,
+    # the walk's product, its diagonal and three int64 temporaries of that,
+    # (n,) each; per row and prime, the residues, embedded values, their
+    # reduction, nu, its powers and their product, (K, phi) each, and the
+    # power sums and their comparison, (n, phi) each
+    matrix_bytes = 9 * n * n + 48 * len(primes) * n
+    row_bytes = 8 * len(primes) * phi * (6 * k + 2 * n)
     for stack, rows, local in _solved_runs(group, members, matrix_bytes, row_bytes):
-        stacked = np.broadcast_to(stack, (len(primes), *stack.shape)).reshape(-1, n, n)
-        residues = _modp.charpoly_stack(stacked, np.repeat(primes, len(stack)))
-        residues = residues.reshape(len(primes), len(stack), n + 1)[:, local]
-        out[rows] = _exact_mismatch(numerators[rows], degrees, mults, m, primes, residues) < 0
+        walks = _closed_walks(stack, primes, big)[:, :, local, None]
+        claims = _claimed_power_sums(numerators[rows], scales, mults, m, primes)
+        out[rows] = ~(claims != walks).any(axis=(0, 1, 3))
+    return out
+
+
+def _closed_walks(stack: np.ndarray, primes: Sequence[int], scale: int) -> np.ndarray:
+    """(n, P, R) residues scale^j tr(A^j) mod primes[i], for j = 1..n and each matrix A of the (R, n, n) 0/1 stack.
+
+    g -> g x maps arcs to arcs, since (g x)(h x)^-1 = g h^-1, so every
+    vertex lies on as many closed walks of each length, and tr(A^j) =
+    n (A^j)[e, e] at the identity e = 0.  Each matrix and prime takes one
+    walk, walk <- walk A mod q from the indicator of e, as one (R, P, n) @
+    (R, n, n) float64 product per step.  It is exact: the walk holds
+    residues below q and A is 0/1, so each sum is below n q, and n q < 2^53
+    for n < 2^43 when (n + 1) q^2 < 2^63.
+    """
+    count, n = stack.shape[0], stack.shape[1]
+    q = np.array(primes, dtype=np.int64)
+    modulus = q.astype(np.float64)[:, None]
+    matrices = stack.astype(np.float64)
+    walk = np.zeros((count, len(primes), n))
+    walk[:, :, 0] = 1
+    product = np.empty_like(walk)
+    diagonal = np.empty((n, count, len(primes)))
+    for j in range(n):
+        np.fmod(np.matmul(walk, matrices, out=product), modulus, out=walk)
+        diagonal[j] = walk[:, :, 0]
+    powers = np.array([[pow(scale, j, p) for p in primes] for j in range(1, n + 1)], dtype=np.int64)
+    return (diagonal.astype(np.int64) * n % q * powers[:, None] % q).transpose(0, 2, 1)
+
+
+def _claimed_power_sums(
+    nums: np.ndarray, scales: Sequence[int], mults: Sequence[int], m: int, primes: Sequence[int]
+) -> np.ndarray:
+    """(n, P, S, phi) residues sum_r mults[r] sigma_u(nums[s, r] scales[r])^j mod primes[i], for j = 1..n = sum(mults) and each unit u.
+
+    sigma_u is the ring map z -> w^u into F_q (_modp._ring_maps), and the
+    powers are running products.  int64: residues are below q, an
+    embedding sums phi products of two residues, a power sum weighs
+    residues by multiplicities that sum to n, and the primes satisfy
+    max(n + 1, phi) q^2 < 2^63.
+    """
+    units = [u for u in range(m) if gcd(u, m) == 1]
+    q = np.array(primes, dtype=np.int64)[:, None, None, None]
+    maps = np.stack([_modp._ring_maps(m, nums.shape[2], p, units) for p in primes])[:, None]
+    embedded = (nums % q).astype(np.int64, copy=False) @ maps % q
+    nu = (embedded * (np.array(scales, dtype=np.int64)[:, None] % q) % q).swapaxes(2, 3)
+    weights = np.array(mults, dtype=np.int64)
+    out = np.empty((sum(mults), len(primes), len(nums), len(units)), dtype=np.int64)
+    power = nu
+    for j in range(len(out)):
+        if j:
+            power = power * nu % q
+        out[j] = power @ weights
+    out %= q[..., 0]
     return out
 
 

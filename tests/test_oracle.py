@@ -502,6 +502,87 @@ def test_exact_checks_reject_a_change_by_the_first_prime(corpus, monkeypatch):
     assert primes[-1][0] == first
 
 
+def test_a_walk_from_the_identity_counts_the_closed_walks_of_every_vertex(corpus):
+    """n (A^j)[e, e] = tr(A^j) in Python integers for every j <= n, and _closed_walks gives its scaled residues.
+
+    g -> g x maps arcs to arcs, so every vertex lies on as many closed
+    walks of each length.  The rows are sampled from every sweep of order
+    <= 24, with each one's inverse set.
+    """
+    pairs = 0
+    for text in CORPUS:
+        group, table, sweep, members = _sweep_of(corpus, text)
+        n = group.n
+        if n > 24:
+            continue
+        picked = range(0, len(members), max(1, len(members) // 3))
+        sample = sorted({t for s in picked for t in (s, _partner(group, members, s))})
+        pairs += sum(_partner(group, members, s) != s for s in sample)
+        stack = oracle.adjacency_stack(group, members[sample])
+        primes = _modp._certificate_primes(table.m, 10**20, n + 1)
+        walks = oracle._closed_walks(stack, primes, 3)
+        for i, adjacency in enumerate(stack):
+            matrix = adjacency.astype(object)
+            power = np.identity(n, dtype=object)
+            for j in range(1, n + 1):
+                power = power @ matrix
+                trace = sum(power[g, g] for g in range(n))
+                assert n * power[0, 0] == trace, (text, sample[i], j)
+                assert walks[j - 1, :, i].tolist() == [3**j * trace % q for q in primes], (text, sample[i], j)
+    assert pairs
+
+
+def test_a_claim_that_differs_only_in_the_last_power_sum_is_rejected(corpus):
+    """Cay(C2, {1}) has eigenvalues 1 and -1.  The claim 0, 0 has their p_1 = 0 but p_2 = 0, not 2."""
+    group, table, sweep, members = _sweep_of(corpus, "cyclic(2)")
+    (s,) = np.flatnonzero((members == [False, True]).all(axis=1))
+    rows = members[[s]]
+    truth = sweep.numerators[[s]]
+    assert truth[0, :, 0].tolist() == [1, -1] and table.degrees == (1, 1)
+    assert batch_verify_spectrum_exact(group, rows, *_claims(sweep, truth)).tolist() == [True]
+    assert batch_verify_spectrum_exact(group, rows, *_claims(sweep, np.zeros_like(truth))).tolist() == [False]
+
+
+def _short_kernel_vector(w, q):
+    """A short (a, b) != 0 with a + b w = 0 (mod q), by Lagrange-Gauss reduction of that lattice's basis."""
+
+    def norm(x):
+        return x[0] * x[0] + x[1] * x[1]
+
+    u, v = sorted([(q, 0), (-w % q, 1)], key=norm, reverse=True)
+    while True:
+        t = round(Fraction(u[0] * v[0] + u[1] * v[1], norm(v)))
+        u = (u[0] - t * v[0], u[1] - t * v[1])
+        if norm(u) >= norm(v):
+            return v
+        u, v = v, u
+
+
+def test_a_change_invisible_at_one_embedding_is_seen_at_another(corpus, monkeypatch):
+    """At one prime q, the change delta = a + b z with a + b w = 0 (mod q) vanishes under z -> w, and z -> w^2 sees it."""
+    primes = []
+    choose = _modp._certificate_primes
+
+    def first_only(*args):
+        primes.append(choose(*args)[:1])
+        return primes[-1]
+
+    monkeypatch.setattr(_modp, "_certificate_primes", first_only)
+    group, table, sweep, members = _sweep_of(corpus, "cyclic(3)")
+    assert table.m == 3 and sweep.numerators.shape[2] == 2
+    assert batch_verify_spectrum_exact(group, members, *_claims(sweep)).all()
+    (q,) = primes[0]
+    w = _modp._element_of_order(3, q)
+    a, b = _short_kernel_vector(w, q)
+    assert (a + b * w) % q == 0 and (a + b * w * w) % q != 0 and max(abs(a), abs(b)) < 2**20
+    s = 1
+    nums = sweep.numerators.copy()
+    nums[s, 1] += (a, b)
+    verdicts = batch_verify_spectrum_exact(group, members, *_claims(sweep, nums))
+    assert primes[-1] == [q]
+    assert verdicts.tolist() == [t != s for t in range(len(members))]
+
+
 def _shift_one_eigenvalue(monkeypatch, target, shift):
     """Make eigvals move one eigenvalue of the stack's matrix equal to target by shift."""
     real = np.linalg.eigvals
@@ -608,9 +689,9 @@ def _calls_spy(monkeypatch, module, name):
 def test_the_cyclic_12_sweep_solves_one_matrix_per_pair_of_inverse_sets(corpus, monkeypatch):
     """2,048 subsets: 64 are their own inverse and 1,984 form 992 pairs, so 1,056 matrices.
 
-    The exact check reduces those matrices for every prime, and so does the
-    float check's per-pair path, with eigvals; the joint path makes one
-    eigh of one 12 x 12 matrix and no eigvals call.
+    The exact check walks each of those matrices for every prime, and the
+    float check's per-pair path solves each with eigvals; the joint path
+    makes one eigh of one 12 x 12 matrix and no eigvals call.
     """
     group, table, sweep, members = _sweep_of(corpus, "cyclic(12)")
     eighs = _shapes_spy(monkeypatch, "eigh")
@@ -621,18 +702,19 @@ def test_the_cyclic_12_sweep_solves_one_matrix_per_pair_of_inverse_sets(corpus, 
         _colliding_weights(patch)
         assert batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE).all()
     assert sum(shape[0] for shape in stacks) == 1056
-    stacks = []
-    real = _modp.charpoly_stack
+    walks = []
+    real = oracle._closed_walks
 
-    def spy(mats, q):
-        stacks.append((len(mats), len(set(np.ravel(q).tolist()))))
-        return real(mats, q)
+    def spy(stack, primes, scale):
+        out = real(stack, primes, scale)
+        walks.append((len(stack), tuple(primes), out.shape))
+        return out
 
-    monkeypatch.setattr(_modp, "charpoly_stack", spy)
+    monkeypatch.setattr(oracle, "_closed_walks", spy)
     assert batch_verify_spectrum_exact(group, members, *_claims(sweep)).all()
-    primes = {p for _, p in stacks}
-    assert len(primes) == 1
-    assert sum(size for size, _ in stacks) == 1056 * primes.pop()
+    (primes,) = {p for _, p, _ in walks}
+    assert all(shape == (12, len(primes), size) for size, _, shape in walks)
+    assert sum(size for size, _, _ in walks) == 1056
 
 
 def _greedy_distance(exact, numeric):
@@ -797,34 +879,6 @@ def test_chunk_edges_that_split_a_sweep_give_the_same_verdicts(corpus, monkeypat
                 runs.append(len(chunks))
             last = len(members) if joint else sum(shape[0] for shape in stacks)
             assert runs[0] == 1 < runs[1] < runs[2] == last, (text, joint, runs)
-
-
-def test_charpoly_stack_matches_the_one_matrix_routine():
-    rng = np.random.default_rng(5)
-    for n in (0, 1, 2, 3, 6, 11, 24):
-        q = _modp._certificate_primes(1, 10**20, n + 1)[0]
-        mats = rng.integers(-3, 4, size=(9, n, n))
-        mats[::3, :, : n // 2] = 0  # columns with no pivot below the diagonal
-        stacked = _modp.charpoly_stack(mats, q)
-        for mat, poly in zip(mats, stacked):
-            assert poly.tolist() == _modp.charpoly(mat.tolist(), q)
-    with pytest.raises(ValueError, match="overflow"):
-        _modp.charpoly_stack(np.zeros((1, 4, 4), dtype=np.int64), 2**31 - 1)
-
-
-def test_charpoly_stack_takes_one_prime_per_matrix():
-    """A (S,) array of primes gives each matrix the polynomial of a one-prime call."""
-    rng = np.random.default_rng(17)
-    for n in (0, 1, 2, 5, 12, 24):
-        primes = _modp._certificate_primes(1, 10**40, n + 1)
-        assert len(primes) > 1
-        mats = rng.integers(-3, 4, size=(3 * len(primes), n, n))
-        mats[::4, :, : n // 2] = 0  # columns with no pivot below the diagonal
-        q = np.array(primes * 3)
-        stacked = _modp.charpoly_stack(mats, q)
-        for mat, p, poly in zip(mats, q.tolist(), stacked):
-            assert poly.tolist() == _modp.charpoly_stack(mat[None], p)[0].tolist()
-            assert poly.tolist() == _modp.charpoly(mat.tolist(), p)
 
 
 def test_hadamard_bound_covers_every_coefficient():
