@@ -102,21 +102,20 @@ def _solved_runs(
     g h^-1 lies in C^-1 exactly when h g^-1 lies in C, so A(C^-1) = A(C)^T,
     and the two have one characteristic polynomial and one eigenvalue
     multiset.  Row s is served by the first row whose set is its own or
-    members[s, group.inv], found by packed-bit keys; that row serves
-    itself, so each pair of inverse sets (and each repeated set) costs one
-    matrix.  A run holds as many matrices as fit in _STACK_BYTES at
-    matrix_bytes each, plus row_bytes for each of the two rows a matrix
-    serves apart from repeated sets (one matrix at least).
+    members[s, group.inv], found by one np.unique over the packed-bit keys
+    of the sets and of their inverses: its first index of a key is the
+    first row holding that set, or one at count or past it when no row
+    does.  That row serves itself, so each pair of inverse sets (and each
+    repeated set) costs one matrix.  A run holds as many matrices as fit
+    in _STACK_BYTES at matrix_bytes each, plus row_bytes for each of the
+    two rows a matrix serves apart from repeated sets (one matrix at
+    least).
     """
     count = len(members)
     key = np.dtype((np.void, -(-group.n // 8)))
-    own = np.ascontiguousarray(np.packbits(members, axis=1)).view(key).ravel().tolist()
-    inverse = np.ascontiguousarray(np.packbits(members[:, group.inv], axis=1)).view(key).ravel().tolist()
-    first = dict(zip(reversed(own), range(count - 1, -1, -1)))
-    serve = np.minimum(
-        np.array([first[k] for k in own], dtype=np.int64),
-        np.array([first.get(k, count) for k in inverse], dtype=np.int64),
-    )
+    keys = np.ascontiguousarray(np.packbits(np.concatenate([members, members[:, group.inv]]), axis=1))
+    _, first, ids = np.unique(keys.view(key).ravel(), return_index=True, return_inverse=True)
+    serve = first[ids].reshape(2, count).min(axis=0)
     solves = serve == np.arange(count)
     solved = np.flatnonzero(solves)
     slot = (np.cumsum(solves) - 1)[serve]

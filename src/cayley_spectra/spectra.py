@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 import numbers
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -185,16 +186,22 @@ def _check_int64(bound: int, what: str) -> None:
         raise ResourceLimitError(f"{what} may reach {bound}, beyond exact int64 arithmetic")
 
 
-def _formula(cd: ClassData, table: CharacterTable, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the character formula on every row of masks as one int64 product.
+def _formula(
+    cd: ClassData, table: CharacterTable, masks: np.ndarray, sums: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate the character formula on every row of masks.
 
     masks is an (S, k) 0/1 int64 array, row s the indicator of a union of
-    classes.  With T the table's coefficient array and s the class sizes,
-    returns weighted = s * T, shaped (k, k * phi) with row j holding
-    s_j * chi_r(g_j) for every r, and the numerators N = M @ (s * T), shaped
-    (S, k, phi): N[s, r] is the numerator of character r's eigenvalue on
-    row s over the divisor chi_r(1).  The spectrum identities are checked
-    on every row and a rational non-integer eigenvalue is refused.
+    classes, and sums maps a (k, X) int64 array to the (S, X) array of its
+    row sums over each mask: the product masks @ rows for a single
+    connection set, the doubling _subset_sums for a sweep.  With T the table's
+    coefficient array and s the class sizes, returns weighted = s * T,
+    shaped (k, k * phi) with row j holding s_j * chi_r(g_j) for every r;
+    the numerators N = sums(s * T), shaped (S, k, phi): N[s, r] is the
+    numerator of character r's eigenvalue on row s over the divisor
+    chi_r(1); and the (S, k) flags of the irrational N[s, r].  The spectrum
+    identities are checked on every row and a rational non-integer
+    eigenvalue is refused.
 
     Exactness: with L the largest |coefficient| in T, every partial sum of a
     numerator is at most n L in absolute value, and every partial sum of the
@@ -203,7 +210,9 @@ def _formula(cd: ClassData, table: CharacterTable, masks: np.ndarray) -> tuple[n
     most n L |sigma_t - I|_1, |.|_1 the largest column L1 norm.  The rows of
     sigma_t are distinct rows of the power-basis table B, as e -> e t is
     injective mod m for a unit t, so |sigma_t - I|_1 <= |B|_1 + 1 for every
-    unit t.  Both bounds are checked against 2^63 before any product.
+    unit t.  A product's partial sum and every value the doubling forms are
+    sums over a subset of the classes, so the bounds hold for both.  They
+    are checked against 2^63 before any array is built.
     """
     n, k = sum(cd.sizes), cd.k
     coeffs = table.coefficients
@@ -214,17 +223,32 @@ def _formula(cd: ClassData, table: CharacterTable, masks: np.ndarray) -> tuple[n
     _check_int64(entry_bound * shift_norm, "a Galois defect")
     sizes = np.array(cd.sizes, dtype=np.int64)
     weighted = (coeffs * sizes[None, :, None]).transpose(1, 0, 2).reshape(k, k * phi)
-    numerators = (masks @ weighted).reshape(len(masks), k, phi)
+    numerators = sums(weighted).reshape(len(masks), k, phi)
     degrees = np.array(table.degrees, dtype=np.int64)
     _check_sweep_identities(coeffs, masks, numerators, sizes, degrees, n)
 
-    rational = ~numerators[:, :, 1:].any(axis=2)
-    split = rational & (numerators[:, :, 0] % degrees != 0)
+    irrational = numerators[:, :, 1:].any(axis=2)
+    split = (numerators[:, :, 0] % degrees != 0) & ~irrational
     if split.any():
         s, r = np.argwhere(split)[0]
         value = Fraction(int(numerators[s, r, 0]), int(degrees[r]))
         raise InternalConsistencyError(f"rational non-integer eigenvalue {value} for character {r}")
-    return weighted, numerators
+    return weighted, numerators, irrational
+
+
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """The (2^(k-1), X) sums of rows[1:], a (k, X) array, over every subset of classes 1..k-1, in bitmask order.
+
+    Subset s holds class j + 1 when bit j of s is set, so the subsets with
+    bit j set are those below 2^j with class j + 1 added: out[2^j : 2^(j+1)]
+    = out[:2^j] + rows[j + 1].  That is one add per subset and entry, where
+    masks @ rows takes k.  Every value formed is the sum of a subset.
+    """
+    out = np.empty((1 << (len(rows) - 1), rows.shape[1]), dtype=rows.dtype)
+    out[0] = 0
+    for j, row in enumerate(rows[1:]):
+        np.add(out[: 1 << j], row, out=out[1 << j : 2 << j])
+    return out
 
 
 def _check_sweep_identities(coeffs, masks, numerators, sizes, degrees, n: int) -> None:
@@ -246,29 +270,32 @@ def _check_sweep_identities(coeffs, masks, numerators, sizes, degrees, n: int) -
         raise InternalConsistencyError("trace identity fails")
 
 
-def _outside_subfield(weighted: np.ndarray, masks: np.ndarray, m: int, gamma: GaloisSubgroup) -> np.ndarray:
-    """(S, k) flags: whether character r's eigenvalue on mask row s is moved by gamma.
+def _outside_subfield(
+    weighted: np.ndarray, sums: Callable[[np.ndarray], np.ndarray], count: int, m: int, gamma: GaloisSubgroup
+) -> np.ndarray:
+    """(count, k) flags: whether character r's eigenvalue on mask row s is moved by gamma.
 
     The map z -> z^t acts on coefficient rows as the phi x phi matrix sigma_t
     whose row e holds z^(e t).  A value is fixed by gamma exactly when it is
     fixed by each element of a generating set, since the fixed field of a
     group is the fixed field of any set generating it.  For each generator
-    the per-class defect (s * T) @ (sigma_t - I) is formed once and the
-    masks are applied to it; an eigenvalue is outside the fixed field when
-    a coefficient of its defect sum is nonzero.
+    the per-class defect (s * T) @ (sigma_t - I) is formed once and summed
+    over the mask rows by sums, _formula's summing step; an eigenvalue is
+    outside the fixed field when a coefficient of its defect sum is nonzero.
+    One generator's defect sums are alive at a time.
 
-    Exactness: _formula has checked that every partial sum fits in int64.
+    Exactness: _formula has checked that every partial sum fits in int64;
+    those of (s * T) @ sigma_t are at most n L |B|_1, below the defect bound.
     """
     if gamma.m != m:
         raise ValueError(f"subgroup modulus {gamma.m} does not match conductor {m}")
-    count, k = masks.shape
+    k = len(weighted)
     phi = weighted.shape[1] // k
-    eye = np.eye(phi, dtype=np.int64)
+    flat = weighted.reshape(k * k, phi)
     outside = np.zeros((count, k), dtype=bool)
     for t in _generating_set(gamma):
-        shift = _galois_matrix(m, t) - eye
-        defect = (weighted.reshape(k * k, phi) @ shift).reshape(k, k * phi)
-        outside |= (masks @ defect).reshape(count, k, phi).any(axis=2)
+        defect = (flat @ _galois_matrix(m, t) - flat).reshape(k, k * phi)
+        outside |= sums(defect).reshape(count, k, phi).any(axis=2)
     return outside
 
 
@@ -309,7 +336,8 @@ def eigenvalues_via_characters(
     the exact spectrum identities, so a returned Spectrum is internally
     consistent.
     """
-    _, numerators = _formula(cd, table, _mask(connection, cd))
+    mask = _mask(connection, cd)
+    _, numerators, _ = _formula(cd, table, mask, partial(np.matmul, mask))
     return _read_spectrum(
         table.m, table.degrees, numerators[0], sum(cd.sizes), connection.size, connection.contains_identity
     )
@@ -341,8 +369,9 @@ def check_integrality(
     group: Group, cd: ClassData, connection: ConnectionSet, table: CharacterTable
 ) -> IntegralityReport:
     """Evaluate eigenvalue integrality and power closure independently."""
-    _, numerators = _formula(cd, table, _mask(connection, cd))
-    bad_char = _first(numerators[0, :, 1:].any(axis=1))
+    mask = _mask(connection, cd)
+    _, _, irrational = _formula(cd, table, mask, partial(np.matmul, mask))
+    bad_char = _first(irrational[0])
     witness = _power_closure_witness(connection.elements, group)
     integral = bad_char is None
     closed = witness is None
@@ -376,8 +405,9 @@ def check_membership(
 ) -> MembershipReport:
     """Evaluate subfield membership against Galois-class closure of C."""
     mask = _mask(connection, cd)
-    weighted, _ = _formula(cd, table, mask)
-    bad_char = _first(_outside_subfield(weighted, mask, table.m, gamma)[0])
+    sums = partial(np.matmul, mask)
+    weighted, _, _ = _formula(cd, table, mask, sums)
+    bad_char = _first(_outside_subfield(weighted, sums, 1, table.m, gamma)[0])
     if merged is None:
         merged = galois_conjugacy_classes(group, cd, gamma)
     elif merged.gamma.m != gamma.m or merged.gamma.elements != gamma.elements:
@@ -401,14 +431,19 @@ def check_membership(
 SWEEP_ROW_BYTES = 1536
 
 
-def check_sweep_size(k: int, phi: int) -> None:
-    """Refuse a sweep over k classes at phi = phi(m) whose estimated peak exceeds TABLE_BYTE_BUDGET.
+def _sweep_bytes(k: int, phi: int) -> int:
+    """The estimated peak bytes of a sweep over k classes at phi = phi(m).
 
-    Per subset the estimate counts k * phi int64 numerators, k * phi more for
-    the one Galois defect product alive at a time, k int64 mask entries and
+    Per subset it counts k * phi int64 numerators, k * phi more for the one
+    generator's Galois defect sums alive at a time, k int64 mask entries and
     SWEEP_ROW_BYTES.
     """
-    need = (1 << (k - 1)) * (8 * k * (2 * phi + 1) + SWEEP_ROW_BYTES)
+    return (1 << (k - 1)) * (8 * k * (2 * phi + 1) + SWEEP_ROW_BYTES)
+
+
+def check_sweep_size(k: int, phi: int) -> None:
+    """Refuse a sweep over k classes at phi = phi(m) whose estimated peak (_sweep_bytes) exceeds TABLE_BYTE_BUDGET."""
+    need = _sweep_bytes(k, phi)
     if need > TABLE_BYTE_BUDGET:
         raise ResourceLimitError(
             f"a sweep over {k} classes at phi = {phi} needs about {need / 2**30:.2f} GiB,"
@@ -422,9 +457,10 @@ class ClassSweep:
 
     Subset s is the bitmask s over classes 1..k-1 (bit i for class i + 1), so
     ``subsets`` runs in the order of ``range(2 ** (k - 1))``.  ``masks[s]`` is
-    its 0/1 indicator over all k classes, and ``weighted`` and
-    ``numerators`` are what _formula returns for those masks: the same rows
-    that eigenvalues_via_characters reads for a single connection set.
+    its 0/1 indicator over all k classes, read by the oracles and the
+    identity checks.  ``weighted`` and ``numerators`` are what _formula
+    returns for those masks, summed by doubling (_subset_sums): the same
+    rows that eigenvalues_via_characters reads for a single connection set.
     """
 
     group: Group
@@ -438,18 +474,19 @@ class ClassSweep:
 
 
 def class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSweep:
-    """Evaluate the character formula on all 2^(k-1) subsets as one int64 product.
+    """Evaluate the character formula on all 2^(k-1) subsets.
 
     The sweep is refused by check_sweep_size before any array is built;
-    then _formula runs on the subsets' masks, in bitmask order, and checks
-    its exactness bounds and the spectrum identities on the whole batch.
+    then _formula runs on the subsets' masks, in bitmask order, with the
+    numerators summed by doubling (_subset_sums), and checks its exactness
+    bounds and the spectrum identities on the whole batch.
     """
     k = cd.k
     check_sweep_size(k, totient(table.m))
     count = 1 << (k - 1)
     masks = np.zeros((count, k), dtype=np.int64)
     masks[:, 1:] = (np.arange(count)[:, None] >> np.arange(k - 1)) & 1
-    weighted, numerators = _formula(cd, table, masks)
+    weighted, numerators, irrational = _formula(cd, table, masks, _subset_sums)
     subsets = [()]
     for j in range(1, k):  # the subsets with bit j - 1 set follow those without, in order
         subsets += [s + (j,) for s in subsets]
@@ -461,7 +498,7 @@ def class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSwee
         masks=masks,
         weighted=weighted,
         numerators=numerators,
-        integral=~numerators[:, :, 1:].any(axis=(1, 2)),
+        integral=~irrational.any(axis=1),
     )
 
 
@@ -507,7 +544,8 @@ def sweep_class_closed(sweep: ClassSweep, merged: GaloisConjugacyClasses) -> np.
 
 def sweep_in_subfield(sweep: ClassSweep, gamma: GaloisSubgroup) -> np.ndarray:
     """Whether every eigenvalue of each subset lies in the fixed field of gamma."""
-    return ~_outside_subfield(sweep.weighted, sweep.masks, sweep.table.m, gamma).any(axis=1)
+    outside = _outside_subfield(sweep.weighted, _subset_sums, len(sweep.masks), sweep.table.m, gamma)
+    return ~outside.any(axis=1)
 
 
 def sweep_spectrum(sweep: ClassSweep, s: int) -> Spectrum:

@@ -913,3 +913,16 @@ def test_batched_oracles_allocate_within_the_stack_budget(corpus, text):
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * oracle._STACK_BYTES, (text, peak)
+
+
+def test_batched_exact_check_finds_inverse_sets_within_the_stack_budget(corpus):
+    """The cyclic(12) sweep's 2,048 rows: the inverse-set keys add little to the chunks' _STACK_BYTES."""
+    group, table, sweep, members = _sweep_of(corpus, "cyclic(12)")
+    assert batch_verify_spectrum_exact(group, members, *_claims(sweep)).all()  # warm the caches
+    tracemalloc.start()
+    try:
+        batch_verify_spectrum_exact(group, members, *_claims(sweep))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * oracle._STACK_BYTES, peak / oracle._STACK_BYTES

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from cayley_spectra import (
     check_sweep_size,
     class_sweep,
     conjugacy_classes,
+    cyclic_subgroups,
     dixon_character_table,
     eigenvalues_via_characters,
     galois_conjugacy_classes,
@@ -37,6 +39,7 @@ from cayley_spectra import (
     sweep_in_subfield,
     sweep_power_closed,
     sweep_spectrum,
+    totient,
     unit_group,
 )
 from cayley_spectra import cli, spectra
@@ -462,6 +465,68 @@ def test_sweep_size_budget_is_checked_without_allocating():
         check_sweep_size(18, 2)  # masks and output rows push it over
     with pytest.raises(ResourceLimitError, match="40 classes"):
         check_sweep_size(40, 16)
+
+
+def _bitmask_rows(k):
+    """The (2^(k-1), k) 0/1 masks of the subsets of classes 1..k-1: subset s holds class j + 1 when bit j of s is set."""
+    return np.array(
+        [[0] + [s >> j & 1 for j in range(k - 1)] for s in range(1 << (k - 1))], dtype=np.int64
+    ).reshape(-1, k)
+
+
+def test_subset_sums_equal_the_mask_product():
+    """_subset_sums(rows) is masks @ rows in bitmask order, never adding row 0 (the identity class)."""
+    rng = np.random.default_rng(20)
+    for k in range(1, 15):
+        rows = rng.integers(-(10**6), 10**6, size=(k, 7))
+        got = spectra._subset_sums(rows)
+        assert got.dtype == np.int64 and got.shape == (1 << (k - 1), 7), k
+        assert np.array_equal(got, _bitmask_rows(k) @ rows), k
+    # k - 1 = 0: the single empty subset
+    assert spectra._subset_sums(np.array([[7, -3]], dtype=np.int64)).tolist() == [[0, 0]]
+
+
+def test_subset_sums_are_exact_where_they_reach_2_to_the_62():
+    k = 14
+    rows = np.zeros((k, 3), dtype=np.int64)
+    share, rest = divmod(1 << 62, k - 1)
+    rows[1:, 0] = share
+    rows[1, 0] += rest  # the full subset sums to 2^62
+    rows[1:, 1] = -rows[1:, 0]  # and to -2^62
+    rows[0] = 1 << 62  # the identity class is never added
+    rows[2, 2], rows[3, 2] = 1 << 62, -(1 << 62)
+    want = _bitmask_rows(k).astype(object) @ rows.astype(object)  # Python integers
+    got = spectra._subset_sums(rows)
+    assert got.tolist() == want.tolist()
+    assert got[-1].tolist() == [1 << 62, -(1 << 62), 0]
+    assert int(got[:, 2].max()) == 1 << 62 and int(got[:, 2].min()) == -(1 << 62)
+
+
+@pytest.mark.parametrize("spec", ["dihedral(22)", "alternating(7)", "symmetric(6)"])
+def test_sweep_memory_stays_within_the_size_estimate(spec):
+    """class_sweep, verify-all's membership sweeps and power closure peak within check_sweep_size's estimate.
+
+    The membership sweeps are the unit group's and every cyclic subgroup's;
+    the estimate counts the defect sums of one generator at a time.
+    """
+    group, cd, table = _bundle(spec)
+    gammas = [unit_group(table.m), *cyclic_subgroups(table.m)]
+
+    def run():
+        sweep = class_sweep(group, cd, table)
+        for gamma in gammas:
+            sweep_in_subfield(sweep, gamma)
+        sweep_power_closed(sweep)
+
+    run()  # warm the power-basis and Galois caches
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = spectra._sweep_bytes(cd.k, totient(table.m))
+    assert peak <= estimate, (spec, peak / estimate)
 
 
 def test_sweep_in_subfield_rejects_a_foreign_modulus(corpus):
