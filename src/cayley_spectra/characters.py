@@ -2,9 +2,13 @@
 
 The table is computed modulo a split prime: class-sum structure constants
 give a family of commuting matrices whose simultaneous eigenvectors are the
-central characters mod p; degrees come out of the orthogonality relation and
-the actual cyclotomic values are recovered through a discrete Fourier
-inversion over the power classes of each representative.  Every table is
+central characters mod p.  They are found by projecting the indicator of the
+identity class through the spectral projectors of the class matrices, one
+minimal polynomial per matrix that splits anything.  Degrees come out of the
+orthogonality relation, and the actual cyclotomic values are recovered
+through a discrete Fourier inversion over the power classes of one
+representative per orbit of the units mod the exponent; the Galois action
+fills the rest of each orbit.  Every table is
 certified exactly before being returned: the degree-square sum, the row
 orthogonality relation at one embedding per prime, and the Galois identity
 sigma_t(chi(g)) = chi(g^t), which together imply both orthogonality relations.
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
+from math import gcd, isqrt
 from typing import Sequence
 
 import numpy as np
@@ -166,18 +170,6 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[: len(pivots)], pivots
 
 
-def _left_nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Canonical basis rows of {x : x a = 0} over F_p, one per free column of rref(a^T)."""
-    red, pivots = _rref(a.T, p)
-    is_free = np.ones(a.shape[0], dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, a.shape[0]), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = -red[:, free].T % p
-    return basis
-
-
 def _poly_values(coeffs: list[int], x: np.ndarray, p: int) -> np.ndarray:
     """The polynomial with these ascending coefficients at every residue of x, mod p (Horner)."""
     acc = np.zeros(x.size, dtype=np.int64)
@@ -194,14 +186,14 @@ def _poly_roots(coeffs: list[int], p: int) -> np.ndarray:
 def _check_split_exact(k: int, p: int) -> None:
     """Refuse a split whose int64 arithmetic mod p could wrap: require k (p - 1)^2 < 2^63.
 
-    Every array of the split holds residues in [0, p).  A product of a space's
-    basis (at most k rows) with a k x k class matrix, of nullspace rows with
-    a basis, a Krylov step row @ R and the product Q @ K of the quotient
-    coefficients with the Krylov stack each sum at most k products of two
-    residues, so each entry is at most k (p - 1)^2.  The row reduction's
-    outer-product update, a row's scaling by an inverse, a Horner step and a
-    synthetic division step, lam q_j + f_j, stay at most p (p - 1) <= 2 (p - 1)^2,
-    within the same bound for k >= 2; with k = 1 the split does no arithmetic.
+    Every array of the split holds residues in [0, p).  A product of rows
+    with a k x k class matrix and the product of the Lagrange coefficients
+    with a Krylov stack of at most k vectors each sum at most k products of
+    two residues, so each entry is at most k (p - 1)^2.  The row reduction's
+    outer-product update, a row's scaling by an inverse, the eigenrow test's
+    cross products, a Horner step and a synthetic division step,
+    lam q_j + f_j, stay at most p (p - 1) <= 2 (p - 1)^2, within the same
+    bound for k >= 2; with k = 1 the split does no arithmetic.
     """
     if k * (p - 1) ** 2 >= 2**63:
         raise ResourceLimitError(
@@ -209,113 +201,117 @@ def _check_split_exact(k: int, p: int) -> None:
         )
 
 
-def _krylov_start(r: int, p: int) -> np.ndarray:
-    """The fixed start row u of a space's Krylov stack: spread residues, not the all-ones row.
+def _minimal_polynomial(start: np.ndarray, right: np.ndarray, p: int) -> list[int]:
+    """The monic minimal polynomial of the row start under v -> v right, mod p, low degree first.
 
-    The all-ones row is the trivial character's eigenvector in the first
-    space of an abelian group, where every other Krylov row would vanish.
+    The Krylov rows start right^j are stacked, at most min(k, p) + 1 of
+    them, and the first one that depends on those before it is found by one
+    row reduction of the stack's transpose: its column in the reduced form
+    holds the dependency.  k + 1 rows always have one.  A minimal
+    polynomial with deg f distinct roots in F_p has degree at most p, so
+    when p < k and the p + 1 rows are independent, f does not split over
+    F_p, and it raises.
     """
-    i = np.arange(r, dtype=np.int64)
-    return (i * i * 7919 + i * 104729 + 1) % p
+    k = start.size
+    size = min(k, p) + 1
+    krylov = np.empty((size, k), dtype=np.int64)
+    krylov[0] = start
+    for j in range(1, size):
+        krylov[j] = krylov[j - 1] @ right % p
+    red, pivots = _rref(krylov.T, p)
+    d = len(pivots)
+    if d == size:
+        raise InternalConsistencyError("class algebra failed to split over F_p")
+    return [int(-x % p) for x in red[:, d]] + [1]
 
 
-def _krylov_eigenrows(restricted: np.ndarray, charpoly: list[int], roots: np.ndarray, p: int) -> np.ndarray:
-    """Row i is u q(R), q = f / (x - roots[i]): a left eigenrow of R for roots[i], or zero.
+def _krylov_eigenrows(
+    rows: np.ndarray, right: np.ndarray, minpoly: list[int], roots: np.ndarray, p: int
+) -> np.ndarray:
+    """(len(roots), r, k) array: [i, s] = rows[s] L_i(M), the component of the row for roots[i].
 
-    R = restricted and f = charpoly, its characteristic polynomial.  For a
-    root lam, x = u q(R) has x (R - lam I) = u f(R) = 0 (Cayley-Hamilton).
-    The rows u R^j, j < r, are stacked once as K; one synthetic division over
-    all roots gives the quotient coefficients Q, and X = Q K, in O(r^3).
+    M acts on rows by v -> v right, f = minpoly annihilates every row and
+    has the distinct roots roots, and L_i = f / ((x - roots[i]) f'(roots[i]))
+    is the Lagrange polynomial of roots[i]: L_i(roots[j]) = [i == j], so the
+    L_i(M) are the spectral projectors of M on the span of the rows, and
+    rows[s] L_i(M) (M - roots[i]) = rows[s] f(M) / f'(roots[i]) = 0.  The
+    Krylov rows rows right^j, j < d = deg f, are stacked once as K; one
+    synthetic division over all roots gives the coefficients Q of the
+    quotients f / (x - lam), which are scaled by 1 / f'(lam), and the
+    components are Q K.
     """
-    r = restricted.shape[0]
-    krylov = np.empty((r, r), dtype=np.int64)
-    krylov[0] = _krylov_start(r, p)
-    for j in range(1, r):
-        krylov[j] = krylov[j - 1] @ restricted % p
+    d = len(minpoly) - 1
+    krylov = np.empty((d, *rows.shape), dtype=np.int64)
+    krylov[0] = rows
+    for j in range(1, d):
+        krylov[j] = krylov[j - 1] @ right % p
     lam = roots.astype(np.int64)
-    quotient = np.empty((lam.size, r), dtype=np.int64)  # column j: coefficient of x^j in q
-    quotient[:, r - 1] = charpoly[r]
-    for j in range(r - 1, 0, -1):
-        quotient[:, j - 1] = (charpoly[j] + lam * quotient[:, j]) % p
-    return quotient @ krylov % p
+    quotient = np.empty((lam.size, d), dtype=np.int64)  # column j: coefficient of x^j in q
+    quotient[:, d - 1] = minpoly[d]
+    for j in range(d - 1, 0, -1):
+        quotient[:, j - 1] = (minpoly[j] + lam * quotient[:, j]) % p
+    derivative = _poly_values([j * minpoly[j] % p for j in range(1, d + 1)], lam, p)
+    lagrange = quotient * _modp._power_stack(derivative, p - 2, p)[:, None] % p
+    return (lagrange @ krylov.reshape(d, -1) % p).reshape(lam.size, *rows.shape)
 
 
 def _common_eigenrows(c: np.ndarray, p: int) -> list[list[int]]:
-    """Split F_p^k into common one-dimensional eigenspaces of commuting matrices.
+    """The k common eigenrows of commuting class matrices mod p, each scaled to lead with 1.
 
-    c[i] is the i-th class matrix mod p, shape (k, k, k).  Each space is held
-    as its reduced row echelon basis with the pivot columns; a vector of the
-    space is fixed by its pivot entries, so the image of the basis read at
-    the pivots is the restricted map R, r x r.  A space on which R = lam I
-    lies in one eigenspace of the matrix and passes on unchanged, with no
-    characteristic polynomial (24 of the 31 spaces the split meets on
-    C6 x C6).  Otherwise one Krylov stack per space gives an eigenrow for
-    every simple root of R's characteristic polynomial f at once
-    (_krylov_eigenrows), O(r^3) for the whole space; a
-    nonzero one is taken as its root's whole eigenspace.  A root whose row
-    is zero, and every repeated root (f'(lam) = 0 mod p), cuts the space down
-    to the left nullspace of R - lam I instead, one elimination for that
-    root alone; a space with no simple root builds no Krylov stack.  A
-    simple root's row is zero for about 1 in p start rows.  A repeated
-    root's row would always be zero: the class algebra mod p is split
-    semisimple (p does not divide n), so R is diagonalizable and
-    f / (x - lam) is a multiple of its minimal polynomial.
+    c[i] is the i-th class matrix mod p, shape (k, k, k), acting on rows by
+    v -> v c[i]^T.  One set of rows is refined, starting from e_0, the
+    indicator of the identity class.  A class matrix M for which every row
+    is already an eigenrow splits nothing and is passed over at the cost of
+    one product.  Otherwise f, the minimal polynomial of e_0 under M, comes
+    from one Krylov stack (_minimal_polynomial) and its roots from one
+    Horner scan over F_p; f must have deg f distinct roots there.  Each row
+    that is no eigenrow is replaced by its nonzero components under the
+    spectral projectors L_lam(M), all at once (_krylov_eigenrows).  It
+    stops at k rows, and raises if the class matrices run out first.
 
-    covered == r certifies the split.  A root adds at most the dimension g
-    of its eigenspace to covered: 1 from its Krylov row, g from elimination.
-    The g sum to at most r, so covered == r forces every eigenspace to be
-    whole, and g = 1 for each root taken from its Krylov row.
+    Why the k rows are the common eigenrows.  In the basis of the central
+    characters omega_chi (the common eigenrows; omega_chi(K_i) is the
+    eigenvalue of c[i]), e_0 = sum_chi a_chi omega_chi, where a_chi =
+    chi(1)^2 / n is the identity coefficient of the idempotent of chi.  It
+    is nonzero mod p, as p does not divide n and chi(1) < p.  Every row is
+    e_0 P, P a product of polynomials in the commuting class matrices, so
+    f(M) annihilates every row, and the L_lam(M) are spectral projectors on
+    the span of the rows.  L_lam(M) scales omega_chi by L_lam(omega_chi(K_i)),
+    which is 0 or 1, so each row's component on omega_chi is a_chi or 0: the
+    rows split the characters among them, and none is lost.  A component is
+    an eigenrow of M for its lam, and stays one under later projectors.  So
+    two rows that came apart at some M differ in their eigenvalue there, and
+    the rows lie in distinct joint eigenspaces of the matrices used.  k
+    nonzero rows in k distinct joint eigenspaces of a module of dimension at
+    most k make each of those eigenspaces one-dimensional.  Every class
+    matrix commutes with the ones used and keeps each eigenspace, so each
+    row is a common eigenrow of all of them.
     """
     k = c.shape[0]
     _check_split_exact(k, p)
-    spaces: list[tuple[np.ndarray, list[int]]] = [(np.eye(k, dtype=np.int64), list(range(k)))]
+    start = np.zeros(k, dtype=np.int64)
+    start[0] = 1
+    rows = start[None]
     for mat in c[1:]:  # class 0's matrix is the identity, which splits nothing
-        nxt: list[tuple[np.ndarray, list[int]]] = []
-        for basis, pivots in spaces:
-            r = len(pivots)
-            if r == 1:
-                nxt.append((basis, pivots))
-                continue
-            restricted = (basis @ mat.T % p)[:, pivots]  # row vectors act by v -> v . mat^T
-            if (restricted == restricted[0, 0] * np.eye(r, dtype=np.int64)).all():
-                nxt.append((basis, pivots))  # R = lam I splits nothing
-                continue
-            charpoly = _modp.charpoly(restricted.tolist(), p)
-            roots = _poly_roots(charpoly, p)
-            derivative = [j * charpoly[j] % p for j in range(1, r + 1)]
-            simple = _poly_values(derivative, roots, p) != 0
-            krylov_rows = iter(())
-            if simple.any():
-                found = _krylov_eigenrows(restricted, charpoly, roots[simple], p) @ basis % p
-                lead_col = (found != 0).argmax(axis=1)
-                lead = found[np.arange(len(found)), lead_col]
-                found = found * _modp._power_stack(lead, p - 2, p)[:, None] % p  # rref of one row
-                krylov_rows = zip(found, lead_col.tolist(), lead.tolist())
-            diagonal = np.arange(r)
-            covered = 0
-            for lam, is_simple in zip(roots.tolist(), simple.tolist()):
-                if is_simple:
-                    row, col, nonzero = next(krylov_rows)
-                    if nonzero:
-                        covered += 1
-                        nxt.append((row[None], [col]))
-                        continue
-                shifted = restricted.copy()
-                shifted[diagonal, diagonal] -= lam
-                left_null = _left_nullspace(shifted, p)
-                if not len(left_null):
-                    raise InternalConsistencyError("eigenvalue with empty eigenspace")
-                sub_basis, sub_pivots = _rref(left_null @ basis % p, p)
-                covered += len(sub_pivots)
-                nxt.append((sub_basis, sub_pivots))
-            if covered != r:
-                raise InternalConsistencyError("class algebra failed to split over F_p")
-        spaces = nxt
-        if all(len(pivots) == 1 for _, pivots in spaces):
+        if len(rows) >= k:
             break
-    if len(spaces) != k or any(len(pivots) != 1 for _, pivots in spaces):
+        right = mat.T
+        image = rows @ right % p
+        at = np.arange(len(rows))
+        lead = (rows != 0).argmax(axis=1)
+        eigen = (image * rows[at, lead, None] % p == rows * image[at, lead, None] % p).all(axis=1)
+        if eigen.all():
+            continue
+        minpoly = _minimal_polynomial(start, right, p)
+        roots = _poly_roots(minpoly, p)
+        if roots.size != len(minpoly) - 1:
+            raise InternalConsistencyError("class algebra failed to split over F_p")
+        parts = _krylov_eigenrows(rows[~eigen], right, minpoly, roots, p).swapaxes(0, 1).reshape(-1, k)
+        rows = np.concatenate([rows[eigen], parts[parts.any(axis=1)]])
+    if len(rows) != k:
         raise InternalConsistencyError("expected one common eigenvector per class")
-    return [basis[0].tolist() for basis, _ in spaces]
+    lead = rows[np.arange(k), (rows != 0).argmax(axis=1)]
+    return (rows * _modp._power_stack(lead, p - 2, p)[:, None] % p).tolist()
 
 
 def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
@@ -391,17 +387,31 @@ def _lift_table(
     below p, they are exact.  The result holds power-basis coefficients,
     shape (k, k, phi(m)).
 
+    Only the least class of each orbit of the units t mod m, j -> class of
+    rep_j^t, is lifted so.  chi(g^t) = sigma_t(chi(g)) fills the rest of
+    its orbit, one product with the stack of sigma_t (_galois_matrix) per
+    orbit.  The certificate checks the whole array, however it was filled.
+
     The int64 products are exact while o (p-1)^2 < 2^63, which holds with
-    room to spare for every group within DEFAULT_GROUP_CAP (at most 2^48);
-    a wrapped sum could only make _validate_table reject the table.
+    room to spare for every group within DEFAULT_GROUP_CAP (at most 2^48),
+    and while max|value coefficient| |B|_1 < 2^63, B the power-basis table,
+    as in _galois_identity_holds; a wrapped sum could only make
+    _validate_table reject the table.
     """
     k = chi_p.shape[0]
     basis = _power_basis(m)
     out = np.empty((k, cd.k, basis.shape[1]), dtype=np.int64)
     cap = np.array(degrees, dtype=np.int64)[:, None]
+    units = np.array([t for t in range(m) if gcd(t, m) == 1])
+    orbits = cd.power_class[:, units]  # [j, u]: the class of rep_j^units[u]
+    lead = orbits.min(axis=1)
+    unit_from_lead = units[(orbits[lead] == np.arange(cd.k)[:, None]).argmax(axis=1)]
+    members: dict[int, list[int]] = {}
+    for j, least in enumerate(lead.tolist()):
+        members.setdefault(least, []).append(j)  # each orbit's least class comes first
     dft: dict[int, np.ndarray] = {}
-    for j, rep in enumerate(cd.representatives):
-        o = int(group.orders[rep])
+    for j, (_, *rest) in members.items():
+        o = int(group.orders[cd.representatives[j]])
         if o not in dft:
             zeta_inv = pow(pow(z, m // o, p), p - 2, p)
             inv_o = pow(o % p, p - 2, p)
@@ -415,6 +425,8 @@ def _lift_table(
                 f"root-of-unity multiplicity {mult[r, l]} exceeds degree {degrees[r]}"
             )
         out[:, j] = mult @ basis[(m // o) * np.arange(o)]
+        if rest:
+            out[:, rest] = (out[:, j] @ _galois_matrix(m, unit_from_lead[rest])).swapaxes(0, 1)
     return out
 
 

@@ -233,10 +233,13 @@ def _power_basis(m: int) -> np.ndarray:
     return out
 
 
-def _galois_matrix(m: int, t: int) -> np.ndarray:
-    """sigma_t, the phi x phi matrix of z -> z^t on coefficient rows: row e holds z^(e t)."""
+def _galois_matrix(m: int, t) -> np.ndarray:
+    """sigma_t, the phi x phi matrix of z -> z^t on coefficient rows: row e holds z^(e t).
+
+    For an int array t it is the stack of sigma_t, shape (*t.shape, phi, phi).
+    """
     basis = _power_basis(m)
-    return basis[np.arange(basis.shape[1]) * t % m]
+    return basis[np.asarray(t)[..., None] * np.arange(basis.shape[1]) % m]
 
 
 def _complex_parts(coeffs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -221,18 +221,20 @@ def batch_verify_spectrum_exact(
 
     Row s claims the eigenvalue numerators[s, r] / degrees[r] (power-basis
     coefficients at conductor m, shape (S, K, phi)) with multiplicity
-    mu_r = degrees[r]^2.  Two multisets of n values with equal power sums
-    p_1 .. p_n have one characteristic polynomial (Newton's identities),
-    and A's eigenvalues have p_j = tr(A^j).  So with L the lcm of the
-    degrees and nu_r = numerators[s, r] L / degrees[r], the row passes
-    exactly when c_j = L^j tr(A^j) - sum_r mu_r nu_r^j is 0 in Z[z] for
-    j = 1..n.  tr(A^j) comes from one walk per pair of inverse sets
+    mu_r = degrees[r]^2.  A's eigenvalues are algebraic integers, and the
+    power basis is an integral basis of Z[z], so a row fails at once unless
+    d_r = degrees[r] divides numerators[s, r] coefficientwise.  Otherwise
+    nu_r = numerators[s, r] / d_r lies in Z[z].  Two multisets of n values
+    with equal power sums p_1 .. p_n have one characteristic polynomial
+    (Newton's identities), and A's eigenvalues have p_j = tr(A^j).  So the
+    row passes exactly when c_j = tr(A^j) - sum_r mu_r nu_r^j is 0 in Z[z]
+    for j = 1..n.  tr(A^j) comes from one walk per pair of inverse sets
     (_solved_runs, _closed_walks), the sums of nu_r^j from
     _claimed_power_sums.
 
     Why the primes suffice: (A^j)[e, e] <= |C|^j, and every complex
     embedding sigma has |sigma(nu)| <= |nu|_1, the L1 norm of its
-    coefficients, so |sigma(c_j)| <= B = n max(1, L max|C|)^n +
+    coefficients, so |sigma(c_j)| <= B = n max(1, max|C|)^n +
     n max(1, max_r |nu_r|_1)^n.  The primes q = 1 (mod m) have product
     M > B.  If c_j maps to 0 under z -> w^u at every unit u and every
     prime, then c_j lies in q Z[z] for each q, because q splits
@@ -247,29 +249,34 @@ def batch_verify_spectrum_exact(
     if sum(mults) != n:
         return out
     _, k, phi = numerators.shape
-    big = lcm(*(int(d) for d in degrees))
-    scales = [big // int(d) for d in degrees]
-    # |nu_r|_1 by coefficient, so that no (S, K, phi) temporary is made
+    divisors = np.array(degrees, dtype=np.int64)
+    # d_r | numerators[s, r] and |numerators[s, r]|_1 by coefficient, so
+    # that no (S, K, phi) temporary is made
+    integral = np.ones(len(members), dtype=bool)
+    for e in range(phi):
+        integral &= ~(numerators[:, :, e] % divisors != 0).any(axis=1)
     l1 = sum(np.abs(numerators[:, :, e]) for e in range(phi)).max(axis=0, initial=0).tolist()
-    nu = max((int(a) * abs(s) for a, s in zip(l1, scales)), default=0)
-    bound = n * max(1, big * int(members.sum(axis=1).max(initial=0))) ** n + n * max(1, nu) ** n
+    nu = max((int(a) // int(d) for a, d in zip(l1, degrees)), default=0)
+    bound = n * max(1, int(members.sum(axis=1).max(initial=0))) ** n + n * max(1, nu) ** n
     primes = _modp._certificate_primes(m, bound, max(n + 1, phi))
     # bytes: per matrix, its 0/1 and float64 copies, and per prime its walk,
     # the walk's product, its diagonal and three int64 temporaries of that,
-    # (n,) each; per row and prime, the residues, embedded values, their
-    # reduction, nu, its powers and their product, (K, phi) each, and the
-    # power sums and their comparison, (n, phi) each
+    # (n,) each; per row, nu, and per row and prime, its residues, embedded
+    # values, their reduction, its powers and their product, (K, phi) each,
+    # and the power sums and their comparison, (n, phi) each
     matrix_bytes = 9 * n * n + 48 * len(primes) * n
-    row_bytes = 8 * len(primes) * phi * (6 * k + 2 * n)
+    row_bytes = 8 * phi * (k + len(primes) * (5 * k + 2 * n))
     for stack, rows, local in _solved_runs(group, members, matrix_bytes, row_bytes):
-        walks = _closed_walks(stack, primes, big)[:, :, local, None]
-        claims = _claimed_power_sums(numerators[rows], scales, mults, m, primes)
-        out[rows] = ~(claims != walks).any(axis=(0, 1, 3))
+        walks = _closed_walks(stack, primes)[:, :, local, None]
+        nu_rows = numerators[rows]
+        nu_rows //= divisors[:, None]
+        claims = _claimed_power_sums(nu_rows, mults, m, primes)
+        out[rows] = integral[rows] & ~(claims != walks).any(axis=(0, 1, 3))
     return out
 
 
-def _closed_walks(stack: np.ndarray, primes: Sequence[int], scale: int) -> np.ndarray:
-    """(n, P, R) residues scale^j tr(A^j) mod primes[i], for j = 1..n and each matrix A of the (R, n, n) 0/1 stack.
+def _closed_walks(stack: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+    """(n, P, R) residues tr(A^j) mod primes[i], for j = 1..n and each matrix A of the (R, n, n) 0/1 stack.
 
     g -> g x maps arcs to arcs, since (g x)(h x)^-1 = g h^-1, so every
     vertex lies on as many closed walks of each length, and tr(A^j) =
@@ -290,14 +297,11 @@ def _closed_walks(stack: np.ndarray, primes: Sequence[int], scale: int) -> np.nd
     for j in range(n):
         np.fmod(np.matmul(walk, matrices, out=product), modulus, out=walk)
         diagonal[j] = walk[:, :, 0]
-    powers = np.array([[pow(scale, j, p) for p in primes] for j in range(1, n + 1)], dtype=np.int64)
-    return (diagonal.astype(np.int64) * n % q * powers[:, None] % q).transpose(0, 2, 1)
+    return (diagonal.astype(np.int64) * n % q).transpose(0, 2, 1)
 
 
-def _claimed_power_sums(
-    nums: np.ndarray, scales: Sequence[int], mults: Sequence[int], m: int, primes: Sequence[int]
-) -> np.ndarray:
-    """(n, P, S, phi) residues sum_r mults[r] sigma_u(nums[s, r] scales[r])^j mod primes[i], for j = 1..n = sum(mults) and each unit u.
+def _claimed_power_sums(nums: np.ndarray, mults: Sequence[int], m: int, primes: Sequence[int]) -> np.ndarray:
+    """(n, P, S, phi) residues sum_r mults[r] sigma_u(nums[s, r])^j mod primes[i], for j = 1..n = sum(mults) and each unit u.
 
     sigma_u is the ring map z -> w^u into F_q (_modp._ring_maps), and the
     powers are running products.  int64: residues are below q, an
@@ -308,8 +312,7 @@ def _claimed_power_sums(
     units = [u for u in range(m) if gcd(u, m) == 1]
     q = np.array(primes, dtype=np.int64)[:, None, None, None]
     maps = np.stack([_modp._ring_maps(m, nums.shape[2], p, units) for p in primes])[:, None]
-    embedded = (nums % q).astype(np.int64, copy=False) @ maps % q
-    nu = (embedded * (np.array(scales, dtype=np.int64)[:, None] % q) % q).swapaxes(2, 3)
+    nu = ((nums % q).astype(np.int64, copy=False) @ maps % q).swapaxes(2, 3)
     weights = np.array(mults, dtype=np.int64)
     out = np.empty((sum(mults), len(primes), len(nums), len(units)), dtype=np.int64)
     power = nu

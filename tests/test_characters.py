@@ -34,7 +34,7 @@ from cayley_spectra import (
 )
 from cayley_spectra import _modp, characters, cli
 from cayley_spectra.cli import run
-from cayley_spectra.cyclotomic import _galois_matrix
+from cayley_spectra.cyclotomic import _galois_matrix, _power_basis
 from cayley_spectra.errors import InternalConsistencyError
 from conftest import CORPUS, LADDER, multiplication_table
 
@@ -690,123 +690,146 @@ def test_split_matches_list_reference(text):
     assert sorted(rows) == sorted(_ref_common_eigenrows(c.tolist(), p))
 
 
-def _counting_split(monkeypatch):
-    """Count the roots the split meets and the per-root eliminations it runs."""
-    counts = {"roots": 0, "eliminations": 0}
-    real_roots, real_nullspace = characters._poly_roots, characters._left_nullspace
+def _split_trace(monkeypatch):
+    """Record, per splitting matrix, the degree of its minimal polynomial and the number of rows it projects."""
+    trace = {"minimal": [], "projected": []}
+    real_minimal, real_rows = characters._minimal_polynomial, characters._krylov_eigenrows
 
-    def roots(coeffs, p):
-        found = real_roots(coeffs, p)
-        counts["roots"] += len(found)
-        return found
+    def minimal(start, right, p):
+        f = real_minimal(start, right, p)
+        trace["minimal"].append(len(f) - 1)
+        return f
 
-    def nullspace(a, p):
-        counts["eliminations"] += 1
-        return real_nullspace(a, p)
+    def rows(rows, right, minpoly, roots, p):
+        trace["projected"].append(len(rows))
+        return real_rows(rows, right, minpoly, roots, p)
 
-    monkeypatch.setattr(characters, "_poly_roots", roots)
-    monkeypatch.setattr(characters, "_left_nullspace", nullspace)
-    return counts
+    monkeypatch.setattr(characters, "_minimal_polynomial", minimal)
+    monkeypatch.setattr(characters, "_krylov_eigenrows", rows)
+    return trace
 
 
 @pytest.mark.parametrize("text", ("cyclic(40)", "cyclic(60)", "cyclic(120)"))
 def test_split_takes_simple_roots_from_the_krylov_stack(text, monkeypatch):
-    """Only the roots whose Krylov row is zero (about 1/p of them) fall back to elimination.
+    """The generator's class matrix has k distinct eigenvalues: one Krylov stack of e_0 gives every row.
 
-    Falling back on a whole space whenever one row is zero gives the same
-    rows, so only this count shows it.
+    Its minimal polynomial has degree k and only simple roots, and no other
+    class matrix is used.
     """
     c, p = _class_tensor_mod(text)
-    counts = _counting_split(monkeypatch)
-    characters._common_eigenrows(c, p)
-    assert counts["roots"] == c.shape[0]
-    assert counts["eliminations"] < 0.1 * counts["roots"], counts
+    trace = _split_trace(monkeypatch)
+    assert len(characters._common_eigenrows(c, p)) == c.shape[0]
+    assert trace == {"minimal": [c.shape[0]], "projected": [1]}
 
 
 def test_split_by_krylov_rows_equals_the_per_root_elimination():
-    """A zero start row leaves every root to elimination, the split before the Krylov stack."""
-    c, p = _class_tensor_mod("cyclic(120)")
-    fast = characters._common_eigenrows(c, p)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(characters, "_krylov_start", lambda r, p: np.zeros(r, dtype=np.int64))
-        counts = _counting_split(mp)
-        slow = characters._common_eigenrows(c, p)
-    assert counts["eliminations"] == counts["roots"] == 120
-    assert fast == slow
+    """On cyclic(120) the projections give the rows that eliminating M - lam I root by root gives.
 
-
-@pytest.mark.parametrize("text", ("cyclic(40)", "product(cyclic(6),cyclic(6))"))
-def test_split_falls_back_per_root_when_krylov_rows_vanish(text, monkeypatch):
-    """Started at an eigenvector, every other root's Krylov row is zero; each falls back alone.
-
-    In an abelian group every class has size 1, so the all-ones row is a
-    common eigenvector of the first space, the trivial character's.
+    M is the generator's class matrix, with the 120 distinct eigenvalues
+    lam, the roots of x^120 - 1 mod 241; each nullspace is one row.
+    The list reference would take seconds at this size.
     """
-    c, p = _class_tensor_mod(text)
-    expected = characters._common_eigenrows(c, p)
-    monkeypatch.setattr(characters, "_krylov_start", lambda r, p: np.ones(r, dtype=np.int64))
-    counts = _counting_split(monkeypatch)
-    assert characters._common_eigenrows(c, p) == expected
-    if text == "cyclic(40)":  # one space, 40 simple roots: only the trivial one is proved by its row
-        assert counts["eliminations"] == counts["roots"] - 1 == 39
+    c, p = _class_tensor_mod("cyclic(120)")
+    k = c.shape[0]
+    eliminated = []
+    for lam in characters._poly_roots([p - 1] + [0] * (k - 1) + [1], p).tolist():
+        red, pivots = characters._rref(c[1] - lam * np.eye(k, dtype=np.int64), p)
+        (free,) = sorted(set(range(k)) - set(pivots))
+        row = np.zeros(k, dtype=np.int64)
+        row[free] = 1
+        row[pivots] = -red[:, free] % p
+        eliminated.append((row * pow(int(row[row != 0][0]), p - 2, p) % p).tolist())
+    assert sorted(characters._common_eigenrows(c, p)) == sorted(eliminated)
 
 
-def test_split_sends_repeated_roots_straight_to_elimination(monkeypatch):
-    """On 2^6 every space with r >= 4 has two roots of multiplicity r / 2, and no simple root.
+def test_split_of_2_6_takes_six_matrices_and_one_minimal_polynomial_each(monkeypatch):
+    """On 2^6 (p = 17 < k = 64) every class matrix has the eigenvalues 1 and -1.
 
-    Those 31 spaces build no Krylov stack; the 32 spaces of two simple roots
-    take both from theirs.  The 62 repeated roots are eliminated one by one.
+    So each splitting matrix halves every row, and six of them (the classes
+    of a basis) give the 64 rows.  No characteristic polynomial is taken.
     """
     c, p = _class_tensor_mod("elementary-abelian(2,6)")
-    expected = characters._common_eigenrows(c, p)
-    stacks = []
-    krylov = characters._krylov_eigenrows
-
-    def counted(restricted, charpoly, roots, q):
-        stacks.append(len(roots))
-        return krylov(restricted, charpoly, roots, q)
-
-    monkeypatch.setattr(characters, "_krylov_eigenrows", counted)
-    counts = _counting_split(monkeypatch)
-    assert characters._common_eigenrows(c, p) == expected
-    assert stacks == [2] * 32
-    assert counts == {"roots": 126, "eliminations": 62}
-
-
-def test_split_passes_spaces_where_a_class_matrix_is_scalar(monkeypatch):
-    """On C6 x C6 (p = 13 < k = 36) a class matrix that acts as a scalar on a space splits nothing.
-
-    Such a space is passed on without a characteristic polynomial: 7 spaces
-    are visited for their roots, and 6 roots are eliminated (30 of each
-    when every space is split by every class matrix it meets).
-    """
-    c, p = _class_tensor_mod("product(cyclic(6),cyclic(6))")
     expected = sorted(_ref_common_eigenrows(c.tolist(), p))
-    visits = []
-    charpoly = characters._modp.charpoly
+    trace = _split_trace(monkeypatch)
 
-    def counted(a, q):
-        visits.append(len(a))
-        return charpoly(a, q)
+    def refused(a, q):
+        raise AssertionError("the split took a characteristic polynomial")
 
-    monkeypatch.setattr(characters._modp, "charpoly", counted)
-    counts = _counting_split(monkeypatch)
+    monkeypatch.setattr(characters._modp, "charpoly", refused)
     assert sorted(characters._common_eigenrows(c, p)) == expected
-    assert len(visits) == 7
-    assert counts["eliminations"] == 6
+    assert trace == {"minimal": [2] * 6, "projected": [1, 2, 4, 8, 16, 32]}
 
 
-def test_krylov_start_is_not_the_trivial_eigenvector():
-    for r, p in ((2, 3), (36, 13), (120, 241)):
-        u = characters._krylov_start(r, p)
-        assert u.dtype == np.int64 and u.shape == (r,)
-        assert ((0 <= u) & (u < p)).all()
-        assert (u != 1).any()
+def test_split_passes_over_class_matrices_that_split_nothing(monkeypatch):
+    """On C6^3 (p = 31 < k = 216) classes 1, 6 and 36 split by 6 each, and 216 rows end the split.
+
+    A class matrix for which every row is already an eigenrow takes no
+    minimal polynomial, so the 33 others before class 36 cost one product
+    each.
+    """
+    c, p = _class_tensor_mod("product(product(cyclic(6),cyclic(6)),cyclic(6))")
+    used = []
+    real_minimal = characters._minimal_polynomial
+
+    def minimal(start, right, q):
+        used.append(next(i for i in range(len(c)) if np.shares_memory(right, c[i])))
+        return real_minimal(start, right, q)
+
+    monkeypatch.setattr(characters, "_minimal_polynomial", minimal)
+    trace = _split_trace(monkeypatch)
+    assert len(characters._common_eigenrows(c, p)) == 216
+    assert used == [1, 6, 36]
+    assert trace == {"minimal": [6, 6, 6], "projected": [1, 6, 36]}
 
 
-@pytest.mark.parametrize("p", (3, 7))
+def _central_characters_mod(table, cd, p):
+    """omega_chi(K_j) = |K_j| chi(g_j) / chi(1) mod p, the table read at the Dixon prime's root z -> w."""
+    w = _modp._element_of_order(table.m, p)
+    phi = table.coefficients.shape[2]
+    at_w = table.coefficients % p @ np.array([pow(w, e, p) for e in range(phi)], dtype=np.int64) % p
+    inv_degrees = np.array([pow(d, p - 2, p) for d in table.degrees], dtype=np.int64)
+    return at_w * np.array(cd.sizes, dtype=np.int64) % p * inv_degrees[:, None] % p
+
+
+@pytest.mark.parametrize("text", ("product(product(cyclic(6),cyclic(6)),cyclic(6))", "elementary-abelian(2,7)"))
+def test_split_rows_are_the_central_characters_of_the_certified_table(text):
+    group = build_group(GroupSpec.from_json(text))
+    cd = conjugacy_classes(group)
+    table = dixon_character_table(group, cd)
+    p = table.prime
+    rows = characters._common_eigenrows(class_matrices(group, cd).c % p, p)
+    assert sorted(rows) == sorted(_central_characters_mod(table, cd, p).tolist())
+
+
+@pytest.mark.parametrize("text", tuple(CORPUS) + ("product(cyclic(6),cyclic(6))", "elementary-abelian(2,6)"))
+def test_split_start_row_has_a_component_on_every_character(text):
+    """e_0 = sum_chi (chi(1)^2 / n) omega_chi, and chi(1)^2 / n is nonzero mod p, so no character is lost.
+
+    This is column orthogonality against the trivial class: sum_chi chi(1)
+    chi(g) = n [g = 1].
+    """
+    group = build_group(GroupSpec.from_json(text))
+    cd = conjugacy_classes(group)
+    table = dixon_character_table(group, cd)
+    p = table.prime
+    weights = np.array([d * d * pow(group.n, p - 2, p) % p for d in table.degrees], dtype=np.int64)
+    assert weights.all()
+    start = weights @ _central_characters_mod(table, cd, p) % p
+    assert start.tolist() == [1] + [0] * (cd.k - 1)
+
+
+def test_split_refuses_when_the_class_matrices_run_out():
+    c, p = _class_tensor_mod("product(cyclic(6),cyclic(6))")
+    c = c.copy()
+    c[2:] = np.eye(c.shape[0], dtype=np.int64)  # only class 1 is left to split, into 6 rows
+    with pytest.raises(InternalConsistencyError, match="one common eigenvector per class"):
+        characters._common_eigenrows(c, p)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
 def test_split_refuses_a_prime_that_does_not_split(p):
-    # p has order 4 mod 5, so x^5 - 1 has the single root 1 over F_p
+    # p has order 4 mod 5 for p = 3, 7, so x^5 - 1 has the single root 1 over F_p;
+    # p = 5 divides n, and x^5 - 1 = (x - 1)^5 there
     c, _ = _class_tensor_mod("cyclic(5)")
     with pytest.raises(InternalConsistencyError, match="failed to split"):
         characters._common_eigenrows(c % p, p)
@@ -830,15 +853,12 @@ def _matrices_mod_p(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_matrices_mod_p())
-def test_rref_and_left_nullspace_match_list_reference(case):
+def test_rref_matches_list_reference(case):
     a, p = case
     rows, pivots = characters._rref(a, p)
     ref_rows, ref_pivots = _ref_rref(a.tolist(), p)
     assert rows.tolist() == ref_rows
     assert pivots == ref_pivots
-    null = characters._left_nullspace(a, p)
-    assert null.tolist() == _ref_nullspace(_ref_transpose(a.tolist()), p)
-    assert not (null @ a % p).any()
 
 
 @settings(max_examples=100, deadline=None)
@@ -921,6 +941,33 @@ def test_split_int64_guard_at_its_boundary():
     # the split checks before any arithmetic
     with pytest.raises(ResourceLimitError):
         characters._common_eigenrows(np.zeros((2, 2, 2), dtype=np.int64), 2**31 + 1)
+
+
+def _ref_lift_table(chi_p, degrees, cd, group, m, p, z):
+    """The lift with a Fourier inversion on every class, the reference for the one per unit orbit."""
+    basis = _power_basis(m)
+    out = np.empty((len(chi_p), cd.k, basis.shape[1]), dtype=np.int64)
+    for j, rep in enumerate(cd.representatives):
+        o = int(group.orders[rep])
+        zeta_inv = pow(pow(z, m // o, p), p - 2, p)
+        dft = np.array([[pow(zeta_inv, a * b, p) for b in range(o)] for a in range(o)], dtype=np.int64)
+        mult = chi_p[:, cd.power_class[j, :o]] @ dft % p * pow(o, p - 2, p) % p
+        assert (mult <= np.array(degrees)[:, None]).all()
+        out[:, j] = mult @ basis[(m // o) * np.arange(o)]
+    return out
+
+
+@pytest.mark.parametrize("text", tuple(CORPUS) + LADDER + ("cyclic(120)", "product(cyclic(5),quaternion(8))"))
+def test_lift_once_per_unit_orbit_matches_the_lift_of_every_class(text):
+    group = build_group(GroupSpec.from_json(text))
+    cd = conjugacy_classes(group)
+    n, m = group.n, group.exponent
+    p = characters._least_dixon_prime(n, m)
+    z = _modp._element_of_order(m, p)
+    rows = characters._common_eigenrows(class_matrices(group, cd).c % p, p)
+    degrees, chi_p = characters._degrees_and_values(rows, cd, n, p)
+    lifted = characters._lift_table(chi_p, degrees, cd, group, m, p, z)
+    assert lifted.tolist() == _ref_lift_table(chi_p, degrees, cd, group, m, p, z).tolist()
 
 
 def test_cyclic_120_table_matches_closed_form():

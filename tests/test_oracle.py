@@ -503,7 +503,7 @@ def test_exact_checks_reject_a_change_by_the_first_prime(corpus, monkeypatch):
 
 
 def test_a_walk_from_the_identity_counts_the_closed_walks_of_every_vertex(corpus):
-    """n (A^j)[e, e] = tr(A^j) in Python integers for every j <= n, and _closed_walks gives its scaled residues.
+    """n (A^j)[e, e] = tr(A^j) in Python integers for every j <= n, and _closed_walks gives its residues.
 
     g -> g x maps arcs to arcs, so every vertex lies on as many closed
     walks of each length.  The rows are sampled from every sweep of order
@@ -520,7 +520,7 @@ def test_a_walk_from_the_identity_counts_the_closed_walks_of_every_vertex(corpus
         pairs += sum(_partner(group, members, s) != s for s in sample)
         stack = oracle.adjacency_stack(group, members[sample])
         primes = _modp._certificate_primes(table.m, 10**20, n + 1)
-        walks = oracle._closed_walks(stack, primes, 3)
+        walks = oracle._closed_walks(stack, primes)
         for i, adjacency in enumerate(stack):
             matrix = adjacency.astype(object)
             power = np.identity(n, dtype=object)
@@ -528,8 +528,46 @@ def test_a_walk_from_the_identity_counts_the_closed_walks_of_every_vertex(corpus
                 power = power @ matrix
                 trace = sum(power[g, g] for g in range(n))
                 assert n * power[0, 0] == trace, (text, sample[i], j)
-                assert walks[j - 1, :, i].tolist() == [3**j * trace % q for q in primes], (text, sample[i], j)
+                assert walks[j - 1, :, i].tolist() == [trace % q for q in primes], (text, sample[i], j)
     assert pairs
+
+
+def test_batched_exact_fails_a_value_that_is_no_algebraic_integer(corpus):
+    """A numerator that its degree does not divide fails the row, though num // d gives the true power sums.
+
+    The degree-2 character of S3 has an even numerator; adding 1 leaves
+    num // 2 as it was, so only the divisibility test can see the change.
+    """
+    group, table, sweep, members = _sweep_of(corpus, "symmetric(3)")
+    r = table.degrees.index(2)
+    s = len(members) - 1
+    nums = sweep.numerators.copy()
+    assert nums[s, r, 0] % 2 == 0
+    nums[s, r, 0] += 1
+    assert (nums // np.array(table.degrees)[:, None] == sweep.numerators // np.array(table.degrees)[:, None]).all()
+    verdicts = batch_verify_spectrum_exact(group, members, *_claims(sweep, nums))
+    assert verdicts.tolist() == [t != s for t in range(len(members))]
+    sp = sweep_spectrum(_with_numerators(sweep, nums), s)
+    assert not verify_spectrum_exact(sp, adjacency_matrix(group, np.flatnonzero(members[s]))).passed
+
+
+def test_batched_exact_bound_carries_no_power_of_the_degrees(corpus, monkeypatch):
+    """B = n max(1, max|C|)^n + n max(1, max |num / d|_1)^n: symmetric(4) takes 4 primes, not the 7 of L^n B."""
+    bounds = []
+    choose = _modp._certificate_primes
+
+    def spy(m, bound, width):
+        bounds.append((bound, len(choose(m, bound, width))))
+        return choose(m, bound, width)
+
+    monkeypatch.setattr(_modp, "_certificate_primes", spy)
+    group, table, sweep, members = _sweep_of(corpus, "symmetric(4)")
+    assert batch_verify_spectrum_exact(group, members, *_claims(sweep)).all()
+    n = group.n
+    degrees = np.array(table.degrees)
+    nu = int((np.abs(sweep.numerators).sum(axis=2) // degrees).max())
+    largest = int(members.sum(axis=1).max())
+    assert bounds == [(n * max(1, largest) ** n + n * max(1, nu) ** n, 4)]
 
 
 def test_a_claim_that_differs_only_in_the_last_power_sum_is_rejected(corpus):
@@ -705,8 +743,8 @@ def test_the_cyclic_12_sweep_solves_one_matrix_per_pair_of_inverse_sets(corpus, 
     walks = []
     real = oracle._closed_walks
 
-    def spy(stack, primes, scale):
-        out = real(stack, primes, scale)
+    def spy(stack, primes):
+        out = real(stack, primes)
         walks.append((len(stack), tuple(primes), out.shape))
         return out
 
