@@ -5,7 +5,9 @@ integer_charpoly alone (one matrix up to the oracle caps, mod 31-bit
 primes).  The character table's eigenspace split takes minimal polynomials
 of one row instead, by int64 array routines in characters; _power_stack
 raises an int64 array to one power mod p, for the split's inverses and the
-per-set exact oracle's claimed product.
+per-set exact oracle's claimed product.  exact_matmul multiplies integer
+matrices in float64 BLAS when the caller's bound proves the result exact
+and the product is large enough to gain (exact_dtype).
 _certificate_primes and _ring_maps serve every check that evaluates
 cyclotomic integers under the ring maps z -> w^u into F_q, q = 1 (mod m):
 the table certificate, at u = 1 and -1, and both exact oracles, at every
@@ -75,13 +77,15 @@ def _descending_primes(ceiling: int, m: int, bound: int) -> list[int]:
         product *= primes[-1]
 
 
-def _certificate_primes(m: int, bound: int, width: int) -> list[int]:
-    """Distinct primes q = 1 (mod m) with width * q^2 < 2^63, whose product exceeds bound.
+def _certificate_primes(m: int, bound: int, width: int, limit: int = 2**63) -> list[int]:
+    """Distinct primes q = 1 (mod m) with width * q^2 < limit, whose product exceeds bound.
 
     They are taken downward from the largest admissible q, so one prime
-    serves any bound below about 2^63 / width.
+    serves any bound below about limit / width.  The default keeps sums of
+    width products of residues within int64; limit = 2^53 keeps them exact
+    in float64 (exact_matmul).
     """
-    return _descending_primes(isqrt((2**63 - 1) // width), m, bound)
+    return _descending_primes(isqrt((limit - 1) // width), m, bound)
 
 
 def _prime_factors(x: int) -> list[int]:
@@ -169,4 +173,51 @@ def _power_stack(a: np.ndarray, e: int, q: int) -> np.ndarray:
         e >>= 1
         if e:
             base = base * base % q
+    return out
+
+
+# Below this many multiply-adds numpy's own int64 loop beats converting to
+# float64 and calling the BLAS (measured at the table engine's sizes), and a
+# job whose products all stay below it never loads OpenBLAS's buffers
+# (about 0.4 MiB of peak RSS).
+BLAS_MIN_WORK = 2**15
+# OpenBLAS runs a product of at most this many multiply-adds on the calling
+# thread alone (its SMP threshold, 65536 x GEMM_MULTITHREAD_THRESHOLD 4).
+# Larger ones wake its other threads, at about 12-15 ms a call on a
+# two-core machine against 1-3 ms for a 300 x 300 product on one thread, so
+# exact_matmul cuts its products into row blocks of at most this size.
+BLAS_MAX_WORK = 2**18
+
+
+def exact_dtype(bound: int, work: int) -> type:
+    """np.float64 for integer products that are exact and worth doing there, else np.int64.
+
+    bound is at least every product of two entries and every partial sum of
+    such products, in magnitude; work is the number of multiply-adds.
+    float64 holds every integer of magnitude up to 2^53, so a float64 matrix
+    product with bound < 2^53 is exact, in whatever order or blocking the
+    BLAS sums it, with or without fused multiply-adds.  It is chosen when
+    work is at least BLAS_MIN_WORK.
+    """
+    return np.float64 if bound < 2**53 and work >= BLAS_MIN_WORK else np.int64
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """a @ b for integer arrays of two or more axes, as int64, exact under the caller's bound.
+
+    bound is at least every sum_j |a[..., i, j]| |b[..., j, l]|.  Where
+    exact_dtype picks float64 the product runs as float64 BLAS, in
+    blocks of rows of a of at most BLAS_MAX_WORK multiply-adds each (at
+    least one row), written straight into the int64 result; an operand
+    already in float64 is not copied.  Otherwise it is a @ b in the
+    operands' own dtype, as exact as the caller's bound makes it.
+    """
+    if exact_dtype(bound, a.size * b.shape[-1]) is np.int64:
+        return a @ b
+    a = a.astype(np.float64, copy=False)
+    b = b.astype(np.float64, copy=False)
+    out = np.empty((*np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), a.shape[-2], b.shape[-1]), dtype=np.int64)
+    step = max(1, BLAS_MAX_WORK // (a.shape[-1] * b.shape[-1]))
+    for s in range(0, a.shape[-2], step):
+        out[..., s : s + step, :] = a[..., s : s + step, :] @ b
     return out

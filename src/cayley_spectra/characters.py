@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _modp
-from ._modp import _certificate_primes, _element_of_order, _ring_maps
+from ._modp import _certificate_primes, _element_of_order, _ring_maps, exact_matmul
 from .cyclotomic import (
     CycInt,
     _galois_matrix,
@@ -69,7 +69,11 @@ class ClassMatrices:
 
 
 def check_table_size(k: int) -> None:
-    """Refuse k classes when the (k, k, k) int64 tensor would exceed TABLE_BYTE_BUDGET."""
+    """Refuse k classes when the (k, k, k) int64 tensor would exceed TABLE_BYTE_BUDGET.
+
+    class_matrices builds that tensor; dixon_character_table builds the
+    class matrices one at a time instead, but refuses the same k up front.
+    """
     need = 8 * k ** 3
     if need > TABLE_BYTE_BUDGET:
         raise ResourceLimitError(
@@ -78,17 +82,26 @@ def check_table_size(k: int) -> None:
         )
 
 
+def _class_matrix(group: Group, cd: ClassData, i: int) -> np.ndarray:
+    """Class i's (k, k) int64 matrix: [j, l] counts the a in class i with a^-1 g_l in class j.
+
+    That is the number of pairs (a, b), a in class i and b in class j, with
+    a b = g_l, the representative of class l.  It takes |C_i| k group
+    products and one bincount.
+    """
+    k = cd.k
+    inverses = group.inv[np.array(cd.classes[i])]
+    landed = cd.class_of[group.product(inverses[:, None], np.array(cd.representatives))]  # [a, l]
+    return np.bincount((landed * k + np.arange(k)).ravel(), minlength=k * k).reshape(k, k)
+
+
 def class_matrices(group: Group, cd: ClassData) -> ClassMatrices:
-    """Count products landing on each class representative, by direct enumeration."""
-    n = group.n
+    """Count products landing on each class representative: the stack of every class matrix."""
     k = cd.k
     check_table_size(k)
-    c = np.zeros((k, k, k), dtype=np.int64)
-    a_cls = cd.class_of
-    # b[l, a] = a^-1 * g_l, so a * b[l, a] = g_l
-    b = group.product(group.inv, np.array(cd.representatives)[:, None])
-    for l in range(k):
-        np.add.at(c[:, :, l], (a_cls, a_cls[b[l]]), 1)
+    c = np.empty((k, k, k), dtype=np.int64)
+    for i in range(k):
+        c[i] = _class_matrix(group, cd, i)
     return ClassMatrices(k=k, sizes=cd.sizes, c=c)
 
 
@@ -141,35 +154,6 @@ def _least_dixon_prime(n: int, m: int) -> int:
     return cand
 
 
-def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p: (nonzero rows, pivot columns).
-
-    One outer-product update per pivot clears its column in every other row.
-    Row r is zero left of its pivot column c, so only columns c onward change.
-    The form is unique, so any nonzero entry may serve as the pivot.
-    """
-    a = np.ascontiguousarray(a % p)
-    nrows, ncols = a.shape
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        i = r + int(a[r:, c].argmax())
-        pivot = int(a[i, c])
-        if not pivot:
-            continue
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        row = a[r, c:] * pow(pivot, p - 2, p) % p
-        block = a[:, c:]
-        block -= a[:, c, None] * row  # clears row r too, which row then refills
-        block %= p
-        block[r] = row
-        pivots.append(c)
-    return a[: len(pivots)], pivots
-
-
 def _poly_values(coeffs: list[int], x: np.ndarray, p: int) -> np.ndarray:
     """The polynomial with these ascending coefficients at every residue of x, mod p (Horner)."""
     acc = np.zeros(x.size, dtype=np.int64)
@@ -187,13 +171,17 @@ def _check_split_exact(k: int, p: int) -> None:
     """Refuse a split whose int64 arithmetic mod p could wrap: require k (p - 1)^2 < 2^63.
 
     Every array of the split holds residues in [0, p).  A product of rows
-    with a k x k class matrix and the product of the Lagrange coefficients
-    with a Krylov stack of at most k vectors each sum at most k products of
-    two residues, so each entry is at most k (p - 1)^2.  The row reduction's
-    outer-product update, a row's scaling by an inverse, the eigenrow test's
-    cross products, a Horner step and a synthetic division step,
-    lam q_j + f_j, stay at most p (p - 1) <= 2 (p - 1)^2, within the same
-    bound for k >= 2; with k = 1 the split does no arithmetic.
+    with a k x k class matrix, a Krylov row's reduction against at most k
+    echelon rows and the product of the Lagrange coefficients with a Krylov
+    stack of at most k vectors each sum at most k products of two residues,
+    so each entry is at most k (p - 1)^2.  A scaling by an inverse, the
+    eigenrow test's cross products, a Horner step and a synthetic division
+    step, lam q_j + f_j, stay at most p (p - 1) <= 2 (p - 1)^2, within the
+    same bound for k >= 2; with k = 1 the split does no arithmetic.  The
+    arrays are int64; the row images under a class matrix, the Krylov
+    stacks of _krylov_eigenrows and its Lagrange product go through
+    exact_matmul with this bound, so they run in float64 BLAS where it is
+    below 2^53 and the product is large enough to gain.
     """
     if k * (p - 1) ** 2 >= 2**63:
         raise ResourceLimitError(
@@ -204,25 +192,42 @@ def _check_split_exact(k: int, p: int) -> None:
 def _minimal_polynomial(start: np.ndarray, right: np.ndarray, p: int) -> list[int]:
     """The monic minimal polynomial of the row start under v -> v right, mod p, low degree first.
 
-    The Krylov rows start right^j are stacked, at most min(k, p) + 1 of
-    them, and the first one that depends on those before it is found by one
-    row reduction of the stack's transpose: its column in the reduced form
-    holds the dependency.  k + 1 rows always have one.  A minimal
-    polynomial with deg f distinct roots in F_p has degree at most p, so
-    when p < k and the p + 1 rows are independent, f does not split over
-    F_p, and it raises.
+    The Krylov rows v_j = start right^j are reduced one at a time against
+    the echelon rows of those before them, each carrying its coefficients in
+    the v_i, so it stops at the first v_d that reduces to zero, after
+    deg f + 1 rows: the coefficients of that zero combination, 1 at v_d, are
+    f.  k + 1 rows always have a dependency.  A minimal polynomial with
+    deg f distinct roots in F_p has degree at most p, so when p < k and
+    p + 1 rows are independent, f does not split over F_p, and it raises.
+
+    Row r of the echelon is zero at the pivots of the rows before it, so the
+    pivot block U, [r, s] = row r at the pivot of row s, is upper
+    triangular, and its inverse W grows by one column per row.  A new row v
+    is reduced by c = v[pivots] W, v - c E.  Each product sums at most k
+    products of two residues, within _check_split_exact's bound.  Its
+    products take one row each, too small to gain from exact_matmul.
     """
     k = start.size
     size = min(k, p) + 1
-    krylov = np.empty((size, k), dtype=np.int64)
-    krylov[0] = start
-    for j in range(1, size):
-        krylov[j] = krylov[j - 1] @ right % p
-    red, pivots = _rref(krylov.T, p)
-    d = len(pivots)
-    if d == size:
-        raise InternalConsistencyError("class algebra failed to split over F_p")
-    return [int(-x % p) for x in red[:, d]] + [1]
+    echelon = np.zeros((size, k + size), dtype=np.int64)  # [row | its coefficients in the v_i]
+    inverse = np.zeros((size, size), dtype=np.int64)  # W
+    pivots = np.zeros(size, dtype=np.intp)
+    v = start
+    for r in range(size):
+        row = echelon[r]
+        row[:k] = v
+        row[k + r] = 1
+        if r:
+            row[:] = (row - (row[pivots[:r]] @ inverse[:r, :r] % p) @ echelon[:r]) % p
+        (lead,) = row[:k].nonzero()
+        if not lead.size:
+            return row[k : k + r].tolist() + [1]
+        pivots[r] = lead[0]
+        scale = pow(int(row[lead[0]]), p - 2, p)
+        inverse[:r, r] = inverse[:r, :r] @ echelon[:r, lead[0]] % p * (p - scale) % p
+        inverse[r, r] = scale
+        v = v @ right % p
+    raise InternalConsistencyError("class algebra failed to split over F_p")
 
 
 def _krylov_eigenrows(
@@ -244,7 +249,7 @@ def _krylov_eigenrows(
     krylov = np.empty((d, *rows.shape), dtype=np.int64)
     krylov[0] = rows
     for j in range(1, d):
-        krylov[j] = krylov[j - 1] @ right % p
+        krylov[j] = exact_matmul(krylov[j - 1], right, len(right) * (p - 1) ** 2) % p
     lam = roots.astype(np.int64)
     quotient = np.empty((lam.size, d), dtype=np.int64)  # column j: coefficient of x^j in q
     quotient[:, d - 1] = minpoly[d]
@@ -252,27 +257,29 @@ def _krylov_eigenrows(
         quotient[:, j - 1] = (minpoly[j] + lam * quotient[:, j]) % p
     derivative = _poly_values([j * minpoly[j] % p for j in range(1, d + 1)], lam, p)
     lagrange = quotient * _modp._power_stack(derivative, p - 2, p)[:, None] % p
-    return (lagrange @ krylov.reshape(d, -1) % p).reshape(lam.size, *rows.shape)
+    return (exact_matmul(lagrange, krylov.reshape(d, -1), d * (p - 1) ** 2) % p).reshape(lam.size, *rows.shape)
 
 
-def _common_eigenrows(c: np.ndarray, p: int) -> list[list[int]]:
+def _common_eigenrows(k: int, matrices: Iterable[np.ndarray], p: int) -> list[list[int]]:
     """The k common eigenrows of commuting class matrices mod p, each scaled to lead with 1.
 
-    c[i] is the i-th class matrix mod p, shape (k, k, k), acting on rows by
-    v -> v c[i]^T.  One set of rows is refined, starting from e_0, the
-    indicator of the identity class.  A class matrix M for which every row
-    is already an eigenrow splits nothing and is passed over at the cost of
-    one product.  Otherwise f, the minimal polynomial of e_0 under M, comes
-    from one Krylov stack (_minimal_polynomial) and its roots from one
-    Horner scan over F_p; f must have deg f distinct roots there.  Each row
+    matrices yields the (k, k) matrices of classes 1, 2, ... mod p, each
+    acting on rows by v -> v M^T (class 0's is the identity, which splits
+    nothing).  It is drawn from lazily: the next matrix is taken only while
+    there are fewer than k rows.  One set of rows is refined, starting from
+    e_0, the indicator of the identity class.  A class matrix M for which
+    every row is already an eigenrow splits nothing and is passed over at
+    the cost of one product.  Otherwise f, the minimal polynomial of e_0
+    under M, comes from its Krylov rows (_minimal_polynomial) and its roots
+    from one Horner scan over F_p; f must have deg f distinct roots there.  Each row
     that is no eigenrow is replaced by its nonzero components under the
     spectral projectors L_lam(M), all at once (_krylov_eigenrows).  It
     stops at k rows, and raises if the class matrices run out first.
 
     Why the k rows are the common eigenrows.  In the basis of the central
     characters omega_chi (the common eigenrows; omega_chi(K_i) is the
-    eigenvalue of c[i]), e_0 = sum_chi a_chi omega_chi, where a_chi =
-    chi(1)^2 / n is the identity coefficient of the idempotent of chi.  It
+    eigenvalue of class i's matrix), e_0 = sum_chi a_chi omega_chi, where
+    a_chi = chi(1)^2 / n is the identity coefficient of the idempotent of chi.  It
     is nonzero mod p, as p does not divide n and chi(1) < p.  Every row is
     e_0 P, P a product of polynomials in the commuting class matrices, so
     f(M) annihilates every row, and the L_lam(M) are spectral projectors on
@@ -287,16 +294,17 @@ def _common_eigenrows(c: np.ndarray, p: int) -> list[list[int]]:
     matrix commutes with the ones used and keeps each eigenspace, so each
     row is a common eigenrow of all of them.
     """
-    k = c.shape[0]
     _check_split_exact(k, p)
     start = np.zeros(k, dtype=np.int64)
     start[0] = 1
     rows = start[None]
-    for mat in c[1:]:  # class 0's matrix is the identity, which splits nothing
-        if len(rows) >= k:
+    matrices = iter(matrices)
+    while len(rows) < k:
+        mat = next(matrices, None)
+        if mat is None:
             break
         right = mat.T
-        image = rows @ right % p
+        image = exact_matmul(rows, right, k * (p - 1) ** 2) % p
         at = np.arange(len(rows))
         lead = (rows != 0).argmax(axis=1)
         eigen = (image * rows[at, lead, None] % p == rows * image[at, lead, None] % p).all(axis=1)
@@ -316,13 +324,14 @@ def _common_eigenrows(c: np.ndarray, p: int) -> list[list[int]]:
 
 def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
     """Compute the full character table exactly; hard error if validation fails."""
-    cm = class_matrices(group, cd)
     n = group.n
     k = cd.k
+    check_table_size(k)
     m = group.exponent
     p = _least_dixon_prime(n, m)
     z = _element_of_order(m, p)
-    degrees, chi_p = _degrees_and_values(_common_eigenrows(cm.c % p, p), cd, n, p)
+    matrices = (_class_matrix(group, cd, i) % p for i in range(1, k))
+    degrees, chi_p = _degrees_and_values(_common_eigenrows(k, matrices, p), cd, n, p)
     coeffs = _lift_table(chi_p, degrees, cd, group, m, p, z)
     ones = (coeffs[:, :, 0] == 1).all(axis=1) & ~coeffs[:, :, 1:].any(axis=(1, 2))
     is_trivial = ones & (np.array(degrees) == 1)
@@ -368,6 +377,17 @@ def _degrees_and_values(
     return degrees.tolist(), degrees[:, None] * omega % p * inv_sizes % p
 
 
+# Bytes of the int64 operands of one product in _lift_table, which it may
+# hold again in float64: the products run over chunks of classes that fit.
+_LIFT_BYTES = 1 << 22
+
+
+def _chunks(n: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices covering range(n), each of as many items of item_bytes as fit in _LIFT_BYTES (at least one)."""
+    step = max(1, _LIFT_BYTES // item_bytes)
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
 def _lift_table(
     chi_p: np.ndarray,
     degrees: Sequence[int],
@@ -383,51 +403,64 @@ def _lift_table(
     order o a character's value is sum_l mult_l z_o^l with z_o = z^(m/o), and
     mult_l = (1/o) sum_i chi(rep^i) z_o^(-il) counts the eigenvalue z_o^l.
     One product chi_p[:, power classes] @ F_o gives every character's
-    multiplicities on a class; since each is at most the degree, which is
-    below p, they are exact.  The result holds power-basis coefficients,
-    shape (k, k, phi(m)).
+    multiplicities on many classes of order o at once; since each is at most
+    the degree, which is below p, they are exact.  The result holds
+    power-basis coefficients, shape (k, k, phi(m)).
 
     Only the least class of each orbit of the units t mod m, j -> class of
     rep_j^t, is lifted so.  chi(g^t) = sigma_t(chi(g)) fills the rest of
-    its orbit, one product with the stack of sigma_t (_galois_matrix) per
-    orbit.  The certificate checks the whole array, however it was filled.
+    every orbit by stacked products with sigma_t (_galois_matrix).  The
+    certificate checks the whole array, however it was filled.  Each product
+    takes as many classes as keep its int64 operands within _LIFT_BYTES, so
+    the lift holds a bounded amount of memory beside its result.
 
-    The int64 products are exact while o (p-1)^2 < 2^63, which holds with
-    room to spare for every group within DEFAULT_GROUP_CAP (at most 2^48),
-    and while max|value coefficient| |B|_1 < 2^63, B the power-basis table,
-    as in _galois_identity_holds; a wrapped sum could only make
+    Each product goes through exact_matmul with the bound on its sums: o
+    (p-1)^2 for the inversion, max degree |B|_1 for the power basis B, and
+    max|value coefficient| |B|_1 for sigma_t, whose rows are distinct rows
+    of B, as in _galois_identity_holds.  They run in float64 where that is
+    exact and gains, and in int64 otherwise; a wrapped sum could only make
     _validate_table reject the table.
     """
     k = chi_p.shape[0]
     basis = _power_basis(m)
+    basis_norm = _basis_norm(m)
     out = np.empty((k, cd.k, basis.shape[1]), dtype=np.int64)
-    cap = np.array(degrees, dtype=np.int64)[:, None]
+    cap = np.array(degrees, dtype=np.int64)[:, None, None]
     units = np.array([t for t in range(m) if gcd(t, m) == 1])
     orbits = cd.power_class[:, units]  # [j, u]: the class of rep_j^units[u]
     lead = orbits.min(axis=1)
-    unit_from_lead = units[(orbits[lead] == np.arange(cd.k)[:, None]).argmax(axis=1)]
-    members: dict[int, list[int]] = {}
-    for j, least in enumerate(lead.tolist()):
-        members.setdefault(least, []).append(j)  # each orbit's least class comes first
-    dft: dict[int, np.ndarray] = {}
-    for j, (_, *rest) in members.items():
-        o = int(group.orders[cd.representatives[j]])
-        if o not in dft:
-            zeta_inv = pow(pow(z, m // o, p), p - 2, p)
-            inv_o = pow(o % p, p - 2, p)
-            steps = np.arange(o)
-            powers = np.array([pow(zeta_inv, e, p) for e in range(o)], dtype=np.int64)
-            dft[o] = powers[np.outer(steps, steps) % o] * inv_o % p
-        mult = chi_p[:, cd.power_class[j, :o]] @ dft[o] % p
-        if (mult > cap).any():
-            r, l = np.argwhere(mult > cap)[0]
-            raise InternalConsistencyError(
-                f"root-of-unity multiplicity {mult[r, l]} exceeds degree {degrees[r]}"
-            )
-        out[:, j] = mult @ basis[(m // o) * np.arange(o)]
-        if rest:
-            out[:, rest] = (out[:, j] @ _galois_matrix(m, unit_from_lead[rest])).swapaxes(0, 1)
+    leads = np.flatnonzero(lead == np.arange(cd.k))
+    orders = group.orders[np.array(cd.representatives)[leads]]
+    phi = basis.shape[1]
+    for o in sorted(set(orders.tolist())):
+        zeta_inv = pow(pow(z, m // o, p), p - 2, p)
+        steps = np.arange(o)
+        powers = np.array([pow(zeta_inv, e, p) for e in range(o)], dtype=np.int64)
+        dft = powers[np.outer(steps, steps) % o] * pow(o % p, p - 2, p) % p
+        of_order = leads[orders == o]
+        for part in _chunks(of_order.size, 8 * k * o):  # a class's values on its powers
+            js = of_order[part]
+            chi = chi_p[:, cd.power_class[js, :o]]  # [r, i, e]: character r on rep_js[i]^e
+            mult = exact_matmul(chi.reshape(-1, o), dft, o * (p - 1) ** 2).reshape(chi.shape) % p
+            if (mult > cap).any():
+                r, i, l = np.argwhere(mult > cap)[0]
+                raise InternalConsistencyError(
+                    f"root-of-unity multiplicity {mult[r, i, l]} exceeds degree {degrees[r]}"
+                )
+            lifted = exact_matmul(mult.reshape(-1, o), basis[(m // o) * steps], max(degrees) * basis_norm)
+            out[:, js] = lifted.reshape(k, js.size, phi)
+    rest = np.flatnonzero(lead != np.arange(cd.k))
+    unit_from_lead = units[(orbits[lead[rest]] == rest[:, None]).argmax(axis=1)]
+    bound = int(np.abs(out[:, leads]).max()) * basis_norm
+    for part in _chunks(rest.size, 8 * phi * (k + phi)):  # a class's lead values and its sigma_t
+        sigma = _galois_matrix(m, unit_from_lead[part])
+        out[:, rest[part]] = exact_matmul(out[:, lead[rest[part]]].swapaxes(0, 1), sigma, bound).swapaxes(0, 1)
     return out
+
+
+def _basis_norm(m: int) -> int:
+    """|B|_1, the largest column L1 norm of the power-basis table B of conductor m."""
+    return int(np.abs(_power_basis(m)).sum(axis=0).max())
 
 
 def table_coefficients(table: CharacterTable) -> np.ndarray:
@@ -458,9 +491,10 @@ def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
        coefficients, |alpha_rs| <= n L^2 + n = B < Q, so alpha_rs = 0.
     4. For a square table the row relation gives the column relation:
        G^-1 = diag(s) G^H / n, so G^H G = n diag(s)^-1.
-    5. No int64 sum wraps: each prime has max(phi, k) q^2 < 2^63 for the
-       sums of phi or k products of residues, and _galois_identity_holds
-       bounds its products as _formula bounds its defects.
+    5. Every sum is exact: each prime has max(phi, k) q^2 < 2^53, so the
+       sums of phi or k products of residues are exact in float64 as in
+       int64 (exact_matmul), and _galois_identity_holds bounds its products
+       as _formula bounds its defects.
     """
     k, m = table.k, table.m
     if sum(d * d for d in table.degrees) != n:
@@ -475,9 +509,10 @@ def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
     norm = int(magnitudes.sum(axis=2).max())
     sizes = np.array(cd.sizes, dtype=np.int64)
     flat = coeffs.reshape(k * k, phi)
-    for q in _certificate_primes(m, n * norm * norm + n, max(phi, k)):
-        at_w, at_conj = (flat % q @ _ring_maps(m, phi, q, (1, -1)) % q).T.reshape(2, k, k)
-        gram = (at_w * (sizes % q) % q) @ at_conj.T % q
+    for q in _certificate_primes(m, n * norm * norm + n, max(phi, k), 2**53):
+        at_both = exact_matmul(flat % q, _ring_maps(m, phi, q, (1, -1)), phi * (q - 1) ** 2) % q
+        at_w, at_conj = at_both.T.reshape(2, k, k)
+        gram = exact_matmul(at_w * (sizes % q) % q, at_conj.T, k * (q - 1) ** 2) % q
         bad = np.argwhere(gram != np.diag(np.full(k, n % q, dtype=np.int64)))
         if len(bad):
             raise InternalConsistencyError("row orthogonality fails at (%d,%d)" % tuple(bad[0]))
@@ -493,15 +528,23 @@ def _galois_identity_holds(coeffs: np.ndarray, cd: ClassData, m: int, generators
     where T is nonzero somewhere (only column 0 for a rational table).  As in
     _formula, the rows of sigma_t are distinct rows of the power-basis table
     B, so its partial sums are at most max|T| |B|_1, |.|_1 the largest column
-    L1 norm; when that could reach 2^63 they are formed in Python integers.
+    L1 norm.  Where exact_dtype picks float64 (bound < 2^53 and enough
+    work) the products run there, T converted once for every t; when the
+    bound could reach 2^63 they are formed in Python integers.
     """
-    basis_norm = int(np.abs(_power_basis(m)).sum(axis=0).max())
-    if int(np.abs(coeffs).max(initial=0)) * basis_norm >= 2**63:
+    bound = int(np.abs(coeffs).max(initial=0)) * _basis_norm(m)
+    if bound >= 2**63:
         coeffs = coeffs.astype(object)
     nz = np.flatnonzero(coeffs.any(axis=(0, 1)))
-    restricted = coeffs[..., nz]
+    rows = coeffs.shape[0] * coeffs.shape[1]
+    restricted = np.take(coeffs, nz, axis=2).reshape(rows, nz.size)  # np.take gathers faster than [..., nz]
+    if _modp.exact_dtype(bound, restricted.size * coeffs.shape[2]) is np.float64:
+        restricted = restricted.astype(np.float64)
     return all(
-        np.array_equal(restricted @ _galois_matrix(m, t)[nz], coeffs[:, cd.power_class[:, t % m]])
+        np.array_equal(
+            exact_matmul(restricted, _galois_matrix(m, t)[nz], bound).reshape(coeffs.shape),
+            coeffs[:, cd.power_class[:, t % m]],
+        )
         for t in generators
     )
 

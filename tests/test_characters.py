@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import sys
+import tracemalloc
 from math import isqrt, prod
 
 import numpy as np
@@ -39,6 +40,22 @@ from cayley_spectra.errors import InternalConsistencyError
 from conftest import CORPUS, LADDER, multiplication_table
 
 
+def _class_matrix_by_triple_loop(group, cd, i):
+    """[j, l] counts the pairs (a, b) in C_i x C_j with a b = g_l: a loop over j, with a and b as array axes.
+
+    Each product is looked up as the index l of the representative it
+    equals (k for none), and the indices are counted.
+    """
+    k = cd.k
+    rep_index = np.full(group.n, k)
+    rep_index[list(cd.representatives)] = np.arange(k)
+    out = np.empty((k, k), dtype=np.int64)
+    for j in range(k):
+        products = group.product(np.array(cd.classes[i])[:, None], np.array(cd.classes[j]))  # [a, b] = a b
+        out[j] = np.bincount(rep_index[products].ravel(), minlength=k + 1)[:k]
+    return out
+
+
 def test_class_matrices_against_triple_loop():
     g = build_group(GroupSpec.permutation(["(1 2)", "(1 2 3)"]))
     cd = conjugacy_classes(g)
@@ -53,6 +70,7 @@ def test_class_matrices_against_triple_loop():
                         if mul[a, b] == rep:
                             count += 1
                 assert cm.c[i, j, l] == count
+        assert np.array_equal(cm.c[i], _class_matrix_by_triple_loop(g, cd, i))
 
 
 def test_class_matrix_counting_identity(corpus):
@@ -68,6 +86,146 @@ def test_class_matrix_counting_identity(corpus):
                     int(cm.c[i, j, l]) * cd.sizes[l] for l in range(cd.k)
                 )
                 assert total == cd.sizes[i] * cd.sizes[j], text
+
+
+@pytest.mark.parametrize("text", tuple(CORPUS) + LADDER)
+def test_class_matrix_is_the_stacked_slice_and_the_triple_loop(text):
+    group = build_group(GroupSpec.from_json(text))
+    cd = conjugacy_classes(group)
+    stacked = class_matrices(group, cd).c
+    for i in range(cd.k):
+        mat = characters._class_matrix(group, cd, i)
+        assert mat.dtype == np.int64
+        assert np.array_equal(mat, stacked[i]), (text, i)
+        assert np.array_equal(mat, _class_matrix_by_triple_loop(group, cd, i)), (text, i)
+
+
+@pytest.mark.parametrize(
+    "text, built",
+    [("cyclic(60)", [1]), ("elementary-abelian(2,6)", [1, 2, 3, 4, 5, 6]), ("symmetric(7)", [1])],
+)
+def test_table_builds_only_the_class_matrices_the_split_draws(text, built, monkeypatch):
+    """The class matrices are built one at a time, while the split has fewer than k rows.
+
+    cyclic(60) and symmetric(7) split on class 1 alone (its minimal
+    polynomial has degree k), and 2^6 on classes 1 to 6, a basis.  The
+    (k, k, k) tensor of class_matrices is never built.
+    """
+    calls = []
+    real = characters._class_matrix
+
+    def spy(group, cd, i):
+        calls.append(i)
+        return real(group, cd, i)
+
+    def refused(group, cd):
+        raise AssertionError("the table path built the class structure-constant tensor")
+
+    monkeypatch.setattr(characters, "_class_matrix", spy)
+    monkeypatch.setattr(characters, "class_matrices", refused)
+    group = build_group(GroupSpec.from_json(text))
+    dixon_character_table(group, conjugacy_classes(group))
+    assert calls == built
+    # k > 322 is still refused up front, before any class matrix is built
+    calls.clear()
+    group = build_group(GroupSpec.named("cyclic", 323))
+    with pytest.raises(ResourceLimitError, match="323 conjugacy classes"):
+        dixon_character_table(group, conjugacy_classes(group))
+    assert calls == []
+
+
+def test_table_build_peak_stays_below_the_class_tensor():
+    """C6^3 (k = 216): the (k, k, k) int64 tensor alone would take 8 k^3 = 80.6 MB."""
+    group = build_group(GroupSpec.from_json("product(product(cyclic(6),cyclic(6)),cyclic(6))"))
+    cd = conjugacy_classes(group)
+    tracemalloc.start()
+    try:
+        dixon_character_table(group, cd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * cd.k**3
+
+
+@pytest.mark.parametrize("text", ("cyclic(210)", "dihedral(310)"))
+def test_lift_holds_a_bounded_amount_of_memory_beside_its_result(text, monkeypatch):
+    """The lift's products run over chunks of classes, so beside its (k, k, phi) result it holds under 16 MiB.
+
+    cyclic(210) has k = 210 and phi = 48, dihedral(310) k = 158 and
+    phi = 120: results of 16.9 and 24.0 MB, beside which the lift holds
+    about 11 MB, a few times _LIFT_BYTES (4 MiB).  One product over every
+    non-least class held 48 and 84 MB beside them.
+    """
+    peaks = []
+    real = characters._lift_table
+
+    def lift(*args):
+        tracemalloc.start()
+        try:
+            out = real(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(characters, "_lift_table", lift)
+    group = build_group(GroupSpec.from_json(text))
+    dixon_character_table(group, conjugacy_classes(group))
+    assert 0 < peaks[0] < 16 * 2**20
+
+
+def _exact_operands(rng, shape_a, shape_b, bound):
+    """Random int64 operands with entries up to e in magnitude, inner size s, s e^2 <= bound.
+
+    Row 0 of a and column 0 of b are e with the same random signs, so entry
+    [0, 0] of each product is s e^2, the largest that bound allows.
+    """
+    s = shape_a[-1]
+    e = isqrt(bound // s)
+    a = rng.integers(-e, e + 1, size=shape_a, dtype=np.int64)
+    b = rng.integers(-e, e + 1, size=shape_b, dtype=np.int64)
+    signs = rng.choice([-1, 1], size=s)
+    a[..., 0, :] = e * signs
+    b[..., :, 0] = e * signs
+    return a, b
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        ((64, 32), (32, 16)),
+        ((1, 256), (256, 128)),
+        ((4, 16, 32), (4, 32, 16)),
+        ((3, 40, 30), (30, 10)),
+        ((600, 64), (64, 16)),  # three row blocks of at most BLAS_MAX_WORK
+        ((3, 300, 40), (40, 30)),
+    ],
+)
+def test_exact_matmul_in_float64_equals_int64_just_below_2_53(shapes):
+    rng = np.random.default_rng(len(shapes[0]) * 100 + shapes[0][-1])
+    a, b = _exact_operands(rng, *shapes, 2**53 - 1)
+    bound = int((np.abs(a).astype(object) @ np.abs(b).astype(object)).max())
+    exact = a.astype(object) @ b.astype(object)
+    assert 2**53 - 2**40 < bound == exact[..., 0, 0].max() < 2**53
+    assert _modp.exact_dtype(bound, a.size * b.shape[-1]) is np.float64  # the BLAS path
+    got = _modp.exact_matmul(a, b, bound)
+    assert got.dtype == np.int64
+    assert got.tolist() == exact.tolist() == (a @ b).tolist()
+
+
+def test_exact_matmul_keeps_int64_from_2_53():
+    """A sum of 2^53 + 1, which float64 rounds, on a product large enough for the BLAS."""
+    a = np.zeros((64, 512), dtype=np.int64)
+    a[0, :3] = 2**52, 2**52, 1
+    b = np.ones((512, 1), dtype=np.int64)
+    assert a.size * b.shape[-1] >= _modp.BLAS_MIN_WORK
+    assert int((a.astype(np.float64) @ b.astype(np.float64))[0, 0]) == 2**53  # float64 rounds it
+    for bound in (2**53, 2**53 + 1):
+        got = _modp.exact_matmul(a, b, bound)
+        assert got.dtype == np.int64 and got[0, 0] == 2**53 + 1
+    work = _modp.BLAS_MIN_WORK
+    assert _modp.exact_dtype(2**53 - 1, work) is np.float64 and _modp.exact_dtype(2**53, work) is np.int64
+    assert _modp.exact_dtype(0, work - 1) is np.int64  # small products stay in numpy's int64 loop
 
 
 def test_cyclic_tables_match_abelian_duality():
@@ -157,8 +315,8 @@ def test_row_order_matches_the_tuple_sort_reference(monkeypatch, reverse):
     lifted = {}
     real_split, real_lift = characters._common_eigenrows, characters._lift_table
 
-    def split(c, p):  # reversed, the sort gets its rows in the opposite order
-        rows = real_split(c, p)
+    def split(k, matrices, p):  # reversed, the sort gets its rows in the opposite order
+        rows = real_split(k, matrices, p)
         return rows[::-1] if reverse else rows
 
     def lift(chi_p, degrees, *rest):
@@ -461,8 +619,9 @@ def test_certificate_rejects_a_change_by_the_first_prime(corpus, monkeypatch):
     monkeypatch.setattr(characters, "_certificate_primes", spy)
     for text in ("cyclic(5)", "quaternion(8)", "alternating(5)"):
         group, cd, table = corpus[text]
-        phi = table.values[0][0].ctx.degree
-        first = choose(table.m, 1, max(phi, table.k))[0]
+        chosen.clear()
+        assert verify_orthogonality(table, cd, group.n), text
+        first = chosen[0][0]  # the same for any bound: the primes are taken downward from one ceiling
         bad = _tampered(table, table.k - 1, 0, 0, first)
         assert verify_galois_character_identity(bad, cd, unit_group(group.exponent)), text
         chosen.clear()
@@ -552,16 +711,19 @@ def _is_prime_by_trial_division(q):
     n=st.integers(1, 5040),
     norm=st.integers(1, 10**12),
     k=st.integers(1, 400),
+    limit=st.sampled_from((2**53, 2**63)),
 )
-def test_certificate_primes_cover_the_bound_without_int64_overflow(m, n, norm, k):
+def test_certificate_primes_cover_the_bound_without_int64_overflow(m, n, norm, k, limit):
+    # limit 2^63 keeps width products of residues within int64, and 2^53,
+    # the table certificate's, keeps them exact in float64
     bound = n * norm * norm + n
     width = max(totient(m), k)
-    primes = characters._certificate_primes(m, bound, width)
+    primes = characters._certificate_primes(m, bound, width, limit)
     assert prod(primes) > bound
     assert primes == sorted(set(primes), reverse=True)
     for q in primes:
         assert q % m == 1 % m
-        assert width * q * q < 2**63
+        assert width * q * q < limit
         assert _is_prime_by_trial_division(q)
 
 
@@ -608,6 +770,35 @@ def _ref_rref(rows, p):
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def _array_rref(a, p):
+    """Reduced row echelon form mod p on int64 arrays: (nonzero rows, pivot columns).
+
+    One outer-product update per pivot clears its column in every other row.
+    Row r is zero left of its pivot column c, so only columns c onward change.
+    The form is unique, so any nonzero entry may serve as the pivot.
+    """
+    a = np.ascontiguousarray(a % p)
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        i = r + int(a[r:, c].argmax())
+        pivot = int(a[i, c])
+        if not pivot:
+            continue
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        row = a[r, c:] * pow(pivot, p - 2, p) % p
+        block = a[:, c:]
+        block -= a[:, c, None] * row  # clears row r too, which row then refills
+        block %= p
+        block[r] = row
+        pivots.append(c)
+    return a[: len(pivots)], pivots
 
 
 def _ref_nullspace(mat, p):
@@ -679,15 +870,85 @@ def _class_tensor_mod(text, p=None):
     return class_matrices(group, cd).c % p, p
 
 
+def _split(c, p):
+    """The split of the class matrices stacked in c, class 0's first, drawn in class order."""
+    return characters._common_eigenrows(len(c), c[1:], p)
+
+
 SPLIT_EXTRA = ("cyclic(40)", "cyclic(60)", "elementary-abelian(2,6)", "product(cyclic(6),cyclic(6))")
 
 
 @pytest.mark.parametrize("text", tuple(CORPUS) + SPLIT_EXTRA)
 def test_split_matches_list_reference(text):
     c, p = _class_tensor_mod(text)
-    rows = characters._common_eigenrows(c, p)
+    rows = _split(c, p)
     assert len(rows) == c.shape[0]
     assert sorted(rows) == sorted(_ref_common_eigenrows(c.tolist(), p))
+
+
+def _ref_minimal_polynomial(start, right, p):
+    """The full-stack minimal polynomial: min(k, p) + 1 Krylov rows, one reduction, None if it does not split."""
+    k = len(start)
+    krylov = [[x % p for x in start]]
+    for _ in range(min(k, p)):
+        krylov.append(_ref_mat_mul([krylov[-1]], right, p)[0])
+    red, pivots = _ref_rref(_ref_transpose(krylov), p)
+    d = len(pivots)
+    if d == len(krylov):
+        return None
+    return [(-row[d]) % p for row in red] + [1]
+
+
+class _CountedRow(np.ndarray):
+    """A row that counts its products v @ right."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountedRow.products += 1
+        return super().__matmul__(other)
+
+
+@st.composite
+def _krylov_cases(draw):
+    """A start row and a matrix mod a small prime whose minimal polynomials have every degree from 0 to k."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    k = draw(st.integers(1, 8))
+    rank = draw(st.integers(0, k))
+    entries = st.integers(0, p - 1)
+    left = np.array(draw(st.lists(entries, min_size=k * rank, max_size=k * rank)), dtype=np.int64).reshape(k, rank)
+    right = np.array(draw(st.lists(entries, min_size=rank * k, max_size=rank * k)), dtype=np.int64).reshape(rank, k)
+    shift = draw(entries) * np.eye(k, dtype=np.int64)
+    start = np.array(draw(st.lists(entries, min_size=k, max_size=k)), dtype=np.int64)
+    return start, (left @ right + shift) % p, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_krylov_cases())
+def test_minimal_polynomial_stops_at_the_first_dependent_krylov_row(case):
+    """It equals the full-stack reduction, and takes one product per row before the dependent one."""
+    start, right, p = case
+    expected = _ref_minimal_polynomial(start.tolist(), right.tolist(), p)
+    _CountedRow.products = 0
+    row = start.view(_CountedRow)
+    if expected is None:
+        with pytest.raises(InternalConsistencyError, match="failed to split"):
+            characters._minimal_polynomial(row, right, p)
+        assert _CountedRow.products == min(start.size, p) + 1
+    else:
+        assert characters._minimal_polynomial(row, right, p) == expected
+        assert _CountedRow.products == len(expected) - 1
+
+
+def test_minimal_polynomial_of_2_6_takes_two_krylov_products():
+    """Every class matrix of 2^6 is an involution: deg f = 2, where the full stack took min(k, p) + 1 = 18 rows."""
+    c, p = _class_tensor_mod("elementary-abelian(2,6)")
+    start = np.zeros(len(c), dtype=np.int64)
+    start[0] = 1
+    for i in range(1, 7):
+        _CountedRow.products = 0
+        f = characters._minimal_polynomial(start.view(_CountedRow), c[i].T, p)
+        assert f == [p - 1, 0, 1] and _CountedRow.products == 2
 
 
 def _split_trace(monkeypatch):
@@ -718,7 +979,7 @@ def test_split_takes_simple_roots_from_the_krylov_stack(text, monkeypatch):
     """
     c, p = _class_tensor_mod(text)
     trace = _split_trace(monkeypatch)
-    assert len(characters._common_eigenrows(c, p)) == c.shape[0]
+    assert len(_split(c, p)) == c.shape[0]
     assert trace == {"minimal": [c.shape[0]], "projected": [1]}
 
 
@@ -733,13 +994,13 @@ def test_split_by_krylov_rows_equals_the_per_root_elimination():
     k = c.shape[0]
     eliminated = []
     for lam in characters._poly_roots([p - 1] + [0] * (k - 1) + [1], p).tolist():
-        red, pivots = characters._rref(c[1] - lam * np.eye(k, dtype=np.int64), p)
+        red, pivots = _array_rref(c[1] - lam * np.eye(k, dtype=np.int64), p)
         (free,) = sorted(set(range(k)) - set(pivots))
         row = np.zeros(k, dtype=np.int64)
         row[free] = 1
         row[pivots] = -red[:, free] % p
         eliminated.append((row * pow(int(row[row != 0][0]), p - 2, p) % p).tolist())
-    assert sorted(characters._common_eigenrows(c, p)) == sorted(eliminated)
+    assert sorted(_split(c, p)) == sorted(eliminated)
 
 
 def test_split_of_2_6_takes_six_matrices_and_one_minimal_polynomial_each(monkeypatch):
@@ -756,7 +1017,7 @@ def test_split_of_2_6_takes_six_matrices_and_one_minimal_polynomial_each(monkeyp
         raise AssertionError("the split took a characteristic polynomial")
 
     monkeypatch.setattr(characters._modp, "charpoly", refused)
-    assert sorted(characters._common_eigenrows(c, p)) == expected
+    assert sorted(_split(c, p)) == expected
     assert trace == {"minimal": [2] * 6, "projected": [1, 2, 4, 8, 16, 32]}
 
 
@@ -765,20 +1026,26 @@ def test_split_passes_over_class_matrices_that_split_nothing(monkeypatch):
 
     A class matrix for which every row is already an eigenrow takes no
     minimal polynomial, so the 33 others before class 36 cost one product
-    each.
+    each, and no matrix after class 36 is drawn.
     """
     c, p = _class_tensor_mod("product(product(cyclic(6),cyclic(6)),cyclic(6))")
-    used = []
+    drawn, used = [], []
     real_minimal = characters._minimal_polynomial
 
+    def matrices():
+        for i in range(1, len(c)):
+            drawn.append(i)
+            yield c[i]
+
     def minimal(start, right, q):
-        used.append(next(i for i in range(len(c)) if np.shares_memory(right, c[i])))
+        used.append(drawn[-1])
         return real_minimal(start, right, q)
 
     monkeypatch.setattr(characters, "_minimal_polynomial", minimal)
     trace = _split_trace(monkeypatch)
-    assert len(characters._common_eigenrows(c, p)) == 216
+    assert len(characters._common_eigenrows(len(c), matrices(), p)) == 216
     assert used == [1, 6, 36]
+    assert drawn == list(range(1, 37))
     assert trace == {"minimal": [6, 6, 6], "projected": [1, 6, 36]}
 
 
@@ -797,7 +1064,7 @@ def test_split_rows_are_the_central_characters_of_the_certified_table(text):
     cd = conjugacy_classes(group)
     table = dixon_character_table(group, cd)
     p = table.prime
-    rows = characters._common_eigenrows(class_matrices(group, cd).c % p, p)
+    rows = _split(class_matrices(group, cd).c % p, p)
     assert sorted(rows) == sorted(_central_characters_mod(table, cd, p).tolist())
 
 
@@ -823,7 +1090,7 @@ def test_split_refuses_when_the_class_matrices_run_out():
     c = c.copy()
     c[2:] = np.eye(c.shape[0], dtype=np.int64)  # only class 1 is left to split, into 6 rows
     with pytest.raises(InternalConsistencyError, match="one common eigenvector per class"):
-        characters._common_eigenrows(c, p)
+        _split(c, p)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -832,7 +1099,7 @@ def test_split_refuses_a_prime_that_does_not_split(p):
     # p = 5 divides n, and x^5 - 1 = (x - 1)^5 there
     c, _ = _class_tensor_mod("cyclic(5)")
     with pytest.raises(InternalConsistencyError, match="failed to split"):
-        characters._common_eigenrows(c % p, p)
+        _split(c % p, p)
     with pytest.raises(InternalConsistencyError, match="failed to split"):
         _ref_common_eigenrows((c % p).tolist(), p)
 
@@ -854,8 +1121,11 @@ def _matrices_mod_p(draw):
 @settings(max_examples=200, deadline=None)
 @given(_matrices_mod_p())
 def test_rref_matches_list_reference(case):
+    # the array reduction is the per-root elimination of
+    # test_split_by_krylov_rows_equals_the_per_root_elimination, where the
+    # list reduction would be too slow
     a, p = case
-    rows, pivots = characters._rref(a, p)
+    rows, pivots = _array_rref(a, p)
     ref_rows, ref_pivots = _ref_rref(a.tolist(), p)
     assert rows.tolist() == ref_rows
     assert pivots == ref_pivots
@@ -887,7 +1157,7 @@ def test_degree_recovery_matches_the_loop_reference(text):
     group = build_group(GroupSpec.from_json(text))
     cd = conjugacy_classes(group)
     p = characters._least_dixon_prime(group.n, group.exponent)
-    rows = characters._common_eigenrows(class_matrices(group, cd).c % p, p)
+    rows = _split(class_matrices(group, cd).c % p, p)
     degrees, chi_p = characters._degrees_and_values(rows, cd, group.n, p)
     ref_degrees, ref_chi_p = _ref_degrees_and_values(rows, cd, group.n, p)
     assert degrees == ref_degrees
@@ -898,7 +1168,7 @@ def test_degree_recovery_refuses_rows_that_are_no_central_characters():
     group = build_group(GroupSpec.from_json("symmetric(4)"))
     cd = conjugacy_classes(group)
     n, p = group.n, characters._least_dixon_prime(group.n, group.exponent)
-    rows = characters._common_eigenrows(class_matrices(group, cd).c % p, p)
+    rows = _split(class_matrices(group, cd).c % p, p)
 
     def recover(row):
         return characters._degrees_and_values([*rows[:2], row, *rows[3:]], cd, n, p)
@@ -938,9 +1208,13 @@ def test_split_int64_guard_at_its_boundary():
         characters._check_split_exact(k, p)
         with pytest.raises(ResourceLimitError, match="overflow"):
             characters._check_split_exact(k, p + 1)
-    # the split checks before any arithmetic
+    # the split checks before any arithmetic, and before it draws a matrix
+    def refused():
+        raise AssertionError("the split drew a class matrix")
+        yield
+
     with pytest.raises(ResourceLimitError):
-        characters._common_eigenrows(np.zeros((2, 2, 2), dtype=np.int64), 2**31 + 1)
+        characters._common_eigenrows(2, refused(), 2**31 + 1)
 
 
 def _ref_lift_table(chi_p, degrees, cd, group, m, p, z):
@@ -964,10 +1238,23 @@ def test_lift_once_per_unit_orbit_matches_the_lift_of_every_class(text):
     n, m = group.n, group.exponent
     p = characters._least_dixon_prime(n, m)
     z = _modp._element_of_order(m, p)
-    rows = characters._common_eigenrows(class_matrices(group, cd).c % p, p)
+    rows = _split(class_matrices(group, cd).c % p, p)
     degrees, chi_p = characters._degrees_and_values(rows, cd, n, p)
     lifted = characters._lift_table(chi_p, degrees, cd, group, m, p, z)
     assert lifted.tolist() == _ref_lift_table(chi_p, degrees, cd, group, m, p, z).tolist()
+
+
+def test_lift_refuses_a_multiplicity_above_the_degree():
+    """S3's character of degree 2, given degree 1: on the identity class it has the eigenvalue 1 twice."""
+    group = build_group(GroupSpec.from_json("symmetric(3)"))
+    cd = conjugacy_classes(group)
+    n, m = group.n, group.exponent
+    p = characters._least_dixon_prime(n, m)
+    rows = _split(class_matrices(group, cd).c % p, p)
+    degrees, chi_p = characters._degrees_and_values(rows, cd, n, p)
+    lowered = [1 if d == 2 else d for d in degrees]
+    with pytest.raises(InternalConsistencyError, match="root-of-unity multiplicity 2 exceeds degree 1"):
+        characters._lift_table(chi_p, lowered, cd, group, m, p, _modp._element_of_order(m, p))
 
 
 def test_cyclic_120_table_matches_closed_form():
