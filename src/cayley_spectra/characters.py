@@ -338,8 +338,10 @@ def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
     if not is_trivial.any():
         raise InternalConsistencyError("trivial character missing from table")
     trivial = int(is_trivial.argmax())
-    lifted = coeffs.tolist()  # a row's lists of phi coefficients compare as its flattened coefficients
-    order = [trivial] + sorted((r for r in range(k) if r != trivial), key=lambda r: (degrees[r], lifted[r]))
+    flat = coeffs.reshape(k, -1)
+    varies = flat[:, (flat != flat[0]).any(axis=0)]  # a column equal on every row orders nothing
+    by_key = np.lexsort((*varies.T[::-1], degrees)).tolist()  # by degree, then flattened coefficients
+    order = [trivial] + [r for r in by_key if r != trivial]
     table = CharacterTable(m=m, degrees=tuple(degrees[r] for r in order), coefficients=coeffs[order], prime=p)
     _validate_table(table, cd, n)
     return table
@@ -529,24 +531,28 @@ def _galois_identity_holds(coeffs: np.ndarray, cd: ClassData, m: int, generators
     _formula, the rows of sigma_t are distinct rows of the power-basis table
     B, so its partial sums are at most max|T| |B|_1, |.|_1 the largest column
     L1 norm.  Where exact_dtype picks float64 (bound < 2^53 and enough
-    work) the products run there, T converted once for every t; when the
-    bound could reach 2^63 they are formed in Python integers.
+    work) the products run there; when the bound could reach 2^63 they are
+    formed in Python integers.  The classes j are taken in chunks whose
+    restricted values and products fit in _LIFT_BYTES (_chunks), each
+    converted once for every t, so the check holds a bounded amount of
+    memory beside the table.
     """
-    bound = int(np.abs(coeffs).max(initial=0)) * _basis_norm(m)
+    bound = max(int(coeffs.max(initial=0)), -int(coeffs.min(initial=0))) * _basis_norm(m)  # no |T| copy
     if bound >= 2**63:
         coeffs = coeffs.astype(object)
+    k, classes, phi = coeffs.shape
     nz = np.flatnonzero(coeffs.any(axis=(0, 1)))
-    rows = coeffs.shape[0] * coeffs.shape[1]
-    restricted = np.take(coeffs, nz, axis=2).reshape(rows, nz.size)  # np.take gathers faster than [..., nz]
-    if _modp.exact_dtype(bound, restricted.size * coeffs.shape[2]) is np.float64:
-        restricted = restricted.astype(np.float64)
-    return all(
-        np.array_equal(
-            exact_matmul(restricted, _galois_matrix(m, t)[nz], bound).reshape(coeffs.shape),
-            coeffs[:, cd.power_class[:, t % m]],
-        )
-        for t in generators
-    )
+    for part in _chunks(classes, 8 * k * (nz.size + phi)):  # a class's restricted values and their images
+        restricted = np.take(coeffs[:, part], nz, axis=2)  # np.take gathers faster than [..., nz]
+        shape = (k, restricted.shape[1], phi)
+        rows = restricted.reshape(k * shape[1], nz.size)
+        if _modp.exact_dtype(bound, rows.size * phi) is np.float64:
+            rows = rows.astype(np.float64)
+        for t in generators:
+            image = exact_matmul(rows, _galois_matrix(m, t)[nz], bound).reshape(shape)
+            if not np.array_equal(image, coeffs[:, cd.power_class[part, t % m]]):
+                return False
+    return True
 
 
 def verify_orthogonality(table: CharacterTable, cd: ClassData, group_order: int) -> bool:

@@ -15,7 +15,7 @@ import re
 import sys
 from functools import lru_cache
 from importlib import resources
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
@@ -55,6 +55,7 @@ from .spectra import (
     ConnectionSet,
     Spectrum,
     _index,
+    _subset_tuples,
     all_eigenvalues_integral,
     check_integrality,
     check_membership,
@@ -287,7 +288,7 @@ def _sweep_payload(base: dict, sweep: ClassSweep, left: tuple, right: tuple):
     agree = left_values == right_values
     rows = Columns(
         {
-            "classes": sweep.subsets,
+            "classes": Subsets(sweep.cd.k),
             left_name: left_values.tolist(),
             right_name: right_values.tolist(),
             "agree": agree.tolist(),
@@ -348,18 +349,40 @@ class Indexed:
         return [column[i] for i in self.index]
 
 
+class Subsets:
+    """The JSON list of every subset of classes 1..k-1 in bitmask order, each the list of its classes.
+
+    Subset s holds class j + 1 when bit j of s is set, as in a ClassSweep,
+    and reading it as a sequence, as the table output does, yields the
+    sweep's subsets tuples.  The writer builds its texts by doubling from k
+    alone (_subset_texts), with no tuple, type scan or encoder call.
+    """
+
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def __len__(self) -> int:
+        return 1 << (self.k - 1)
+
+    def __iter__(self):
+        return iter(_subset_tuples(self.k))
+
+
 def _json_text(payload) -> str:
     """json.dumps(payload, sort_keys=True, indent=2) for plain dicts with str keys, lists, tuples and scalars.
 
     A Columns is written as the list of its objects, an Indexed as the list
-    of the objects it lists.  indent makes json use its pure-Python
-    encoder; _texts writes the same text in as few C-encoder calls as the
-    kinds of the values allow.
+    of the objects it lists, a Subsets as the list of its subsets.  indent
+    makes json use its pure-Python encoder; _texts writes the same text in
+    as few C-encoder calls as the kinds of the values allow.
     """
     return _texts([payload], 0)[0]
 
 
-_CONTAINERS = frozenset({dict, list, tuple, Columns, Indexed})
+_CONTAINERS = frozenset({dict, list, tuple, Columns, Indexed, Subsets})
+_BOOL_TEXTS = {False: "false", True: "true"}
 _LISTS = frozenset({list, tuple})
 
 
@@ -367,6 +390,8 @@ def _texts(values: list, depth: int) -> list[str]:
     """The text of each value, each written at this depth.
 
     Values of one kind share their encoder calls:
+    - booleans take none: a dict gives each text, in a quarter of the time
+      of the call, join and split of other scalars;
     - scalars take one call.  The encoder never writes NUL or a newline
       inside a scalar: with ensure_ascii it escapes every control character
       in a string.  So the scalars are parted by a NUL separator;
@@ -376,10 +401,13 @@ def _texts(values: list, depth: int) -> list[str]:
     - Columns of one shape write each column of all of them as one batch;
     - Indexed lists over blocks of one shape write each distinct block's
       objects once, in one batch, and join each list from their texts;
+    - Subsets lists build their members' texts by doubling (_subset_texts);
     - dicts with the same keys are written as one Columns block.
     Values of mixed kinds are written as one batch per kind (_kind).
     """
     kinds = set(map(type, values))
+    if kinds == {bool}:
+        return list(map(_BOOL_TEXTS.__getitem__, values))
     if _CONTAINERS.isdisjoint(kinds):
         return "".join(_flat_encoder("\x00")(values, 0))[1:-1].split("\x00") if values else []
     if kinds <= _LISTS:
@@ -391,6 +419,8 @@ def _texts(values: list, depth: int) -> list[str]:
         return _cut(_texts(list(chain.from_iterable(values)), depth + 1), values, depth)
     if kinds == {Columns} and len(set(map(_kind, values))) == 1:
         return _cut(_object_texts(values, depth + 1), values, depth)
+    if kinds == {Subsets}:
+        return [_list_text(_subset_texts(v.k, depth + 1), depth) for v in values]
     if kinds == {Indexed} and len(set(map(_kind, values))) == 1:
         blocks = {id(v.block): v.block for v in values}
         texts = iter(_object_texts(list(blocks.values()), depth + 1))
@@ -414,8 +444,7 @@ def _kind(value):
     """What values must share to be written in one batch.
 
     That is the keys of a dict, the shape of a Columns (its keys, with the
-    shape of each column that is a Columns), and the shape of an Indexed
-    list's block.
+    kind of each column), and the shape of an Indexed list's block.
     """
     kind = type(value)
     if kind is dict:
@@ -424,6 +453,8 @@ def _kind(value):
         return tuple((key, _kind(column)) for key, column in sorted(value.columns.items()))
     if kind is Indexed:
         return Indexed, _kind(value.block)
+    if kind is Subsets:
+        return Subsets
     return "list" if kind in _LISTS else "scalar"
 
 
@@ -450,20 +481,47 @@ def _list_text(items: list[str], depth: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
-def _object_texts(blocks: list[Columns], depth: int) -> list[str]:
-    """The text of every object of blocks (one shape), in order, each written at this depth."""
-    keys = sorted(blocks[0].columns)
+def _subset_texts(k: int, depth: int) -> list[str]:
+    """The text of every subset of classes 1..k-1 in bitmask order, each the list of its classes written at this depth.
+
+    The subsets with bit j - 1 set follow those without, each with class j
+    appended, so each text up to its closing bracket is an earlier one plus
+    one member: one concatenation per subset, and one more to close it.
+    """
     inner = "\n" + "  " * (depth + 1)
-    fields = ("," + inner).join(encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
-    template = "{" + inner + fields + "\n" + "  " * depth + "}"
-    columns = []
+    heads = [""]  # each subset's text without its closing bracket
+    for j in range(1, k):
+        member = "," + inner + str(j)
+        heads += [head + member for head in heads]
+        heads[1 << (j - 1)] = "[" + inner + str(j)  # the subset {j} has no comma before its member
+    close = "\n" + "  " * depth + "]"
+    texts = [head + close for head in heads]
+    texts[0] = "[]"
+    return texts
+
+
+def _object_texts(blocks: list[Columns], depth: int) -> list[str]:
+    """The text of every object of blocks (one shape), in order, each written at this depth.
+
+    An object's text is one join of its fixed texts (brace, separators and
+    keys) with its values' texts, which is faster than a % template.
+    """
+    keys = sorted(blocks[0].columns)
+    if not keys:  # a block with no columns holds no objects
+        return []
+    inner = "\n" + "  " * (depth + 1)
+    pieces = []
     for key in keys:
+        pieces.append(repeat(("," if pieces else "{") + inner + encode_basestring_ascii(key) + ": "))
         parts = [block.columns[key] for block in blocks]
         if type(parts[0]) is Columns:
-            columns.append(_object_texts(parts, depth + 1))
+            pieces.append(_object_texts(parts, depth + 1))
+        elif type(parts[0]) is Subsets:
+            pieces.append([text for part in parts for text in _subset_texts(part.k, depth + 1)])
         else:
-            columns.append(_texts(list(chain.from_iterable(parts)), depth + 1))
-    return list(map(template.__mod__, zip(*columns)))
+            pieces.append(_texts(list(chain.from_iterable(parts)), depth + 1))
+    pieces.append(repeat("\n" + "  " * depth + "}"))
+    return list(map("".join, zip(*pieces)))
 
 
 def _rounded(values: list[float]) -> list[float]:

@@ -219,16 +219,33 @@ class CycInt:
 
 @lru_cache(maxsize=2)
 def _power_basis(m: int) -> np.ndarray:
-    """Row e holds the reduced power-basis coefficients of z^e, e < m (cached, read-only)."""
-    ctx = get_context(m)
+    """Row e holds the reduced power-basis coefficients of z^e, e < m (cached, read-only).
+
+    With r the product of the primes of m, s = m / r and w = z^s, a
+    primitive r-th root of unity, Phi_m(x) = Phi_r(x^s).  So z^(q s + i) =
+    z^i w^q for i < s is w^q's row of the table of r with coefficient c of
+    w^c moved to z^(c s + i), already reduced as c s + i < phi(r) s =
+    phi(m).  The table of r is built a row at a time, z^(e+1) = z z^e with
+    z^phi = -(Phi without its top), and when r is even only up to r/2:
+    w^(r/2) = -1, so its second half is the first negated.
+    """
+    rad = 1
+    for q in _prime_factors(m):
+        rad *= q
+    stride = m // rad
+    ctx = get_context(rad)
+    phi = ctx.degree
     tail = np.array(ctx.phi[:-1], dtype=np.int64)
-    out = np.zeros((m, ctx.degree), dtype=np.int64)
-    cur = np.zeros(ctx.degree, dtype=np.int64)
-    cur[0] = 1
-    for e in range(m):
-        out[e] = cur
-        top = cur[-1]
-        cur = np.concatenate(([0], cur[:-1])) - top * tail  # z^deg = -(phi without its top)
+    half = rad // 2 if rad % 2 == 0 else rad
+    table = np.zeros((rad, phi), dtype=np.int64)
+    table[:phi] = np.eye(phi, dtype=np.int64)
+    for e in range(phi, half):
+        table[e, 1:] = table[e - 1, :-1]
+        table[e] -= table[e - 1, -1] * tail
+    table[half:] = -table[: rad - half]
+    out = np.zeros((m, phi * stride), dtype=np.int64)
+    i = np.arange(stride)
+    out.reshape(rad, stride, phi, stride)[:, i, :, i] = table  # [q, i, c, i] is row q s + i, column c s + i
     out.flags.writeable = False
     return out
 

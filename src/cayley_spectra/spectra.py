@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 import numbers
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._modp import exact_matmul
 from .characters import CharacterTable, InducedCharacter, induced_character_from_cyclic
 from .cyclotomic import (
     CycInt,
@@ -199,9 +200,11 @@ def _formula(
     shaped (k, k * phi) with row j holding s_j * chi_r(g_j) for every r;
     the numerators N = sums(s * T), shaped (S, k, phi): N[s, r] is the
     numerator of character r's eigenvalue on row s over the divisor
-    chi_r(1); and the (S, k) flags of the irrational N[s, r].  The spectrum
-    identities are checked on every row and a rational non-integer
-    eigenvalue is refused.
+    chi_r(1); and the (S, k) flags of the irrational N[s, r], those with a
+    nonzero coefficient past the first, gathered one coefficient column at a
+    time.  The spectrum identities are checked on every row and a rational
+    non-integer eigenvalue is refused; only a character of degree > 1 can
+    have one.
 
     Exactness: with L the largest |coefficient| in T, every partial sum of a
     numerator is at most n L in absolute value, and every partial sum of the
@@ -227,12 +230,18 @@ def _formula(
     degrees = np.array(table.degrees, dtype=np.int64)
     _check_sweep_identities(coeffs, masks, numerators, sizes, degrees, n)
 
-    irrational = numerators[:, :, 1:].any(axis=2)
-    split = (numerators[:, :, 0] % degrees != 0) & ~irrational
+    irrational = np.zeros(numerators.shape[:2], dtype=bool)
+    step = max(1, (1 << 17) // (k * phi))  # rows per pass: a bool temporary of at most 128 KiB
+    for s in range(0, len(masks), step):
+        nonzero = numerators[s : s + step] != 0  # one contiguous int64 pass, then bytes per column
+        for e in range(1, phi):
+            irrational[s : s + step] |= nonzero[:, :, e]
+    wide = np.flatnonzero(degrees > 1)
+    split = (numerators[:, wide, 0] % degrees[wide] != 0) & ~irrational[:, wide]
     if split.any():
         s, r = np.argwhere(split)[0]
-        value = Fraction(int(numerators[s, r, 0]), int(degrees[r]))
-        raise InternalConsistencyError(f"rational non-integer eigenvalue {value} for character {r}")
+        value = Fraction(int(numerators[s, wide[r], 0]), int(degrees[wide[r]]))
+        raise InternalConsistencyError(f"rational non-integer eigenvalue {value} for character {wide[r]}")
     return weighted, numerators, irrational
 
 
@@ -285,16 +294,22 @@ def _outside_subfield(
     One generator's defect sums are alive at a time.
 
     Exactness: _formula has checked that every partial sum fits in int64;
-    those of (s * T) @ sigma_t are at most n L |B|_1, below the defect bound.
+    those of (s * T) @ sigma_t are at most max|s * T| times the largest
+    column L1 norm of sigma_t, at most n L |B|_1, below the defect bound.
+    exact_matmul takes that bound and runs the product in float64 where it
+    is below 2^53.
     """
     if gamma.m != m:
         raise ValueError(f"subgroup modulus {gamma.m} does not match conductor {m}")
     k = len(weighted)
     phi = weighted.shape[1] // k
     flat = weighted.reshape(k * k, phi)
+    top = int(np.abs(flat).max(initial=0))
     outside = np.zeros((count, k), dtype=bool)
     for t in _generating_set(gamma):
-        defect = (flat @ _galois_matrix(m, t) - flat).reshape(k, k * phi)
+        sigma = _galois_matrix(m, t)
+        bound = top * int(np.abs(sigma).sum(axis=0).max())
+        defect = (exact_matmul(flat, sigma, bound) - flat).reshape(k, k * phi)
         outside |= sums(defect).reshape(count, k, phi).any(axis=2)
     return outside
 
@@ -451,26 +466,44 @@ def check_sweep_size(k: int, phi: int) -> None:
         )
 
 
+def _subset_tuples(k: int) -> tuple[tuple[int, ...], ...]:
+    """Every subset of classes 1..k-1 as the tuple of its classes, in bitmask order (bit i for class i + 1).
+
+    The subsets with bit j - 1 set follow those without, in order, each
+    with class j appended: one tuple per subset.
+    """
+    subsets = [()]
+    for j in range(1, k):
+        subsets += [s + (j,) for s in subsets]
+    return tuple(subsets)
+
+
 @dataclass(eq=False)
 class ClassSweep:
     """The spectra of every union of non-identity classes of one group.
 
     Subset s is the bitmask s over classes 1..k-1 (bit i for class i + 1), so
-    ``subsets`` runs in the order of ``range(2 ** (k - 1))``.  ``masks[s]`` is
-    its 0/1 indicator over all k classes, read by the oracles and the
-    identity checks.  ``weighted`` and ``numerators`` are what _formula
-    returns for those masks, summed by doubling (_subset_sums): the same
-    rows that eigenvalues_via_characters reads for a single connection set.
+    ``subsets`` runs in the order of ``range(2 ** (k - 1))``; it is built on
+    first access (the JSON output writes the subsets from k alone).
+    ``masks[s]`` is its 0/1 indicator over all k classes, read by the
+    oracles and the identity checks.  ``weighted`` and ``numerators`` are
+    what _formula returns for those masks, summed by doubling
+    (_subset_sums): the same rows that eigenvalues_via_characters reads for
+    a single connection set.
     """
 
     group: Group
     cd: ClassData
     table: CharacterTable
-    subsets: tuple[tuple[int, ...], ...]
     masks: np.ndarray  # (S, k) int64
     weighted: np.ndarray  # (k, k * phi) int64: row j is s_j * chi_r(g_j) for every r
     numerators: np.ndarray  # (S, k, phi) int64
     integral: np.ndarray  # (S,) bool: every eigenvalue a rational integer
+
+    @cached_property
+    def subsets(self) -> tuple[tuple[int, ...], ...]:
+        """Subset s's classes for every s, in bitmask order."""
+        return _subset_tuples(self.cd.k)
 
 
 def class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSweep:
@@ -487,14 +520,10 @@ def class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSwee
     masks = np.zeros((count, k), dtype=np.int64)
     masks[:, 1:] = (np.arange(count)[:, None] >> np.arange(k - 1)) & 1
     weighted, numerators, irrational = _formula(cd, table, masks, _subset_sums)
-    subsets = [()]
-    for j in range(1, k):  # the subsets with bit j - 1 set follow those without, in order
-        subsets += [s + (j,) for s in subsets]
     return ClassSweep(
         group=group,
         cd=cd,
         table=table,
-        subsets=tuple(subsets),
         masks=masks,
         weighted=weighted,
         numerators=numerators,
@@ -504,7 +533,7 @@ def class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSwee
 
 def _closed_under(sweep: ClassSweep, cover) -> np.ndarray:
     """Per subset, whether it contains cover[j] (a class bitmask) for each class j it contains."""
-    bits = np.arange(len(sweep.subsets), dtype=np.int64) << 1  # bit j for class j
+    bits = np.arange(len(sweep.masks), dtype=np.int64) << 1  # bit j for class j
     ok = np.ones(len(bits), dtype=bool)
     for j, c in enumerate(cover):
         ok &= (((bits >> j) & 1) == 0) | ((c & ~bits) == 0)

@@ -88,6 +88,51 @@ def test_check_integrality_sweep(capsys):
     assert integral[(1,)] is False
 
 
+_SMALL_SWEEP_HEAD = "classes                   integral      power_closed  agree\n"
+
+
+@pytest.mark.parametrize(
+    "group, exponent, order, subsets, table",
+    [
+        ("cyclic(1)", 1, 1, [[]], "[]                        True          True          True\n"),
+        ("dihedral(1)", 2, 2, [[], [1]],
+         "[]                        True          True          True\n"
+         "[1]                       True          True          True\n"),
+        ("dihedral(2)", 2, 4, [[], [1], [2], [1, 2], [3], [1, 3], [2, 3], [1, 2, 3]],
+         "[]                        True          True          True\n"
+         "[1]                       True          True          True\n"
+         "[2]                       True          True          True\n"
+         "[1, 2]                    True          True          True\n"
+         "[3]                       True          True          True\n"
+         "[1, 3]                    True          True          True\n"
+         "[2, 3]                    True          True          True\n"
+         "[1, 2, 3]                 True          True          True\n"),
+    ],
+    ids=("k=1", "k=2", "k=4"),
+)
+def test_smallest_sweeps_print_pinned_json_and_table(capsys, group, exponent, order, subsets, table):
+    """k = 1 (one subset, no doubling step), k = 2 (one step) and dihedral(2)'s k = 4.
+
+    Every union of classes of these groups is power-closed and has integral
+    eigenvalues.
+    """
+    argv = ["check-integrality", "--group", group, "--connection", "sweep"]
+    rows = [{"agree": True, "classes": c, "integral": True, "power_closed": True} for c in subsets]
+    expected = {
+        "command": "check-integrality",
+        "disagreements": 0,
+        "group": {"exponent": exponent, "order": order, "spec": group},
+        "schema": "v1",
+        "subsets": len(subsets),
+        "sweep": rows,
+    }
+    assert run(argv) == 0
+    assert capsys.readouterr().out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert run([*argv, "--output", "table"]) == 0
+    head = f"group {group}  order {order}  exponent {exponent}\n" + _SMALL_SWEEP_HEAD
+    assert capsys.readouterr().out == head + table + f"{len(subsets)} subsets, 0 disagreements\n"
+
+
 def test_check_membership_command(capsys):
     code, doc = _run_json(
         capsys,
@@ -759,6 +804,8 @@ def _plain(value):
     if isinstance(value, cli.Indexed):
         objects = _plain(value.block)
         return [objects[i] for i in value.index]
+    if isinstance(value, cli.Subsets):
+        return [list(subset) for subset in value]
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -789,25 +836,40 @@ _keys = st.text(max_size=4) | st.text(alphabet='ab"\\\x00%\u00e9', max_size=3)
 
 
 def _column_blocks(n: int, depth: int = 2):
-    """Column blocks of n objects: scalar, flat-list, mixed and nested-block columns."""
+    """Column blocks of n objects: scalar, flat-list, mixed, nested-block and, for n = 2^(k-1), Subsets columns."""
     column = (
         st.lists(_json_scalars, min_size=n, max_size=n)
         | st.lists(st.lists(_json_scalars, max_size=3) | st.tuples(_json_scalars), min_size=n, max_size=n)
         | st.lists(_json_scalars | st.dictionaries(_keys, _json_scalars, max_size=2), min_size=n, max_size=n)
     )
+    if n and not n & (n - 1):
+        column |= st.just(cli.Subsets(n.bit_length()))
     if depth:
         column |= _column_blocks(n, depth - 1)
     return st.dictionaries(_keys, column, min_size=1, max_size=3).map(cli.Columns)
 
 
 def _rows(block, start, stop):
-    """Objects start..stop of a column block, as a column block."""
-    return cli.Columns(
-        {
-            key: _rows(column, start, stop) if isinstance(column, cli.Columns) else column[start:stop]
-            for key, column in block.columns.items()
-        }
-    )
+    """Objects start..stop of a column block, as a column block; a Subsets column cut short becomes its list."""
+
+    def cut(column):
+        if isinstance(column, cli.Columns):
+            return _rows(column, start, stop)
+        if isinstance(column, cli.Subsets) and (start, stop) == (0, len(column)):
+            return column
+        return list(column)[start:stop]
+
+    return cli.Columns({key: cut(column) for key, column in block.columns.items()})
+
+
+def _with_subsets(k, key, depth, others):
+    """A block of 2^(k-1) objects: a Subsets column of k classes under key, as many
+    nested one-column blocks down as depth, beside columns that repeat a few drawn values."""
+    n = 1 << (k - 1)
+    column = cli.Subsets(k)
+    for _ in range(depth):
+        column = cli.Columns({key: column})
+    return cli.Columns({**{name: (values * n)[:n] for name, values in others.items()}, key: column})
 
 
 def _cut_block(block, sizes):
@@ -838,9 +900,21 @@ def _indexed_lists(blocks):
 
 
 _blocks = st.integers(0, 4).flatmap(_column_blocks)
+_subset_blocks = st.builds(
+    _with_subsets,
+    st.integers(1, 8),
+    _keys,
+    st.integers(0, 2),
+    st.dictionaries(_keys, st.lists(_json_scalars | st.lists(_json_scalars, max_size=2), min_size=1, max_size=3), max_size=2),
+)
 _block_lists = st.builds(_cut_block, st.integers(0, 6).flatmap(_column_blocks), st.lists(st.integers(0, 3), max_size=3))
 _json_payloads = st.recursive(
-    _json_scalars | _blocks | _block_lists | _block_lists.flatmap(_indexed_lists),
+    _json_scalars
+    | _blocks
+    | _block_lists
+    | _block_lists.flatmap(_indexed_lists)
+    | _subset_blocks
+    | st.integers(1, 8).map(cli.Subsets),
     lambda inner: st.lists(inner, max_size=4)
     | st.tuples(inner, inner)
     | st.dictionaries(st.text(max_size=4), inner, max_size=4)
@@ -859,6 +933,9 @@ _json_payloads = st.recursive(
 @example({})
 @example([{}])
 @example((None, {}))
+@example(cli.Columns({"classes": cli.Subsets(4), "agree": [True, False] * 4}))
+@example([cli.Subsets(1), cli.Subsets(3), [cli.Subsets(2)], {"s": cli.Subsets(2)}, (1,)])
+@example([cli.Columns({"a": cli.Subsets(2)}), cli.Columns({"a": [[1], []]}), cli.Columns({"a": cli.Subsets(1)})])
 def test_json_writer_matches_json_dumps_on_nested_payloads(payload):
     assert cli._json_text(payload) == json.dumps(_plain(payload), sort_keys=True, indent=2)
 
@@ -944,15 +1021,19 @@ def _writer_calls(payload):
     [
         (["check-integrality", "--group", "dihedral(10)", "--connection", "sweep"],
          ["check-integrality", "--group", "dihedral(22)", "--connection", "sweep"]),
+        (["check-integrality", "--group", "cyclic(1)", "--connection", "sweep"],
+         ["check-integrality", "--group", "symmetric(6)", "--connection", "sweep"]),
+        (["check-membership", "--group", "dihedral(1)", "--connection", "sweep", "--gamma", "rational"],
+         ["check-membership", "--group", "alternating(7)", "--connection", "sweep", "--gamma", "rational"]),
         (["character-table", "--group", "cyclic(12)"], ["character-table", "--group", "cyclic(60)"]),
         (["classes", "--group", "cyclic(12)"], ["classes", "--group", "cyclic(5040)"]),
         (["spectrum", "--group", "cyclic(4)", "--classes", "1", "--oracle", "off"],
          ["spectrum", "--group", "cyclic(60)", "--classes", "1", "--oracle", "off"]),
     ],
-    ids=("sweep", "table", "classes", "spectrum"),
+    ids=("sweep", "sweep-k1", "membership-sweep-k2", "table", "classes", "spectrum"),
 )
 def test_json_writer_calls_do_not_grow_with_rows(small, large):
-    """A sweep of 128 or 8,192 rows, a table of 12 x 12 or 60 x 60 cells,
+    """A sweep of 128 or 8,192 rows (or of 1 or 1,024, 2 or 256), a table of 12 x 12 or 60 x 60 cells,
     12 or 5,040 classes, a spectrum of 4 or 60 entries: the same writer calls.
 
     Each column of a bulk block, and each key of a list of dicts with the

@@ -246,6 +246,28 @@ def test_power_basis_matches_eta_powers():
         assert _power_basis(m).tolist() == expected, m
 
 
+def _power_basis_by_rows(m):
+    """The power-basis table one row at a time: z^(e+1) = z z^e, with z^phi = -(Phi without its top)."""
+    ctx = get_context(m)
+    tail = np.array(ctx.phi[:-1], dtype=np.int64)
+    out = np.zeros((m, ctx.degree), dtype=np.int64)
+    cur = np.zeros(ctx.degree, dtype=np.int64)
+    cur[0] = 1
+    for e in range(m):
+        out[e] = cur
+        cur = np.concatenate(([0], cur[:-1])) - cur[-1] * tail
+    return out
+
+
+def test_power_basis_matches_a_row_at_a_time_reference():
+    """Every conductor up to 420 (squarefree or not, odd or even) and 2520 = 12 * 210."""
+    for m in [*range(1, 421), 2520]:
+        basis = _power_basis(m)
+        assert basis.dtype == np.int64 and not basis.flags.writeable, m
+        assert np.array_equal(basis, _power_basis_by_rows(m)), m
+        assert _power_basis(m) is basis, m
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(min_value=1, max_value=120))
 def test_complex_parts_are_the_floats_of_to_complex(data, m):

@@ -338,6 +338,23 @@ def _assert_same_spectrum(got, want, where):
     assert got.contains_identity == want.contains_identity, where
 
 
+def test_a_rational_non_integer_eigenvalue_is_refused():
+    """Moving 1 between the two degree-2 characters on dihedral(5)'s reflection class (size 5)
+    keeps every identity the formula checks but makes the eigenvalue 5/2."""
+    group, cd, table = _bundle("dihedral(5)")
+    j = cd.sizes.index(5)
+    r, s = [i for i, d in enumerate(table.degrees) if d == 2]
+    coeffs = table.coefficients.copy()
+    coeffs[r, j, 0] += 1
+    coeffs[s, j, 0] -= 1
+    tampered = dataclasses.replace(table, coefficients=coeffs)
+    conn = make_connection_set({"classes": [j]}, group, cd)
+    with pytest.raises(InternalConsistencyError, match=f"^rational non-integer eigenvalue 5/2 for character {r}$"):
+        check_integrality(group, cd, conn, tampered)
+    with pytest.raises(InternalConsistencyError, match="^rational non-integer eigenvalue"):
+        class_sweep(group, cd, tampered)
+
+
 def test_class_sweep_matches_per_subset_reference(corpus):
     for spec in CORPUS:
         group, cd, table = corpus[spec]
