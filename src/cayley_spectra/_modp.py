@@ -4,10 +4,10 @@ charpoly works on lists of lists of Python ints and serves
 integer_charpoly alone (one matrix up to the oracle caps, mod 31-bit
 primes).  The character table's eigenspace split takes minimal polynomials
 of one row instead, by int64 array routines in characters; _power_stack
-raises an int64 array to one power mod p, for the split's inverses and the
-per-set exact oracle's claimed product.  exact_matmul multiplies integer
-matrices in float64 BLAS when the caller's bound proves the result exact
-and the product is large enough to gain (exact_dtype).
+raises an int64 array to one power mod p, for the split's inverses.
+exact_matmul multiplies integer matrices in float64 BLAS when the caller's
+bound proves the result exact and the product is large enough to gain
+(exact_dtype).
 _certificate_primes and _ring_maps serve every check that evaluates
 cyclotomic integers under the ring maps z -> w^u into F_q, q = 1 (mod m):
 the table certificate, at u = 1 and -1, and both exact oracles, at every

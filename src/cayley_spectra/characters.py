@@ -497,6 +497,10 @@ def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
        sums of phi or k products of residues are exact in float64 as in
        int64 (exact_matmul), and _galois_identity_holds bounds its products
        as _formula bounds its defects.
+
+    L and each prime's embedding are taken over chunks of classes
+    (_chunks), as the Galois identity is, so the certificate holds a bounded
+    amount of memory beside the table.
     """
     k, m = table.k, table.m
     if sum(d * d for d in table.degrees) != n:
@@ -505,15 +509,22 @@ def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
     if coeffs.shape[:2] != (k, k) or cd.k != k:
         raise InternalConsistencyError("the table is not square")
     phi = coeffs.shape[2]
-    magnitudes = np.abs(coeffs)
-    if int(magnitudes.max(initial=0)) * phi >= 2**63:
-        magnitudes = magnitudes.astype(object)  # the L1 sums could wrap in int64
-    norm = int(magnitudes.sum(axis=2).max())
+    chunks = _chunks(k, 8 * k * phi)  # a class's values
+    norm = 0
+    for part in chunks:
+        magnitudes = np.abs(coeffs[:, part])
+        if int(magnitudes.max(initial=0)) * phi >= 2**63:
+            magnitudes = magnitudes.astype(object)  # the L1 sums could wrap in int64
+        norm = max(norm, int(magnitudes.sum(axis=2).max()))
+    del magnitudes  # a chunk of |T|, not to be held through the embeddings
     sizes = np.array(cd.sizes, dtype=np.int64)
-    flat = coeffs.reshape(k * k, phi)
+    at_both = np.empty((k, k, 2), dtype=np.int64)  # [r, j]: chi_r(g_j) at w and at w^-1
     for q in _certificate_primes(m, n * norm * norm + n, max(phi, k), 2**53):
-        at_both = exact_matmul(flat % q, _ring_maps(m, phi, q, (1, -1)), phi * (q - 1) ** 2) % q
-        at_w, at_conj = at_both.T.reshape(2, k, k)
+        maps = _ring_maps(m, phi, q, (1, -1))
+        for part in chunks:
+            embedded = exact_matmul((coeffs[:, part] % q).reshape(-1, phi), maps, phi * (q - 1) ** 2)
+            np.remainder(embedded.reshape(k, -1, 2), q, out=at_both[:, part])
+        at_w, at_conj = at_both[..., 0], at_both[..., 1]
         gram = exact_matmul(at_w * (sizes % q) % q, at_conj.T, k * (q - 1) ** 2) % q
         bad = np.argwhere(gram != np.diag(np.full(k, n % q, dtype=np.int64)))
         if len(bad):

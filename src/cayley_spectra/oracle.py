@@ -4,10 +4,11 @@ Nothing here touches the character machinery: the adjacency matrix is
 built literally from the definition, the floating backend feeds it to a
 dense eigensolver, and the exact backends compare a claimed spectrum with
 the matrix exactly, modulo several primes at every embedding of the
-cyclotomic integers: per set against the integer characteristic
-polynomial, batched by power sums.  Shared is the number format
-alone: _modp's primes and ring maps z -> w^u, cyclotomic's power-basis
-floats, and spectra's Spectrum type and reader.
+cyclotomic integers, both from the claim's power sums
+(_claimed_power_sums): per set turned into the coefficients of the
+integer characteristic polynomial, batched against closed walks.  Shared
+is the number format alone: _modp's primes and ring maps z -> w^u,
+cyclotomic's power-basis floats, and spectra's Spectrum type and reader.
 
 Each check comes twice: per connection set (compare_spectra,
 verify_spectrum_exact, oracle_power_closed) and batched over the rows of an
@@ -30,8 +31,11 @@ power sums tr(A^j), j = 1..n, from one walk of n steps from the identity,
 with the claim's.  It walks one matrix per pair of inverse sets:
 A(C^-1) = A(C)^T, so both sets have one spectrum (_solved_runs).  Each
 row's own claim is still compared with the shared result.  The per-set
-check compares coefficients with the integer characteristic polynomial,
-whose size Hadamard's inequality bounds (_charpoly_bound).
+check turns the same claimed power sums into coefficients by Newton's
+identities (_elementary) and compares them with the integer
+characteristic polynomial, whose size Hadamard's inequality bounds
+(_charpoly_bound).  One lemma, in _claimed_power_sums, proves for both
+that their residues decide.
 """
 
 from __future__ import annotations
@@ -176,6 +180,15 @@ def integer_charpoly(adjacency: np.ndarray) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ExactSpectrumReport:
+    """verify_spectrum_exact's verdict on a claim whose multiplicities sum to degree.
+
+    mismatch_power is the lowest power of x whose coefficients differ
+    between the claim's monic polynomial prod (x - value)^multiplicity and
+    the characteristic polynomial.  It is None when the check passes, and
+    when it fails before any coefficient is compared: the degrees differ or
+    a multiplicity is negative.
+    """
+
     passed: bool
     degree: int
     mismatch_power: Optional[int] = None
@@ -186,31 +199,54 @@ def verify_spectrum_exact(
 ) -> ExactSpectrumReport:
     """Verify a claimed exact spectrum against the characteristic polynomial.
 
-    Writing each claimed eigenvalue as num/den with multiplicity mu, the
-    product of the factors (den*x - num)^mu must equal the characteristic
-    polynomial scaled by the product of the den^mu, modulo primes at every
-    embedding (_exact_mismatch), with the integer characteristic
-    polynomial from integer_charpoly unless one is given.
-    The degrees must agree first, and a negative multiplicity fails with
-    them; mismatch_power is the lowest power of x whose coefficients differ.
+    The claim's values num_r / den_r with multiplicities mu_r give the monic
+    f = prod_r (x - num_r / den_r)^mu_r = sum_i (-1)^i e_i x^(n - i), which
+    must equal g, the integer characteristic polynomial from
+    integer_charpoly unless one is given.  The degrees must agree first, and
+    a negative multiplicity fails with them.  Mod each prime q and at each
+    unit embedding, _claimed_power_sums gives the claim's power sums
+    p_1 .. p_n, Newton's identities turn them into e_0 .. e_n
+    (_elementary), and (-1)^i e_i is compared with g's coefficient of
+    x^(n - i).
+
+    Why this is exact: let f_i and g_i be the coefficients of x^i, and
+    scale = prod_r |den_r|^mu_r.  Then scale (f_i - g_i) is a coefficient
+    of +-prod_r (den_r x - num_r)^mu_r - scale g, an element of Z[z].
+    Under every complex embedding sigma, |sigma(num)| <= |num|_1, the L1
+    norm of its coefficients, so that product's coefficients are at most
+    prod_r (|den_r| + |num_r|_1)^mu_r, its value at x = 1 with every term
+    made positive, and |sigma(scale (f_i - g_i))| <= B = scale max|g| +
+    prod_r (|den_r| + |num_r|_1)^mu_r.  At a prime q that does not divide
+    scale, the residues of f_i - g_i vanish exactly when those of
+    scale (f_i - g_i) do.  The primes are taken for B scale, and those that
+    divide scale are dropped: they are distinct prime factors of scale, so
+    their product is at most scale, and the kept primes have a product
+    above B.  So each coefficient is decided by the lemma of
+    _claimed_power_sums.
     """
     if charpoly is None:
         charpoly = integer_charpoly(adjacency)
     charpoly = [int(c) for c in charpoly]
-    mults = [e.multiplicity for e in sp.entries]
-    degree = sum(mults)
-    if degree != len(charpoly) - 1 or min(mults, default=0) < 0:
-        return ExactSpectrumReport(passed=False, degree=degree, mismatch_power=None)
+    degree = sum(e.multiplicity for e in sp.entries)
+    if degree != len(charpoly) - 1 or any(e.multiplicity < 0 for e in sp.entries):
+        return ExactSpectrumReport(passed=False, degree=degree)
+    entries = [e for e in sp.entries if e.multiplicity]  # a value of multiplicity 0 claims nothing
     m = sp.entries[0].value.numerator.ctx.m if sp.entries else 1
-    nums = np.array(
-        [[e.value.numerator.coeffs for e in sp.entries]], dtype=object
-    ).reshape(1, len(sp.entries), get_context(m).degree)
-    dens = [e.value.denominator for e in sp.entries]
-    primes = _exact_primes(nums, dens, mults, m, max(abs(c) for c in charpoly))
-    residues = np.array([[[c % q for c in charpoly]] for q in primes], dtype=np.int64)
-    miss = int(_exact_mismatch(nums, dens, mults, m, primes, residues)[0])
-    if miss >= 0:
-        return ExactSpectrumReport(passed=False, degree=degree, mismatch_power=miss)
+    phi = get_context(m).degree
+    nums = np.array([[e.value.numerator.coeffs for e in entries]], dtype=object).reshape(1, len(entries), phi)
+    dens = [int(e.value.denominator) for e in entries]
+    mults = [e.multiplicity for e in entries]
+    scale = prod(abs(d) ** mu for d, mu in zip(dens, mults))
+    if not scale:
+        raise ValueError("a claimed value has denominator 0")
+    claimed = prod((abs(d) + sum(map(abs, e.value.numerator.coeffs))) ** mu for d, e, mu in zip(dens, entries, mults))
+    bound = scale * max(map(abs, charpoly)) + claimed
+    primes = [q for q in _modp._certificate_primes(m, bound * scale, max(degree + 1, phi)) if scale % q]
+    coeffs = _elementary(_claimed_power_sums(nums, dens, mults, m, primes)[:, :, 0], primes)
+    target = np.array([[(-1) ** i * c % q for q in primes] for i, c in enumerate(reversed(charpoly))], dtype=np.int64)
+    differ = np.flatnonzero((coeffs != target[:, :, None]).any(axis=(1, 2)))
+    if len(differ):
+        return ExactSpectrumReport(passed=False, degree=degree, mismatch_power=degree - int(differ[-1]))
     return ExactSpectrumReport(passed=True, degree=degree)
 
 
@@ -230,18 +266,17 @@ def batch_verify_spectrum_exact(
     row passes exactly when c_j = tr(A^j) - sum_r mu_r nu_r^j is 0 in Z[z]
     for j = 1..n.  tr(A^j) comes from one walk per pair of inverse sets
     (_solved_runs, _closed_walks), the sums of nu_r^j from
-    _claimed_power_sums.
+    _claimed_power_sums, which divides by d_r mod q: d_r^2 <= n, far below
+    the primes (pow raises if d_r is not a unit), and on a row that passed
+    the divisibility check the quotient is nu_r's residue.
 
     Why the primes suffice: (A^j)[e, e] <= |C|^j, and every complex
     embedding sigma has |sigma(nu)| <= |nu|_1, the L1 norm of its
     coefficients, so |sigma(c_j)| <= B = n max(1, max|C|)^n +
-    n max(1, max_r |nu_r|_1)^n.  The primes q = 1 (mod m) have product
-    M > B.  If c_j maps to 0 under z -> w^u at every unit u and every
-    prime, then c_j lies in q Z[z] for each q, because q splits
-    completely in Z[z] and the kernels of the phi maps are the primes
-    above q, whose intersection is q Z[z].  So c_j lies in M Z[z], and if
-    c_j != 0 then |N(c_j)| >= M^phi; but |N(c_j)| is the product of phi
-    values |sigma(c_j)| < M, so c_j = 0.
+    n max(1, max_r |nu_r|_1)^n.  The primes have product M > B, so c_j = 0
+    by the lemma of _claimed_power_sums.  The divisibility check is what
+    keeps d_r out of B: without it, B would carry prod_r d_r^mu_r, as the
+    per-set check's bound does.
     """
     mults = [int(d) * int(d) for d in degrees]
     n = group.n
@@ -261,16 +296,15 @@ def batch_verify_spectrum_exact(
     primes = _modp._certificate_primes(m, bound, max(n + 1, phi))
     # bytes: per matrix, its 0/1 and float64 copies, and per prime its walk,
     # the walk's product, its diagonal and three int64 temporaries of that,
-    # (n,) each; per row, nu, and per row and prime, its residues, embedded
-    # values, their reduction, its powers and their product, (K, phi) each,
-    # and the power sums and their comparison, (n, phi) each
+    # (n,) each; per row, its numerators, and per row and prime, their
+    # residues, embedded values, the reduction, the quotient by d and its
+    # reduction, the powers and their product, (K, phi) each, and the power
+    # sums and their comparison, (n, phi) each
     matrix_bytes = 9 * n * n + 48 * len(primes) * n
-    row_bytes = 8 * phi * (k + len(primes) * (5 * k + 2 * n))
+    row_bytes = 8 * phi * (k + len(primes) * (7 * k + 2 * n))
     for stack, rows, local in _solved_runs(group, members, matrix_bytes, row_bytes):
         walks = _closed_walks(stack, primes)[:, :, local, None]
-        nu_rows = numerators[rows]
-        nu_rows //= divisors[:, None]
-        claims = _claimed_power_sums(nu_rows, mults, m, primes)
+        claims = _claimed_power_sums(numerators[rows], degrees, mults, m, primes)
         out[rows] = integral[rows] & ~(claims != walks).any(axis=(0, 1, 3))
     return out
 
@@ -300,133 +334,61 @@ def _closed_walks(stack: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     return (diagonal.astype(np.int64) * n % q).transpose(0, 2, 1)
 
 
-def _claimed_power_sums(nums: np.ndarray, mults: Sequence[int], m: int, primes: Sequence[int]) -> np.ndarray:
-    """(n, P, S, phi) residues sum_r mults[r] sigma_u(nums[s, r])^j mod primes[i], for j = 1..n = sum(mults) and each unit u.
+def _claimed_power_sums(
+    nums: np.ndarray, dens: Sequence[int], mults: Sequence[int], m: int, primes: Sequence[int]
+) -> np.ndarray:
+    """(n, P, S, phi) residues sum_r mults[r] sigma_u(nums[s, r] / dens[r])^j mod primes[i], for j = 1..n = sum(mults) and each unit u.
 
-    sigma_u is the ring map z -> w^u into F_q (_modp._ring_maps), and the
-    powers are running products.  int64: residues are below q, an
-    embedding sums phi products of two residues, a power sum weighs
-    residues by multiplicities that sum to n, and the primes satisfy
-    max(n + 1, phi) q^2 < 2^63.
+    sigma_u is the ring map z -> w^u into F_q (_modp._ring_maps), and
+    dividing by dens[r] is multiplying by its inverse mod q, so every
+    dens[r] must be a unit mod every prime.  The powers are running
+    products.  int64: residues are below q, an embedding sums phi products
+    of two residues, a power sum weighs residues by multiplicities that sum
+    to n, and the primes satisfy max(n + 1, phi) q^2 < 2^63.
+
+    Both exact checks decide by this lemma.  Let c lie in Z[z], with
+    |sigma(c)| <= B under every complex embedding sigma, and let primes
+    q = 1 (mod m) have product M > B.  If c maps to 0 under z -> w^u at
+    every unit u and every prime, then c = 0.  Proof: q splits completely
+    in Z[z], and the kernels of the phi maps are the primes above q, whose
+    intersection is q Z[z].  So c lies in q Z[z] for each q, hence in
+    M Z[z], and if c != 0 then |N(c)| >= M^phi; but |N(c)| is the product
+    of the phi values |sigma(c)| < M.
     """
     units = [u for u in range(m) if gcd(u, m) == 1]
     q = np.array(primes, dtype=np.int64)[:, None, None, None]
     maps = np.stack([_modp._ring_maps(m, nums.shape[2], p, units) for p in primes])[:, None]
-    nu = ((nums % q).astype(np.int64, copy=False) @ maps % q).swapaxes(2, 3)
+    inverses = np.array([[pow(int(d), -1, p) for d in dens] for p in primes], dtype=np.int64)[:, None, None]
+    nu = ((nums % q).astype(np.int64, copy=False) @ maps % q).swapaxes(2, 3) * inverses % q
     weights = np.array(mults, dtype=np.int64)
     out = np.empty((sum(mults), len(primes), len(nums), len(units)), dtype=np.int64)
     power = nu
     for j in range(len(out)):
         if j:
             power = power * nu % q
-        out[j] = power @ weights
+        np.matmul(power, weights, out=out[j])
     out %= q[..., 0]
     return out
 
 
-def _exact_primes(
-    nums: np.ndarray, dens: Sequence[int], mults: Sequence[int], m: int, charpoly_bound: int
-) -> list[int]:
-    """The primes of _exact_mismatch for the claims nums when every characteristic polynomial coefficient is at most charpoly_bound.
+def _elementary(sums: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+    """(n + 1, P, ...) residues e_0 .. e_n of the multisets whose power sums p_1 .. p_n are sums[0 .. n - 1] mod primes[i], on axis 1.
 
-    Their product exceeds B = scale * charpoly_bound + prod_r (dens[r] +
-    max_s |nums[s, r]|_1)^mults[r], where scale = prod_r dens[r]^mults[r]
-    and |.|_1 is the L1 norm of a coefficient vector; they satisfy
-    max(n + 1, phi) q^2 < 2^63.
+    Newton's identities give i e_i = sum_(j = 1..i) (-1)^(j - 1) e_(i - j)
+    p_j, one product over j for each i, and i <= n < q is a unit mod q.
+    int64: each step sums i products of two residues, and the primes
+    satisfy (n + 1) q^2 < 2^63.
     """
-    count, k, phi = nums.shape
-    scale = prod(int(d) ** int(mu) for d, mu in zip(dens, mults))
-    l1 = np.abs(nums).sum(axis=2).max(axis=0) if k and count else [0] * k
-    claimed = prod((int(d) + int(a)) ** int(mu) for d, a, mu in zip(dens, l1, mults))
-    return _modp._certificate_primes(m, scale * charpoly_bound + claimed, max(sum(mults) + 1, phi))
-
-
-def _exact_mismatch(
-    nums: np.ndarray,
-    dens: Sequence[int],
-    mults: Sequence[int],
-    m: int,
-    primes: Sequence[int],
-    charpolys: np.ndarray,
-) -> np.ndarray:
-    """Per row s, the lowest power of x at which D_s = scale * f_s - prod_r (dens[r] x - nums[s, r])^mults[r] has a nonzero coefficient, or -1 when D_s = 0.
-
-    nums is an (S, K, phi) array of power-basis coefficients at conductor m
-    (int64 or Python ints), scale = prod_r dens[r]^mults[r], and f_s is
-    the characteristic polynomial of degree n = sum(mults) whose residues
-    mod primes[i] are charpolys[i, s], shape (len(primes), S, n + 1).  The
-    primes come from _exact_primes, for a bound on f_s's coefficients.
-
-    For a prime q = 1 (mod m) and w of order m mod q, each unit u mod m
-    gives the ring map Z[z] -> F_q, z -> w^u.  Under it the claimed product
-    is a polynomial over F_q of degree n < q, so it is evaluated at the
-    n + 1 points x = 0..n and its coefficients are read back through the
-    inverse Vandermonde matrix; D_s is then formed coefficient by
-    coefficient.  Every multiplicity must be >= 0.
-
-    Why this is exact: let c be a coefficient of D_s.  Every complex
-    embedding sigma has |sigma(num)| <= |num|_1, the L1 norm of the
-    coefficient vector, so each coefficient of the claimed product is
-    bounded under sigma by prod_r (dens[r] + |nums[s, r]|_1)^mults[r],
-    the product's value at x = 1 with every term made positive, and
-    |sigma(c)| <= B, the bound of _exact_primes; the product M of the
-    primes exceeds B.  If c maps to 0 under every
-    unit at every prime, then c lies in q Z[z] for each q, because q splits
-    completely in Z[z] and the kernels of the phi maps are the primes above
-    q, whose intersection is q Z[z].  So c lies in M Z[z], and if c != 0
-    then |N(c)| >= M^phi.  But |N(c)| is the product of the phi values
-    |sigma(c)| < M, so c = 0.  Hence D_s = 0 exactly when all its residues
-    vanish, and its lowest nonzero coefficient is the lowest with a nonzero
-    residue.
-
-    int64: values, residues and factors are below q and every sum has at
-    most max(n + 1, phi) products of two residues; the primes satisfy
-    max(n + 1, phi) q^2 < 2^63.
-    """
-    count, k, phi = nums.shape
-    n = sum(mults)
-    scale = prod(int(d) ** int(mu) for d, mu in zip(dens, mults))
-    units = [u for u in range(m) if gcd(u, m) == 1]
-    # axis 0 runs over the primes, and q broadcasts each one over its block
-    q = np.array(primes, dtype=np.int64)[:, None, None, None]
-    maps = np.stack([_modp._ring_maps(m, phi, p, units) for p in primes])[:, None]
-    embedded = (nums % q).astype(np.int64) @ maps % q
-    points = np.arange(n + 1, dtype=np.int64)
-    values = np.ones((len(primes), count, len(units), n + 1), dtype=np.int64)
-    for r in range(k):
-        factor = (int(dens[r]) % q * points - embedded[:, :, r, :, None]) % q
-        values = values * _modp._power_stack(factor, int(mults[r]), q) % q
-    inverse = np.stack([_inverse_vandermonde(n, p).T for p in primes])[:, None]
-    product = values @ inverse % q
-    target = charpolys * np.array([scale % p for p in primes], dtype=np.int64)[:, None, None] % q[..., 0]
-    miss = (product != target[:, :, None, :]).any(axis=(0, 2))
-    return np.where(miss.any(axis=1), miss.argmax(axis=1), -1)
-
-
-@lru_cache(maxsize=64)
-def _inverse_vandermonde(n: int, q: int) -> np.ndarray:
-    """V^-1 mod q for V[x, i] = x^i at the points x = 0..n: row i of V^-1 maps values to coefficient i.
-
-    Column x holds the coefficients of the Lagrange polynomial
-    L_x(t) = prod_(y != x) (t - y) / (x - y): the master polynomial
-    prod_y (t - y) divided by (t - x), scaled by the inverse of
-    prod_(y != x) (x - y) = (-1)^(n - x) x! (n - x)!.
-    """
-    master = [1]
-    for y in range(n + 1):
-        master = [(a - y * b) % q for a, b in zip([0] + master, master + [0])]
-    out = np.zeros((n + 1, n + 1), dtype=np.int64)
-    fact = [1]
+    n = len(sums)
+    q = np.array(primes, dtype=np.int64).reshape(-1, *[1] * (sums.ndim - 2))
+    signed = sums.copy()
+    signed[1::2] = (q - signed[1::2]) % q  # (-1)^(j - 1) p_j at index j - 1
+    inverses = np.array([[pow(i, -1, p) for p in primes] for i in range(1, n + 1)], dtype=np.int64)
+    inverses = inverses.reshape(n, *q.shape)
+    out = np.empty((n + 1, *sums.shape[1:]), dtype=np.int64)
+    out[0] = 1
     for i in range(1, n + 1):
-        fact.append(fact[-1] * i % q)
-    for x in range(n + 1):
-        quotient = [0] * (n + 1)
-        carry = 0
-        for i in range(n + 1, 0, -1):  # synthetic division of master by (t - x)
-            carry = (master[i] + carry * x) % q
-            quotient[i - 1] = carry
-        denom = (-1) ** (n - x) * fact[x] * fact[n - x]
-        out[:, x] = np.array(quotient, dtype=np.int64) * pow(denom % q, -1, q) % q
+        out[i] = (signed[:i] * out[i - 1 :: -1]).sum(axis=0) % q * inverses[i - 1] % q
     return out
 
 

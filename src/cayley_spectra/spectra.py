@@ -201,10 +201,9 @@ def _formula(
     the numerators N = sums(s * T), shaped (S, k, phi): N[s, r] is the
     numerator of character r's eigenvalue on row s over the divisor
     chi_r(1); and the (S, k) flags of the irrational N[s, r], those with a
-    nonzero coefficient past the first, gathered one coefficient column at a
-    time.  The spectrum identities are checked on every row and a rational
-    non-integer eigenvalue is refused; only a character of degree > 1 can
-    have one.
+    nonzero coefficient past the first (_nonzero_from).  The spectrum
+    identities are checked on every row and a rational non-integer
+    eigenvalue is refused; only a character of degree > 1 can have one.
 
     Exactness: with L the largest |coefficient| in T, every partial sum of a
     numerator is at most n L in absolute value, and every partial sum of the
@@ -230,12 +229,7 @@ def _formula(
     degrees = np.array(table.degrees, dtype=np.int64)
     _check_sweep_identities(coeffs, masks, numerators, sizes, degrees, n)
 
-    irrational = np.zeros(numerators.shape[:2], dtype=bool)
-    step = max(1, (1 << 17) // (k * phi))  # rows per pass: a bool temporary of at most 128 KiB
-    for s in range(0, len(masks), step):
-        nonzero = numerators[s : s + step] != 0  # one contiguous int64 pass, then bytes per column
-        for e in range(1, phi):
-            irrational[s : s + step] |= nonzero[:, :, e]
+    irrational = _nonzero_from(numerators, 1)
     wide = np.flatnonzero(degrees > 1)
     split = (numerators[:, wide, 0] % degrees[wide] != 0) & ~irrational[:, wide]
     if split.any():
@@ -243,6 +237,22 @@ def _formula(
         value = Fraction(int(numerators[s, wide[r], 0]), int(degrees[wide[r]]))
         raise InternalConsistencyError(f"rational non-integer eigenvalue {value} for character {wide[r]}")
     return weighted, numerators, irrational
+
+
+def _nonzero_from(values: np.ndarray, first: int) -> np.ndarray:
+    """(S, k) flags of the (S, k, phi) int64 values with a nonzero coefficient at index first or later.
+
+    any() over the short, strided last axis runs one tiny loop per value.
+    So each chunk of rows is compared with 0, copied coefficient-major and
+    reduced over its leading axis: one long OR per coefficient.
+    """
+    count, k, phi = values.shape
+    out = np.empty((count, k), dtype=bool)
+    step = max(1, (1 << 15) // (k * phi))  # rows per pass: two bool temporaries of at most 32 KiB
+    for s in range(0, count, step):
+        nonzero = np.ascontiguousarray((values[s : s + step] != 0).transpose(2, 0, 1)[first:])
+        np.logical_or.reduce(nonzero, axis=0, out=out[s : s + step])
+    return out
 
 
 def _subset_sums(rows: np.ndarray) -> np.ndarray:
@@ -290,8 +300,8 @@ def _outside_subfield(
     group is the fixed field of any set generating it.  For each generator
     the per-class defect (s * T) @ (sigma_t - I) is formed once and summed
     over the mask rows by sums, _formula's summing step; an eigenvalue is
-    outside the fixed field when a coefficient of its defect sum is nonzero.
-    One generator's defect sums are alive at a time.
+    outside the fixed field when a coefficient of its defect sum is nonzero
+    (_nonzero_from).  One generator's defect sums are alive at a time.
 
     Exactness: _formula has checked that every partial sum fits in int64;
     those of (s * T) @ sigma_t are at most max|s * T| times the largest
@@ -310,7 +320,7 @@ def _outside_subfield(
         sigma = _galois_matrix(m, t)
         bound = top * int(np.abs(sigma).sum(axis=0).max())
         defect = (exact_matmul(flat, sigma, bound) - flat).reshape(k, k * phi)
-        outside |= sums(defect).reshape(count, k, phi).any(axis=2)
+        outside |= _nonzero_from(sums(defect).reshape(count, k, phi), 0)
     return outside
 
 

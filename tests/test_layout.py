@@ -4,6 +4,7 @@ The power-basis format has one home, cyclotomic, and the independent oracle
 shares nothing with the character path but that format: it reads the group,
 the adjacency matrices and a claimed spectrum.  A Group keeps no n x n
 multiplication table, and no module reads one as an attribute named mul.
+Every private helper is named somewhere besides its own definition.
 """
 
 import ast
@@ -96,3 +97,26 @@ def test_package_exports_are_listed_in_their_modules_all():
         if declared is not None:
             unlisted[module] = sorted(names - declared)
     assert unlisted and not any(unlisted.values()), unlisted
+
+
+def test_every_private_helper_is_referenced_outside_its_definition():
+    """A module-level _name function or class that no other statement of the package names is dead code."""
+    definitions = []  # (module, index of the top-level statement, name)
+    sites = {}  # name -> the (module, index) of every top-level statement that names it
+    for module, tree in _trees().items():
+        for index, node in enumerate(tree.body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") and not node.name.startswith("__"):
+                definitions.append((module, index, node.name))
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Name):
+                    names = [inner.id]
+                elif isinstance(inner, ast.Attribute):
+                    names = [inner.attr]
+                elif isinstance(inner, ast.ImportFrom):
+                    names = [alias.name for alias in inner.names]
+                else:
+                    continue
+                for name in names:
+                    sites.setdefault(name, set()).add((module, index))
+    dead = [f"{module}.{name}" for module, index, name in definitions if not sites.get(name, set()) - {(module, index)}]
+    assert definitions and not dead, dead

@@ -269,6 +269,34 @@ def test_exact_verification_rejects_tampered_spectrum():
     assert report == oracle.ExactSpectrumReport(passed=False, degree=g.n)
 
 
+def test_exact_verification_drops_a_prime_that_divides_a_denominator():
+    """One value written as (q num) / (q d), q the first prime the per-set check takes: q divides the scale and has no inverse."""
+    g, cd, table = _bundle("symmetric(3)")
+    conn = make_connection_set({"classes": [2]}, g, cd)
+    sp = eigenvalues_via_characters(conn, table, cd)
+    adj = adjacency_matrix(g, conn.elements)
+    charpoly = integer_charpoly(adj)
+    ctx = sp.entries[0].value.numerator.ctx
+    q = _modp._certificate_primes(ctx.m, 1, g.n + 1)[0]
+    r = max(range(len(sp.entries)), key=lambda i: sp.entries[i].degree)
+    value = sp.entries[r].value
+    coeffs = [q * c for c in value.numerator.coeffs]
+
+    def claim(coeffs):
+        scaled = dataclasses.replace(value, numerator=CycInt(ctx, tuple(coeffs)), denominator=q * value.denominator)
+        entries = list(sp.entries)
+        entries[r] = dataclasses.replace(entries[r], value=scaled)
+        return dataclasses.replace(sp, entries=tuple(entries))
+
+    assert verify_spectrum_exact(claim(coeffs), adj, charpoly) == oracle.ExactSpectrumReport(passed=True, degree=g.n)
+    for t in range(len(coeffs)):
+        for step in (1, -1):
+            tampered = claim(coeffs[:t] + [coeffs[t] + step] + coeffs[t + 1 :])
+            report = verify_spectrum_exact(tampered, adj, charpoly)
+            assert not report.passed
+            assert report == _sequential_report(tampered, charpoly)
+
+
 def test_compare_spectra_handles_conjugate_pairs():
     # the 5th roots of unity: conjugate pairs share a real part exactly,
     # which defeats naive lexicographic pairing of noisy floats
