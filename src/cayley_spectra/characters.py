@@ -513,8 +513,7 @@ def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
     norm = 0
     for part in chunks:
         magnitudes = np.abs(coeffs[:, part])
-        if int(magnitudes.max(initial=0)) * phi >= 2**63:
-            magnitudes = magnitudes.astype(object)  # the L1 sums could wrap in int64
+        magnitudes = _widened(magnitudes, int(magnitudes.max(initial=0)) * phi)  # bounds the L1 sums
         norm = max(norm, int(magnitudes.sum(axis=2).max()))
     del magnitudes  # a chunk of |T|, not to be held through the embeddings
     sizes = np.array(cd.sizes, dtype=np.int64)
@@ -549,8 +548,7 @@ def _galois_identity_holds(coeffs: np.ndarray, cd: ClassData, m: int, generators
     memory beside the table.
     """
     bound = max(int(coeffs.max(initial=0)), -int(coeffs.min(initial=0))) * _basis_norm(m)  # no |T| copy
-    if bound >= 2**63:
-        coeffs = coeffs.astype(object)
+    coeffs = _widened(coeffs, bound)
     k, classes, phi = coeffs.shape
     nz = np.flatnonzero(coeffs.any(axis=(0, 1)))
     for part in _chunks(classes, 8 * k * (nz.size + phi)):  # a class's restricted values and their images
@@ -564,6 +562,11 @@ def _galois_identity_holds(coeffs: np.ndarray, cd: ClassData, m: int, generators
             if not np.array_equal(image, coeffs[:, cd.power_class[part, t % m]]):
                 return False
     return True
+
+
+def _widened(a: np.ndarray, bound: int) -> np.ndarray:
+    """a, or a copy in Python integers when bound, on the sums or products the caller forms from it, reaches 2^63, where int64 would wrap."""
+    return a.astype(object) if bound >= 2**63 else a
 
 
 def verify_orthogonality(table: CharacterTable, cd: ClassData, group_order: int) -> bool:

@@ -26,16 +26,24 @@ unitary eigenbasis.  One eigh of a Hermitian combination finds it, each
 row's eigenvalues are a product with the atoms' joint eigenvalues, and the
 Hoffman-Wielandt inequality bounds their distance to the true spectrum.
 A sweep that is not such a union, or whose bound fails, falls back to one
-eigvals per pair of inverse sets.  The batched exact check compares the
-power sums tr(A^j), j = 1..n, from one walk of n steps from the identity,
-with the claim's.  It walks one matrix per pair of inverse sets:
-A(C^-1) = A(C)^T, so both sets have one spectrum (_solved_runs).  Each
-row's own claim is still compared with the shared result.  The per-set
-check turns the same claimed power sums into coefficients by Newton's
-identities (_elementary) and compares them with the integer
-characteristic polynomial, whose size Hadamard's inequality bounds
-(_charpoly_bound).  One lemma, in _claimed_power_sums, proves for both
-that their residues decide.
+eigvals per pair of inverse sets.  On the joint path the rows' claims are
+matched once per sweep (_certified_rows): each joint eigenvector is given
+the character whose claims on the rows that hold one atom alone are
+nearest, and a row whose claims are exactly the sums of those atom rows'
+claims, with no two claimed values clashing, passes by that one
+correspondence.  The rows it does not certify, and every row of a sweep
+without a correspondence or without the joint path, are matched one by
+one against their own numeric values (_float_verdicts).
+
+The batched exact check compares the power sums tr(A^j), j = 1..n, from
+one walk of n steps from the identity, with the claim's.  It walks one
+matrix per pair of inverse sets: A(C^-1) = A(C)^T, so both sets have one
+spectrum (_solved_runs).  Each row's own claim is still compared with the
+shared result.  The per-set check turns the same claimed power sums into
+coefficients by Newton's identities (_elementary) and compares them with
+the integer characteristic polynomial, whose size Hadamard's inequality
+bounds (_charpoly_bound).  One lemma, in _claimed_power_sums, proves for
+both that their residues decide.
 """
 
 from __future__ import annotations
@@ -453,8 +461,10 @@ def batch_compare_spectra(
     degrees[r]^2.  Its numeric eigenvalues come from the sweep's joint
     eigenbasis (_joint_spectrum) when that is certified; otherwise each
     chunk takes one eigvals call, on one matrix of each pair of inverse sets
-    (_solved_runs).  Every row's own claim is matched against its numeric
-    values (_float_verdicts), in chunks of _STACK_BYTES.
+    (_solved_runs).  On the joint path one correspondence of eigenvectors
+    to characters passes the rows it certifies (_certified_rows).  Every
+    other row's own claim is matched against its numeric values
+    (_float_verdicts), in chunks of _STACK_BYTES.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     if int(degrees @ degrees) != group.n:
@@ -463,7 +473,7 @@ def batch_compare_spectra(
         )
     if int(np.abs(numerators).max(initial=0)) * int(degrees.max()) >= 2**63:
         raise ValueError("claimed numerators too large for exact int64 comparison")
-    n, (count, k, _) = group.n, numerators.shape
+    n, (count, k, phi) = group.n, numerators.shape
     out = np.empty(count, dtype=bool)
     # per row: about three 8-byte arrays of shape (K, n) and three of (K, K)
     row_bytes = 24 * k * (n + k)
@@ -475,9 +485,13 @@ def batch_compare_spectra(
             out[rows] = _float_verdicts(numerators[rows], degrees, m, numeric[local], tolerance)
         return out
     atoms, values = joint
-    step = max(1, _STACK_BYTES // (16 * n + row_bytes))  # and each row's numeric values
-    for start in range(0, count, step):
-        rows = slice(start, start + step)
+    passed = _certified_rows(atoms, values, numerators, degrees, m, tolerance)
+    out[passed] = True
+    rest = np.flatnonzero(~passed)
+    # and each row's numeric values and gathered claims
+    step = max(1, _STACK_BYTES // (16 * n + 8 * k * phi + row_bytes))
+    for start in range(0, len(rest), step):
+        rows = rest[start : start + step]
         numeric = atoms[rows].astype(np.float64) @ values
         out[rows] = _float_verdicts(numerators[rows], degrees, m, numeric, tolerance)
     return out
@@ -565,6 +579,105 @@ def _weights(count: int) -> np.ndarray:
     return np.sqrt(np.array(primes, dtype=np.float64))
 
 
+def _certified_rows(
+    atoms: np.ndarray, values: np.ndarray, nums: np.ndarray, degrees: np.ndarray, m: int, tolerance: float
+) -> np.ndarray:
+    """(S,) bool: the rows s whose _float_verdicts verdict on the numeric values atoms[s] @ values is proven True by one correspondence of joint eigenvectors to characters; no row when the sweep has none.
+
+    Let c_b[r] = nums[s_b, r] / degrees[r], the claim for character r on a
+    row s_b whose set is atom b alone.  The sweep has a correspondence when
+    (1) every atom has such a row, and (3) giving each column i the
+    character r(i) that minimises e_i(r) = sum_b |values[b, i] - c_b[r]|
+    gives every r exactly degrees[r]^2 columns, with max_i e_i(r(i)) + mu
+    <= tol for the margin mu below.  Row s is then certified when (2)
+    nums[s] = sum_b atoms[s, b] nums[s_b] exactly, and (4) no pair of its
+    claimed values clashes as _float_verdicts defines it (_clashes).
+
+    Why a certified row passes.  By (2), its claimed value for r is
+    lambda_r = sum_b atoms[s, b] c_b[r] exactly, and its numeric value i is
+    the float of sum_b atoms[s, b] values[b, i]; their distance is at most
+    the sum of |values[b, i] - c_b[r]| over the atoms the row holds, so at
+    most e_i(r).  With r = r(i) and the margin for rounding, every numeric
+    value lies in the ball of claimed value r(i), as _float_verdicts forms
+    the floats and tests the distance.  With no clash, the claimed values
+    that are the same as r(i) are its twins and have its ball, and the ball
+    of every other value is disjoint from it.  So the ball of value r holds
+    exactly the columns i whose r(i) is the same as r, and by (3) there are
+    sum_(t same as r) degrees[t]^2 of them: every count of _float_verdicts'
+    counting argument holds, and its verdict is True.
+
+    The margin.  Let u = 2^-53, N = a + phi + 32 for a atoms and phi
+    coefficients, g = N u / (1 - N u), and mu = 16 g (tol + W + L), with
+    W = max_i sum_b |values[b, i]| and L = sum_b max_r |nums[s_b, r]|_1 /
+    degrees[r].  A claimed float (_complex_parts, then / d) is within
+    g |num|_1 / d of its value in each part: the angle 2 pi e / m is rounded
+    by a few units in the last place, cos and sin are 1-Lipschitz, and the
+    sum has phi terms; and |num|_1 / d <= L on a row that meets (2).  A
+    numeric value is a sum of at most a floats, within g W of its exact sum
+    in each part.  With the rounding of e_i, and of the difference and hypot
+    in _within, which is relative and so below g tol, the float distance
+    _float_verdicts tests exceeds e_i(r) by less than mu, and it must be at
+    most tol.
+
+    The pairs.  The difference of claimed values r and t of row s is formed
+    as atoms[s] @ (c_b[r] - c_b[t]), from the floats of the c_b; in each
+    part it is within 8 g L <= mu of the difference _float_verdicts forms.
+    A pair whose formed difference is more than mu outside _within's box
+    for 2 tol (1 + 2^-40), in either part, is then not near, and not the
+    same either, since the same values differ by exactly 0.  The exact
+    tests (_clashes) run on the other pairs alone.  (2) is one exact_matmul
+    per chunk of rows, whose bound sum_b max|nums[s_b]| must stay below
+    2^63.  Rows go in chunks that fit in _STACK_BYTES.
+    """
+    count, a = atoms.shape
+    n, (k, phi) = values.shape[1], nums.shape[1:]
+    passed = np.zeros(count, dtype=bool)
+    single = np.flatnonzero(atoms.sum(axis=1) == 1)
+    _, first = np.unique(np.nonzero(atoms[single])[1], return_index=True)
+    if len(first) < a:
+        return passed
+    atom_rows = nums[single[first]]  # (a, K, phi): the claims of atom b alone, in the order of the atoms
+    c_re, c_im = _complex_parts(atom_rows, m)
+    c_re, c_im = c_re / degrees, c_im / degrees
+    cost = np.zeros((n, k))
+    for b in range(a):
+        cost += np.hypot(values[b].real[:, None] - c_re[b], values[b].imag[:, None] - c_im[b])
+    char = cost.argmin(axis=1)
+    norms = np.abs(atom_rows).astype(np.float64).sum(axis=2) / degrees  # |nums[s_b, r]|_1 / d_r
+    width = a + phi + 32
+    g = width * 2.0**-53 / (1 - width * 2.0**-53)
+    mu = 16 * g * (tolerance + np.abs(values).sum(axis=0).max(initial=0) + norms.max(axis=1, initial=0).sum())
+    if not (
+        (np.bincount(char, minlength=k) == degrees * degrees).all()
+        and cost[np.arange(n), char].max(initial=0) + mu <= tolerance
+    ):
+        return passed
+    flat = atom_rows.reshape(a, k * phi)
+    bound = sum(int(x) for x in np.abs(flat).max(axis=1, initial=0))
+    if bound >= 2**63:
+        return passed
+    r, t = _value_pairs(k)
+    d_re, d_im = c_re[:, r] - c_re[:, t], c_im[:, r] - c_im[:, t]
+    limit = 2 * tolerance * (1 + 2**-40) * (1 + 2**-40) + mu
+    # bytes per row: the product and its float operand, the comparison, and
+    # per pair a formed difference, its absolute value and their tests (the
+    # pairs tested exactly are few)
+    step = max(1, _STACK_BYTES // (16 * a + 9 * k * phi + 20 * len(r)))
+    for start in range(0, count, step):
+        block, claims = atoms[start : start + step], nums[start : start + step]
+        exact = (_modp.exact_matmul(block, flat, bound) == claims.reshape(len(block), -1)).all(axis=1)
+        weights = block.astype(np.float64)
+        s, p = np.nonzero((np.abs(weights @ d_re) <= limit) & (np.abs(weights @ d_im) <= limit))
+        hit = np.zeros(len(block), dtype=bool)
+        hit[s] = True
+        near = claims[hit]  # the rows with a pair to test exactly
+        re, im = _complex_parts(near, m)
+        clash, _ = _clashes(near, degrees, re / degrees, im / degrees, (np.cumsum(hit) - 1)[s], r[p], t[p], tolerance)
+        exact[s[clash]] = False
+        passed[start : start + step] = exact
+    return passed
+
+
 def _float_verdicts(
     nums: np.ndarray, degrees: np.ndarray, m: int, numeric: np.ndarray, tolerance: float
 ) -> np.ndarray:
@@ -604,12 +717,8 @@ def _float_verdicts(
     re, im = re / degrees, im / degrees
     count, k = re.shape
     r, t = _value_pairs(k)
-    same = np.ones((count, len(r)), dtype=bool)
-    for e in range(nums.shape[2]):
-        same &= nums[:, r, e] * degrees[t] == nums[:, t, e] * degrees[r]
-    twin = (re[:, r] == re[:, t]) & (im[:, r] == im[:, t])
-    near = _within(re[:, r] - re[:, t], im[:, r] - im[:, t], 2 * tolerance * (1 + 2**-40))
-    clash = np.where(same, ~twin, near).any(axis=1)
+    clash, same = _clashes(nums, degrees, re, im, slice(None), r, t, tolerance)
+    clash = clash.any(axis=1)
     inside = _within(numeric.real[:, None] - re[:, :, None], numeric.imag[:, None] - im[:, :, None], tolerance)
     equal = np.zeros((count, k, k), dtype=bool)
     equal[:, r, t] = equal[:, t, r] = same
@@ -619,6 +728,26 @@ def _float_verdicts(
         claimed = _read_spectrum(m, degrees.tolist(), nums[s], numeric.shape[1], 0, False)
         verdict[s] = compare_spectra(claimed, numeric[s], tolerance).passed
     return verdict
+
+
+def _clashes(
+    nums: np.ndarray, degrees: np.ndarray, re: np.ndarray, im: np.ndarray, s, r, t, tolerance: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(clash, same) for claimed values r and t of row s, elementwise over the index arrays r and t and s, an index array or a slice.
+
+    nums[s, r] / degrees[r] is a claimed value and re[s, r], im[s, r] its
+    floats.  Two values are the same when num * d' == num' * d, exactly; the
+    same values are twins when their floats are equal bit for bit, and
+    distinct values are near when within 2 tol (1 + 2^-40).  A pair clashes
+    when it is the same but no twins, or distinct but near.
+    """
+    same = nums[s, r, 0] * degrees[t] == nums[s, t, 0] * degrees[r]
+    for e in range(1, nums.shape[2]):
+        same &= nums[s, r, e] * degrees[t] == nums[s, t, e] * degrees[r]
+    re_r, re_t, im_r, im_t = re[s, r], re[s, t], im[s, r], im[s, t]
+    twin = (re_r == re_t) & (im_r == im_t)
+    near = _within(re_r - re_t, im_r - im_t, 2 * tolerance * (1 + 2**-40))
+    return np.where(same, ~twin, near), same
 
 
 @lru_cache(maxsize=64)

@@ -526,9 +526,7 @@ def class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSwee
     """
     k = cd.k
     check_sweep_size(k, totient(table.m))
-    count = 1 << (k - 1)
-    masks = np.zeros((count, k), dtype=np.int64)
-    masks[:, 1:] = (np.arange(count)[:, None] >> np.arange(k - 1)) & 1
+    masks = _subset_sums(np.identity(k, dtype=np.int64))  # subset s's indicator, by doubling
     weighted, numerators, irrational = _formula(cd, table, masks, _subset_sums)
     return ClassSweep(
         group=group,
@@ -542,11 +540,16 @@ def class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSwee
 
 
 def _closed_under(sweep: ClassSweep, cover) -> np.ndarray:
-    """Per subset, whether it contains cover[j] (a class bitmask) for each class j it contains."""
+    """Per subset, whether it contains cover[j] (a class bitmask) for each class j it contains.
+
+    A class whose cover holds no other class is skipped: a subset that
+    contains class j contains bit j.
+    """
     bits = np.arange(len(sweep.masks), dtype=np.int64) << 1  # bit j for class j
     ok = np.ones(len(bits), dtype=bool)
     for j, c in enumerate(cover):
-        ok &= (((bits >> j) & 1) == 0) | ((c & ~bits) == 0)
+        if c & ~(1 << j):
+            ok &= (((bits >> j) & 1) == 0) | ((c & ~bits) == 0)
     return ok
 
 

@@ -571,33 +571,18 @@ def test_constructor_copies_and_freezes_its_array(corpus):
     assert copy.values == table.values
 
 
-def _lines_run(fn, *args):
-    """fn(*args), and the numbers of the lines of characters.py that it ran."""
-    ran = set()
-
-    def tracer(frame, event, arg):
-        if frame.f_code.co_filename != characters.__file__:
-            return None
-        if event == "line":
-            ran.add(frame.f_lineno)
-        return tracer
-
-    old = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        result = fn(*args)
-    finally:
-        sys.settrace(old)
-    return result, ran
-
-
-def test_certificate_sums_in_python_integers_near_int64(corpus):
+def test_certificate_sums_in_python_integers_near_int64(corpus, monkeypatch):
     """Coefficients near 2^62 send the L1 norm and the Galois products to
     their Python-integer branches, whose verdicts match the CycInt loops."""
-    with open(characters.__file__) as f:
-        source = list(enumerate(f, 1))
-    (norm_branch,) = [i for i, line in source if "magnitudes = magnitudes.astype(object)" in line]
-    (galois_branch,) = [i for i, line in source if "coeffs = coeffs.astype(object)" in line]
+    widened = []
+    real = characters._widened
+
+    def spy(a, bound):
+        out = real(a, bound)
+        widened.append((sys._getframe(1).f_code.co_name, out.dtype == object))
+        return out
+
+    monkeypatch.setattr(characters, "_widened", spy)
     group, cd, table = corpus["cyclic(5)"]
     units = unit_group(group.exponent)
     scaled = table.coefficients.astype(object)
@@ -606,12 +591,14 @@ def test_certificate_sums_in_python_integers_near_int64(corpus):
     cases = [(dataclasses.replace(table, coefficients=scaled), True), (changed, False)]
     for candidate, galois_holds in cases:
         assert int(np.abs(candidate.coefficients).max()) >= 2**62
-        verdict, ran = _lines_run(verify_galois_character_identity, candidate, cd, units)
-        assert verdict == galois_holds == _galois_identity_by_cycint_loop(candidate, cd, units)
-        assert galois_branch in ran
-        verdict, ran = _lines_run(verify_orthogonality, candidate, cd, group.n)
-        assert not verdict and not _orthogonal_by_cycint_loops(candidate, cd, group.n)
-        assert norm_branch in ran
+        widened.clear()
+        assert verify_galois_character_identity(candidate, cd, units) == galois_holds
+        assert galois_holds == _galois_identity_by_cycint_loop(candidate, cd, units)
+        assert ("_galois_identity_holds", True) in widened
+        widened.clear()
+        assert not verify_orthogonality(candidate, cd, group.n)
+        assert not _orthogonal_by_cycint_loops(candidate, cd, group.n)
+        assert ("_validate_table", True) in widened
 
 
 def test_certificate_agrees_with_cycint_loops(corpus):
@@ -754,6 +741,21 @@ def test_galois_products_on_nonzero_columns_equal_the_full_products(corpus):
 
 def _is_prime_by_trial_division(q):
     return q > 1 and all(q % f for f in range(2, isqrt(q) + 1))
+
+
+def test_miller_rabin_agrees_with_a_sieve_and_past_its_four_base_bound():
+    """Below 3,215,031,751 the bases 2, 3, 5 and 7 decide; that number, the least strong pseudoprime to all four, is composite."""
+    limit = 10**6
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    assert [x for x in range(limit) if _modp._is_prime(x)] == np.flatnonzero(sieve).tolist()
+    pseudoprime = 3_215_031_751
+    assert pseudoprime == 151 * 751 * 28351
+    assert not _modp._is_prime(pseudoprime)
+    assert _modp._is_prime(2**61 - 1) and not _modp._is_prime((2**31 - 1) * (2**61 - 1))
 
 
 @settings(max_examples=40, deadline=None)

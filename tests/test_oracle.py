@@ -947,6 +947,137 @@ def test_chunk_edges_that_split_a_sweep_give_the_same_verdicts(corpus, monkeypat
             assert runs[0] == 1 < runs[1] < runs[2] == last, (text, joint, runs)
 
 
+def _float_rows_spy(monkeypatch):
+    """Record the claims passed to every call of _float_verdicts, and the rows _certified_rows certifies."""
+    seen = {"claims": [], "certified": []}
+    verdicts, certified = oracle._float_verdicts, oracle._certified_rows
+
+    def verdicts_spy(nums, *args):
+        seen["claims"].append(nums.copy())
+        return verdicts(nums, *args)
+
+    def certified_spy(*args):
+        seen["certified"].append(certified(*args))
+        return seen["certified"][-1]
+
+    monkeypatch.setattr(oracle, "_float_verdicts", verdicts_spy)
+    monkeypatch.setattr(oracle, "_certified_rows", certified_spy)
+    return seen
+
+
+def _matched_rows(seen):
+    """The claims _float_verdicts received, as one array."""
+    return np.concatenate(seen["claims"]) if seen["claims"] else np.empty((0,))
+
+
+def test_every_untampered_corpus_sweep_is_certified_without_a_per_row_match(corpus, monkeypatch):
+    """Each sweep's correspondence certifies every row: _float_verdicts receives no row, and its own verdict on every row agrees."""
+    for text in CORPUS:
+        group, table, sweep, members = _sweep_of(corpus, text)
+        claims = _claims(sweep)
+        with monkeypatch.context() as patch:
+            seen = _float_rows_spy(patch)
+            assert batch_compare_spectra(group, members, *claims, TOLERANCE).all(), text
+        assert seen["claims"] == [] and seen["certified"][0].all(), text
+        atoms, values = oracle._joint_spectrum(group, members, TOLERANCE)
+        numeric = atoms.astype(np.float64) @ values
+        degrees = np.array(table.degrees)
+        assert oracle._float_verdicts(sweep.numerators, degrees, table.m, numeric, TOLERANCE).all(), text
+
+
+def test_swapped_characters_get_the_per_row_match_verdicts(corpus):
+    """The values of two characters swapped in every row, or in the last row but one alone, give _float_verdicts' verdict on every row.
+
+    Swapped in every row, each column keeps a claim within tolerance:
+    characters of one degree keep every count and pass by the
+    correspondence, and of two degrees break the counts of (3).  Swapped in
+    one row, that row alone breaks (2).
+    """
+    kinds = set()
+    for text in CORPUS:
+        group, table, sweep, members = _sweep_of(corpus, text)
+        k = table.k
+        if k < 3:
+            continue
+        atoms, values = oracle._joint_spectrum(group, members, TOLERANCE)
+        numeric = atoms.astype(np.float64) @ values
+        degrees = np.array(table.degrees)
+        for r, t in ((1, k - 1), (k - 2, k - 1)):
+            for rows in (slice(None), slice(-2, -1)):
+                nums = sweep.numerators.copy()
+                values = nums[rows, [r, t]] // degrees[[r, t], None]  # algebraic integers
+                nums[rows, [r, t]] = values[:, ::-1] * degrees[[r, t], None]
+                expected = oracle._float_verdicts(nums, degrees, table.m, numeric, TOLERANCE)
+                verdicts = batch_compare_spectra(group, members, *_claims(sweep, nums), TOLERANCE)
+                assert verdicts.tolist() == expected.tolist(), (text, r, t, rows)
+                kinds.add((rows == slice(None), bool(expected.all())))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("text", ["cyclic(5)", "dihedral(6)", "symmetric(4)", "alternating(5)"])
+def test_a_tampered_single_class_row_refuses_the_correspondence(corpus, monkeypatch, text):
+    """Its claim is c_b for every row that holds the class, so no row is certified and every row is matched on its own."""
+    group, table, sweep, members = _sweep_of(corpus, text)
+    nums = sweep.numerators.copy()
+    nums[1, -1, 0] += 1  # row 1 is class 1 alone
+    assert sweep.masks[1].tolist() == [0, 1] + [0] * (table.k - 2)
+    seen = _float_rows_spy(monkeypatch)
+    verdicts = batch_compare_spectra(group, members, *_claims(sweep, nums), TOLERANCE)
+    assert not seen["certified"][0].any()
+    assert np.array_equal(_matched_rows(seen), nums)
+    expected = [_per_row_float(group, sweep, members, s, nums) for s in range(len(members))]
+    assert verdicts.tolist() == expected == [s != 1 for s in range(len(members))]
+
+
+@pytest.mark.parametrize("text", ["cyclic(5)", "dihedral(6)", "symmetric(4)", "alternating(5)"])
+def test_a_tampered_multi_class_row_alone_is_matched_on_its_own(corpus, monkeypatch, text):
+    """Row 3 holds classes 1 and 2; its claim is no longer the sum of theirs, so it alone fails (2) and goes to _float_verdicts."""
+    group, table, sweep, members = _sweep_of(corpus, text)
+    nums = sweep.numerators.copy()
+    nums[3, -1, 0] += 1
+    assert sweep.masks[3].tolist() == [0, 1, 1] + [0] * (table.k - 3)
+    seen = _float_rows_spy(monkeypatch)
+    verdicts = batch_compare_spectra(group, members, *_claims(sweep, nums), TOLERANCE)
+    assert seen["certified"][0].tolist() == [s != 3 for s in range(len(members))]
+    assert np.array_equal(_matched_rows(seen), nums[[3]])
+    expected = [_per_row_float(group, sweep, members, s, nums) for s in range(len(members))]
+    assert verdicts.tolist() == expected == [s != 3 for s in range(len(members))]
+
+
+@pytest.mark.parametrize("text", ["cyclic(5)", "dihedral(6)", "alternating(4)"])
+def test_a_joint_value_moved_by_two_tolerances_refuses_the_correspondence(corpus, monkeypatch, text):
+    """Its column is 2 tol from every claim, so no row is certified: each row is matched on its own, and exactly the rows that hold the atom fail."""
+    group, table, sweep, members = _sweep_of(corpus, text)
+    seen = _float_rows_spy(monkeypatch)
+    held = _shift_one_joint_eigenvalue(monkeypatch, 0, 2 * TOLERANCE)
+    verdicts = batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE)
+    (column,) = held
+    assert not seen["certified"][0].any()
+    assert np.array_equal(_matched_rows(seen), sweep.numerators)
+    assert column.any() and not column.all()
+    assert verdicts.tolist() == (~column).tolist()
+    for s in np.flatnonzero(~column).tolist():
+        assert _per_row_float(group, sweep, members, s, sweep.numerators), s
+
+
+@pytest.mark.parametrize("text", ["cyclic(5)", "dihedral(6)", "symmetric(4)", "alternating(4)"])
+def test_a_sweep_without_its_single_class_rows_takes_the_per_row_match(corpus, monkeypatch, text):
+    """With k - 1 >= 3 classes the atoms stay classes, but no row holds one alone: (1) fails and every row goes to _float_verdicts."""
+    group, table, sweep, members = _sweep_of(corpus, text)
+    assert table.k >= 4
+    kept = np.flatnonzero(sweep.masks.sum(axis=1) != 1)
+    full = sweep.numerators.copy()
+    full[kept[-1], -1, 0] += 1
+    nums = full[kept]
+    seen = _float_rows_spy(monkeypatch)
+    verdicts = batch_compare_spectra(group, members[kept], nums, table.degrees, table.m, TOLERANCE)
+    assert oracle._joint_spectrum(group, members[kept], TOLERANCE)[0].shape[1] == table.k - 1
+    assert not seen["certified"][0].any()
+    assert np.array_equal(_matched_rows(seen), nums)
+    expected = [_per_row_float(group, sweep, members, s, full) for s in kept.tolist()]
+    assert verdicts.tolist() == expected == [s != kept[-1] for s in kept.tolist()]
+
+
 def test_hadamard_bound_covers_every_coefficient():
     """|coefficient of x^(n-i)| <= C(n, i) ceil(rho)^i, summing to the bound, on 0/1 and integer matrices."""
     rng = np.random.default_rng(19)

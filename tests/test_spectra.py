@@ -519,6 +519,53 @@ def test_subset_sums_are_exact_where_they_reach_2_to_the_62():
     assert int(got[:, 2].max()) == 1 << 62 and int(got[:, 2].min()) == -(1 << 62)
 
 
+def test_sweep_masks_built_by_doubling_are_the_bitmask_rows():
+    """class_sweep's masks equal (s >> j) & 1 on classes 1..k-1 for k = 1..14."""
+    for k in range(1, 15):
+        group, cd, table = _bundle(f"cyclic({k})")
+        assert cd.k == k
+        count = 1 << (k - 1)
+        want = np.zeros((count, k), dtype=np.int64)
+        want[:, 1:] = (np.arange(count)[:, None] >> np.arange(k - 1)) & 1
+        masks = class_sweep(group, cd, table).masks
+        assert masks.dtype == np.int64 and np.array_equal(masks, want), k
+
+
+def _closed_under_by_full_loop(sweep, cover):
+    """_closed_under with a test for every class, also those whose cover holds only themselves."""
+    bits = np.arange(len(sweep.masks), dtype=np.int64) << 1
+    ok = np.ones(len(bits), dtype=bool)
+    for j, c in enumerate(cover):
+        ok &= (((bits >> j) & 1) == 0) | ((c & ~bits) == 0)
+    return ok
+
+
+def test_closed_under_skips_only_covers_that_hold_their_own_class_alone(corpus, monkeypatch):
+    """Power-closure, unit-merge and cyclic-subgroup covers on every corpus sweep give the full loop's flags."""
+    covers = []
+    real = spectra._closed_under
+
+    def spy(sweep, cover):
+        covers.append(list(cover))
+        return real(sweep, cover)
+
+    monkeypatch.setattr(spectra, "_closed_under", spy)
+    own = total = 0
+    for text in CORPUS:
+        group, cd, table = corpus[text]
+        sweep = class_sweep(group, cd, table)
+        covers.clear()
+        flags = [sweep_power_closed(sweep), sweep_power_closed(sweep, every_element=True)]
+        for gamma in [unit_group(group.exponent), *cyclic_subgroups(group.exponent)]:
+            flags.append(sweep_class_closed(sweep, galois_conjugacy_classes(group, cd, gamma)))
+        assert len(covers) == len(flags), text
+        for cover, got in zip(covers, flags):
+            assert np.array_equal(got, _closed_under_by_full_loop(sweep, cover)), (text, cover)
+            own += sum(c == 1 << j for j, c in enumerate(cover))
+            total += len(cover)
+    assert 0 < own < total
+
+
 @pytest.mark.parametrize("spec", ["dihedral(22)", "alternating(7)", "symmetric(6)"])
 def test_sweep_memory_stays_within_the_size_estimate(spec):
     """class_sweep, verify-all's membership sweeps and power closure peak within check_sweep_size's estimate.
