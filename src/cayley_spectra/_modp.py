@@ -121,14 +121,25 @@ def _element_of_order(m: int, p: int) -> int:
     raise InternalConsistencyError(f"no element of order {m} in F_{p}")
 
 
+@lru_cache(maxsize=None)
+def _root_powers(m: int, q: int) -> np.ndarray:
+    """The read-only (m,) int64 array of w^e mod q for e = 0..m-1, w = _element_of_order(m, q)."""
+    w = _element_of_order(m, q)
+    powers = [1] * m
+    for e in range(1, m):
+        powers[e] = powers[e - 1] * w % q
+    out = np.array(powers, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
 def _ring_maps(m: int, phi: int, q: int, units) -> np.ndarray:
     """(phi, len(units)) matrix taking coefficient rows into F_q by z -> w^u for each u in units.
 
-    Row e holds w^(e u) mod q, w = _element_of_order(m, q), q = 1 (mod m).
+    Row e holds w^(e u) mod q, w = _element_of_order(m, q), q = 1 (mod m),
+    read from w's powers, which are found once per (m, q) (_root_powers).
     """
-    w = _element_of_order(m, q)
-    powers = np.array([pow(w, e, q) for e in range(m)], dtype=np.int64)
-    return powers[np.outer(np.arange(phi), units) % m]
+    return _root_powers(m, q)[np.outer(np.arange(phi), units) % m]
 
 
 def charpoly(mat, p):

@@ -808,7 +808,11 @@ def _sweep_checks(job: dict, group: Group, cd: ClassData, table: CharacterTable)
     group, so it is in the list; the full unit group, and every non-cyclic
     gamma, follow from their cyclic subgroups.
     """
-    sweep = _group_limited(class_sweep, group, cd, table)
+    run_float = _runs_float_oracle(job, group)
+    run_exact = group.n <= EXACT_VERIFY_ORDER and cd.k <= EXACT_VERIFY_CLASSES
+    run_naive = group.n <= NAIVE_ORACLE_CAP
+    # the oracles read the numerators and masks: hold them from the one checked pass
+    sweep = _group_limited(class_sweep, group, cd, table, run_float or run_exact or run_naive)
     closed = sweep_power_closed(sweep)
     integrality_ok = bool((sweep.integral == closed).all())
     membership_ok = all(
@@ -822,9 +826,6 @@ def _sweep_checks(job: dict, group: Group, cd: ClassData, table: CharacterTable)
     unit_closed = sweep_class_closed(sweep, unit_merge)
     closure_ok = bool((sweep_power_closed(sweep, every_element=True) == unit_closed).all())
 
-    run_float = _runs_float_oracle(job, group)
-    run_exact = group.n <= EXACT_VERIFY_ORDER and cd.k <= EXACT_VERIFY_CLASSES
-    run_naive = group.n <= NAIVE_ORACLE_CAP
     float_ok = True
     exact_ok = True
     if run_float or run_exact or run_naive:

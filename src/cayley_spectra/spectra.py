@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 import numbers
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -188,22 +188,23 @@ def _check_int64(bound: int, what: str) -> None:
 
 
 def _formula(
-    cd: ClassData, table: CharacterTable, masks: np.ndarray, sums: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate the character formula on every row of masks.
+    cd: ClassData, table: CharacterTable
+) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """The character formula's summands and its per-row check.
 
-    masks is an (S, k) 0/1 int64 array, row s the indicator of a union of
-    classes, and sums maps a (k, X) int64 array to the (S, X) array of its
-    row sums over each mask: the product masks @ rows for a single
-    connection set, the doubling _subset_sums for a sweep.  With T the table's
-    coefficient array and s the class sizes, returns weighted = s * T,
-    shaped (k, k * phi) with row j holding s_j * chi_r(g_j) for every r;
-    the numerators N = sums(s * T), shaped (S, k, phi): N[s, r] is the
-    numerator of character r's eigenvalue on row s over the divisor
-    chi_r(1); and the (S, k) flags of the irrational N[s, r], those with a
-    nonzero coefficient past the first (_nonzero_from).  The spectrum
-    identities are checked on every row and a rational non-integer
-    eigenvalue is refused; only a character of degree > 1 can have one.
+    With T the table's coefficient array and s the class sizes, returns
+    weighted = s * T, shaped (k, k * phi) with row j holding s_j * chi_r(g_j)
+    for every r, and check(masks, numerators) (_check_rows).  masks is a
+    (B, k) 0/1 int64 array, row b the indicator of a union of classes, and
+    numerators its (B, k, phi) sums of the rows of weighted: N[b, r] is the
+    numerator of character r's eigenvalue on row b over the divisor
+    chi_r(1).  The sums are formed by the caller: masks @ weighted for a
+    single connection set, the blocks of _block_sums for a sweep.  check
+    tests the spectrum identities on every row, refuses a rational
+    non-integer eigenvalue and returns the (B, k) flags of the irrational
+    N[b, r].  The table's own identities, that the multiplicities d_r^2 sum
+    to n and that the identity class carries the degrees, are checked here,
+    once.
 
     Exactness: with L the largest |coefficient| in T, every partial sum of a
     numerator is at most n L in absolute value, and every partial sum of the
@@ -212,9 +213,9 @@ def _formula(
     most n L |sigma_t - I|_1, |.|_1 the largest column L1 norm.  The rows of
     sigma_t are distinct rows of the power-basis table B, as e -> e t is
     injective mod m for a unit t, so |sigma_t - I|_1 <= |B|_1 + 1 for every
-    unit t.  A product's partial sum and every value the doubling forms are
-    sums over a subset of the classes, so the bounds hold for both.  They
-    are checked against 2^63 before any array is built.
+    unit t.  A product's partial sum and every value a block of _block_sums
+    holds are sums over a subset of the classes, so the bounds hold for
+    both.  They are checked against 2^63 before any array is built.
     """
     n, k = sum(cd.sizes), cd.k
     coeffs = table.coefficients
@@ -224,11 +225,32 @@ def _formula(
     shift_norm = int(np.abs(_power_basis(table.m)).sum(axis=0).max()) + 1
     _check_int64(entry_bound * shift_norm, "a Galois defect")
     sizes = np.array(cd.sizes, dtype=np.int64)
-    weighted = (coeffs * sizes[None, :, None]).transpose(1, 0, 2).reshape(k, k * phi)
-    numerators = sums(weighted).reshape(len(masks), k, phi)
     degrees = np.array(table.degrees, dtype=np.int64)
-    _check_sweep_identities(coeffs, masks, numerators, sizes, degrees, n)
+    if int(degrees @ degrees) != n:
+        raise InternalConsistencyError("multiplicities do not sum to the group order")
+    if (coeffs[:, 0, 0] != degrees).any() or coeffs[:, 0, 1:].any():
+        raise InternalConsistencyError("identity class values differ from the degrees")
+    weighted = (coeffs * sizes[None, :, None]).transpose(1, 0, 2).reshape(k, k * phi)
+    return weighted, partial(_check_rows, sizes, degrees, n)
 
+
+def _check_rows(
+    sizes: np.ndarray, degrees: np.ndarray, n: int, masks: np.ndarray, numerators: np.ndarray
+) -> np.ndarray:
+    """The spectrum identities on every row of masks; returns the (B, k) flags of the irrational numerators.
+
+    The trivial character's eigenvalue is |C| = masks @ sizes, and the trace
+    sum_r d_r N_r is n when C holds the identity and 0 otherwise.  A
+    numerator is irrational when it has a nonzero coefficient past the
+    first (_nonzero_from).  A rational one must be divisible by the degree,
+    which only a character of degree > 1 can fail.
+    """
+    if (numerators[:, 0, 0] != masks @ sizes).any() or numerators[:, 0, 1:].any():
+        raise InternalConsistencyError("trivial eigenvalue differs from |C|")
+    trace = degrees @ numerators
+    trace[:, 0] -= n * masks[:, 0]
+    if trace.any():
+        raise InternalConsistencyError("trace identity fails")
     irrational = _nonzero_from(numerators, 1)
     wide = np.flatnonzero(degrees > 1)
     split = (numerators[:, wide, 0] % degrees[wide] != 0) & ~irrational[:, wide]
@@ -236,72 +258,109 @@ def _formula(
         s, r = np.argwhere(split)[0]
         value = Fraction(int(numerators[s, wide[r], 0]), int(degrees[wide[r]]))
         raise InternalConsistencyError(f"rational non-integer eigenvalue {value} for character {wide[r]}")
-    return weighted, numerators, irrational
+    return irrational
 
 
 def _nonzero_from(values: np.ndarray, first: int) -> np.ndarray:
-    """(S, k) flags of the (S, k, phi) int64 values with a nonzero coefficient at index first or later.
+    """(B, k) flags of the (B, k, phi) int64 values with a nonzero coefficient at index first or later.
 
     any() over the short, strided last axis runs one tiny loop per value.
-    So each chunk of rows is compared with 0, copied coefficient-major and
-    reduced over its leading axis: one long OR per coefficient.
+    So the values are compared with 0, copied coefficient-major and reduced
+    over their leading axis: one long OR per coefficient.  Every caller
+    passes one block of _block_sums or one row, so the two bool temporaries
+    are at most an eighth of SWEEP_BLOCK_BYTES (or of a row).
     """
-    count, k, phi = values.shape
-    out = np.empty((count, k), dtype=bool)
-    step = max(1, (1 << 15) // (k * phi))  # rows per pass: two bool temporaries of at most 32 KiB
-    for s in range(0, count, step):
-        nonzero = np.ascontiguousarray((values[s : s + step] != 0).transpose(2, 0, 1)[first:])
-        np.logical_or.reduce(nonzero, axis=0, out=out[s : s + step])
-    return out
+    nonzero = np.ascontiguousarray((values != 0).transpose(2, 0, 1)[first:])
+    return np.logical_or.reduce(nonzero, axis=0)
 
 
-def _subset_sums(rows: np.ndarray) -> np.ndarray:
+def _subset_sums(rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The (2^(k-1), X) sums of rows[1:], a (k, X) array, over every subset of classes 1..k-1, in bitmask order.
 
     Subset s holds class j + 1 when bit j of s is set, so the subsets with
     bit j set are those below 2^j with class j + 1 added: out[2^j : 2^(j+1)]
     = out[:2^j] + rows[j + 1].  That is one add per subset and entry, where
-    masks @ rows takes k.  Every value formed is the sum of a subset.
+    masks @ rows takes k.  Every value formed is the sum of a subset.  The
+    sums are written into out when it is given.
     """
-    out = np.empty((1 << (len(rows) - 1), rows.shape[1]), dtype=rows.dtype)
+    if out is None:
+        out = np.empty((1 << (len(rows) - 1), rows.shape[1]), dtype=rows.dtype)
     out[0] = 0
     for j, row in enumerate(rows[1:]):
         np.add(out[: 1 << j], row, out=out[1 << j : 2 << j])
     return out
 
 
-def _check_sweep_identities(coeffs, masks, numerators, sizes, degrees, n: int) -> None:
-    """The spectrum identities on every mask row, plus the degree column.
+# Bytes of one block of a sweep's int64 sums.  A block and the temporaries of
+# the checks made on it (an eighth of it for each bool array) stay in a
+# core's cache, and below glibc's 128 KiB mmap threshold the temporaries are
+# reused from the heap, not mapped afresh per block.  Cold sweeps of
+# dihedral(22), alternating(7) and symmetric(6) together ran fastest at
+# 512 KiB of the sizes 256 KiB to 2 MiB tried, on a 2-core x86-64 machine
+# with 2 MiB of L2 cache per core.
+SWEEP_BLOCK_BYTES = 1 << 19
 
-    The multiplicities d_r^2 sum to n, the identity class carries the
-    degrees, the trivial character's eigenvalue is |C| and the trace
-    sum_r d_r N_r is n when C holds the identity and 0 otherwise.
+
+def _block_bits(bits: int, width: int) -> int:
+    """c <= bits, the largest with 2^c rows of width int64 entries within SWEEP_BLOCK_BYTES, and at least 0."""
+    rows = max(1, SWEEP_BLOCK_BYTES // (8 * width))
+    return min(bits, rows.bit_length() - 1)
+
+
+def _block_sums(rows: np.ndarray, out: Optional[np.ndarray] = None) -> Iterator[tuple[int, np.ndarray]]:
+    """The sums of rows[1:], a (k, X) array, over every subset of classes 1..k-1, as (start, block) in bitmask order.
+
+    block holds the sums of subsets start, start + 1, ... in its rows.
+    With c = _block_bits(k - 1, X), subset s splits into its low c bits and
+    the rest: its sum is low[s mod 2^c] + high[s >> c], where low and high
+    are the _subset_sums of classes 1..c and of classes c + 1..k - 1.  So
+    block h is low + high[h], one add per entry, and every value formed is
+    the sum of a subset.  Block 0 is low itself, as high[0] is the empty
+    sum.  The blocks are written into out, a (2^(k-1), X) array, when it is
+    given, and otherwise into one buffer that the next block overwrites.
+    A caller reads a block and never writes to it.
     """
-    if int(degrees @ degrees) != n:
-        raise InternalConsistencyError("multiplicities do not sum to the group order")
-    if (coeffs[:, 0, 0] != degrees).any() or coeffs[:, 0, 1:].any():
-        raise InternalConsistencyError("identity class values differ from the degrees")
-    if (numerators[:, 0, 0] != masks @ sizes).any() or numerators[:, 0, 1:].any():
-        raise InternalConsistencyError("trivial eigenvalue differs from |C|")
-    trace = degrees @ numerators
-    trace[:, 0] -= n * masks[:, 0]
-    if trace.any():
-        raise InternalConsistencyError("trace identity fails")
+    c = _block_bits(len(rows) - 1, rows.shape[1])
+    size = 1 << c
+    low = _subset_sums(rows[: c + 1], None if out is None else out[:size])
+    yield 0, low
+    high = _subset_sums(np.concatenate((rows[:1], rows[c + 1 :])))
+    block = np.empty_like(low) if out is None and len(high) > 1 else None
+    for h in range(1, len(high)):
+        start = h << c
+        if out is not None:
+            block = out[start : start + size]
+        np.add(low, high[h], out=block)
+        yield start, block
+
+
+def _bit_masks(start: int, count: int, k: int) -> np.ndarray:
+    """The (count, k) 0/1 int64 indicators of subsets start .. start + count - 1: class j + 1 when bit j is set, never class 0."""
+    bits = np.arange(start, start + count, dtype=np.int64) << 1  # bit j for class j
+    masks = bits[:, None] >> np.arange(k)
+    masks &= 1
+    return masks
 
 
 def _outside_subfield(
-    weighted: np.ndarray, sums: Callable[[np.ndarray], np.ndarray], count: int, m: int, gamma: GaloisSubgroup
+    weighted: np.ndarray,
+    sums: Callable[[np.ndarray], Iterable[tuple[int, np.ndarray]]],
+    count: int,
+    m: int,
+    gamma: GaloisSubgroup,
 ) -> np.ndarray:
-    """(count, k) flags: whether character r's eigenvalue on mask row s is moved by gamma.
+    """(count, k) flags: whether character r's eigenvalue on row s is moved by gamma.
 
     The map z -> z^t acts on coefficient rows as the phi x phi matrix sigma_t
     whose row e holds z^(e t).  A value is fixed by gamma exactly when it is
     fixed by each element of a generating set, since the fixed field of a
     group is the fixed field of any set generating it.  For each generator
     the per-class defect (s * T) @ (sigma_t - I) is formed once and summed
-    over the mask rows by sums, _formula's summing step; an eigenvalue is
-    outside the fixed field when a coefficient of its defect sum is nonzero
-    (_nonzero_from).  One generator's defect sums are alive at a time.
+    by sums, which yields (start, block) pairs as _block_sums does: the
+    blocks of _block_sums for a sweep, one product for a single connection
+    set.  An eigenvalue is outside the fixed field when a coefficient of its
+    defect sum is nonzero (_nonzero_from).  One block of defect sums is
+    alive at a time.
 
     Exactness: _formula has checked that every partial sum fits in int64;
     those of (s * T) @ sigma_t are at most max|s * T| times the largest
@@ -320,7 +379,8 @@ def _outside_subfield(
         sigma = _galois_matrix(m, t)
         bound = top * int(np.abs(sigma).sum(axis=0).max())
         defect = (exact_matmul(flat, sigma, bound) - flat).reshape(k, k * phi)
-        outside |= _nonzero_from(sums(defect).reshape(count, k, phi), 0)
+        for start, block in sums(defect):
+            outside[start : start + len(block)] |= _nonzero_from(block.reshape(len(block), k, phi), 0)
     return outside
 
 
@@ -341,6 +401,24 @@ def _mask(connection: ConnectionSet, cd: ClassData) -> np.ndarray:
     return mask
 
 
+def _one_row(mask: np.ndarray, rows: np.ndarray) -> tuple[tuple[int, np.ndarray]]:
+    """The sums of rows over the one mask row, as the single block (0, mask @ rows)."""
+    return ((0, mask @ rows),)
+
+
+def _single(connection: ConnectionSet, cd: ClassData, table: CharacterTable):
+    """_formula on the connection's one mask row.
+
+    Returns weighted, the sums that _outside_subfield takes for this row
+    (_one_row), and the row's (1, k, phi) numerators and (1, k) irrational
+    flags.
+    """
+    mask = _mask(connection, cd)
+    weighted, check = _formula(cd, table)
+    numerators = (mask @ weighted).reshape(1, cd.k, -1)
+    return weighted, partial(_one_row, mask), numerators, check(mask, numerators)
+
+
 def _first(flags: np.ndarray) -> Optional[int]:
     """Index of the first set flag, or None."""
     hits = np.flatnonzero(flags)
@@ -357,12 +435,11 @@ def eigenvalues_via_characters(
     """Evaluate the character formula for every irreducible character.
 
     The per-entry numerator is the plain character sum over C, the divisor is
-    the degree.  _formula runs on the connection's one mask row and checks
-    the exact spectrum identities, so a returned Spectrum is internally
-    consistent.
+    the degree.  _formula's check runs on the connection's one mask row and
+    tests the exact spectrum identities, so a returned Spectrum is
+    internally consistent.
     """
-    mask = _mask(connection, cd)
-    _, numerators, _ = _formula(cd, table, mask, partial(np.matmul, mask))
+    _, _, numerators, _ = _single(connection, cd, table)
     return _read_spectrum(
         table.m, table.degrees, numerators[0], sum(cd.sizes), connection.size, connection.contains_identity
     )
@@ -394,8 +471,7 @@ def check_integrality(
     group: Group, cd: ClassData, connection: ConnectionSet, table: CharacterTable
 ) -> IntegralityReport:
     """Evaluate eigenvalue integrality and power closure independently."""
-    mask = _mask(connection, cd)
-    _, _, irrational = _formula(cd, table, mask, partial(np.matmul, mask))
+    _, _, _, irrational = _single(connection, cd, table)
     bad_char = _first(irrational[0])
     witness = _power_closure_witness(connection.elements, group)
     integral = bad_char is None
@@ -429,9 +505,7 @@ def check_membership(
     merged: Optional[GaloisConjugacyClasses] = None,
 ) -> MembershipReport:
     """Evaluate subfield membership against Galois-class closure of C."""
-    mask = _mask(connection, cd)
-    sums = partial(np.matmul, mask)
-    weighted, _, _ = _formula(cd, table, mask, sums)
+    weighted, sums, _, _ = _single(connection, cd, table)
     bad_char = _first(_outside_subfield(weighted, sums, 1, table.m, gamma)[0])
     if merged is None:
         merged = galois_conjugacy_classes(group, cd, gamma)
@@ -488,6 +562,58 @@ def _subset_tuples(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(subsets)
 
 
+def _sweep_pass(cd: ClassData, table: CharacterTable, hold: bool):
+    """The checked pass over all 2^(k-1) subsets: weighted, the (S,) integral flags, and the numerators and masks if held.
+
+    The numerators are the blocks of _block_sums over weighted, in bitmask
+    order, and _formula's check runs on each block against that block's
+    masks, built from the subsets' bits (_bit_masks) and not by the sums it
+    checks.  A block is dropped once its integrality flags are read, unless
+    hold is set: then the blocks are written into one (S, k * phi) array,
+    returned as (S, k, phi), beside the (S, k) masks.  _formula has checked
+    the int64 bounds before any of these arrays is built.
+    """
+    weighted, check = _formula(cd, table)
+    k, width = weighted.shape
+    count = 1 << (k - 1)
+    numerators = np.empty((count, width), dtype=np.int64) if hold else None
+    masks = _bit_masks(0, count, k) if hold else None
+    integral = np.empty(count, dtype=bool)
+    for start, block in _block_sums(weighted, numerators):
+        rows = slice(start, start + len(block))
+        block_masks = masks[rows] if hold else _bit_masks(start, len(block), k)
+        integral[rows] = ~check(block_masks, block.reshape(len(block), k, -1)).any(axis=1)
+    if hold:
+        numerators = numerators.reshape(count, k, -1)
+    return weighted, integral, numerators, masks
+
+
+class _Held:
+    """A ClassSweep array kept only when class_sweep is asked to hold it, and otherwise built on its first read.
+
+    The first read runs the checked pass again (_sweep_pass) and keeps
+    both the numerators and the masks.  As a dataclass field's default it
+    reads None, and a value passed to ClassSweep (as dataclasses.replace
+    does) is stored as given.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, sweep, owner=None):
+        if sweep is None:
+            return None
+        if sweep.__dict__[self.name] is None:
+            _, _, numerators, masks = _sweep_pass(sweep.cd, sweep.table, hold=True)
+            for name, value in (("numerators", numerators), ("masks", masks)):
+                if sweep.__dict__[name] is None:
+                    sweep.__dict__[name] = value
+        return sweep.__dict__[self.name]
+
+    def __set__(self, sweep, value) -> None:
+        sweep.__dict__[self.name] = value
+
+
 @dataclass(eq=False)
 class ClassSweep:
     """The spectra of every union of non-identity classes of one group.
@@ -495,20 +621,22 @@ class ClassSweep:
     Subset s is the bitmask s over classes 1..k-1 (bit i for class i + 1), so
     ``subsets`` runs in the order of ``range(2 ** (k - 1))``; it is built on
     first access (the JSON output writes the subsets from k alone).
-    ``masks[s]`` is its 0/1 indicator over all k classes, read by the
-    oracles and the identity checks.  ``weighted`` and ``numerators`` are
-    what _formula returns for those masks, summed by doubling
-    (_subset_sums): the same rows that eigenvalues_via_characters reads for
-    a single connection set.
+    ``weighted`` is what _formula returns and ``integral`` what the checked
+    pass (_sweep_pass) reads from each block of numerators.  ``masks[s]``,
+    subset s's 0/1 indicator over all k classes, and ``numerators[s]``, its
+    (k, phi) numerators, are the rows that eigenvalues_via_characters reads
+    for a single connection set; they are held from the same pass when
+    class_sweep is asked to hold them, and are otherwise built on first
+    read.  The oracles and sweep_spectrum read them; the decisions never do.
     """
 
     group: Group
     cd: ClassData
     table: CharacterTable
-    masks: np.ndarray  # (S, k) int64
     weighted: np.ndarray  # (k, k * phi) int64: row j is s_j * chi_r(g_j) for every r
-    numerators: np.ndarray  # (S, k, phi) int64
     integral: np.ndarray  # (S,) bool: every eigenvalue a rational integer
+    numerators: np.ndarray = _Held()  # (S, k, phi) int64
+    masks: np.ndarray = _Held()  # (S, k) int64
 
     @cached_property
     def subsets(self) -> tuple[tuple[int, ...], ...]:
@@ -516,26 +644,25 @@ class ClassSweep:
         return _subset_tuples(self.cd.k)
 
 
-def class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSweep:
+def class_sweep(group: Group, cd: ClassData, table: CharacterTable, hold: bool = False) -> ClassSweep:
     """Evaluate the character formula on all 2^(k-1) subsets.
 
     The sweep is refused by check_sweep_size before any array is built;
-    then _formula runs on the subsets' masks, in bitmask order, with the
-    numerators summed by doubling (_subset_sums), and checks its exactness
-    bounds and the spectrum identities on the whole batch.
+    then the checked pass (_sweep_pass) checks the exactness bounds once
+    and the spectrum identities block by block, in bitmask order, keeping
+    the (S,) integrality flags.  With hold, the same pass also keeps the
+    numerators and masks, for a caller that reads them (the oracles).
     """
-    k = cd.k
-    check_sweep_size(k, totient(table.m))
-    masks = _subset_sums(np.identity(k, dtype=np.int64))  # subset s's indicator, by doubling
-    weighted, numerators, irrational = _formula(cd, table, masks, _subset_sums)
+    check_sweep_size(cd.k, totient(table.m))
+    weighted, integral, numerators, masks = _sweep_pass(cd, table, hold)
     return ClassSweep(
         group=group,
         cd=cd,
         table=table,
-        masks=masks,
         weighted=weighted,
+        integral=integral,
         numerators=numerators,
-        integral=~irrational.any(axis=1),
+        masks=masks,
     )
 
 
@@ -545,7 +672,7 @@ def _closed_under(sweep: ClassSweep, cover) -> np.ndarray:
     A class whose cover holds no other class is skipped: a subset that
     contains class j contains bit j.
     """
-    bits = np.arange(len(sweep.masks), dtype=np.int64) << 1  # bit j for class j
+    bits = np.arange(len(sweep.integral), dtype=np.int64) << 1  # bit j for class j
     ok = np.ones(len(bits), dtype=bool)
     for j, c in enumerate(cover):
         if c & ~(1 << j):
@@ -586,7 +713,7 @@ def sweep_class_closed(sweep: ClassSweep, merged: GaloisConjugacyClasses) -> np.
 
 def sweep_in_subfield(sweep: ClassSweep, gamma: GaloisSubgroup) -> np.ndarray:
     """Whether every eigenvalue of each subset lies in the fixed field of gamma."""
-    outside = _outside_subfield(sweep.weighted, _subset_sums, len(sweep.masks), sweep.table.m, gamma)
+    outside = _outside_subfield(sweep.weighted, _block_sums, len(sweep.integral), sweep.table.m, gamma)
     return ~outside.any(axis=1)
 
 

@@ -264,6 +264,22 @@ def test_exact_matmul_in_float64_equals_int64_just_below_2_53(shapes):
     assert got.tolist() == exact.tolist() == (a @ b).tolist()
 
 
+@pytest.mark.parametrize("m", [1, 2, 12, 60, 420])
+def test_ring_maps_read_the_cached_powers_of_one_root(m):
+    """w's powers are found once per (m, q) and cannot be written; each map's row e holds w^(e u) mod q."""
+    units = [u for u in range(m) if np.gcd(u, m) == 1]
+    phi = len(units)
+    for q in _modp._certificate_primes(m, 10**40, 64):
+        w = _modp._element_of_order(m, q)
+        powers = _modp._root_powers(m, q)
+        assert _modp._root_powers(m, q) is powers and not powers.flags.writeable
+        assert powers.tolist() == [pow(w, e, q) for e in range(m)]
+        with pytest.raises(ValueError):
+            powers[0] = 0
+        maps = _modp._ring_maps(m, phi, q, units)
+        assert maps.tolist() == [[pow(w, e * u, q) for u in units] for e in range(phi)]
+
+
 def test_exact_matmul_keeps_int64_from_2_53():
     """A sum of 2^53 + 1, which float64 rounds, on a product large enough for the BLAS."""
     a = np.zeros((64, 512), dtype=np.int64)

@@ -593,6 +593,176 @@ def test_sweep_memory_stays_within_the_size_estimate(spec):
     assert peak <= estimate, (spec, peak / estimate)
 
 
+# the groups of the benchmark's class-sweep workload
+SWEEP_GROUPS = ("symmetric(6)", "alternating(7)", "dihedral(22)")
+
+
+@pytest.fixture(scope="module")
+def swept(corpus):
+    """spec -> (group, class data, table) for every corpus group and the class-sweep workload's groups."""
+    return {**corpus, **{text: _bundle(text) for text in SWEEP_GROUPS}}
+
+
+def _full_sweep(group, cd, table):
+    """The whole-batch arrays the blocks stand for: weighted, numerators and masks by one doubling each, and the integral flags."""
+    weighted, _ = spectra._formula(cd, table)
+    numerators = spectra._subset_sums(weighted).reshape(1 << (cd.k - 1), cd.k, -1)
+    masks = spectra._subset_sums(np.identity(cd.k, dtype=np.int64))
+    return weighted, numerators, masks, ~(numerators[:, :, 1:] != 0).any(axis=(1, 2))
+
+
+def _full_in_subfield(weighted, m, gamma):
+    """Whether each subset's eigenvalues are fixed by every element of gamma, from the full doubling of each defect."""
+    k = len(weighted)
+    flat = weighted.reshape(k * k, -1)
+    fixed = np.ones(1 << (k - 1), dtype=bool)
+    for t in gamma.elements:
+        defect = (flat @ spectra._galois_matrix(m, t) - flat).reshape(k, -1)
+        fixed &= ~spectra._subset_sums(defect).any(axis=1)
+    return fixed
+
+
+def _block_rows(monkeypatch, cd, table, rows):
+    """Set SWEEP_BLOCK_BYTES to blocks of rows subsets (None: the shipped budget); returns the rows per block."""
+    width = cd.k * totient(table.m)
+    if rows is not None:
+        monkeypatch.setattr(spectra, "SWEEP_BLOCK_BYTES", 8 * width * rows)
+    return 1 << spectra._block_bits(cd.k - 1, width)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 8])
+def test_streamed_sweeps_equal_the_full_doubling_arrays(swept, monkeypatch, rows):
+    """Flags, held and first-read numerators and masks, and membership on every cyclic subgroup, block by block."""
+    blocked = 0
+    for text, (group, cd, table) in swept.items():
+        if rows == 1 and text in SWEEP_GROUPS:
+            continue  # 2^(k-1) one-row blocks: the corpus has every block boundary at k <= 12
+        per_block = _block_rows(monkeypatch, cd, table, rows)
+        if rows is not None:
+            assert per_block == min(rows, 1 << (cd.k - 1)), text
+        blocked += per_block < 1 << (cd.k - 1)
+        weighted, numerators, masks, integral = _full_sweep(group, cd, table)
+        streamed = class_sweep(group, cd, table)
+        held = class_sweep(group, cd, table, hold=True)
+        for sweep in (streamed, held):
+            assert np.array_equal(sweep.weighted, weighted), text
+            assert np.array_equal(sweep.integral, integral), text
+        assert streamed.__dict__["numerators"] is None and streamed.__dict__["masks"] is None
+        for sweep in (held, streamed):  # held arrays, then arrays built on first read
+            assert sweep.numerators.dtype == np.int64 and np.array_equal(sweep.numerators, numerators), text
+            assert sweep.masks.dtype == np.int64 and np.array_equal(sweep.masks, masks), text
+        for gamma in [unit_group(table.m), *cyclic_subgroups(table.m)]:
+            want = _full_in_subfield(weighted, table.m, gamma)
+            assert np.array_equal(sweep_in_subfield(streamed, gamma), want), (text, gamma.elements)
+    assert blocked >= (len(SWEEP_GROUPS) if rows is None else 20), blocked
+
+
+def test_a_sweep_given_its_numerators_keeps_them(corpus):
+    """dataclasses.replace stores the numerators given; the masks are still built on first read."""
+    group, cd, table = corpus["symmetric(4)"]
+    sweep = class_sweep(group, cd, table)
+    nums = np.zeros((1 << (cd.k - 1), cd.k, totient(table.m)), dtype=np.int64)
+    given = dataclasses.replace(sweep, numerators=nums)
+    assert given.numerators is nums
+    assert np.array_equal(given.masks, _full_sweep(group, cd, table)[2])
+    assert given.numerators is nums
+
+
+def _shifted_block_sums(real, shifted):
+    """real, a _block_sums, with block number shifted summed as low + high[shifted + 1] instead of low + high[shifted]."""
+
+    def shifted_sums(rows, out=None):
+        c = spectra._block_bits(len(rows) - 1, rows.shape[1])
+        high = spectra._subset_sums(np.concatenate((rows[:1], rows[c + 1 :])))
+        for start, block in real(rows, out):
+            if start >> c == shifted:
+                block = block + (high[shifted + 1] - high[shifted])
+            yield start, block
+
+    return shifted_sums
+
+
+@pytest.mark.parametrize("text", ["cyclic(5)", "symmetric(4)", "dihedral(6)", "alternating(5)", "cyclic(12)"])
+@pytest.mark.parametrize("hold", [False, True])
+def test_a_block_offset_off_by_one_is_refused(corpus, monkeypatch, text, hold):
+    """Each block that holds the next block's offset fails the trivial-eigenvalue check against its masks' bits.
+
+    Block h is read as the subsets of block h + 1, whose |C| differs unless
+    the two high parts have equal sizes; for even h they differ by class
+    c + 1 alone, so every even block is caught.
+    """
+    group, cd, table = corpus[text]
+    per_block = _block_rows(monkeypatch, cd, table, max(1, 1 << (cd.k - 4)))
+    blocks = (1 << (cd.k - 1)) // per_block
+    assert blocks == 8
+    c = per_block.bit_length() - 1
+    high_sizes = [sum(cd.sizes[c + 1 + j] for j in range(cd.k - 1 - c) if h >> j & 1) for h in range(blocks)]
+    real = spectra._block_sums
+    caught = 0
+    for h in range(blocks - 1):
+        monkeypatch.setattr(spectra, "_block_sums", _shifted_block_sums(real, h))
+        if high_sizes[h + 1] != high_sizes[h]:
+            with pytest.raises(InternalConsistencyError, match="^trivial eigenvalue differs from"):
+                class_sweep(group, cd, table, hold=hold)
+            caught += 1
+    assert caught >= blocks // 2
+    monkeypatch.setattr(spectra, "_block_sums", _shifted_block_sums(real, blocks))  # no such block
+    class_sweep(group, cd, table, hold=hold)
+
+
+def _spy_sweep_pass(monkeypatch):
+    calls = []
+    real = spectra._sweep_pass
+
+    def spy(cd, table, hold):
+        calls.append((cd.k, hold))
+        return real(cd, table, hold)
+
+    monkeypatch.setattr(spectra, "_sweep_pass", spy)
+    return calls
+
+
+def test_verify_all_runs_the_checked_pass_once_per_swept_group(monkeypatch, capsys):
+    calls = _spy_sweep_pass(monkeypatch)
+    assert cli.run(["verify-all"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(CORPUS)
+    assert all(hold for _, hold in calls)  # every corpus group runs an oracle on the held arrays
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-integrality", "--group", "dihedral(22)", "--connection", "sweep"],
+        ["check-membership", "--group", "alternating(7)", "--connection", "sweep", "--gamma", "rational"],
+    ],
+)
+def test_sweep_jobs_run_one_unheld_pass(monkeypatch, capsys, argv):
+    calls = _spy_sweep_pass(monkeypatch)
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert [hold for _, hold in calls] == [False]
+
+
+def test_integrality_sweep_holds_no_numerator_array(swept):
+    """check-integrality's path (class_sweep, then sweep_power_closed) on dihedral(22) peaks below a quarter of the (S, k, phi) numerators."""
+    group, cd, table = swept["dihedral(22)"]
+    numerator_bytes = 8 * (1 << (cd.k - 1)) * cd.k * totient(table.m)
+    assert numerator_bytes > 9_000_000
+
+    def run():
+        sweep_power_closed(class_sweep(group, cd, table))
+
+    run()  # warm the power-basis cache
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < numerator_bytes / 4, peak / numerator_bytes
+
+
 def test_sweep_in_subfield_rejects_a_foreign_modulus(corpus):
     group, cd, table = corpus["cyclic(5)"]
     with pytest.raises(ValueError, match="modulus"):
