@@ -811,8 +811,7 @@ def _sweep_checks(job: dict, group: Group, cd: ClassData, table: CharacterTable)
     run_float = _runs_float_oracle(job, group)
     run_exact = group.n <= EXACT_VERIFY_ORDER and cd.k <= EXACT_VERIFY_CLASSES
     run_naive = group.n <= NAIVE_ORACLE_CAP
-    # the oracles read the numerators and masks: hold them from the one checked pass
-    sweep = _group_limited(class_sweep, group, cd, table, run_float or run_exact or run_naive)
+    sweep = _group_limited(class_sweep, group, cd, table)
     closed = sweep_power_closed(sweep)
     integrality_ok = bool((sweep.integral == closed).all())
     membership_ok = all(
@@ -830,9 +829,10 @@ def _sweep_checks(job: dict, group: Group, cd: ClassData, table: CharacterTable)
     exact_ok = True
     if run_float or run_exact or run_naive:
         members = sweep.masks.astype(bool)[:, cd.class_of]  # (S, n) element indicators
-        claims = (sweep.numerators, table.degrees, table.m)
         if run_naive and (batch_power_closed(group, members) != closed).any():
             closure_ok = False
+        if run_float or run_exact:  # only these two read the numerators
+            claims = (sweep.numerators, table.degrees, table.m)
         if run_float:
             tol = float(job["tolerance"])
             float_ok = bool(batch_compare_spectra(group, members, *claims, tol).all())

@@ -213,9 +213,10 @@ def _formula(
     most n L |sigma_t - I|_1, |.|_1 the largest column L1 norm.  The rows of
     sigma_t are distinct rows of the power-basis table B, as e -> e t is
     injective mod m for a unit t, so |sigma_t - I|_1 <= |B|_1 + 1 for every
-    unit t.  A product's partial sum and every value a block of _block_sums
-    holds are sums over a subset of the classes, so the bounds hold for
-    both.  They are checked against 2^63 before any array is built.
+    unit t.  A product's partial sum and every value that _block_sums or
+    _subset_sums forms are sums over a subset of the classes, so the bounds
+    hold for all of them.  They are checked against 2^63 before any array
+    is built.
     """
     n, k = sum(cd.sizes), cd.k
     coeffs = table.coefficients
@@ -274,17 +275,15 @@ def _nonzero_from(values: np.ndarray, first: int) -> np.ndarray:
     return np.logical_or.reduce(nonzero, axis=0)
 
 
-def _subset_sums(rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
     """The (2^(k-1), X) sums of rows[1:], a (k, X) array, over every subset of classes 1..k-1, in bitmask order.
 
     Subset s holds class j + 1 when bit j of s is set, so the subsets with
     bit j set are those below 2^j with class j + 1 added: out[2^j : 2^(j+1)]
     = out[:2^j] + rows[j + 1].  That is one add per subset and entry, where
-    masks @ rows takes k.  Every value formed is the sum of a subset.  The
-    sums are written into out when it is given.
+    masks @ rows takes k.  Every value formed is the sum of a subset.
     """
-    if out is None:
-        out = np.empty((1 << (len(rows) - 1), rows.shape[1]), dtype=rows.dtype)
+    out = np.empty((1 << (len(rows) - 1), rows.shape[1]), dtype=rows.dtype)
     out[0] = 0
     for j, row in enumerate(rows[1:]):
         np.add(out[: 1 << j], row, out=out[1 << j : 2 << j])
@@ -307,7 +306,7 @@ def _block_bits(bits: int, width: int) -> int:
     return min(bits, rows.bit_length() - 1)
 
 
-def _block_sums(rows: np.ndarray, out: Optional[np.ndarray] = None) -> Iterator[tuple[int, np.ndarray]]:
+def _block_sums(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """The sums of rows[1:], a (k, X) array, over every subset of classes 1..k-1, as (start, block) in bitmask order.
 
     block holds the sums of subsets start, start + 1, ... in its rows.
@@ -316,22 +315,17 @@ def _block_sums(rows: np.ndarray, out: Optional[np.ndarray] = None) -> Iterator[
     are the _subset_sums of classes 1..c and of classes c + 1..k - 1.  So
     block h is low + high[h], one add per entry, and every value formed is
     the sum of a subset.  Block 0 is low itself, as high[0] is the empty
-    sum.  The blocks are written into out, a (2^(k-1), X) array, when it is
-    given, and otherwise into one buffer that the next block overwrites.
-    A caller reads a block and never writes to it.
+    sum; the later blocks are written into one buffer that the next block
+    overwrites.  A caller reads a block and never writes to it.
     """
     c = _block_bits(len(rows) - 1, rows.shape[1])
-    size = 1 << c
-    low = _subset_sums(rows[: c + 1], None if out is None else out[:size])
+    low = _subset_sums(rows[: c + 1])
     yield 0, low
     high = _subset_sums(np.concatenate((rows[:1], rows[c + 1 :])))
-    block = np.empty_like(low) if out is None and len(high) > 1 else None
+    block = np.empty_like(low) if len(high) > 1 else None
     for h in range(1, len(high)):
-        start = h << c
-        if out is not None:
-            block = out[start : start + size]
         np.add(low, high[h], out=block)
-        yield start, block
+        yield h << c, block
 
 
 def _bit_masks(start: int, count: int, k: int) -> np.ndarray:
@@ -562,72 +556,20 @@ def _subset_tuples(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(subsets)
 
 
-def _sweep_pass(cd: ClassData, table: CharacterTable, hold: bool):
-    """The checked pass over all 2^(k-1) subsets: weighted, the (S,) integral flags, and the numerators and masks if held.
-
-    The numerators are the blocks of _block_sums over weighted, in bitmask
-    order, and _formula's check runs on each block against that block's
-    masks, built from the subsets' bits (_bit_masks) and not by the sums it
-    checks.  A block is dropped once its integrality flags are read, unless
-    hold is set: then the blocks are written into one (S, k * phi) array,
-    returned as (S, k, phi), beside the (S, k) masks.  _formula has checked
-    the int64 bounds before any of these arrays is built.
-    """
-    weighted, check = _formula(cd, table)
-    k, width = weighted.shape
-    count = 1 << (k - 1)
-    numerators = np.empty((count, width), dtype=np.int64) if hold else None
-    masks = _bit_masks(0, count, k) if hold else None
-    integral = np.empty(count, dtype=bool)
-    for start, block in _block_sums(weighted, numerators):
-        rows = slice(start, start + len(block))
-        block_masks = masks[rows] if hold else _bit_masks(start, len(block), k)
-        integral[rows] = ~check(block_masks, block.reshape(len(block), k, -1)).any(axis=1)
-    if hold:
-        numerators = numerators.reshape(count, k, -1)
-    return weighted, integral, numerators, masks
-
-
-class _Held:
-    """A ClassSweep array kept only when class_sweep is asked to hold it, and otherwise built on its first read.
-
-    The first read runs the checked pass again (_sweep_pass) and keeps
-    both the numerators and the masks.  As a dataclass field's default it
-    reads None, and a value passed to ClassSweep (as dataclasses.replace
-    does) is stored as given.
-    """
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, sweep, owner=None):
-        if sweep is None:
-            return None
-        if sweep.__dict__[self.name] is None:
-            _, _, numerators, masks = _sweep_pass(sweep.cd, sweep.table, hold=True)
-            for name, value in (("numerators", numerators), ("masks", masks)):
-                if sweep.__dict__[name] is None:
-                    sweep.__dict__[name] = value
-        return sweep.__dict__[self.name]
-
-    def __set__(self, sweep, value) -> None:
-        sweep.__dict__[self.name] = value
-
-
 @dataclass(eq=False)
 class ClassSweep:
     """The spectra of every union of non-identity classes of one group.
 
     Subset s is the bitmask s over classes 1..k-1 (bit i for class i + 1), so
-    ``subsets`` runs in the order of ``range(2 ** (k - 1))``; it is built on
-    first access (the JSON output writes the subsets from k alone).
-    ``weighted`` is what _formula returns and ``integral`` what the checked
-    pass (_sweep_pass) reads from each block of numerators.  ``masks[s]``,
-    subset s's 0/1 indicator over all k classes, and ``numerators[s]``, its
-    (k, phi) numerators, are the rows that eigenvalues_via_characters reads
-    for a single connection set; they are held from the same pass when
-    class_sweep is asked to hold them, and are otherwise built on first
-    read.  The oracles and sweep_spectrum read them; the decisions never do.
+    the subsets run in the order of ``range(2 ** (k - 1))``.  A sweep is
+    what class_sweep's checked pass keeps: ``weighted``, what _formula
+    returns, and the (S,) ``integral`` flags read from each block of
+    numerators.  ``subsets``, ``masks`` and ``numerators`` are derived from
+    these on first read and kept; no read runs the checked pass again.
+    ``masks[s]``, subset s's 0/1 indicator over all k classes, and
+    ``numerators[s]``, its (k, phi) numerators, are the rows that
+    eigenvalues_via_characters reads for a single connection set.  The
+    oracles and sweep_spectrum read them; the decisions never do.
     """
 
     group: Group
@@ -635,35 +577,50 @@ class ClassSweep:
     table: CharacterTable
     weighted: np.ndarray  # (k, k * phi) int64: row j is s_j * chi_r(g_j) for every r
     integral: np.ndarray  # (S,) bool: every eigenvalue a rational integer
-    numerators: np.ndarray = _Held()  # (S, k, phi) int64
-    masks: np.ndarray = _Held()  # (S, k) int64
 
     @cached_property
     def subsets(self) -> tuple[tuple[int, ...], ...]:
-        """Subset s's classes for every s, in bitmask order."""
+        """Subset s's classes for every s, in bitmask order (the JSON output writes them from k alone)."""
         return _subset_tuples(self.cd.k)
 
+    @cached_property
+    def masks(self) -> np.ndarray:
+        """(S, k) int64: subset s's 0/1 indicator over all k classes, from the bits of s (_bit_masks)."""
+        return _bit_masks(0, len(self.integral), self.cd.k)
 
-def class_sweep(group: Group, cd: ClassData, table: CharacterTable, hold: bool = False) -> ClassSweep:
+    @cached_property
+    def numerators(self) -> np.ndarray:
+        """(S, k, phi) int64: character r's eigenvalue on subset s is numerators[s, r] over chi_r(1).
+
+        They are the values the checked pass checked, without a second
+        pass: each entry is the exact int64 sum over one subset of the rows
+        of weighted (_subset_sums), as each entry of a checked block is, and
+        _formula bounded every such partial sum below 2^63, so no addition
+        wraps and every order of them gives the same integer.
+        """
+        return _subset_sums(self.weighted).reshape(len(self.integral), self.cd.k, -1)
+
+
+def class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSweep:
     """Evaluate the character formula on all 2^(k-1) subsets.
 
-    The sweep is refused by check_sweep_size before any array is built;
-    then the checked pass (_sweep_pass) checks the exactness bounds once
-    and the spectrum identities block by block, in bitmask order, keeping
-    the (S,) integrality flags.  With hold, the same pass also keeps the
-    numerators and masks, for a caller that reads them (the oracles).
+    The sweep is refused by check_sweep_size before any array is built.
+    Then the one checked pass runs: _formula checks the exactness bounds
+    once, and its check runs on every block of _block_sums, in bitmask
+    order, against that block's masks, built from the subsets' bits
+    (_bit_masks) and not by the sums it checks.  A block is dropped once its
+    integrality flags are read, so the pass keeps only the (S,) flags; a
+    reader of the masks or numerators derives them (ClassSweep).
     """
     check_sweep_size(cd.k, totient(table.m))
-    weighted, integral, numerators, masks = _sweep_pass(cd, table, hold)
-    return ClassSweep(
-        group=group,
-        cd=cd,
-        table=table,
-        weighted=weighted,
-        integral=integral,
-        numerators=numerators,
-        masks=masks,
-    )
+    weighted, check = _formula(cd, table)
+    k = cd.k
+    integral = np.empty(1 << (k - 1), dtype=bool)
+    for start, block in _block_sums(weighted):
+        count = len(block)
+        flags = check(_bit_masks(start, count, k), block.reshape(count, k, -1))
+        integral[start : start + count] = ~flags.any(axis=1)
+    return ClassSweep(group=group, cd=cd, table=table, weighted=weighted, integral=integral)
 
 
 def _closed_under(sweep: ClassSweep, cover) -> np.ndarray:
@@ -718,8 +675,8 @@ def sweep_in_subfield(sweep: ClassSweep, gamma: GaloisSubgroup) -> np.ndarray:
 
 
 def sweep_spectrum(sweep: ClassSweep, s: int) -> Spectrum:
-    """Subset s's Spectrum, read from the sweep's numerators."""
-    size = sum(sweep.cd.sizes[j] for j in sweep.subsets[s])
+    """Subset s's Spectrum, read from the sweep's masks and numerators."""
+    size = int(sweep.masks[s] @ np.array(sweep.cd.sizes))
     return _read_spectrum(sweep.table.m, sweep.table.degrees, sweep.numerators[s], sweep.group.n, size, False)
 
 

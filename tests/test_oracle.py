@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import tracemalloc
@@ -434,7 +435,9 @@ def _claims(sweep, numerators=None):
 
 
 def _with_numerators(sweep, numerators):
-    return dataclasses.replace(sweep, numerators=numerators)
+    given = copy.copy(sweep)
+    given.numerators = numerators
+    return given
 
 
 def test_batched_oracles_match_per_subset_oracles_on_the_corpus(corpus):

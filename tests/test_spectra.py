@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import io
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -632,7 +635,7 @@ def _block_rows(monkeypatch, cd, table, rows):
 
 @pytest.mark.parametrize("rows", [None, 1, 8])
 def test_streamed_sweeps_equal_the_full_doubling_arrays(swept, monkeypatch, rows):
-    """Flags, held and first-read numerators and masks, and membership on every cyclic subgroup, block by block."""
+    """Flags block by block, numerators and masks derived on first read, and membership on every cyclic subgroup."""
     blocked = 0
     for text, (group, cd, table) in swept.items():
         if rows == 1 and text in SWEEP_GROUPS:
@@ -642,39 +645,46 @@ def test_streamed_sweeps_equal_the_full_doubling_arrays(swept, monkeypatch, rows
             assert per_block == min(rows, 1 << (cd.k - 1)), text
         blocked += per_block < 1 << (cd.k - 1)
         weighted, numerators, masks, integral = _full_sweep(group, cd, table)
-        streamed = class_sweep(group, cd, table)
-        held = class_sweep(group, cd, table, hold=True)
-        for sweep in (streamed, held):
-            assert np.array_equal(sweep.weighted, weighted), text
-            assert np.array_equal(sweep.integral, integral), text
-        assert streamed.__dict__["numerators"] is None and streamed.__dict__["masks"] is None
-        for sweep in (held, streamed):  # held arrays, then arrays built on first read
-            assert sweep.numerators.dtype == np.int64 and np.array_equal(sweep.numerators, numerators), text
-            assert sweep.masks.dtype == np.int64 and np.array_equal(sweep.masks, masks), text
+        sweep = class_sweep(group, cd, table)
+        assert np.array_equal(sweep.weighted, weighted), text
+        assert np.array_equal(sweep.integral, integral), text
+        assert "numerators" not in sweep.__dict__ and "masks" not in sweep.__dict__, text
+        assert sweep.numerators.dtype == np.int64 and np.array_equal(sweep.numerators, numerators), text
+        assert sweep.masks.dtype == np.int64 and np.array_equal(sweep.masks, masks), text
+        assert sweep.numerators is sweep.numerators and sweep.masks is sweep.masks  # derived once, then kept
         for gamma in [unit_group(table.m), *cyclic_subgroups(table.m)]:
             want = _full_in_subfield(weighted, table.m, gamma)
-            assert np.array_equal(sweep_in_subfield(streamed, gamma), want), (text, gamma.elements)
+            assert np.array_equal(sweep_in_subfield(sweep, gamma), want), (text, gamma.elements)
     assert blocked >= (len(SWEEP_GROUPS) if rows is None else 20), blocked
 
 
 def test_a_sweep_given_its_numerators_keeps_them(corpus):
-    """dataclasses.replace stores the numerators given; the masks are still built on first read."""
+    """Numerators assigned to a copy are the ones it reads; its masks are still derived on first read."""
     group, cd, table = corpus["symmetric(4)"]
     sweep = class_sweep(group, cd, table)
     nums = np.zeros((1 << (cd.k - 1), cd.k, totient(table.m)), dtype=np.int64)
-    given = dataclasses.replace(sweep, numerators=nums)
+    given = copy.copy(sweep)
+    given.numerators = nums
     assert given.numerators is nums
     assert np.array_equal(given.masks, _full_sweep(group, cd, table)[2])
     assert given.numerators is nums
+    assert "numerators" not in sweep.__dict__ and "masks" not in sweep.__dict__  # the original is untouched
+
+
+def test_repr_of_a_sweep_derives_neither_array(corpus):
+    group, cd, table = corpus["dihedral(6)"]
+    sweep = class_sweep(group, cd, table)
+    assert repr(sweep).startswith("ClassSweep(")
+    assert "numerators" not in sweep.__dict__ and "masks" not in sweep.__dict__
 
 
 def _shifted_block_sums(real, shifted):
     """real, a _block_sums, with block number shifted summed as low + high[shifted + 1] instead of low + high[shifted]."""
 
-    def shifted_sums(rows, out=None):
+    def shifted_sums(rows):
         c = spectra._block_bits(len(rows) - 1, rows.shape[1])
         high = spectra._subset_sums(np.concatenate((rows[:1], rows[c + 1 :])))
-        for start, block in real(rows, out):
+        for start, block in real(rows):
             if start >> c == shifted:
                 block = block + (high[shifted + 1] - high[shifted])
             yield start, block
@@ -683,13 +693,15 @@ def _shifted_block_sums(real, shifted):
 
 
 @pytest.mark.parametrize("text", ["cyclic(5)", "symmetric(4)", "dihedral(6)", "alternating(5)", "cyclic(12)"])
-@pytest.mark.parametrize("hold", [False, True])
-def test_a_block_offset_off_by_one_is_refused(corpus, monkeypatch, text, hold):
+@pytest.mark.parametrize("through_cli", [False, True])
+def test_a_block_offset_off_by_one_is_refused(corpus, monkeypatch, capsys, text, through_cli):
     """Each block that holds the next block's offset fails the trivial-eigenvalue check against its masks' bits.
 
     Block h is read as the subsets of block h + 1, whose |C| differs unless
     the two high parts have equal sizes; for even h they differ by class
-    c + 1 alone, so every even block is caught.
+    c + 1 alone, so every even block is caught.  The sweep is refused when
+    class_sweep is called, and through the check-integrality sweep job,
+    which then writes nothing to stdout.
     """
     group, cd, table = corpus[text]
     per_block = _block_rows(monkeypatch, cd, table, max(1, 1 << (cd.k - 4)))
@@ -697,37 +709,60 @@ def test_a_block_offset_off_by_one_is_refused(corpus, monkeypatch, text, hold):
     assert blocks == 8
     c = per_block.bit_length() - 1
     high_sizes = [sum(cd.sizes[c + 1 + j] for j in range(cd.k - 1 - c) if h >> j & 1) for h in range(blocks)]
+
+    def sweep():
+        if through_cli:
+            return cli.run(["check-integrality", "--group", text, "--connection", "sweep"])
+        return class_sweep(group, cd, table)
+
     real = spectra._block_sums
     caught = 0
     for h in range(blocks - 1):
         monkeypatch.setattr(spectra, "_block_sums", _shifted_block_sums(real, h))
         if high_sizes[h + 1] != high_sizes[h]:
             with pytest.raises(InternalConsistencyError, match="^trivial eigenvalue differs from"):
-                class_sweep(group, cd, table, hold=hold)
+                sweep()
+            assert capsys.readouterr().out == ""
             caught += 1
     assert caught >= blocks // 2
     monkeypatch.setattr(spectra, "_block_sums", _shifted_block_sums(real, blocks))  # no such block
-    class_sweep(group, cd, table, hold=hold)
+    sweep()
 
 
-def _spy_sweep_pass(monkeypatch):
+def _spy_checked_pass(monkeypatch):
+    """The k of every checked pass run: _formula runs once in each, and a derived array never calls it."""
     calls = []
-    real = spectra._sweep_pass
+    real = spectra._formula
 
-    def spy(cd, table, hold):
-        calls.append((cd.k, hold))
-        return real(cd, table, hold)
+    def spy(cd, table):
+        calls.append(cd.k)
+        return real(cd, table)
 
-    monkeypatch.setattr(spectra, "_sweep_pass", spy)
+    monkeypatch.setattr(spectra, "_formula", spy)
     return calls
 
 
+def _spy_numerators(monkeypatch):
+    """The k of every sweep whose numerators are derived."""
+    builds = []
+    real = spectra.ClassSweep.numerators
+
+    def spy(sweep):
+        builds.append(sweep.cd.k)
+        return real.func(sweep)
+
+    monkeypatch.setattr(spectra.ClassSweep, "numerators", property(spy))
+    return builds
+
+
 def test_verify_all_runs_the_checked_pass_once_per_swept_group(monkeypatch, capsys):
-    calls = _spy_sweep_pass(monkeypatch)
+    calls = _spy_checked_pass(monkeypatch)
+    builds = _spy_numerators(monkeypatch)
     assert cli.run(["verify-all"]) == 0
     capsys.readouterr()
     assert len(calls) == len(CORPUS)
-    assert all(hold for _, hold in calls)  # every corpus group runs an oracle on the held arrays
+    assert builds  # the float oracle reads the numerators of every corpus group
+    assert len(builds) <= 2 * len(CORPUS)  # at most one read by each of the float and exact oracles
 
 
 @pytest.mark.parametrize(
@@ -738,10 +773,48 @@ def test_verify_all_runs_the_checked_pass_once_per_swept_group(monkeypatch, caps
     ],
 )
 def test_sweep_jobs_run_one_unheld_pass(monkeypatch, capsys, argv):
-    calls = _spy_sweep_pass(monkeypatch)
+    """One checked pass, and no numerators ever built."""
+    calls = _spy_checked_pass(monkeypatch)
+    builds = _spy_numerators(monkeypatch)
     assert cli.run(argv) == 0
     capsys.readouterr()
-    assert [hold for _, hold in calls] == [False]
+    assert len(calls) == 1
+    assert builds == []
+
+
+def test_verify_all_without_the_float_and_exact_oracles_builds_no_numerators(monkeypatch, capsys):
+    """dihedral(22) (n = 44) runs only the naive oracle, which reads the masks: no (S, k, phi) array is built."""
+    group, cd, table = _bundle("dihedral(22)")
+    numerator_bytes = 8 * (1 << (cd.k - 1)) * cd.k * totient(table.m)
+    assert numerator_bytes > 9_000_000
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"groups": ["dihedral(22)"]})))
+    builds = _spy_numerators(monkeypatch)
+    tracemalloc.start()
+    try:
+        assert cli.run(["verify-all", "--input", "-", "--oracle", "off"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    checks = json.loads(capsys.readouterr().out)["groups"][0]["checks"]
+    assert checks["spectrum-oracle-float"] == checks["spectrum-oracle-exact"] == "skip"
+    assert checks["power-closure-consistency"] == "pass"
+    assert builds == []
+    assert peak < numerator_bytes, peak / numerator_bytes
+
+
+def test_sweep_spectrum_reads_one_mask_row_and_no_subset_tuples(corpus, monkeypatch):
+    """Subset s's |C| is masks[s] @ sizes; a negative s reads masks and numerators alike."""
+    group, cd, table = corpus["symmetric(4)"]
+    subsets = spectra._subset_tuples(cd.k)
+    monkeypatch.setattr(spectra, "_subset_tuples", lambda k: pytest.fail("subset tuples built"))
+    sweep = class_sweep(group, cd, table)
+    count = len(subsets)
+    for s in range(-count, count):
+        sp = sweep_spectrum(sweep, s)
+        want = eigenvalues_via_characters(make_connection_set({"classes": list(subsets[s])}, group, cd), table, cd)
+        assert sp.connection_size == want.connection_size and type(sp.connection_size) is int, s
+        assert [e.value for e in sp.entries] == [e.value for e in want.entries], s
+    assert "subsets" not in sweep.__dict__
 
 
 def test_integrality_sweep_holds_no_numerator_array(swept):
