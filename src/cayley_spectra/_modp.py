@@ -1,23 +1,21 @@
-"""Prime choosers, roots of unity and characteristic polynomials over prime fields.
+"""Prime choosers, roots of unity and exact integer products.
 
-charpoly works on lists of lists of Python ints and serves
-integer_charpoly alone (one matrix up to the oracle caps, mod 31-bit
-primes).  The character table's eigenspace split takes minimal polynomials
-of one row instead, by int64 array routines in characters; _power_stack
-raises an int64 array to one power mod p, for the split's inverses.
+The character table's eigenspace split takes minimal polynomials of one
+row, by int64 array routines in characters; _power_stack raises an int64
+array to one power mod p, for the split's inverses.
 exact_matmul multiplies integer matrices in float64 BLAS when the caller's
 bound proves the result exact and the product is large enough to gain
 (exact_dtype).
-_certificate_primes and _ring_maps serve every check that evaluates
-cyclotomic integers under the ring maps z -> w^u into F_q, q = 1 (mod m):
-the table certificate, at u = 1 and -1, and both exact oracles, at every
-unit u.
+_certificate_primes chooses the primes of every exact check: the table
+certificate and both exact oracles take q = 1 (mod m), and integer_charpoly
+odd q.  _ring_maps serves the checks that evaluate cyclotomic integers
+under the ring maps z -> w^u into F_q: the table certificate, at u = 1 and
+-1, and both exact oracles, at every unit u.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count
 from math import isqrt
 
 import numpy as np
@@ -30,9 +28,9 @@ def _is_prime(x: int) -> bool:
 
     The bases 2, 3, 5 and 7 are exact below 3,215,031,751 (Jaeschke, Math.
     Comp. 61, 1993), which holds every prime the package asks for: the
-    certificate primes satisfy width q^2 < 2^63, so q < 3.04e9, and
-    integer_charpoly's are below 2^31.  The first 13 primes as bases are
-    exact below 3.3e24.
+    certificate primes satisfy width q^2 < 2^63, so q < 3.04e9, and the
+    Dixon prime and the float oracle's weights are far smaller.  The first
+    13 primes as bases are exact below 3.3e24.
     """
     if x < 2:
         return False
@@ -69,30 +67,22 @@ def _nth_prime_down(ceiling: int, m: int, i: int) -> int:
     return q
 
 
-def _descending_primes(ceiling: int, m: int, bound: int) -> list[int]:
-    """Distinct primes q = 1 (mod m), q <= ceiling, whose product exceeds bound.
-
-    They are taken downward from ceiling, so the fewest primes serve any
-    bound, and each one is found once per process.
-    """
-    primes: list[int] = []
-    product = 1
-    for i in count():
-        if product > bound:
-            return primes
-        primes.append(_nth_prime_down(ceiling, m, i))
-        product *= primes[-1]
-
-
 def _certificate_primes(m: int, bound: int, width: int, limit: int = 2**63) -> list[int]:
     """Distinct primes q = 1 (mod m) with width * q^2 < limit, whose product exceeds bound.
 
-    They are taken downward from the largest admissible q, so one prime
-    serves any bound below about limit / width.  The default keeps sums of
-    width products of residues within int64; limit = 2^53 keeps them exact
-    in float64 (exact_matmul).
+    They are taken downward from the largest admissible q, so the fewest
+    primes serve any bound, one serves any bound below about limit / width,
+    and each is found once per process.  The default keeps sums of width
+    products of residues within int64; limit = 2^53 keeps them exact in
+    float64, for exact_matmul and integer_charpoly's walk.
     """
-    return _descending_primes(isqrt((limit - 1) // width), m, bound)
+    ceiling = isqrt((limit - 1) // width)
+    primes: list[int] = []
+    product = 1
+    while product <= bound:
+        primes.append(_nth_prime_down(ceiling, m, len(primes)))
+        product *= primes[-1]
+    return primes
 
 
 def _prime_factors(x: int) -> list[int]:
@@ -140,45 +130,6 @@ def _ring_maps(m: int, phi: int, q: int, units) -> np.ndarray:
     read from w's powers, which are found once per (m, q) (_root_powers).
     """
     return _root_powers(m, q)[np.outer(np.arange(phi), units) % m]
-
-
-def charpoly(mat, p):
-    """Characteristic polynomial mod p, low degree first, via Hessenberg form."""
-    n = len(mat)
-    h = [[x % p for x in row] for row in mat]
-    for j in range(n - 2):
-        pivot = next((i for i in range(j + 1, n) if h[i][j]), None)
-        if pivot is None:
-            continue
-        if pivot != j + 1:
-            h[pivot], h[j + 1] = h[j + 1], h[pivot]
-            for row in h:
-                row[pivot], row[j + 1] = row[j + 1], row[pivot]
-        inv = pow(h[j + 1][j], p - 2, p)
-        for i in range(j + 2, n):
-            f = h[i][j] * inv % p
-            if f:
-                h[i] = [(x - f * y) % p for x, y in zip(h[i], h[j + 1])]
-                for r in range(n):
-                    h[r][j + 1] = (h[r][j + 1] + f * h[r][i]) % p
-    # det(xI - H) for Hessenberg H by last-column expansion
-    polys = [[1]]
-    for mm in range(1, n + 1):
-        d = h[mm - 1][mm - 1]
-        prev = polys[mm - 1]
-        cur = [0] + prev
-        for i, c in enumerate(prev):
-            cur[i] = (cur[i] - d * c) % p
-        w = 1
-        for i in range(mm - 2, -1, -1):
-            w = w * h[i + 1][i] % p
-            coef = h[i][mm - 1] * w % p
-            if coef:
-                pi = polys[i]
-                for j, c in enumerate(pi):
-                    cur[j] = (cur[j] - coef * c) % p
-        polys.append([c % p for c in cur])
-    return polys[n]
 
 
 def _power_stack(a: np.ndarray, e: int, q: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from . import _modp
 from ._modp import _certificate_primes, _element_of_order, _ring_maps, exact_matmul
 from .cyclotomic import (
     CycInt,
+    _basis_norm,
     _galois_matrix,
     _power_basis,
     as_rational,
@@ -458,11 +459,6 @@ def _lift_table(
         sigma = _galois_matrix(m, unit_from_lead[part])
         out[:, rest[part]] = exact_matmul(out[:, lead[rest[part]]].swapaxes(0, 1), sigma, bound).swapaxes(0, 1)
     return out
-
-
-def _basis_norm(m: int) -> int:
-    """|B|_1, the largest column L1 norm of the power-basis table B of conductor m."""
-    return int(np.abs(_power_basis(m)).sum(axis=0).max())
 
 
 def table_coefficients(table: CharacterTable) -> np.ndarray:

@@ -5,7 +5,8 @@ basis {z^0, ..., z^(phi(m)-1)} after reduction modulo the m-th cyclotomic
 polynomial.  Coefficients are arbitrary-precision Python integers, so
 equality, zero tests and rationality tests are plain tuple comparisons.
 Arrays of coefficient rows, the other modules' int64 form, are read through
-_power_basis (z^e), _galois_matrix (z -> z^t) and _complex_parts (floats).
+_power_basis (z^e), _basis_norm (its |B|_1), _galois_matrix (z -> z^t) and
+_complex_parts (floats).
 """
 
 from __future__ import annotations
@@ -248,6 +249,11 @@ def _power_basis(m: int) -> np.ndarray:
     out.reshape(rad, stride, phi, stride)[:, i, :, i] = table  # [q, i, c, i] is row q s + i, column c s + i
     out.flags.writeable = False
     return out
+
+
+def _basis_norm(m: int) -> int:
+    """|B|_1, the largest column L1 norm of the power-basis table B of conductor m."""
+    return int(np.abs(_power_basis(m)).sum(axis=0).max())
 
 
 def _galois_matrix(m: int, t) -> np.ndarray:

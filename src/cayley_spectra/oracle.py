@@ -41,15 +41,17 @@ matrix per pair of inverse sets: A(C^-1) = A(C)^T, so both sets have one
 spectrum (_solved_runs).  Each row's own claim is still compared with the
 shared result.  The per-set check turns the same claimed power sums into
 coefficients by Newton's identities (_elementary) and compares them with
-the integer characteristic polynomial, whose size Hadamard's inequality
-bounds (_charpoly_bound).  One lemma, in _claimed_power_sums, proves for
-both that their residues decide.
+the integer characteristic polynomial.  integer_charpoly takes the same
+step from the matrix's power sums tr(A^j) (Le Verrier's method), under a
+Hadamard bound on the coefficients (_charpoly_bound).  One lemma, in
+_claimed_power_sums, proves for both checks that their residues decide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+import itertools
 from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -160,29 +162,42 @@ def oracle_spectrum(adjacency: np.ndarray) -> np.ndarray:
 def integer_charpoly(adjacency: np.ndarray) -> tuple[int, ...]:
     """Exact characteristic polynomial of an integer matrix, low degree first.
 
-    det(xI - A) is reduced to Hessenberg form mod distinct 31-bit primes
-    (_modp.charpoly), and the residues are joined by the Chinese remainder
-    theorem and read as symmetric residues.
+    Le Verrier's method (Faddeev and Faddeeva, Computational Methods of
+    Linear Algebra, 1963), mod primes q: the power sums tr(A^j), j = 1..n,
+    come from one walk W <- W A mod q from the identity, Newton's
+    identities turn them into e_0 .. e_n (_elementary), the coefficient of
+    x^(n-i) is (-1)^i e_i, and the Chinese remainder theorem joins the
+    residues into symmetric ones.
 
-    Why this is exact: let rho be the largest row 2-norm of A.  Each
-    principal i x i minor has rows that are parts of rows of A, so by
-    Hadamard's inequality it is at most rho^i in absolute value.  The
-    coefficient of x^(n-i) is (-1)^i times the sum of the C(n, i) such
-    minors, so it is at most C(n, i) ceil(rho)^i, and these bounds sum to
-    (1 + ceil(rho))^n (_charpoly_bound).  Primes are added until their
-    product M exceeds twice that, so each coefficient is the one integer in
+    The walk takes one (P, n, n) @ (P, n, n) float64 product and one fmod
+    per step for all P primes, on A mod each q (reduced in Python integers
+    when an entry may be past int64).  It is exact: W and A mod q hold
+    residues below q, so every sum, and every trace, is below n q^2 < 2^53
+    by the choice of primes.  _elementary needs q > n; the primes start near
+    sqrt(2^53 / n), far above n for any matrix the oracles build, and pow
+    raises on one that is not.  The residues decide: _charpoly_bound bounds
+    every coefficient by Hadamard's inequality, and the primes' product M
+    exceeds twice that bound, so each coefficient is the one integer in
     (-M/2, M/2] with its residues.
     """
     rows = [[int(x) for x in row] for row in adjacency]
     n = len(rows)
-    bound = 2 * _charpoly_bound(max((sum(x * x for x in row) for row in rows), default=0), n)
-    coeffs = [0] * (n + 1)
-    modulus = 1
-    for p in _modp._descending_primes(2**31 - 1, 2, bound):
-        inv = pow(modulus, -1, p)
-        residues = _modp.charpoly(rows, p)
-        coeffs = [c + modulus * ((res - c) * inv % p) for c, res in zip(coeffs, residues)]
-        modulus *= p
+    square_norm = max((sum(x * x for x in row) for row in rows), default=0)
+    primes = _modp._certificate_primes(2, 2 * _charpoly_bound(square_norm, n), max(n, 1), 2**53)
+    q = np.array(primes, dtype=np.int64)
+    # square_norm < 2^63 puts every entry below 2^31.5
+    entries = np.array(rows, dtype=np.int64 if square_norm < 2**63 else object).reshape(n, n)
+    matrix = (entries % q.astype(entries.dtype)[:, None, None]).astype(np.float64)
+    divisor = q.astype(np.float64)[:, None, None]
+    walk = np.identity(n)
+    sums = np.empty((n, len(primes)))
+    for j in range(n):
+        walk = np.fmod(walk @ matrix, divisor)
+        sums[j] = walk.trace(axis1=1, axis2=2)
+    signed = _elementary(sums.astype(np.int64) % q, primes) * (-1) ** np.arange(n + 1)[:, None]
+    modulus = prod(primes)
+    units = [modulus // p * pow(modulus // p, -1, p) for p in primes]  # 1 mod p, 0 mod the other primes
+    coeffs = [sum(u * r for u, r in zip(units, row)) % modulus for row in signed[::-1].tolist()]
     return tuple(c - modulus if 2 * c > modulus else c for c in coeffs)
 
 
@@ -570,13 +585,8 @@ def _joint_spectrum(
 
 def _weights(count: int) -> np.ndarray:
     """The square roots of the first count primes."""
-    primes: list[int] = []
-    candidate = 2
-    while len(primes) < count:
-        if all(candidate % p for p in primes if p * p <= candidate):
-            primes.append(candidate)
-        candidate += 1
-    return np.sqrt(np.array(primes, dtype=np.float64))
+    primes = filter(_modp._is_prime, itertools.count(2))
+    return np.sqrt(np.array(list(itertools.islice(primes, count)), dtype=np.float64))
 
 
 def _certified_rows(

@@ -22,8 +22,8 @@ from ._modp import exact_matmul
 from .characters import CharacterTable, InducedCharacter, induced_character_from_cyclic
 from .cyclotomic import (
     CycInt,
+    _basis_norm,
     _galois_matrix,
-    _power_basis,
     as_rational,
     get_context,
     is_fixed_by,
@@ -223,7 +223,7 @@ def _formula(
     phi = coeffs.shape[2]
     entry_bound = n * int(np.abs(coeffs).max())
     _check_int64(n * entry_bound, "the trace identity")
-    shift_norm = int(np.abs(_power_basis(table.m)).sum(axis=0).max()) + 1
+    shift_norm = _basis_norm(table.m) + 1
     _check_int64(entry_bound * shift_norm, "a Galois defect")
     sizes = np.array(cd.sizes, dtype=np.int64)
     degrees = np.array(table.degrees, dtype=np.int64)

@@ -556,8 +556,8 @@ def test_oversize_sweep_is_refused_before_allocation(monkeypatch, capsys, argv, 
 
 
 def test_sweep_int64_bound_exits_two_naming_group(monkeypatch, capsys):
-    real = spectra._power_basis
-    monkeypatch.setattr(spectra, "_power_basis", lambda m: real(m) << 61)
+    real = spectra._basis_norm
+    monkeypatch.setattr(spectra, "_basis_norm", lambda m: real(m) << 61)
     argv = ["check-membership", "--group", "cyclic(5)", "--gamma", "rational"]
     code = run([*argv, "--connection", "sweep"])
     captured = capsys.readouterr()
@@ -575,8 +575,8 @@ def test_sweep_int64_bound_exits_two_naming_group(monkeypatch, capsys):
     ],
 )
 def test_single_connection_int64_bound_exits_two_naming_group(monkeypatch, capsys, argv):
-    real = spectra._power_basis
-    monkeypatch.setattr(spectra, "_power_basis", lambda m: real(m) << 61)
+    real = spectra._basis_norm
+    monkeypatch.setattr(spectra, "_basis_norm", lambda m: real(m) << 61)
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 2

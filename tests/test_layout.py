@@ -4,7 +4,8 @@ The power-basis format has one home, cyclotomic, and the independent oracle
 shares nothing with the character path but that format: it reads the group,
 the adjacency matrices and a claimed spectrum.  A Group keeps no n x n
 multiplication table, and no module reads one as an attribute named mul.
-Every private helper is named somewhere besides its own definition.
+Every private helper, and every function of the private module _modp, is
+named somewhere besides its own definition.
 """
 
 import ast
@@ -13,7 +14,7 @@ from pathlib import Path
 import cayley_spectra
 
 SRC = Path(cayley_spectra.__file__).parent
-POWER_BASIS_HELPERS = {"_power_basis", "_galois_matrix", "_complex_parts"}
+POWER_BASIS_HELPERS = {"_power_basis", "_basis_norm", "_galois_matrix", "_complex_parts"}
 # what oracle may import from the package: module -> names (None for any)
 ORACLE_IMPORTS = {
     "_modp": None,
@@ -99,24 +100,39 @@ def test_package_exports_are_listed_in_their_modules_all():
     assert unlisted and not any(unlisted.values()), unlisted
 
 
+def _is_helper(module, node):
+    """A module-level _name function or class, or any function of the private module _modp."""
+    if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return False
+    private = node.name.startswith("_") and not node.name.startswith("__")
+    return private or (module == "_modp" and isinstance(node, ast.FunctionDef))
+
+
 def test_every_private_helper_is_referenced_outside_its_definition():
-    """A module-level _name function or class that no other statement of the package names is dead code."""
+    """A helper that no other statement of the package names is dead code.
+
+    Its own module names it bare; another imports it from that module or
+    reads it as that module's attribute (_modp.exact_matmul).  So a local
+    variable of the same name elsewhere does not count.
+    """
     definitions = []  # (module, index of the top-level statement, name)
-    sites = {}  # name -> the (module, index) of every top-level statement that names it
+    sites = {}  # (module, name) -> the (module, index) of every top-level statement that names it
     for module, tree in _trees().items():
         for index, node in enumerate(tree.body):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") and not node.name.startswith("__"):
+            if _is_helper(module, node):
                 definitions.append((module, index, node.name))
             for inner in ast.walk(node):
                 if isinstance(inner, ast.Name):
-                    names = [inner.id]
-                elif isinstance(inner, ast.Attribute):
-                    names = [inner.attr]
-                elif isinstance(inner, ast.ImportFrom):
-                    names = [alias.name for alias in inner.names]
+                    refs = [(module, inner.id)]
+                elif isinstance(inner, ast.Attribute) and isinstance(inner.value, ast.Name):
+                    refs = [(inner.value.id, inner.attr)]
+                elif isinstance(inner, ast.ImportFrom) and inner.level:
+                    refs = [(inner.module, alias.name) for alias in inner.names]
                 else:
                     continue
-                for name in names:
-                    sites.setdefault(name, set()).add((module, index))
-    dead = [f"{module}.{name}" for module, index, name in definitions if not sites.get(name, set()) - {(module, index)}]
+                for ref in refs:
+                    sites.setdefault(ref, set()).add((module, index))
+    dead = [
+        f"{module}.{name}" for module, index, name in definitions if not sites.get((module, name), set()) - {(module, index)}
+    ]
     assert definitions and not dead, dead

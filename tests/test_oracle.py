@@ -171,24 +171,45 @@ def test_integer_charpoly_against_bareiss_reference():
         assert integer_charpoly(mat) == _reference_charpoly(mat.tolist())
 
 
+def _traced_power_sums(monkeypatch):
+    """The list to which every later _elementary call appends its (sums, primes)."""
+    calls = []
+    real = oracle._elementary
+
+    def spy(sums, primes):
+        calls.append((sums, list(primes)))
+        return real(sums, primes)
+
+    monkeypatch.setattr(oracle, "_elementary", spy)
+    return calls
+
+
 def test_integer_charpoly_joins_several_primes(monkeypatch):
-    primes = []
-    real = _modp.charpoly
-
-    def spy(mat, p):
-        primes.append(p)
-        return real(mat, p)
-
-    monkeypatch.setattr(_modp, "charpoly", spy)
+    """Every prime's power sums go to Newton's identities at once; the primes are distinct, keep the walk exact and exceed n."""
+    calls = _traced_power_sums(monkeypatch)
     rng = np.random.default_rng(13)
     for n in (1, 2, 5, 9):
-        primes.clear()
+        calls.clear()
         mat = rng.integers(-(10**6), 10**6 + 1, size=(n, n))
         assert integer_charpoly(mat) == _reference_charpoly(mat.tolist())
+        ((sums, primes),) = calls
+        assert sums.shape == (n, len(primes))
         assert len(primes) == len(set(primes))
-        assert all(2**30 < p < 2**31 for p in primes)
+        assert all(n < p and n * p * p < 2**53 for p in primes)
         if n > 1:
             assert len(primes) > 1
+
+
+def test_integer_charpoly_takes_entries_past_int64_and_nested_lists():
+    rng = np.random.default_rng(17)
+    for n in (1, 3, 6):
+        small = rng.integers(-3, 4, size=(n, n))
+        wide = small.astype(object) * 2**70
+        wide[0, 0] += 1
+        assert integer_charpoly(wide) == _reference_charpoly(wide.tolist())
+        assert integer_charpoly(wide.tolist()) == _reference_charpoly(wide.tolist())
+        assert integer_charpoly(small.tolist()) == _reference_charpoly(small.tolist())
+    assert integer_charpoly([]) == integer_charpoly(np.zeros((0, 0), dtype=np.int64)) == (1,)
 
 
 def _spectra_of(text):
@@ -533,13 +554,16 @@ def test_exact_checks_reject_a_change_by_the_first_prime(corpus, monkeypatch):
     assert primes[-1][0] == first
 
 
-def test_a_walk_from_the_identity_counts_the_closed_walks_of_every_vertex(corpus):
+def test_a_walk_from_the_identity_counts_the_closed_walks_of_every_vertex(corpus, monkeypatch):
     """n (A^j)[e, e] = tr(A^j) in Python integers for every j <= n, and _closed_walks gives its residues.
 
     g -> g x maps arcs to arcs, so every vertex lies on as many closed
     walks of each length.  The rows are sampled from every sweep of order
-    <= 24, with each one's inverse set.
+    <= 24, with each one's inverse set.  integer_charpoly's power sums,
+    from its walk of the whole matrix, equal _closed_walks' at its primes,
+    which are valid for both walks.
     """
+    traced = _traced_power_sums(monkeypatch)
     pairs = 0
     for text in CORPUS:
         group, table, sweep, members = _sweep_of(corpus, text)
@@ -560,6 +584,10 @@ def test_a_walk_from_the_identity_counts_the_closed_walks_of_every_vertex(corpus
                 trace = sum(power[g, g] for g in range(n))
                 assert n * power[0, 0] == trace, (text, sample[i], j)
                 assert walks[j - 1, :, i].tolist() == [trace % q for q in primes], (text, sample[i], j)
+            traced.clear()
+            integer_charpoly(adjacency)
+            ((sums, own),) = traced
+            assert (sums == oracle._closed_walks(stack[i : i + 1], own)[:, :, 0]).all(), (text, sample[i])
     assert pairs
 
 

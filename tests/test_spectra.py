@@ -844,8 +844,8 @@ def test_sweep_in_subfield_rejects_a_foreign_modulus(corpus):
 
 def test_galois_defect_bound_is_checked_when_the_sweep_is_built(monkeypatch, corpus):
     group, cd, table = corpus["cyclic(5)"]
-    real = spectra._power_basis
-    monkeypatch.setattr(spectra, "_power_basis", lambda m: real(m) << 61)
+    real = spectra._basis_norm
+    monkeypatch.setattr(spectra, "_basis_norm", lambda m: real(m) << 61)
     with pytest.raises(ResourceLimitError, match="Galois defect"):
         class_sweep(group, cd, table)
 
