@@ -39,7 +39,7 @@ from .cyclotomic import (
 )
 from .errors import InternalConsistencyError, ResourceLimitError
 from .galois import GaloisSubgroup, _generating_set, unit_group
-from .group_core import TABLE_BYTE_BUDGET, ClassData, Group
+from .group_core import TABLE_BYTE_BUDGET, ClassData, Group, _chunks
 
 __all__ = [
     "CharacterTable",
@@ -380,17 +380,6 @@ def _degrees_and_values(
     return degrees.tolist(), degrees[:, None] * omega % p * inv_sizes % p
 
 
-# Bytes of the int64 operands of one product in _lift_table, which it may
-# hold again in float64: the products run over chunks of classes that fit.
-_LIFT_BYTES = 1 << 22
-
-
-def _chunks(n: int, item_bytes: int) -> list[slice]:
-    """Consecutive slices covering range(n), each of as many items of item_bytes as fit in _LIFT_BYTES (at least one)."""
-    step = max(1, _LIFT_BYTES // item_bytes)
-    return [slice(s, s + step) for s in range(0, n, step)]
-
-
 def _lift_table(
     chi_p: np.ndarray,
     degrees: Sequence[int],
@@ -414,8 +403,9 @@ def _lift_table(
     rep_j^t, is lifted so.  chi(g^t) = sigma_t(chi(g)) fills the rest of
     every orbit by stacked products with sigma_t (_galois_matrix).  The
     certificate checks the whole array, however it was filled.  Each product
-    takes as many classes as keep its int64 operands within _LIFT_BYTES, so
-    the lift holds a bounded amount of memory beside its result.
+    takes as many classes as keep its int64 operands, which it may hold
+    again in float64, within group_core.CHUNK_BYTES (_chunks), so the lift
+    holds a bounded amount of memory beside its result.
 
     Each product goes through exact_matmul with the bound on its sums: o
     (p-1)^2 for the inversion, max degree |B|_1 for the power basis B, and
@@ -494,9 +484,9 @@ def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
        int64 (exact_matmul), and _galois_identity_holds bounds its products
        as _formula bounds its defects.
 
-    L and each prime's embedding are taken over chunks of classes
-    (_chunks), as the Galois identity is, so the certificate holds a bounded
-    amount of memory beside the table.
+    L and each prime's embedding are taken over chunks of classes that fit
+    in group_core.CHUNK_BYTES (_chunks), as the Galois identity is, so the
+    certificate holds a bounded amount of memory beside the table.
     """
     k, m = table.k, table.m
     if sum(d * d for d in table.degrees) != n:
@@ -505,7 +495,7 @@ def _validate_table(table: CharacterTable, cd: ClassData, n: int) -> None:
     if coeffs.shape[:2] != (k, k) or cd.k != k:
         raise InternalConsistencyError("the table is not square")
     phi = coeffs.shape[2]
-    chunks = _chunks(k, 8 * k * phi)  # a class's values
+    chunks = list(_chunks(k, 8 * k * phi))  # a class's values
     norm = 0
     for part in chunks:
         magnitudes = np.abs(coeffs[:, part])
@@ -539,8 +529,8 @@ def _galois_identity_holds(coeffs: np.ndarray, cd: ClassData, m: int, generators
     L1 norm.  Where exact_dtype picks float64 (bound < 2^53 and enough
     work) the products run there; when the bound could reach 2^63 they are
     formed in Python integers.  The classes j are taken in chunks whose
-    restricted values and products fit in _LIFT_BYTES (_chunks), each
-    converted once for every t, so the check holds a bounded amount of
+    restricted values and products fit in group_core.CHUNK_BYTES (_chunks),
+    each converted once for every t, so the check holds a bounded amount of
     memory beside the table.
     """
     bound = max(int(coeffs.max(initial=0)), -int(coeffs.min(initial=0))) * _basis_norm(m)  # no |T| copy

@@ -59,16 +59,12 @@ import numpy as np
 
 from . import _modp
 from .cyclotomic import _complex_parts, get_context
-from .group_core import Group
+from .group_core import Group, _chunks
 from .spectra import Spectrum, _read_spectrum
 
 DEFAULT_ORACLE_CAP = 400
 # the float oracle's default distance bound, for the CLI and both comparisons
 DEFAULT_TOLERANCE = 1e-8
-# bytes of one chunk of a batched check: its adjacency stack, as the float
-# eigensolver or the exact check's walks hold it, and the temporaries of
-# matching its rows' claims (_solved_runs)
-_STACK_BYTES = 512 << 10
 
 __all__ = [
     "DEFAULT_ORACLE_CAP",
@@ -121,9 +117,11 @@ def _solved_runs(
     first row holding that set, or one at count or past it when no row
     does.  That row serves itself, so each pair of inverse sets (and each
     repeated set) costs one matrix.  A run holds as many matrices as fit
-    in _STACK_BYTES at matrix_bytes each, plus row_bytes for each of the
-    two rows a matrix serves apart from repeated sets (one matrix at
-    least).
+    in group_core.CHUNK_BYTES (_chunks) at matrix_bytes each, plus
+    row_bytes for each of the two rows a matrix serves apart from repeated
+    sets (one matrix at least): its adjacency stack, as the float
+    eigensolver or the exact check's walks hold it, and the temporaries of
+    matching its rows' claims.
     """
     count = len(members)
     key = np.dtype((np.void, -(-group.n // 8)))
@@ -134,10 +132,9 @@ def _solved_runs(
     solved = np.flatnonzero(solves)
     slot = (np.cumsum(solves) - 1)[serve]
     quotients = _quotients(group)
-    step = max(1, _STACK_BYTES // (matrix_bytes + 2 * row_bytes))
-    for start in range(0, len(solved), step):
-        rows = np.flatnonzero((slot >= start) & (slot < start + step))
-        yield members[solved[start : start + step]][:, quotients], rows, slot[rows] - start
+    for part in _chunks(len(solved), matrix_bytes + 2 * row_bytes):
+        rows = np.flatnonzero((slot >= part.start) & (slot < part.stop))
+        yield members[solved[part]][:, quotients], rows, slot[rows] - part.start
 
 
 def _charpoly_bound(square_norm: int, n: int) -> int:
@@ -479,7 +476,7 @@ def batch_compare_spectra(
     (_solved_runs).  On the joint path one correspondence of eigenvectors
     to characters passes the rows it certifies (_certified_rows).  Every
     other row's own claim is matched against its numeric values
-    (_float_verdicts), in chunks of _STACK_BYTES.
+    (_float_verdicts), in chunks of group_core.CHUNK_BYTES (_chunks).
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     if int(degrees @ degrees) != group.n:
@@ -504,9 +501,8 @@ def batch_compare_spectra(
     out[passed] = True
     rest = np.flatnonzero(~passed)
     # and each row's numeric values and gathered claims
-    step = max(1, _STACK_BYTES // (16 * n + 8 * k * phi + row_bytes))
-    for start in range(0, len(rest), step):
-        rows = rest[start : start + step]
+    for part in _chunks(len(rest), 16 * n + 8 * k * phi + row_bytes):
+        rows = rest[part]
         numeric = atoms[rows].astype(np.float64) @ values
         out[rows] = _float_verdicts(numerators[rows], degrees, m, numeric, tolerance)
     return out
@@ -637,7 +633,7 @@ def _certified_rows(
     same either, since the same values differ by exactly 0.  The exact
     tests (_clashes) run on the other pairs alone.  (2) is one exact_matmul
     per chunk of rows, whose bound sum_b max|nums[s_b]| must stay below
-    2^63.  Rows go in chunks that fit in _STACK_BYTES.
+    2^63.  Rows go in chunks that fit in group_core.CHUNK_BYTES (_chunks).
     """
     count, a = atoms.shape
     n, (k, phi) = values.shape[1], nums.shape[1:]
@@ -649,9 +645,7 @@ def _certified_rows(
     atom_rows = nums[single[first]]  # (a, K, phi): the claims of atom b alone, in the order of the atoms
     c_re, c_im = _complex_parts(atom_rows, m)
     c_re, c_im = c_re / degrees, c_im / degrees
-    cost = np.zeros((n, k))
-    for b in range(a):
-        cost += np.hypot(values[b].real[:, None] - c_re[b], values[b].imag[:, None] - c_im[b])
+    cost = np.hypot(values.real[:, :, None] - c_re[:, None], values.imag[:, :, None] - c_im[:, None]).sum(axis=0)
     char = cost.argmin(axis=1)
     norms = np.abs(atom_rows).astype(np.float64).sum(axis=2) / degrees  # |nums[s_b, r]|_1 / d_r
     width = a + phi + 32
@@ -672,9 +666,8 @@ def _certified_rows(
     # bytes per row: the product and its float operand, the comparison, and
     # per pair a formed difference, its absolute value and their tests (the
     # pairs tested exactly are few)
-    step = max(1, _STACK_BYTES // (16 * a + 9 * k * phi + 20 * len(r)))
-    for start in range(0, count, step):
-        block, claims = atoms[start : start + step], nums[start : start + step]
+    for part in _chunks(count, 16 * a + 9 * k * phi + 20 * len(r)):
+        block, claims = atoms[part], nums[part]
         exact = (_modp.exact_matmul(block, flat, bound) == claims.reshape(len(block), -1)).all(axis=1)
         weights = block.astype(np.float64)
         s, p = np.nonzero((np.abs(weights @ d_re) <= limit) & (np.abs(weights @ d_im) <= limit))
@@ -684,7 +677,7 @@ def _certified_rows(
         re, im = _complex_parts(near, m)
         clash, _ = _clashes(near, degrees, re / degrees, im / degrees, (np.cumsum(hit) - 1)[s], r[p], t[p], tolerance)
         exact[s[clash]] = False
-        passed[start : start + step] = exact
+        passed[part] = exact
     return passed
 
 

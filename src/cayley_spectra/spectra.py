@@ -40,7 +40,7 @@ from .galois import (
     galois_conjugacy_classes,
     is_union_of_galois_classes,
 )
-from .group_core import TABLE_BYTE_BUDGET, ClassData, Group
+from .group_core import TABLE_BYTE_BUDGET, ClassData, Group, _chunks
 
 __all__ = [
     "ClassSweep",
@@ -269,7 +269,7 @@ def _nonzero_from(values: np.ndarray, first: int) -> np.ndarray:
     So the values are compared with 0, copied coefficient-major and reduced
     over their leading axis: one long OR per coefficient.  Every caller
     passes one block of _block_sums or one row, so the two bool temporaries
-    are at most an eighth of SWEEP_BLOCK_BYTES (or of a row).
+    are at most an eighth of group_core.CHUNK_BYTES (or of a row).
     """
     nonzero = np.ascontiguousarray((values != 0).transpose(2, 0, 1)[first:])
     return np.logical_or.reduce(nonzero, axis=0)
@@ -290,19 +290,9 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-# Bytes of one block of a sweep's int64 sums.  A block and the temporaries of
-# the checks made on it (an eighth of it for each bool array) stay in a
-# core's cache, and below glibc's 128 KiB mmap threshold the temporaries are
-# reused from the heap, not mapped afresh per block.  Cold sweeps of
-# dihedral(22), alternating(7) and symmetric(6) together ran fastest at
-# 512 KiB of the sizes 256 KiB to 2 MiB tried, on a 2-core x86-64 machine
-# with 2 MiB of L2 cache per core.
-SWEEP_BLOCK_BYTES = 1 << 19
-
-
 def _block_bits(bits: int, width: int) -> int:
-    """c <= bits, the largest with 2^c rows of width int64 entries within SWEEP_BLOCK_BYTES, and at least 0."""
-    rows = max(1, SWEEP_BLOCK_BYTES // (8 * width))
+    """c <= bits, the largest with 2^c rows of width int64 entries within one chunk (_chunks), and at least 0."""
+    rows = next(_chunks(1 << bits, 8 * width)).stop
     return min(bits, rows.bit_length() - 1)
 
 
@@ -714,9 +704,8 @@ def power_conjugation_counts(
     o = len(walk)
     in_set = np.zeros(group.n, dtype=bool)
     in_set[list(connection.elements)] = True
-    rows = max(1, (1 << 16) // group.n)  # powers conjugated per step
     counts = np.concatenate(
-        [in_set[group.conjugates(walk[i : i + rows])].sum(axis=1) for i in range(0, o, rows)]
+        [in_set[group.conjugates(walk[part])].sum(axis=1) for part in _chunks(o, 8 * group.n)]  # a power's conjugates
     )
     raw = [0] * m
     step = m // o

@@ -150,12 +150,13 @@ def test_table_build_peak_stays_below_the_class_tensor():
 
 @pytest.mark.parametrize("text", ("cyclic(210)", "dihedral(310)"))
 def test_lift_holds_a_bounded_amount_of_memory_beside_its_result(text, monkeypatch):
-    """The lift's products run over chunks of classes, so beside its (k, k, phi) result it holds under 16 MiB.
+    """The lift's products run over chunks of classes, so beside its (k, k, phi) result it holds under 8 MiB.
 
     cyclic(210) has k = 210 and phi = 48, dihedral(310) k = 158 and
     phi = 120: results of 16.9 and 24.0 MB, beside which the lift holds
-    about 11 MB, a few times _LIFT_BYTES (4 MiB).  One product over every
-    non-least class held 48 and 84 MB beside them.
+    3.9 and 5.1 MiB at a 512 KiB group_core.CHUNK_BYTES (11.1 and 10.1 MiB
+    at 4 MiB).  One product over every non-least class held 48 and 84 MB
+    beside them.
     """
     peaks = []
     real = characters._lift_table
@@ -172,16 +173,17 @@ def test_lift_holds_a_bounded_amount_of_memory_beside_its_result(text, monkeypat
     monkeypatch.setattr(characters, "_lift_table", lift)
     group = build_group(GroupSpec.from_json(text))
     dixon_character_table(group, conjugacy_classes(group))
-    assert 0 < peaks[0] < 16 * 2**20
+    assert 0 < peaks[0] < 8 * 2**20
 
 
 @pytest.mark.parametrize("text", ("cyclic(210)", "dihedral(310)"))
 def test_galois_identity_holds_a_bounded_amount_of_memory_beside_the_table(text, monkeypatch):
-    """The Galois identity runs over chunks of classes, so beside the table it holds under 16 MiB.
+    """The Galois identity runs over chunks of classes, so beside the table it holds under 4 MiB.
 
-    Taking every class at once, with a (k, k, phi) gather, its product and
-    their float64 copies per generator, it held 53 and 75 MB beside the
-    16.9 and 24.0 MB tables of these groups.
+    It holds 1.2 and 0.7 MiB at a 512 KiB group_core.CHUNK_BYTES (10.0 and
+    9.4 MiB at 4 MiB).  Taking every class at once, with a (k, k, phi)
+    gather, its product and their float64 copies per generator, it held 53
+    and 75 MB beside the 16.9 and 24.0 MB tables of these groups.
     """
     peaks = []
     real = characters._galois_identity_holds
@@ -198,16 +200,17 @@ def test_galois_identity_holds_a_bounded_amount_of_memory_beside_the_table(text,
     monkeypatch.setattr(characters, "_galois_identity_holds", identity)
     group = build_group(GroupSpec.from_json(text))
     dixon_character_table(group, conjugacy_classes(group))
-    assert 0 < peaks[0] < 16 * 2**20
+    assert 0 < peaks[0] < 4 * 2**20
 
 
 @pytest.mark.parametrize("text", ("cyclic(210)", "dihedral(310)"))
 def test_certificate_holds_a_bounded_amount_of_memory_beside_the_table(text, monkeypatch):
-    """The certificate takes the L1 norm and each prime's embedding over chunks of classes, so beside the table it holds under 3 _LIFT_BYTES.
+    """The certificate takes the L1 norm and each prime's embedding over chunks of classes, so beside the table it holds under 4 MiB.
 
-    Taking every class at once, with |T|, T mod q and its float64 copy, it
-    held 50.8 and 71.9 MB beside the 16.9 and 24.0 MB tables of these
-    groups; now the Galois identity's 10-11 MB is its peak.
+    It holds 2.2 and 1.3 MiB at a 512 KiB group_core.CHUNK_BYTES (11.0 and
+    10.0 MiB at 4 MiB).  Taking every class at once, with |T|, T mod q and
+    its float64 copy, it held 50.8 and 71.9 MB beside the 16.9 and 24.0 MB
+    tables of these groups.
     """
     peaks = []
     real = characters._validate_table
@@ -223,7 +226,7 @@ def test_certificate_holds_a_bounded_amount_of_memory_beside_the_table(text, mon
     monkeypatch.setattr(characters, "_validate_table", validate)
     group = build_group(GroupSpec.from_json(text))
     dixon_character_table(group, conjugacy_classes(group))
-    assert 0 < peaks[0] < 3 * characters._LIFT_BYTES
+    assert 0 < peaks[0] < 4 * 2**20
 
 
 def _exact_operands(rng, shape_a, shape_b, bound):

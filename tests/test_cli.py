@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cayley_spectra
-from cayley_spectra import TABLE_BYTE_BUDGET, cli, spectra
+from cayley_spectra import TABLE_BYTE_BUDGET, cli, group_core, spectra
 from cayley_spectra.cli import COMMANDS, run
 from conftest import CORPUS
 
@@ -395,6 +395,48 @@ def test_verify_all_is_deterministic(tmp_path, capsys):
     out2 = capsys.readouterr().out
     assert first == second == 0
     assert out1 == out2
+
+
+def test_one_item_per_chunk_prints_the_same_output(monkeypatch, capsys):
+    """With group_core.CHUNK_BYTES at 1 every chunked loop takes one class, row or matrix at a time, and stdout is unchanged.
+
+    The budget records the functions that size their chunks by it, so a
+    loop that kept a budget of its own fails the test.
+    """
+    readers = set()
+
+    class Budget(int):
+        def __floordiv__(self, other):
+            readers.add(sys._getframe(2).f_code.co_name)  # _chunks' caller
+            return int(self) // other
+
+    jobs = (
+        (["verify-all", "--input", "-"], json.dumps({"groups": ["cyclic(12)", "alternating(5)", "symmetric(4)"]})),
+        (["character-table", "--group", "cyclic(40)"], ""),
+    )
+    group = cayley_spectra.build_group(cayley_spectra.GroupSpec.from_json("cyclic(12)"))
+    cd = cayley_spectra.conjugacy_classes(group)
+    connection = cayley_spectra.make_connection_set({"classes": [1, 5, 7, 11]}, group, cd)
+    outputs = []
+    for budget in (group_core.CHUNK_BYTES, Budget(1)):
+        monkeypatch.setattr(group_core, "CHUNK_BYTES", budget)
+        for argv, stdin in jobs:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            assert run(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        counts = spectra.power_conjugation_counts(1, connection, group, cd)
+        outputs.append((counts.counts, counts.weighted_sum.coeffs))
+    assert outputs[:3] == outputs[3:]
+    assert readers == {
+        "_lift_table",
+        "_validate_table",
+        "_galois_identity_holds",
+        "_block_bits",
+        "power_conjugation_counts",
+        "_solved_runs",
+        "batch_compare_spectra",
+        "_certified_rows",
+    }
 
 
 def test_verify_all_bundled_corpus_loads(capsys):

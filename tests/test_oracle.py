@@ -28,7 +28,7 @@ from cayley_spectra import (
     sweep_spectrum,
     verify_spectrum_exact,
 )
-from cayley_spectra import _modp, oracle
+from cayley_spectra import _modp, group_core, oracle
 from cayley_spectra.cli import _approx, run
 from cayley_spectra.cyclotomic import CycInt, _complex_parts, get_context, reduce_raw
 
@@ -964,7 +964,7 @@ def test_chunk_edges_that_split_a_sweep_give_the_same_verdicts(corpus, monkeypat
         for joint, middle in ((True, 100 * k * (n + k)), (False, 400 * n * n)):
             runs = []
             for budget in (1 << 30, middle, 1):
-                monkeypatch.setattr(oracle, "_STACK_BYTES", budget)
+                monkeypatch.setattr(group_core, "CHUNK_BYTES", budget)
                 assert batch_verify_spectrum_exact(group, members, *claims).tolist() == expected
                 with monkeypatch.context() as patch:
                     if not joint:
@@ -1127,7 +1127,7 @@ def test_hadamard_bound_covers_every_coefficient():
 
 @pytest.mark.parametrize("text", ["cyclic(12)", "alternating(5)", "symmetric(4)"])
 def test_batched_oracles_allocate_within_the_stack_budget(corpus, text):
-    """Stacks, stacked primes and matching temporaries all count in _STACK_BYTES."""
+    """Stacks, stacked primes and matching temporaries all count in group_core.CHUNK_BYTES."""
     group, table, sweep, members = _sweep_of(corpus, text)
     for check in (
         lambda: batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE),
@@ -1140,11 +1140,11 @@ def test_batched_oracles_allocate_within_the_stack_budget(corpus, text):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * oracle._STACK_BYTES, (text, peak)
+        assert peak < 2.5 * group_core.CHUNK_BYTES, (text, peak)
 
 
 def test_batched_exact_check_finds_inverse_sets_within_the_stack_budget(corpus):
-    """The cyclic(12) sweep's 2,048 rows: the inverse-set keys add little to the chunks' _STACK_BYTES."""
+    """The cyclic(12) sweep's 2,048 rows: the inverse-set keys add little to the chunks' CHUNK_BYTES."""
     group, table, sweep, members = _sweep_of(corpus, "cyclic(12)")
     assert batch_verify_spectrum_exact(group, members, *_claims(sweep)).all()  # warm the caches
     tracemalloc.start()
@@ -1153,4 +1153,4 @@ def test_batched_exact_check_finds_inverse_sets_within_the_stack_budget(corpus):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * oracle._STACK_BYTES, peak / oracle._STACK_BYTES
+    assert peak <= 1.2 * group_core.CHUNK_BYTES, peak / group_core.CHUNK_BYTES

@@ -45,7 +45,7 @@ from cayley_spectra import (
     totient,
     unit_group,
 )
-from cayley_spectra import cli, spectra
+from cayley_spectra import cli, group_core, spectra
 from cayley_spectra.cli import _sweep_checks
 from cayley_spectra.spectra import all_eigenvalues_in_subfield, all_eigenvalues_integral
 
@@ -626,10 +626,10 @@ def _full_in_subfield(weighted, m, gamma):
 
 
 def _block_rows(monkeypatch, cd, table, rows):
-    """Set SWEEP_BLOCK_BYTES to blocks of rows subsets (None: the shipped budget); returns the rows per block."""
+    """Set group_core.CHUNK_BYTES to blocks of rows subsets (None: the shipped budget); returns the rows per block."""
     width = cd.k * totient(table.m)
     if rows is not None:
-        monkeypatch.setattr(spectra, "SWEEP_BLOCK_BYTES", 8 * width * rows)
+        monkeypatch.setattr(group_core, "CHUNK_BYTES", 8 * width * rows)
     return 1 << spectra._block_bits(cd.k - 1, width)
 
 
