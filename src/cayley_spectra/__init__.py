@@ -99,6 +99,8 @@ from .spectra import (
     sweep_in_subfield,
     sweep_power_closed,
     sweep_spectrum,
+    sweep_unit_closed,
+    sweep_unit_fixed,
 )
 
 __version__ = "0.1.0"

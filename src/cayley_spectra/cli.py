@@ -27,7 +27,7 @@ from .cyclotomic import CycInt, _complex_parts, _poly_str, totient
 from .errors import InternalConsistencyError, ResourceLimitError, cut, shown
 from .galois import (
     GaloisSubgroup,
-    cyclic_subgroups,
+    _cyclic_generators,
     galois_conjugacy_classes,
     subgroup_closure,
     unit_group,
@@ -66,6 +66,8 @@ from .spectra import (
     sweep_class_closed,
     sweep_in_subfield,
     sweep_power_closed,
+    sweep_unit_closed,
+    sweep_unit_fixed,
 )
 
 SCHEMA = "v1"
@@ -137,6 +139,9 @@ def _load_document(path: Optional[str]) -> dict:
 
 def _assemble_job(args: argparse.Namespace) -> dict:
     job = dict(_load_document(args.input))
+    given = [f"--{name}" for name in ("classes", "elements", "connection") if getattr(args, name) is not None]
+    if len(given) > 1:
+        raise InputError("connection", f"give one of --classes, --elements and --connection, not {' and '.join(given)}")
     if args.group is not None:
         job["group"] = args.group
     if args.classes is not None:
@@ -799,14 +804,19 @@ def _sweep_checks(job: dict, group: Group, cd: ClassData, table: CharacterTable)
     eigenvalues (the sweep's numerators over the degrees), never the class
     algebra.  Power-closure consistency compares, as
     check_power_closure_consistency does per subset, the powers of every
-    element with the unit group's class merge.
+    element with the unit group's class closure.
 
     Membership equivalence on the cyclic subgroups <t> of the units gives
     it on every gamma: each side for gamma is the AND over t in gamma of
     that side for <t> (an eigenvalue is fixed by gamma iff by each sigma_t,
-    and C is gamma-closed iff closed under each pi_t).  <1> is the trivial
-    group, so it is in the list; the full unit group, and every non-cyclic
-    gamma, follow from their cyclic subgroups.
+    and C is gamma-closed iff closed under each pi_t).  So both sides are
+    decided once, for one generator t of each distinct nontrivial cyclic
+    subgroup: the spectral side in one stacked pass over the sweep
+    (sweep_unit_fixed), the class side in one broadcast over the class
+    power map (sweep_unit_closed).  <1> fixes and closes everything, and
+    every non-cyclic gamma follows from its cyclic subgroups.  Each unit
+    lies in the cyclic subgroup of one of those t, so the unit group's
+    class closure is the AND of their columns.
     """
     run_float = _runs_float_oracle(job, group)
     run_exact = group.n <= EXACT_VERIFY_ORDER and cd.k <= EXACT_VERIFY_CLASSES
@@ -814,16 +824,10 @@ def _sweep_checks(job: dict, group: Group, cd: ClassData, table: CharacterTable)
     sweep = _group_limited(class_sweep, group, cd, table)
     closed = sweep_power_closed(sweep)
     integrality_ok = bool((sweep.integral == closed).all())
-    membership_ok = all(
-        (
-            sweep_in_subfield(sweep, gamma)
-            == sweep_class_closed(sweep, galois_conjugacy_classes(group, cd, gamma))
-        ).all()
-        for gamma in cyclic_subgroups(group.exponent)
-    )
-    unit_merge = galois_conjugacy_classes(group, cd, unit_group(group.exponent))
-    unit_closed = sweep_class_closed(sweep, unit_merge)
-    closure_ok = bool((sweep_power_closed(sweep, every_element=True) == unit_closed).all())
+    units = _cyclic_generators(group.exponent)[1:]  # <1> fixes and closes everything
+    unit_closed = sweep_unit_closed(sweep, units)
+    membership_ok = bool((sweep_unit_fixed(sweep, units) == unit_closed).all())
+    closure_ok = bool((sweep_power_closed(sweep, every_element=True) == unit_closed.all(axis=1)).all())
 
     float_ok = True
     exact_ok = True
@@ -837,7 +841,7 @@ def _sweep_checks(job: dict, group: Group, cd: ClassData, table: CharacterTable)
             tol = float(job["tolerance"])
             float_ok = bool(batch_compare_spectra(group, members, *claims, tol).all())
         if run_exact:
-            exact_ok = bool(batch_verify_spectrum_exact(group, members, *claims).all())
+            exact_ok = bool(batch_verify_spectrum_exact(group, cd, members, *claims).all())
 
     def outcome(ok: bool, ran: bool = True) -> str:
         return ("pass" if ok else "fail") if ran else "skip"

@@ -111,12 +111,24 @@ def _greedy_generators(m: int, elements: Sequence[int]) -> tuple[int, ...]:
 
 
 def cyclic_subgroups(m: int) -> list[GaloisSubgroup]:
-    """The distinct subgroups <t> for units t mod m, sorted by (order, elements)."""
-    out: dict[tuple[int, ...], GaloisSubgroup] = {}
-    for t in unit_group(m).elements:
-        sub = subgroup_closure(m, [t])
-        out.setdefault(sub.elements, sub)
-    return sorted(out.values(), key=lambda s: (s.order, s.elements))
+    """The distinct subgroups <t> for units t mod m, sorted by (order, elements), each generated by its least generator."""
+    subs = (subgroup_closure(m, [t]) for t in _cyclic_generators(m))
+    return sorted(subs, key=lambda s: (s.order, s.elements))
+
+
+def _cyclic_generators(m: int) -> tuple[int, ...]:
+    """The least generator of each distinct cyclic subgroup <t> of the units mod m, ascending; 1 comes first."""
+    if m < 1:
+        raise ValueError(f"modulus must be positive, got {shown(m)}")
+    least: dict[frozenset[int], int] = {}
+    for t in range(1, m + 1):
+        if gcd(t, m) == 1:
+            powers, x = {1}, t % m or 1  # t = m = 1 is the residue 0 as 1
+            while x not in powers:
+                powers.add(x)
+                x = x * t % m
+            least.setdefault(frozenset(powers), t)
+    return tuple(least.values())
 
 
 def all_subgroups(m: int) -> list[GaloisSubgroup]:

@@ -172,8 +172,10 @@ def _split_top_level(s: str) -> list[str]:
     return parts
 
 
-def _parse_spec_string(s: str) -> GroupSpec:
+def _parse_spec_string(s: str, whole: Optional[str] = None) -> GroupSpec:
+    """The spec of the shorthand s; whole is the spec string s came from, named when a product's factor is empty."""
     s = s.strip()
+    whole = s if whole is None else whole
     bracket = re.fullmatch(r"perm\[(.*)\]", s)
     if bracket:
         return GroupSpec.permutation([p.strip() for p in _split_top_level(bracket.group(1))])
@@ -182,7 +184,10 @@ def _parse_spec_string(s: str) -> GroupSpec:
         raise ValueError(f"cannot parse group spec string {shown(s)}")
     name, body = m.group(1), m.group(2)
     if name == "product":
-        return GroupSpec.product(*(_parse_spec_string(p) for p in _split_top_level(body)))
+        factors = _split_top_level(body)
+        if any(not f.strip() for f in factors):
+            raise ValueError(f"group spec {shown(whole)} has an empty product factor")
+        return GroupSpec.product(*(_parse_spec_string(f, whole) for f in factors))
     if name == "perm":
         gens = [p.strip() for p in _split_top_level(body)]
         return GroupSpec.permutation(gens)

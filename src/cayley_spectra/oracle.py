@@ -6,9 +6,10 @@ dense eigensolver, and the exact backends compare a claimed spectrum with
 the matrix exactly, modulo several primes at every embedding of the
 cyclotomic integers, both from the claim's power sums
 (_claimed_power_sums): per set turned into the coefficients of the
-integer characteristic polynomial, batched against closed walks.  Shared
-is the number format alone: _modp's primes and ring maps z -> w^u,
-cyclotomic's power-basis floats, and spectra's Spectrum type and reader.
+integer characteristic polynomial, batched against closed walks of the
+class quotient.  Shared is the number format alone: _modp's primes, ring
+maps z -> w^u and exact products, cyclotomic's power-basis floats, and
+spectra's Spectrum type and reader.
 
 Each check comes twice: per connection set (compare_spectra,
 verify_spectrum_exact, oracle_power_closed) and batched over the rows of an
@@ -16,7 +17,9 @@ verify_spectrum_exact, oracle_power_closed) and batched over the rows of an
 batch_verify_spectrum_exact, batch_power_closed).  The batched checks read
 only the group, the stack of adjacency matrices and the claimed eigenvalues
 numerators[s, r] / degrees[r] with multiplicity degrees[r]^2, and return
-the per-set verdict of the per-set check for every row.
+the per-set verdict of the per-set check for every row.  The batched exact
+check also reads the partition into classes, which it checks against the
+group's products before it uses it.
 
 The float check diagonalizes a sweep once (_joint_spectrum).  When the
 rows' element sets are unions of conjugation-closed atoms, every A(C) is a
@@ -35,16 +38,17 @@ correspondence.  The rows it does not certify, and every row of a sweep
 without a correspondence or without the joint path, are matched one by
 one against their own numeric values (_float_verdicts).
 
-The batched exact check compares the power sums tr(A^j), j = 1..n, from
-one walk of n steps from the identity, with the claim's.  It walks one
-matrix per pair of inverse sets: A(C^-1) = A(C)^T, so both sets have one
-spectrum (_solved_runs).  Each row's own claim is still compared with the
-shared result.  The per-set check turns the same claimed power sums into
-coefficients by Newton's identities (_elementary) and compares them with
-the integer characteristic polynomial.  integer_charpoly takes the same
-step from the matrix's power sums tr(A^j) (Le Verrier's method), under a
-Hadamard bound on the coefficients (_charpoly_bound).  One lemma, in
-_claimed_power_sums, proves for both checks that their residues decide.
+The batched exact check compares the power sums tr(A^j), j = 1..J, with
+the claim's, where J = min(n, 2k - 1) for k classes and a claim of k
+values.  It reads them from the k x k class quotient B of A: tr(A^j) =
+n (B^j)[0, 0], one walk of J steps per row (_class_quotient,
+_identity_returns).  The per-set check turns the claimed power sums
+p_1 .. p_n into coefficients by Newton's identities (_elementary) and
+compares them with the integer characteristic polynomial.
+integer_charpoly takes the same step from the matrix's power sums
+tr(A^j) (Le Verrier's method), under a Hadamard bound on the coefficients
+(_charpoly_bound).  One lemma, in _claimed_power_sums, proves for both
+checks that their residues decide.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import numpy as np
 
 from . import _modp
 from .cyclotomic import _complex_parts, get_context
-from .group_core import Group, _chunks
+from .group_core import ClassData, Group, _chunks
 from .spectra import Spectrum, _read_spectrum
 
 DEFAULT_ORACLE_CAP = 400
@@ -120,8 +124,7 @@ def _solved_runs(
     in group_core.CHUNK_BYTES (_chunks) at matrix_bytes each, plus
     row_bytes for each of the two rows a matrix serves apart from repeated
     sets (one matrix at least): its adjacency stack, as the float
-    eigensolver or the exact check's walks hold it, and the temporaries of
-    matching its rows' claims.
+    eigensolver holds it, and the temporaries of matching its rows' claims.
     """
     count = len(members)
     key = np.dtype((np.void, -(-group.n // 8)))
@@ -262,7 +265,7 @@ def verify_spectrum_exact(
     claimed = prod((abs(d) + sum(map(abs, e.value.numerator.coeffs))) ** mu for d, e, mu in zip(dens, entries, mults))
     bound = scale * max(map(abs, charpoly)) + claimed
     primes = [q for q in _modp._certificate_primes(m, bound * scale, max(degree + 1, phi)) if scale % q]
-    coeffs = _elementary(_claimed_power_sums(nums, dens, mults, m, primes)[:, :, 0], primes)
+    coeffs = _elementary(_claimed_power_sums(nums, dens, mults, m, primes, degree)[:, :, 0], primes)
     target = np.array([[(-1) ** i * c % q for q in primes] for i, c in enumerate(reversed(charpoly))], dtype=np.int64)
     differ = np.flatnonzero((coeffs != target[:, :, None]).any(axis=(1, 2)))
     if len(differ):
@@ -271,39 +274,59 @@ def verify_spectrum_exact(
 
 
 def batch_verify_spectrum_exact(
-    group: Group, members: np.ndarray, numerators: np.ndarray, degrees: Sequence[int], m: int
+    group: Group, cd: ClassData, members: np.ndarray, numerators: np.ndarray, degrees: Sequence[int], m: int
 ) -> np.ndarray:
-    """verify_spectrum_exact's verdict for every row of members, an (S, n) bool array.
+    """verify_spectrum_exact's verdict for every row of members, an (S, n) bool array of unions of conjugacy classes.
 
     Row s claims the eigenvalue numerators[s, r] / degrees[r] (power-basis
     coefficients at conductor m, shape (S, K, phi)) with multiplicity
     mu_r = degrees[r]^2.  A's eigenvalues are algebraic integers, and the
     power basis is an integral basis of Z[z], so a row fails at once unless
     d_r = degrees[r] divides numerators[s, r] coefficientwise.  Otherwise
-    nu_r = numerators[s, r] / d_r lies in Z[z].  Two multisets of n values
-    with equal power sums p_1 .. p_n have one characteristic polynomial
-    (Newton's identities), and A's eigenvalues have p_j = tr(A^j).  So the
-    row passes exactly when c_j = tr(A^j) - sum_r mu_r nu_r^j is 0 in Z[z]
-    for j = 1..n.  tr(A^j) comes from one walk per pair of inverse sets
-    (_solved_runs, _closed_walks), the sums of nu_r^j from
-    _claimed_power_sums, which divides by d_r mod q: d_r^2 <= n, far below
-    the primes (pow raises if d_r is not a unit), and on a row that passed
-    the divisibility check the quotient is nu_r's residue.
+    nu_r = numerators[s, r] / d_r lies in Z[z].  The check runs on the k x k
+    class quotient of A (_class_quotient): a row fails when cd is not the
+    group's conjugacy partition or the row is not a union of its classes,
+    and otherwise passes exactly when c_j = n (B^j)[0, 0] -
+    sum_r mu_r nu_r^j is 0 in Z[z] for j = 1..J, J = min(n, k + K - 1), which
+    is 2K - 1 for a claim read from the character table.  (B^j)[0, 0] comes
+    from one walk u <- u B mod q per row and prime, from the indicator of
+    the identity class, and the sums of nu_r^j from _claimed_power_sums,
+    which divides by d_r mod q: d_r^2 <= n, far below the primes (pow raises
+    if d_r is not a unit), and on a row that passed the divisibility check
+    the quotient is nu_r's residue.
 
-    Why the primes suffice: (A^j)[e, e] <= |C|^j, and every complex
-    embedding sigma has |sigma(nu)| <= |nu|_1, the L1 norm of its
-    coefficients, so |sigma(c_j)| <= B = n max(1, max|C|)^n +
-    n max(1, max_r |nu_r|_1)^n.  The primes have product M > B, so c_j = 0
+    Why J power sums decide.  tr(A^j) = n (A^j)[e, e] = n (B^j)[0, 0]
+    (_class_quotient).  A = sum_(c in C) L_c is the image of the central
+    element sum_(c in C) c under the left regular representation, which is
+    faithful; the polynomials in a central element lie in the centre of the
+    group algebra, of dimension k, so A's minimal polynomial has degree at
+    most k, and A has at most k distinct eigenvalues.  The claim has at most
+    K.  So the difference of the two multisets, as integer weights on their
+    values, lives on at most k + K points, and its weights sum to 0, as both
+    multisets have n values.  If p_1 .. p_(k + K - 1) also agree, the
+    Vandermonde matrix of those points, invertible, takes the weights to 0:
+    the multisets are equal.  When n < k + K - 1, p_1 .. p_n decide by
+    Newton's identities, as two multisets of n values with those power sums
+    share their elementary symmetric functions.
+
+    Why the primes suffice: (B^j)[0, 0] = (A^j)[e, e] <= |C|^j, and every
+    complex embedding sigma has |sigma(nu)| <= |nu|_1, the L1 norm of its
+    coefficients, so for j <= J, |sigma(c_j)| <= B = n max(1, max|C|)^J +
+    n max(1, max_r |nu_r|_1)^J.  The primes have product M > B, so c_j = 0
     by the lemma of _claimed_power_sums.  The divisibility check is what
     keeps d_r out of B: without it, B would carry prod_r d_r^mu_r, as the
-    per-set check's bound does.
+    per-set check's bound does.  Rows go in chunks that fit in
+    group_core.CHUNK_BYTES (_chunks).
     """
     mults = [int(d) * int(d) for d in degrees]
     n = group.n
     out = np.zeros(len(members), dtype=bool)
-    if sum(mults) != n:
+    quotient = _class_quotient(group, cd)
+    if sum(mults) != n or quotient is None:
         return out
-    _, k, phi = numerators.shape
+    _, K, phi = numerators.shape
+    k = cd.k
+    count = min(n, k + K - 1)  # the power sums compared: J
     divisors = np.array(degrees, dtype=np.int64)
     # d_r | numerators[s, r] and |numerators[s, r]|_1 by coefficient, so
     # that no (S, K, phi) temporary is made
@@ -312,52 +335,90 @@ def batch_verify_spectrum_exact(
         integral &= ~(numerators[:, :, e] % divisors != 0).any(axis=1)
     l1 = sum(np.abs(numerators[:, :, e]) for e in range(phi)).max(axis=0, initial=0).tolist()
     nu = max((int(a) // int(d) for a, d in zip(l1, degrees)), default=0)
-    bound = n * max(1, int(members.sum(axis=1).max(initial=0))) ** n + n * max(1, nu) ** n
+    bound = n * max(1, int(members.sum(axis=1).max(initial=0))) ** count + n * max(1, nu) ** count
     primes = _modp._certificate_primes(m, bound, max(n + 1, phi))
-    # bytes: per matrix, its 0/1 and float64 copies, and per prime its walk,
-    # the walk's product, its diagonal and three int64 temporaries of that,
-    # (n,) each; per row, its numerators, and per row and prime, their
-    # residues, embedded values, the reduction, the quotient by d and its
-    # reduction, the powers and their product, (K, phi) each, and the power
-    # sums and their comparison, (n, phi) each
-    matrix_bytes = 9 * n * n + 48 * len(primes) * n
-    row_bytes = 8 * phi * (k + len(primes) * (7 * k + 2 * n))
-    for stack, rows, local in _solved_runs(group, members, matrix_bytes, row_bytes):
-        walks = _closed_walks(stack, primes)[:, :, local, None]
-        claims = _claimed_power_sums(numerators[rows], degrees, mults, m, primes)
-        out[rows] = integral[rows] & ~(claims != walks).any(axis=(0, 1, 3))
+    q = np.array(primes, dtype=np.int64)
+    reps = np.array(cd.representatives, dtype=np.intp)
+    # bytes per row: its element row, gathered and compared, its mask and
+    # quotient, the walk and its product, (P, k) each, the (J, P) walk
+    # values, and its numerators and, per prime, their residues, embedded
+    # values, the reduction, the quotient by d and its reduction, the powers
+    # and their product, (K, phi) each, and the power sums and their
+    # comparison, (J, phi) each
+    row_bytes = 3 * n + 8 * (k + k * k + 2 * len(q) * k + count * len(q))
+    row_bytes += 8 * phi * (K + len(q) * (7 * K + 2 * count))
+    for part in _chunks(len(members), row_bytes):
+        rows = members[part]
+        masks = rows[:, reps]
+        union = (rows == masks[:, cd.class_of]).all(axis=1)
+        walks = _identity_returns(masks.astype(np.int64) @ quotient, q, count)
+        claims = _claimed_power_sums(numerators[part], degrees, mults, m, primes, count)
+        out[part] = union & integral[part] & ~(claims != (walks * n % q[:, None])[..., None]).any(axis=(0, 1, 3))
     return out
 
 
-def _closed_walks(stack: np.ndarray, primes: Sequence[int]) -> np.ndarray:
-    """(n, P, R) residues tr(A^j) mod primes[i], for j = 1..n and each matrix A of the (R, n, n) 0/1 stack.
+def _class_quotient(group: Group, cd: ClassData) -> Optional[np.ndarray]:
+    """The (k, k * k) int64 array N with N[l, i k + j] = #{c in class l : c rep_i in class j}; None when cd is not the conjugacy partition.
 
-    g -> g x maps arcs to arcs, since (g x)(h x)^-1 = g h^-1, so every
-    vertex lies on as many closed walks of each length, and tr(A^j) =
-    n (A^j)[e, e] at the identity e = 0.  Each matrix and prime takes one
-    walk, walk <- walk A mod q from the indicator of e, as one (R, P, n) @
-    (R, n, n) float64 product per step.  It is exact: the walk holds
-    residues below q and A is 0/1, so each sum is below n q, and n q < 2^53
-    for n < 2^43 when (n + 1) q^2 < 2^63.
+    For a union of classes C with (k,) indicator x, B = (x @ N).reshape(k, k)
+    is the quotient matrix of the adjacency matrix A of C on the partition
+    into classes: B[i, j] = #{c in C : c rep_i in class j}.  When C is
+    closed under conjugation, w -> w A, (w A)[h] = sum_(c in C) w[c h], maps
+    class functions to class functions: for h' = g^-1 h g,
+    w[c h'] = w[(g c g^-1) h], and c -> g c g^-1 permutes C.  On a class
+    function w, (w A)[rep_i] = sum_j B[i, j] w[class j], and the walk from
+    the indicator of the identity, which is class 0 alone, starts among
+    them.  So (A^j)[e, e] = (B^j)[0, 0] for every j.
+
+    That argument needs cd's classes to be the conjugacy classes, with the
+    identity's alone as class 0, so it is checked here from Group products
+    alone.  The conjugates of rep_i all lie in class i, so the orbits of the
+    representatives lie in distinct classes; an orbit has n / |C(rep_i)|
+    members, C(rep_i) the centralizer, and when these sizes sum to n the
+    orbits cover the group, so each class is the orbit of its
+    representative.  rep_0 is the identity.  B holds the class structure
+    constants that characters' class matrices hold, but it is built and
+    checked by this separate code.
     """
-    count, n = stack.shape[0], stack.shape[1]
-    q = np.array(primes, dtype=np.int64)
-    modulus = q.astype(np.float64)[:, None]
-    matrices = stack.astype(np.float64)
-    walk = np.zeros((count, len(primes), n))
+    n, k = group.n, cd.k
+    reps = np.array(cd.representatives, dtype=np.intp)
+    class_of = np.asarray(cd.class_of, dtype=np.intp)
+    if len(class_of) != n or len(reps) != k or reps[0] != 0:
+        return None
+    conjugates = group.conjugates(reps)  # [i, g] = g^-1 rep_i g
+    centralizers = (conjugates == reps[:, None]).sum(axis=1)
+    if (class_of[conjugates] != np.arange(k)[:, None]).any() or (n // centralizers).sum() != n:
+        return None
+    landed = class_of[group.product(np.arange(n)[:, None], reps)]  # [c, i]: the class of c rep_i
+    keys = (class_of[:, None] * k + np.arange(k)) * k + landed
+    return np.bincount(keys.ravel(), minlength=k**3).reshape(k, k * k)
+
+
+def _identity_returns(quotients: np.ndarray, q: np.ndarray, count: int) -> np.ndarray:
+    """(count, P, R) residues (B^j)[0, 0] mod q[i], for j = 1..count and each B of the (R, k * k) quotient rows.
+
+    Each row and prime takes one walk u <- u B mod q from the indicator of
+    class 0, as one (R, P, k) @ (R, k, k) int64 product per step; u[0] after
+    step j is (B^j)[0, 0].  int64: u holds residues below q < 2^31.5 and
+    B's entries are counts of at most n elements, so each sum is below
+    k n q < 2^63 for k n < 2^31.
+    """
+    rows, k = len(quotients), isqrt(quotients.shape[1])
+    matrices = quotients.reshape(rows, k, k)
+    walk = np.zeros((rows, len(q), k), dtype=np.int64)
     walk[:, :, 0] = 1
-    product = np.empty_like(walk)
-    diagonal = np.empty((n, count, len(primes)))
-    for j in range(n):
-        np.fmod(np.matmul(walk, matrices, out=product), modulus, out=walk)
-        diagonal[j] = walk[:, :, 0]
-    return (diagonal.astype(np.int64) * n % q).transpose(0, 2, 1)
+    out = np.empty((count, len(q), rows), dtype=np.int64)
+    modulus = q[:, None]
+    for j in range(count):
+        walk = np.matmul(walk, matrices) % modulus
+        out[j] = walk[:, :, 0].T
+    return out
 
 
 def _claimed_power_sums(
-    nums: np.ndarray, dens: Sequence[int], mults: Sequence[int], m: int, primes: Sequence[int]
+    nums: np.ndarray, dens: Sequence[int], mults: Sequence[int], m: int, primes: Sequence[int], count: int
 ) -> np.ndarray:
-    """(n, P, S, phi) residues sum_r mults[r] sigma_u(nums[s, r] / dens[r])^j mod primes[i], for j = 1..n = sum(mults) and each unit u.
+    """(count, P, S, phi) residues sum_r mults[r] sigma_u(nums[s, r] / dens[r])^j mod primes[i], for j = 1..count and each unit u.
 
     sigma_u is the ring map z -> w^u into F_q (_modp._ring_maps), and
     dividing by dens[r] is multiplying by its inverse mod q, so every
@@ -381,7 +442,7 @@ def _claimed_power_sums(
     inverses = np.array([[pow(int(d), -1, p) for d in dens] for p in primes], dtype=np.int64)[:, None, None]
     nu = ((nums % q).astype(np.int64, copy=False) @ maps % q).swapaxes(2, 3) * inverses % q
     weights = np.array(mults, dtype=np.int64)
-    out = np.empty((sum(mults), len(primes), len(nums), len(units)), dtype=np.int64)
+    out = np.empty((count, len(primes), len(nums), len(units)), dtype=np.int64)
     power = nu
     for j in range(len(out)):
         if j:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 import numbers
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +65,8 @@ __all__ = [
     "sweep_in_subfield",
     "sweep_power_closed",
     "sweep_spectrum",
+    "sweep_unit_closed",
+    "sweep_unit_fixed",
 ]
 
 
@@ -85,12 +87,16 @@ def make_connection_set(spec, group: Group, cd: ClassData) -> ConnectionSet:
     """Build a connection set from class indices, representatives or elements.
 
     Accepted forms: {"classes": [...]}, {"representatives": [...]},
-    {"elements": [...]} or the string "all-nonidentity".  Explicit element
-    lists must be unions of whole classes; the first broken class is named.
+    {"elements": [...]} or the string "all-nonidentity".  A dict that gives
+    more than one of the three keys is refused.  Explicit element lists must
+    be unions of whole classes; the first broken class is named.
     """
     if spec == "all-nonidentity":
         return _from_classes(range(1, cd.k), cd)
     if isinstance(spec, dict):
+        given = [key for key in ("classes", "representatives", "elements") if key in spec]
+        if len(given) > 1:
+            raise ValueError(f"connection spec gives {' and '.join(map(repr, given))}; give exactly one")
         if "classes" in spec:
             idxs = [_index(j, "class index") for j in spec["classes"]]
             for j in idxs:
@@ -326,6 +332,57 @@ def _bit_masks(start: int, count: int, k: int) -> np.ndarray:
     return masks
 
 
+def _moved(
+    weighted: np.ndarray,
+    sums: Callable[[np.ndarray], Iterable[tuple[int, np.ndarray]]],
+    count: int,
+    m: int,
+    units: Sequence[int],
+) -> np.ndarray:
+    """(count, k, T) flags: whether sigma_t moves character r's eigenvalue on row s, for each of the T units t.
+
+    The map z -> z^t acts on coefficient rows as the phi x phi matrix sigma_t
+    whose row e holds z^(e t).  The sigma_t - I of all the units are stacked
+    side by side, so one product forms every per-class defect
+    (s * T) @ (sigma_t - I), a (k, k * T * phi) array, and sums runs over it
+    once, yielding (start, block) pairs as _block_sums does: the blocks of
+    _block_sums for a sweep, one product for a single connection set.  An
+    eigenvalue is moved by sigma_t when a coefficient of its defect sum is
+    nonzero (_nonzero_from).  One block of defect sums is alive at a time.
+    With no units there is no pass.
+
+    Exactness: _formula has checked that every partial sum fits in int64;
+    those of (s * T) @ sigma_t are at most max|s * T| times the largest
+    column L1 norm of the stack, at most n L |B|_1, below the defect bound.
+    exact_matmul takes that bound and runs the product in float64 where it
+    is below 2^53.
+    """
+    k = len(weighted)
+    units = _unit_array(units, m)
+    moved = np.zeros((count, k, len(units)), dtype=bool)
+    if not len(units):
+        return moved
+    phi = weighted.shape[1] // k
+    flat = weighted.reshape(k * k, phi)
+    sigma = _galois_matrix(m, units).transpose(1, 0, 2).reshape(phi, -1)  # column (t, e) is column e of sigma_t
+    bound = int(np.abs(flat).max(initial=0)) * int(np.abs(sigma).sum(axis=0).max())
+    defect = exact_matmul(flat, sigma, bound).reshape(k * k, len(units), phi)
+    defect -= flat[:, None]
+    defect = defect.reshape(k, -1)  # row j holds class j's defects in the order (r, t, e)
+    for start, block in sums(defect):
+        flags = _nonzero_from(block.reshape(len(block), k * len(units), phi), 0)
+        moved[start : start + len(block)] = flags.reshape(len(block), k, len(units))
+    return moved
+
+
+def _unit_array(units: Sequence[int], m: int) -> np.ndarray:
+    """units as a 1-d int64 array; an exponent that is not a unit mod m is refused."""
+    units = np.asarray(units, dtype=np.int64).reshape(-1)
+    if (np.gcd(units, m) != 1).any():
+        raise ValueError(f"a Galois exponent in {shown(units.tolist())} is not a unit mod {m}")
+    return units
+
+
 def _outside_subfield(
     weighted: np.ndarray,
     sums: Callable[[np.ndarray], Iterable[tuple[int, np.ndarray]]],
@@ -335,37 +392,14 @@ def _outside_subfield(
 ) -> np.ndarray:
     """(count, k) flags: whether character r's eigenvalue on row s is moved by gamma.
 
-    The map z -> z^t acts on coefficient rows as the phi x phi matrix sigma_t
-    whose row e holds z^(e t).  A value is fixed by gamma exactly when it is
-    fixed by each element of a generating set, since the fixed field of a
-    group is the fixed field of any set generating it.  For each generator
-    the per-class defect (s * T) @ (sigma_t - I) is formed once and summed
-    by sums, which yields (start, block) pairs as _block_sums does: the
-    blocks of _block_sums for a sweep, one product for a single connection
-    set.  An eigenvalue is outside the fixed field when a coefficient of its
-    defect sum is nonzero (_nonzero_from).  One block of defect sums is
-    alive at a time.
-
-    Exactness: _formula has checked that every partial sum fits in int64;
-    those of (s * T) @ sigma_t are at most max|s * T| times the largest
-    column L1 norm of sigma_t, at most n L |B|_1, below the defect bound.
-    exact_matmul takes that bound and runs the product in float64 where it
-    is below 2^53.
+    A value is fixed by gamma exactly when it is fixed by each element of a
+    generating set, since the fixed field of a group is the fixed field of
+    any set generating it.  So the flags are those of _moved for the
+    generators of gamma, in one pass, OR-ed over the generators.
     """
     if gamma.m != m:
         raise ValueError(f"subgroup modulus {gamma.m} does not match conductor {m}")
-    k = len(weighted)
-    phi = weighted.shape[1] // k
-    flat = weighted.reshape(k * k, phi)
-    top = int(np.abs(flat).max(initial=0))
-    outside = np.zeros((count, k), dtype=bool)
-    for t in _generating_set(gamma):
-        sigma = _galois_matrix(m, t)
-        bound = top * int(np.abs(sigma).sum(axis=0).max())
-        defect = (exact_matmul(flat, sigma, bound) - flat).reshape(k, k * phi)
-        for start, block in sums(defect):
-            outside[start : start + len(block)] |= _nonzero_from(block.reshape(len(block), k, phi), 0)
-    return outside
+    return _moved(weighted, sums, count, m, _generating_set(gamma)).any(axis=2)
 
 
 def _read_spectrum(m: int, degrees, row: np.ndarray, n: int, size: int, identity: bool) -> Spectrum:
@@ -517,9 +551,10 @@ SWEEP_ROW_BYTES = 1536
 def _sweep_bytes(k: int, phi: int) -> int:
     """The estimated peak bytes of a sweep over k classes at phi = phi(m).
 
-    Per subset it counts k * phi int64 numerators, k * phi more for the one
-    generator's Galois defect sums alive at a time, k int64 mask entries and
-    SWEEP_ROW_BYTES.
+    Per subset it counts k * phi int64 numerators, k * phi more for Galois
+    defect sums, k int64 mask entries and SWEEP_ROW_BYTES.  The defect sums
+    of all generators together are formed one block of _block_sums at a
+    time (_moved), so that term is a margin.
     """
     return (1 << (k - 1)) * (8 * k * (2 * phi + 1) + SWEEP_ROW_BYTES)
 
@@ -662,6 +697,37 @@ def sweep_in_subfield(sweep: ClassSweep, gamma: GaloisSubgroup) -> np.ndarray:
     """Whether every eigenvalue of each subset lies in the fixed field of gamma."""
     outside = _outside_subfield(sweep.weighted, _block_sums, len(sweep.integral), sweep.table.m, gamma)
     return ~outside.any(axis=1)
+
+
+def sweep_unit_fixed(sweep: ClassSweep, units: Sequence[int]) -> np.ndarray:
+    """(S, T) bool: whether sigma_t fixes every eigenvalue of subset s, for each of the T units t, from one pass (_moved).
+
+    Column t is sweep_in_subfield for the cyclic group <t>: its fixed field
+    is the fixed field of t alone.
+    """
+    return ~_moved(sweep.weighted, _block_sums, len(sweep.integral), sweep.table.m, units).any(axis=1)
+
+
+def sweep_unit_closed(sweep: ClassSweep, units: Sequence[int]) -> np.ndarray:
+    """(S, T) bool: whether subset s is closed under pi_t, class j -> the class of rep_j^t, for each of the T units t.
+
+    Column t is sweep_class_closed for the cyclic group <t>: pi_t permutes
+    the classes, so a set closed under it is closed under its powers, that
+    is a union of the orbits of <t>, which are <t>'s merged classes.  The
+    (k, T) table of pi_t is read from the class power map at once, and each
+    chunk of subsets is tested against every pi_t in one broadcast: subset
+    s fails t when it holds a class j but not pi_t(j).
+    """
+    cd = sweep.cd
+    count, k = len(sweep.integral), cd.k
+    pi = cd.power_class[:, _unit_array(units, sweep.group.exponent) % sweep.group.exponent]  # (k, T)
+    closed = np.empty((count, pi.shape[1]), dtype=bool)
+    # bytes per subset: its int64 and bool masks, and the (k, T) images and their test
+    for part in _chunks(count, k * (9 + 2 * pi.shape[1])):
+        rows = range(count)[part]
+        held = _bit_masks(rows.start, len(rows), k).astype(bool)
+        closed[part] = ~(held[:, :, None] & ~held[:, pi]).any(axis=1)
+    return closed
 
 
 def sweep_spectrum(sweep: ClassSweep, s: int) -> Spectrum:

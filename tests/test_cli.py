@@ -433,7 +433,8 @@ def test_one_item_per_chunk_prints_the_same_output(monkeypatch, capsys):
         "_galois_identity_holds",
         "_block_bits",
         "power_conjugation_counts",
-        "_solved_runs",
+        "sweep_unit_closed",
+        "batch_verify_spectrum_exact",
         "batch_compare_spectra",
         "_certified_rows",
     }
@@ -538,6 +539,63 @@ def test_connection_fields_must_be_lists(monkeypatch, capsys, connection):
         assert captured.err.startswith("input error: connection:")
         assert "expected a list of integers" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "connection",
+    [
+        {"classes": [1], "representatives": [3]},
+        {"classes": [1], "elements": [1, 4]},
+        {"representatives": [3], "elements": [3]},
+        {"classes": [1], "representatives": [3], "elements": [3]},
+    ],
+)
+def test_a_connection_with_two_forms_is_refused(monkeypatch, capsys, connection):
+    """A connection dict that gives more than one of classes, representatives and elements exits 2 naming connection."""
+    for argv, stdin in (
+        (["spectrum", "--group", "symmetric(3)", "--connection", json.dumps(connection)], None),
+        (["--input", "-"], {"command": "spectrum", "group": "symmetric(3)", "connection": connection}),
+    ):
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(stdin)))
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("input error: connection: connection spec gives 'classes' and ") or (
+            captured.err.startswith("input error: connection: connection spec gives 'representatives' and ")
+        ), captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--classes", "1", "--elements", "1,2"],
+        ["--elements", "1,2", "--classes", "1"],
+        ["--classes", "1", "--connection", "all-nonidentity"],
+        ["--elements", "1,2", "--connection", "sweep"],
+        ["--classes", "1", "--elements", "1,2", "--connection", '{"classes": [1]}'],
+    ],
+)
+def test_two_connection_flags_are_refused(capsys, flags):
+    """--classes, --elements and --connection each set the connection: two of them exit 2 naming connection, whichever comes last."""
+    code = run(["check-integrality", "--group", "symmetric(3)", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error: connection: give one of --classes, --elements and --connection, not ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["product()", "product(cyclic(2),)", "product(,cyclic(2))", "product(cyclic(2), ,cyclic(3))", "product(cyclic(2),product(cyclic(3),))"],
+)
+def test_an_empty_product_factor_names_the_whole_spec(capsys, text):
+    code = run(["classes", "--group", text])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"input error: group: group spec {text!r} has an empty product factor\n"
+    assert captured.out == ""
 
 
 def test_oversize_table_is_refused_before_allocation(capsys):

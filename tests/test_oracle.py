@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
@@ -28,7 +29,7 @@ from cayley_spectra import (
     sweep_spectrum,
     verify_spectrum_exact,
 )
-from cayley_spectra import _modp, group_core, oracle
+from cayley_spectra import _modp, characters, group_core, oracle
 from cayley_spectra.cli import _approx, run
 from cayley_spectra.cyclotomic import CycInt, _complex_parts, get_context, reduce_raw
 
@@ -474,7 +475,7 @@ def test_batched_oracles_match_per_subset_oracles_on_the_corpus(corpus):
     for text in CORPUS:
         group, table, sweep, members = _sweep_of(corpus, text)
         floats = batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE)
-        exact = batch_verify_spectrum_exact(group, members, *_claims(sweep))
+        exact = batch_verify_spectrum_exact(group, sweep.cd, members, *_claims(sweep))
         naive = batch_power_closed(group, members)
         reference = group.n <= 24 and len(members) <= 256
         for s, subset in enumerate(sweep.subsets):
@@ -521,7 +522,7 @@ def test_batched_exact_fails_exactly_the_subset_with_a_changed_coefficient(corpu
         for delta in (1, -1):
             nums = sweep.numerators.copy()
             nums[s, r, e] += delta
-            verdicts = batch_verify_spectrum_exact(group, members, *_claims(sweep, nums))
+            verdicts = batch_verify_spectrum_exact(group, sweep.cd, members, *_claims(sweep, nums))
             assert verdicts.tolist() == [t != s for t in range(count)], (s, r, e, delta)
             if group.n <= 24 and k <= 8:
                 sp = sweep_spectrum(_with_numerators(sweep, nums), s)
@@ -540,13 +541,13 @@ def test_exact_checks_reject_a_change_by_the_first_prime(corpus, monkeypatch):
 
     monkeypatch.setattr(_modp, "_certificate_primes", spy)
     group, table, sweep, members = _sweep_of(corpus, "dihedral(6)")
-    assert batch_verify_spectrum_exact(group, members, *_claims(sweep)).all()
+    assert batch_verify_spectrum_exact(group, sweep.cd, members, *_claims(sweep)).all()
     first = primes[0][0]
     assert len(primes[0]) > 1
     s = 5
     nums = sweep.numerators.copy()
     nums[s, 2, 0] += first
-    verdicts = batch_verify_spectrum_exact(group, members, *_claims(sweep, nums))
+    verdicts = batch_verify_spectrum_exact(group, sweep.cd, members, *_claims(sweep, nums))
     assert verdicts.tolist() == [t != s for t in range(len(members))]
     sp = sweep_spectrum(_with_numerators(sweep, nums), s)
     report = verify_spectrum_exact(sp, adjacency_matrix(group, np.flatnonzero(members[s])))
@@ -554,40 +555,75 @@ def test_exact_checks_reject_a_change_by_the_first_prime(corpus, monkeypatch):
     assert primes[-1][0] == first
 
 
-def test_a_walk_from_the_identity_counts_the_closed_walks_of_every_vertex(corpus, monkeypatch):
-    """n (A^j)[e, e] = tr(A^j) in Python integers for every j <= n, and _closed_walks gives its residues.
+def _quotients_of(sweep, members):
+    """The (S, k * k) class quotients of the rows of members, as batch_verify_spectrum_exact forms them."""
+    quotient = oracle._class_quotient(sweep.group, sweep.cd)
+    return members[:, list(sweep.cd.representatives)].astype(np.int64) @ quotient
 
-    g -> g x maps arcs to arcs, so every vertex lies on as many closed
-    walks of each length.  The rows are sampled from every sweep of order
-    <= 24, with each one's inverse set.  integer_charpoly's power sums,
-    from its walk of the whole matrix, equal _closed_walks' at its primes,
-    which are valid for both walks.
+
+def test_the_class_quotient_holds_the_class_structure_constants(corpus):
+    """N[l, i k + j] = #{c in class l : c rep_i in class j} is class matrix l^-1 transposed, on every corpus group.
+
+    c rep_i = b in class j exactly when (c^-1, b) is a pair of class l^-1
+    and class j whose product is rep_i, which _class_matrix counts.
+    """
+    for text in CORPUS:
+        group, cd, table = corpus[text]
+        k = cd.k
+        quotient = oracle._class_quotient(group, cd).reshape(k, k, k)
+        for l in range(k):
+            expected = characters._class_matrix(group, cd, cd.inverse_class[l]).T
+            assert np.array_equal(quotient[l], expected), (text, l)
+        assert (quotient.sum(axis=2) == np.array(cd.sizes)[:, None]).all(), text  # each c lands in one class
+
+
+def test_a_walk_from_the_identity_counts_the_closed_walks_of_every_vertex(corpus, monkeypatch):
+    """n (B^j)[0, 0] = n (A^j)[e, e] = tr(A^j) for j <= n, and _identity_returns gives its residues.
+
+    The rows are sampled from every corpus sweep, with each one's inverse
+    set.  Up to order 24 the n x n walk runs in Python integers and its
+    trace is checked; past it, the n x n walk runs mod one prime.
+    g -> g x maps arcs to arcs, so every vertex lies on as many closed walks
+    of each length, and class functions stay class functions under A
+    (_class_quotient).  integer_charpoly's power sums, from its walk of the
+    whole matrix, equal n (B^j)[0, 0] at its primes.
     """
     traced = _traced_power_sums(monkeypatch)
     pairs = 0
     for text in CORPUS:
         group, table, sweep, members = _sweep_of(corpus, text)
-        n = group.n
-        if n > 24:
-            continue
+        n, k = group.n, sweep.cd.k
         picked = range(0, len(members), max(1, len(members) // 3))
         sample = sorted({t for s in picked for t in (s, _partner(group, members, s))})
         pairs += sum(_partner(group, members, s) != s for s in sample)
         stack = oracle.adjacency_stack(group, members[sample])
+        quotients = _quotients_of(sweep, members[sample])
         primes = _modp._certificate_primes(table.m, 10**20, n + 1)
-        walks = oracle._closed_walks(stack, primes)
+        walks = oracle._identity_returns(quotients, np.array(primes), n)
         for i, adjacency in enumerate(stack):
-            matrix = adjacency.astype(object)
-            power = np.identity(n, dtype=object)
+            matrix = quotients[i].reshape(k, k).astype(object)
+            power = np.identity(k, dtype=object)
+            if n <= 24:
+                full, full_power = adjacency.astype(object), np.identity(n, dtype=object)
+            else:
+                first = primes[0]
+                full, full_power = adjacency.astype(np.int64), np.identity(n, dtype=np.int64)
             for j in range(1, n + 1):
                 power = power @ matrix
-                trace = sum(power[g, g] for g in range(n))
-                assert n * power[0, 0] == trace, (text, sample[i], j)
-                assert walks[j - 1, :, i].tolist() == [trace % q for q in primes], (text, sample[i], j)
-            traced.clear()
-            integer_charpoly(adjacency)
-            ((sums, own),) = traced
-            assert (sums == oracle._closed_walks(stack[i : i + 1], own)[:, :, 0]).all(), (text, sample[i])
+                full_power = full_power @ full
+                assert walks[j - 1, :, i].tolist() == [power[0, 0] % q for q in primes], (text, sample[i], j)
+                if n <= 24:
+                    trace = sum(full_power[g, g] for g in range(n))
+                    assert n * full_power[0, 0] == trace == n * power[0, 0], (text, sample[i], j)
+                else:
+                    full_power %= first
+                    assert full_power[0, 0] == power[0, 0] % first, (text, sample[i], j)
+            if n <= 24:
+                traced.clear()
+                integer_charpoly(adjacency)
+                ((sums, own),) = traced
+                returns = oracle._identity_returns(quotients[i : i + 1], np.array(own), n)[:, :, 0]
+                assert (sums == returns * n % np.array(own)).all(), (text, sample[i])
     assert pairs
 
 
@@ -604,29 +640,45 @@ def test_batched_exact_fails_a_value_that_is_no_algebraic_integer(corpus):
     assert nums[s, r, 0] % 2 == 0
     nums[s, r, 0] += 1
     assert (nums // np.array(table.degrees)[:, None] == sweep.numerators // np.array(table.degrees)[:, None]).all()
-    verdicts = batch_verify_spectrum_exact(group, members, *_claims(sweep, nums))
+    verdicts = batch_verify_spectrum_exact(group, sweep.cd, members, *_claims(sweep, nums))
     assert verdicts.tolist() == [t != s for t in range(len(members))]
     sp = sweep_spectrum(_with_numerators(sweep, nums), s)
     assert not verify_spectrum_exact(sp, adjacency_matrix(group, np.flatnonzero(members[s]))).passed
 
 
 def test_batched_exact_bound_carries_no_power_of_the_degrees(corpus, monkeypatch):
-    """B = n max(1, max|C|)^n + n max(1, max |num / d|_1)^n: symmetric(4) takes 4 primes, not the 7 of L^n B."""
+    """B = n max(1, max|C|)^J + n max(1, max |num / d|_1)^J, J = min(n, 2k - 1): symmetric(4) takes 2 primes.
+
+    That is J = 9 of n = 24 power sums, so B is about 8.6e13, under the
+    product of two primes near 6.1e8; with J = n it took 4 primes, and with
+    the L^n of the degrees 7.  The exponent J is the one compared: the
+    spectra of A and of the claim have at most k values each, and
+    p_1 .. p_(2k - 1) decide two multisets on 2k points
+    (batch_verify_spectrum_exact).
+    """
     bounds = []
+    counts = []
     choose = _modp._certificate_primes
+    claimed = oracle._claimed_power_sums
 
     def spy(m, bound, width):
         bounds.append((bound, len(choose(m, bound, width))))
         return choose(m, bound, width)
 
+    def count_spy(*args):
+        counts.append(args[-1])
+        return claimed(*args)
+
     monkeypatch.setattr(_modp, "_certificate_primes", spy)
+    monkeypatch.setattr(oracle, "_claimed_power_sums", count_spy)
     group, table, sweep, members = _sweep_of(corpus, "symmetric(4)")
-    assert batch_verify_spectrum_exact(group, members, *_claims(sweep)).all()
-    n = group.n
+    assert batch_verify_spectrum_exact(group, sweep.cd, members, *_claims(sweep)).all()
+    n, k = group.n, table.k
     degrees = np.array(table.degrees)
     nu = int((np.abs(sweep.numerators).sum(axis=2) // degrees).max())
     largest = int(members.sum(axis=1).max())
-    assert bounds == [(n * max(1, largest) ** n + n * max(1, nu) ** n, 4)]
+    assert set(counts) == {2 * k - 1} == {9}
+    assert bounds == [(n * max(1, largest) ** 9 + n * max(1, nu) ** 9, 2)]
 
 
 def test_a_claim_that_differs_only_in_the_last_power_sum_is_rejected(corpus):
@@ -636,8 +688,92 @@ def test_a_claim_that_differs_only_in_the_last_power_sum_is_rejected(corpus):
     rows = members[[s]]
     truth = sweep.numerators[[s]]
     assert truth[0, :, 0].tolist() == [1, -1] and table.degrees == (1, 1)
-    assert batch_verify_spectrum_exact(group, rows, *_claims(sweep, truth)).tolist() == [True]
-    assert batch_verify_spectrum_exact(group, rows, *_claims(sweep, np.zeros_like(truth))).tolist() == [False]
+    assert batch_verify_spectrum_exact(group, sweep.cd, rows, *_claims(sweep, truth)).tolist() == [True]
+    assert batch_verify_spectrum_exact(group, sweep.cd, rows, *_claims(sweep, np.zeros_like(truth))).tolist() == [False]
+
+
+def _claimed_multiset(nums, degrees, s):
+    """Row s's claimed eigenvalues num / d, with multiplicity d^2, as a Counter over their power-basis coefficients."""
+    out = Counter()
+    for r, d in enumerate(degrees):
+        out[tuple(Fraction(int(c), d) for c in nums[s, r])] += d * d
+    return out
+
+
+@pytest.mark.parametrize("text", ["cyclic(5)", "cyclic(8)", "symmetric(3)", "dihedral(6)", "symmetric(4)", "alternating(5)"])
+def test_a_claim_that_moves_multiplicity_between_two_distinct_values_is_rejected(corpus, text):
+    """Every row's claim with one value moved onto another fails exactly when its multiset changes.
+
+    Where all degrees are 1, character r claims character t's value: one
+    copy of nu_r moves onto nu_t.  Otherwise the values of the trivial
+    character and of one of the largest degree d are swapped, which moves
+    d^2 - 1 copies between them.  The multiset stays as it was exactly when
+    the two values were equal.
+    """
+    group, table, sweep, members = _sweep_of(corpus, text)
+    degrees = np.array(table.degrees)
+    t = int(np.argmax(degrees))
+    r = 0 if degrees[t] > 1 else 1
+    t = t if degrees[t] > 1 else len(degrees) - 1
+    nums = sweep.numerators.copy()
+    values = nums[:, [r, t]] // degrees[[r, t], None]  # algebraic integers
+    if degrees[t] > 1:
+        nums[:, [r, t]] = values[:, ::-1] * degrees[[r, t], None]
+    else:
+        nums[:, r] = nums[:, t]
+    expected = [
+        _claimed_multiset(nums, table.degrees, s) == _claimed_multiset(sweep.numerators, table.degrees, s)
+        for s in range(len(nums))
+    ]
+    verdicts = batch_verify_spectrum_exact(group, sweep.cd, members, *_claims(sweep, nums))
+    assert verdicts.tolist() == expected
+    assert not all(expected)
+    if group.n <= 24:
+        for s in np.flatnonzero(~verdicts)[:4].tolist():
+            sp = sweep_spectrum(_with_numerators(sweep, nums), s)
+            assert not verify_spectrum_exact(sp, adjacency_matrix(group, np.flatnonzero(members[s]))).passed
+
+
+@pytest.mark.parametrize("text", ["symmetric(3)", "dihedral(4)", "alternating(4)", "symmetric(4)"])
+def test_the_batched_exact_check_fails_rows_it_cannot_read_on_the_class_quotient(corpus, text):
+    """A row that holds part of a class fails, and so does every row when the classes are not the conjugacy classes.
+
+    The quotient argument needs both.  Rows keep their true claims, so
+    every other row still passes.  A partition that moves one element, or
+    that merges two classes, is refused by _class_quotient.
+    """
+    group, table, sweep, members = _sweep_of(corpus, text)
+    cd = sweep.cd
+    claims = _claims(sweep)
+    assert batch_verify_spectrum_exact(group, cd, members, *claims).all()
+    cut = members.copy()
+    s = len(members) - 1
+    g = next(g for g in np.flatnonzero(members[s]).tolist() if g not in cd.representatives)
+    cut[s, g] = False  # the row still holds every representative, so only the union test sees the cut
+    assert batch_verify_spectrum_exact(group, cd, cut, *claims).tolist() == [t != s for t in range(len(members))]
+    # move one element of a class of size > 1 into another class
+    a = next(j for j in range(1, cd.k) if cd.sizes[j] > 1)
+    b = next(j for j in range(1, cd.k) if j != a)
+    x = cd.classes[a][-1]
+    class_of = cd.class_of.copy()
+    class_of[x] = b
+    classes = list(cd.classes)
+    classes[a] = cd.classes[a][:-1]
+    classes[b] = tuple(sorted((*cd.classes[b], x)))
+    wrong = dataclasses.replace(cd, classes=tuple(classes), class_of=class_of)
+    assert oracle._class_quotient(group, wrong) is None
+    assert not batch_verify_spectrum_exact(group, wrong, members, *claims).any()
+    # merge the last two classes: each class holds its representative's conjugates, but they do not cover the group
+    k = cd.k
+    merged = dataclasses.replace(
+        cd,
+        classes=(*cd.classes[: k - 2], tuple(sorted(cd.classes[k - 2] + cd.classes[k - 1]))),
+        class_of=np.minimum(cd.class_of, k - 2),
+        representatives=cd.representatives[:-1],
+        sizes=(*cd.sizes[: k - 2], cd.sizes[k - 2] + cd.sizes[k - 1]),
+    )
+    assert (merged.class_of[group.conjugates(np.array(merged.representatives))] == np.arange(k - 1)[:, None]).all()
+    assert oracle._class_quotient(group, merged) is None
 
 
 def _short_kernel_vector(w, q):
@@ -667,7 +803,7 @@ def test_a_change_invisible_at_one_embedding_is_seen_at_another(corpus, monkeypa
     monkeypatch.setattr(_modp, "_certificate_primes", first_only)
     group, table, sweep, members = _sweep_of(corpus, "cyclic(3)")
     assert table.m == 3 and sweep.numerators.shape[2] == 2
-    assert batch_verify_spectrum_exact(group, members, *_claims(sweep)).all()
+    assert batch_verify_spectrum_exact(group, sweep.cd, members, *_claims(sweep)).all()
     (q,) = primes[0]
     w = _modp._element_of_order(3, q)
     a, b = _short_kernel_vector(w, q)
@@ -675,7 +811,7 @@ def test_a_change_invisible_at_one_embedding_is_seen_at_another(corpus, monkeypa
     s = 1
     nums = sweep.numerators.copy()
     nums[s, 1] += (a, b)
-    verdicts = batch_verify_spectrum_exact(group, members, *_claims(sweep, nums))
+    verdicts = batch_verify_spectrum_exact(group, sweep.cd, members, *_claims(sweep, nums))
     assert primes[-1] == [q]
     assert verdicts.tolist() == [t != s for t in range(len(members))]
 
@@ -786,9 +922,10 @@ def _calls_spy(monkeypatch, module, name):
 def test_the_cyclic_12_sweep_solves_one_matrix_per_pair_of_inverse_sets(corpus, monkeypatch):
     """2,048 subsets: 64 are their own inverse and 1,984 form 992 pairs, so 1,056 matrices.
 
-    The exact check walks each of those matrices for every prime, and the
-    float check's per-pair path solves each with eigvals; the joint path
-    makes one eigh of one 12 x 12 matrix and no eigvals call.
+    The float check's per-pair path solves each with eigvals; the joint
+    path makes one eigh of one 12 x 12 matrix and no eigvals call.  The
+    exact check builds no adjacency matrix: it walks each row's 12 x 12
+    class quotient for every prime, J = min(n, 2k - 1) = 12 steps.
     """
     group, table, sweep, members = _sweep_of(corpus, "cyclic(12)")
     eighs = _shapes_spy(monkeypatch, "eigh")
@@ -800,18 +937,21 @@ def test_the_cyclic_12_sweep_solves_one_matrix_per_pair_of_inverse_sets(corpus, 
         assert batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE).all()
     assert sum(shape[0] for shape in stacks) == 1056
     walks = []
-    real = oracle._closed_walks
+    real = oracle._identity_returns
 
-    def spy(stack, primes):
-        out = real(stack, primes)
-        walks.append((len(stack), tuple(primes), out.shape))
+    def spy(quotients, q, count):
+        out = real(quotients, q, count)
+        walks.append((len(quotients), tuple(q.tolist()), out.shape))
         return out
 
-    monkeypatch.setattr(oracle, "_closed_walks", spy)
-    assert batch_verify_spectrum_exact(group, members, *_claims(sweep)).all()
+    monkeypatch.setattr(oracle, "_identity_returns", spy)
+    stacks = _calls_spy(monkeypatch, oracle, "adjacency_stack")
+    runs = _calls_spy(monkeypatch, oracle, "_solved_runs")
+    assert batch_verify_spectrum_exact(group, sweep.cd, members, *_claims(sweep)).all()
     (primes,) = {p for _, p, _ in walks}
     assert all(shape == (12, len(primes), size) for size, _, shape in walks)
-    assert sum(size for size, _, _ in walks) == 1056
+    assert sum(size for size, _, _ in walks) == 2048
+    assert stacks == runs == []
 
 
 def _greedy_distance(exact, numeric):
@@ -908,7 +1048,7 @@ def test_a_claim_changed_on_the_row_that_is_not_solved_is_rejected(corpus, text)
         nums = sweep.numerators.copy()
         nums[s, r, e] += 1
         expected = [t != s for t in range(count)]
-        assert batch_verify_spectrum_exact(group, members, *_claims(sweep, nums)).tolist() == expected
+        assert batch_verify_spectrum_exact(group, sweep.cd, members, *_claims(sweep, nums)).tolist() == expected
         assert batch_compare_spectra(group, members, *_claims(sweep, nums), TOLERANCE).tolist() == expected
         assert _per_row_verdicts(group, sweep, members, s, nums) == (False, False)
 
@@ -965,7 +1105,7 @@ def test_chunk_edges_that_split_a_sweep_give_the_same_verdicts(corpus, monkeypat
             runs = []
             for budget in (1 << 30, middle, 1):
                 monkeypatch.setattr(group_core, "CHUNK_BYTES", budget)
-                assert batch_verify_spectrum_exact(group, members, *claims).tolist() == expected
+                assert batch_verify_spectrum_exact(group, sweep.cd, members, *claims).tolist() == expected
                 with monkeypatch.context() as patch:
                     if not joint:
                         _colliding_weights(patch)
@@ -1131,7 +1271,7 @@ def test_batched_oracles_allocate_within_the_stack_budget(corpus, text):
     group, table, sweep, members = _sweep_of(corpus, text)
     for check in (
         lambda: batch_compare_spectra(group, members, *_claims(sweep), TOLERANCE),
-        lambda: batch_verify_spectrum_exact(group, members, *_claims(sweep)),
+        lambda: batch_verify_spectrum_exact(group, sweep.cd, members, *_claims(sweep)),
     ):
         assert check().all()  # warm the prime, ring map and Vandermonde caches
         tracemalloc.start()
@@ -1146,10 +1286,10 @@ def test_batched_oracles_allocate_within_the_stack_budget(corpus, text):
 def test_batched_exact_check_finds_inverse_sets_within_the_stack_budget(corpus):
     """The cyclic(12) sweep's 2,048 rows: the inverse-set keys add little to the chunks' CHUNK_BYTES."""
     group, table, sweep, members = _sweep_of(corpus, "cyclic(12)")
-    assert batch_verify_spectrum_exact(group, members, *_claims(sweep)).all()  # warm the caches
+    assert batch_verify_spectrum_exact(group, sweep.cd, members, *_claims(sweep)).all()  # warm the caches
     tracemalloc.start()
     try:
-        batch_verify_spectrum_exact(group, members, *_claims(sweep))
+        batch_verify_spectrum_exact(group, sweep.cd, members, *_claims(sweep))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

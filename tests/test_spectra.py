@@ -42,6 +42,8 @@ from cayley_spectra import (
     sweep_in_subfield,
     sweep_power_closed,
     sweep_spectrum,
+    sweep_unit_closed,
+    sweep_unit_fixed,
     totient,
     unit_group,
 )
@@ -429,6 +431,73 @@ def test_membership_on_every_subgroup_is_decided_by_its_cyclic_subgroups(corpus)
     assert non_cyclic
 
 
+def _moved_reference(sweep, t):
+    """(S, k) flags of the eigenvalues that sigma_t moves, from the whole numerator array."""
+    nums = sweep.numerators
+    return (nums @ spectra._galois_matrix(sweep.table.m, t) != nums).any(axis=2)
+
+
+def test_unit_sweeps_equal_the_per_subgroup_sweeps(corpus):
+    """Column t of sweep_unit_fixed and sweep_unit_closed is sweep_in_subfield and sweep_class_closed for <t>.
+
+    On every corpus sweep and every unit t, 1 included.  The AND of the
+    columns of one generator per nontrivial cyclic subgroup, as verify-all
+    takes them, is the unit group's class closure.
+    """
+    for text in CORPUS:
+        group, cd, table = corpus[text]
+        m = group.exponent
+        sweep = class_sweep(group, cd, table)
+        units = unit_group(m).elements
+        fixed = sweep_unit_fixed(sweep, units)
+        closed = sweep_unit_closed(sweep, units)
+        assert fixed.shape == closed.shape == (len(sweep.integral), len(units)), text
+        for i, t in enumerate(units):
+            gamma = subgroup_closure(m, [t])
+            assert np.array_equal(fixed[:, i], sweep_in_subfield(sweep, gamma)), (text, t)
+            assert np.array_equal(fixed[:, i], ~_moved_reference(sweep, t).any(axis=1)), (text, t)
+            merged = galois_conjugacy_classes(group, cd, gamma)
+            assert np.array_equal(closed[:, i], sweep_class_closed(sweep, merged)), (text, t)
+        generators = [g.generators[0] for g in cyclic_subgroups(m) if g.order > 1]
+        unit_merge = galois_conjugacy_classes(group, cd, unit_group(m))
+        unit_closed = sweep_unit_closed(sweep, generators).all(axis=1)
+        assert np.array_equal(unit_closed, sweep_class_closed(sweep, unit_merge)), text
+        assert np.array_equal(unit_closed, closed.all(axis=1)), text
+
+
+def test_stacked_generators_give_the_per_generator_flags(corpus, monkeypatch):
+    """One stacked pass over the unit group's generators gives each generator's own flags, on every corpus sweep.
+
+    sweep_in_subfield for the unit group is their OR.  A pass that drops a
+    generator from the stack (a mutant of _generating_set) gives other
+    flags on some corpus sweep, so this comparison catches it.
+    """
+    real = spectra._generating_set
+
+    def mismatches():
+        wrong = 0
+        for text in CORPUS:
+            group, cd, table = corpus[text]
+            m = group.exponent
+            sweep = class_sweep(group, cd, table)
+            generators = real(unit_group(m))
+            moved = spectra._moved(sweep.weighted, spectra._block_sums, len(sweep.integral), m, generators)
+            references = [_moved_reference(sweep, t) for t in generators]
+            assert moved.shape == (len(sweep.integral), cd.k, len(generators)), text
+            for i, reference in enumerate(references):
+                assert np.array_equal(moved[:, :, i], reference), (text, generators[i])
+            outside = np.zeros_like(sweep.integral)
+            for reference in references:
+                outside |= reference.any(axis=1)
+            wrong += not np.array_equal(sweep_in_subfield(sweep, unit_group(m)), ~outside)
+        return wrong
+
+    assert mismatches() == 0
+    assert any(len(real(unit_group(corpus[text][0].exponent))) > 1 for text in CORPUS)
+    monkeypatch.setattr(spectra, "_generating_set", lambda gamma: real(gamma)[:-1])
+    assert mismatches() > 0
+
+
 def test_single_connections_do_no_cyclotomic_arithmetic(monkeypatch, corpus, capsys):
     def refuse(*args):
         raise AssertionError("CycInt arithmetic on the spectrum engine's path")
@@ -782,6 +851,53 @@ def test_sweep_jobs_run_one_unheld_pass(monkeypatch, capsys, argv):
     assert builds == []
 
 
+def _spy_galois_passes(monkeypatch):
+    """The units of every stacked Galois pass (_moved) and the count of every block pass (_block_sums)."""
+    passes, blocks = [], []
+    moved, block_sums = spectra._moved, spectra._block_sums
+
+    def moved_spy(weighted, sums, count, m, units):
+        passes.append(tuple(int(t) for t in units))
+        return moved(weighted, sums, count, m, units)
+
+    def block_spy(rows):
+        blocks.append(len(rows))
+        return block_sums(rows)
+
+    monkeypatch.setattr(spectra, "_moved", moved_spy)
+    monkeypatch.setattr(spectra, "_block_sums", block_spy)
+    return passes, blocks
+
+
+def test_verify_all_runs_one_galois_pass_per_swept_group(monkeypatch, capsys):
+    """Each swept group takes one stacked pass over one generator of each nontrivial cyclic subgroup, and no class merge.
+
+    The block passes are then the checked pass and that one Galois pass.
+    """
+    passes, blocks = _spy_galois_passes(monkeypatch)
+    merges = []
+    monkeypatch.setattr(cli, "galois_conjugacy_classes", lambda *args: merges.append(args))
+    assert cli.run(["verify-all"]) == 0
+    capsys.readouterr()
+    expected = []
+    for text in CORPUS:
+        m = build_group(GroupSpec.from_json(text)).exponent
+        expected.append(tuple(sorted(g.generators[0] for g in cyclic_subgroups(m) if g.order > 1)))
+    assert passes == expected  # with no generators (m <= 2), _moved makes no pass
+    assert len(blocks) == len(CORPUS) + sum(map(bool, expected))
+    assert merges == []
+
+
+def test_a_membership_sweep_with_four_generators_takes_one_galois_pass(monkeypatch, capsys):
+    """alternating(7) with gamma the whole unit group mod 420: generators 11, 13, 17 and 19 in one pass."""
+    passes, blocks = _spy_galois_passes(monkeypatch)
+    argv = ["check-membership", "--group", "alternating(7)", "--connection", "sweep", "--gamma", "rational"]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert passes == [(11, 13, 17, 19)]
+    assert len(blocks) == 2
+
+
 def test_verify_all_without_the_float_and_exact_oracles_builds_no_numerators(monkeypatch, capsys):
     """dihedral(22) (n = 44) runs only the naive oracle, which reads the masks: no (S, k, phi) array is built."""
     group, cd, table = _bundle("dihedral(22)")
@@ -840,6 +956,15 @@ def test_sweep_in_subfield_rejects_a_foreign_modulus(corpus):
     group, cd, table = corpus["cyclic(5)"]
     with pytest.raises(ValueError, match="modulus"):
         sweep_in_subfield(class_sweep(group, cd, table), unit_group(10))
+
+
+def test_unit_sweeps_refuse_an_exponent_that_is_no_unit(corpus):
+    group, cd, table = corpus["cyclic(12)"]
+    sweep = class_sweep(group, cd, table)
+    for decide in (sweep_unit_fixed, sweep_unit_closed):
+        with pytest.raises(ValueError, match=r"^a Galois exponent in \[5, 3\] is not a unit mod 12$"):
+            decide(sweep, [5, 3])
+        assert decide(sweep, []).shape == (len(sweep.integral), 0)
 
 
 def test_galois_defect_bound_is_checked_when_the_sweep_is_built(monkeypatch, corpus):
