@@ -25,13 +25,7 @@ import numpy as np
 from .characters import CharacterTable, dixon_character_table
 from .cyclotomic import CycInt, _complex_parts, _poly_str, totient
 from .errors import InternalConsistencyError, ResourceLimitError, cut, shown
-from .galois import (
-    GaloisSubgroup,
-    _cyclic_generators,
-    galois_conjugacy_classes,
-    subgroup_closure,
-    unit_group,
-)
+from .galois import GaloisSubgroup, _cyclic_generators, subgroup_closure, unit_group
 from .group_core import (
     DEFAULT_GROUP_CAP,
     ClassData,
@@ -54,6 +48,7 @@ from .spectra import (
     ClassSweep,
     ConnectionSet,
     Spectrum,
+    _gamma_units,
     _index,
     _subset_tuples,
     all_eigenvalues_integral,
@@ -63,8 +58,6 @@ from .spectra import (
     class_sweep,
     eigenvalues_via_characters,
     make_connection_set,
-    sweep_class_closed,
-    sweep_in_subfield,
     sweep_power_closed,
     sweep_unit_closed,
     sweep_unit_fixed,
@@ -686,7 +679,6 @@ def cmd_check_membership(job: dict):
     if _wants_sweep(job):
         _refuse_oversize_sweep(job, group, cd)
     table = _group_limited(dixon_character_table, group, cd)
-    merged = galois_conjugacy_classes(group, cd, gamma)
     base = {
         "schema": SCHEMA,
         "command": "check-membership",
@@ -695,14 +687,15 @@ def cmd_check_membership(job: dict):
     }
     if _wants_sweep(job):
         sweep = _group_limited(class_sweep, group, cd, table)
+        units = _gamma_units(gamma, group.exponent)  # each side is the AND of its unit columns
         return _sweep_payload(
             base,
             sweep,
-            ("in_subfield", sweep_in_subfield(sweep, gamma)),
-            ("class_closed", sweep_class_closed(sweep, merged)),
+            ("in_subfield", sweep_unit_fixed(sweep, units).all(axis=1)),
+            ("class_closed", sweep_unit_closed(sweep, units).all(axis=1)),
         )
     conn = _connection_from_job(job, group, cd)
-    rep = _group_limited(check_membership, group, cd, conn, table, gamma, merged)
+    rep = _group_limited(check_membership, group, cd, conn, table, gamma)
     base.update(
         {
             "connection": _connection_json(conn),
@@ -804,7 +797,7 @@ def _sweep_checks(job: dict, group: Group, cd: ClassData, table: CharacterTable)
     eigenvalues (the sweep's numerators over the degrees), never the class
     algebra.  Power-closure consistency compares, as
     check_power_closure_consistency does per subset, the powers of every
-    element with the unit group's class closure.
+    element with the unit group's class closure, also the integrality side.
 
     Membership equivalence on the cyclic subgroups <t> of the units gives
     it on every gamma: each side for gamma is the AND over t in gamma of
@@ -815,19 +808,19 @@ def _sweep_checks(job: dict, group: Group, cd: ClassData, table: CharacterTable)
     (sweep_unit_fixed), the class side in one broadcast over the class
     power map (sweep_unit_closed).  <1> fixes and closes everything, and
     every non-cyclic gamma follows from its cyclic subgroups.  Each unit
-    lies in the cyclic subgroup of one of those t, so the unit group's
-    class closure is the AND of their columns.
+    lies in the cyclic subgroup of one of those t, so the AND of their
+    columns is the unit group's class closure, that is power closure.
     """
     run_float = _runs_float_oracle(job, group)
     run_exact = group.n <= EXACT_VERIFY_ORDER and cd.k <= EXACT_VERIFY_CLASSES
     run_naive = group.n <= NAIVE_ORACLE_CAP
     sweep = _group_limited(class_sweep, group, cd, table)
-    closed = sweep_power_closed(sweep)
-    integrality_ok = bool((sweep.integral == closed).all())
     units = _cyclic_generators(group.exponent)[1:]  # <1> fixes and closes everything
     unit_closed = sweep_unit_closed(sweep, units)
+    closed = unit_closed.all(axis=1)
+    integrality_ok = bool((sweep.integral == closed).all())
     membership_ok = bool((sweep_unit_fixed(sweep, units) == unit_closed).all())
-    closure_ok = bool((sweep_power_closed(sweep, every_element=True) == unit_closed.all(axis=1)).all())
+    closure_ok = bool((sweep_power_closed(sweep, every_element=True) == closed).all())
 
     float_ok = True
     exact_ok = True

@@ -271,6 +271,26 @@ def test_named_families_over_the_cap_are_refused_before_any_element_is_built():
         assert len(err.encode()) < 1024, text
 
 
+def test_python_dash_m_runs_the_cli(capsys):
+    """python -m cayley_spectra prints what cli.run prints, and a bad group exits 2 with no traceback."""
+    src = str(Path(cayley_spectra.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+
+    def module_run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "cayley_spectra", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    argv = ["character-table", "--group", "cyclic(4)"]
+    assert run(argv) == 0
+    done = module_run(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+    done = module_run("classes", "--group", "no-such-family(3)")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "input error: group: unknown family name 'no-such-family'\n"
+
+
 _DEEP_JSON = "[" * 200000
 _DEEP_SPEC = "product(" * 1200 + "cyclic(2)" + ",cyclic(2))" * 1200
 
@@ -433,7 +453,7 @@ def test_one_item_per_chunk_prints_the_same_output(monkeypatch, capsys):
         "_galois_identity_holds",
         "_block_bits",
         "power_conjugation_counts",
-        "sweep_unit_closed",
+        "_sweep_closed",
         "batch_verify_spectrum_exact",
         "batch_compare_spectra",
         "_certified_rows",

@@ -5,7 +5,8 @@ shares nothing with the character path but that format: it reads the group,
 the adjacency matrices and a claimed spectrum.  A Group keeps no n x n
 multiplication table, and no module reads one as an attribute named mul.
 Every private helper, and every function of the private module _modp, is
-named somewhere besides its own definition.
+named somewhere besides its own definition.  spectra and cli decide every
+Galois question from the unit columns, so neither names the class merge.
 """
 
 import ast
@@ -68,6 +69,25 @@ def test_spectra_imports_nothing_private_from_characters():
     for module, names in _package_imports(_trees()["spectra"]):
         if module == "characters":
             assert names is not None and not any(name.startswith("_") for name in names), names
+
+
+def _names(tree):
+    """Every name the source uses: bare names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+
+
+def test_spectra_and_cli_do_not_name_the_class_merge():
+    """Membership and closure are ANDs of unit columns (spectra._moved and the pi_t table), never a merge of Galois classes."""
+    trees = _trees()
+    for module in ("spectra", "cli"):
+        named = set(_names(trees[module])) & {"galois_conjugacy_classes", "is_union_of_galois_classes"}
+        assert not named, (module, named)
 
 
 def test_no_module_reads_a_multiplication_table():

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import io
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction
@@ -34,6 +35,7 @@ from cayley_spectra import (
     get_context,
     is_fixed_by,
     is_power_closed,
+    is_union_of_galois_classes,
     make_connection_set,
     power_conjugation_counts,
     power_of,
@@ -47,7 +49,7 @@ from cayley_spectra import (
     totient,
     unit_group,
 )
-from cayley_spectra import cli, group_core, spectra
+from cayley_spectra import cli, galois, group_core, spectra
 from cayley_spectra.cli import _sweep_checks
 from cayley_spectra.spectra import all_eigenvalues_in_subfield, all_eigenvalues_integral
 
@@ -179,12 +181,77 @@ def test_membership_check_on_cyclic_five():
     assert rep.offending_class in (2, 3)
 
 
-def test_membership_rejects_stale_merge():
-    g, cd, table = _bundle("cyclic(5)")
-    conn = make_connection_set({"classes": [1]}, g, cd)
-    wrong = galois_conjugacy_classes(g, cd, subgroup_closure(5, (4,)))
-    with pytest.raises(ValueError):
-        check_membership(g, cd, conn, table, unit_group(5), wrong)
+def _stdout_gammas(m):
+    """rational, splitting, the real subfield's <m - 1> and every cyclic subgroup <t> of the units mod m."""
+    return [unit_group(m), subgroup_closure(m, ()), subgroup_closure(m, [m - 1]), *cyclic_subgroups(m)]
+
+
+def _one_set_matches(group, cd, table, gammas):
+    """Whether check_membership equals the merge-based reference under each gamma, on every single class and pair of classes.
+
+    The reference's offending character is the first eigenvalue that some
+    element of gamma moves (CycInt Galois action), and its offending class
+    the smallest class outside C of a merged class that C touches.
+    """
+    sets = [[j] for j in range(cd.k)] + [list(pair) for pair in itertools.combinations(range(cd.k), 2)]
+    for gamma in gammas:
+        merged = galois_conjugacy_classes(group, cd, gamma)
+        for classes in sets:
+            conn = make_connection_set({"classes": classes}, group, cd)
+            rep = check_membership(group, cd, conn, table, gamma)
+            bad_char = _first_outside_subfield(eigenvalues_via_characters(conn, table, cd), gamma)
+            closed, bad_class = is_union_of_galois_classes(classes, cd, merged)
+            if (rep.in_subfield, rep.class_closed, rep.offending_character, rep.offending_class) != (
+                bad_char is None, closed, bad_char, bad_class
+            ):
+                return False
+    return True
+
+
+def _sweep_matches(text, group, cd, table, capsys):
+    """Whether the check-membership sweep under the unit group gives the references' two sides on every subset.
+
+    The references are every element's Galois defect of every subset
+    (_full_in_subfield) and the unit group's merged classes.
+    """
+    assert cli.run(["check-membership", "--group", text, "--connection", "sweep", "--gamma", "rational"]) in (0, 1)
+    rows = json.loads(capsys.readouterr().out)["sweep"]
+    gamma = unit_group(group.exponent)
+    merged = galois_conjugacy_classes(group, cd, gamma)
+    inside = _full_in_subfield(spectra._formula(cd, table)[0], table.m, gamma).tolist()
+    closed = [is_union_of_galois_classes(row["classes"], cd, merged)[0] for row in rows]
+    return [row["in_subfield"] for row in rows] == inside and [row["class_closed"] for row in rows] == closed
+
+
+def test_one_set_membership_witnesses_match_the_class_merge(corpus):
+    """offending_class is the smallest class of C's gamma-closure outside C, and offending_character the first moved eigenvalue.
+
+    On every corpus group, every single class and pair of classes, under
+    rational, splitting, the real subfield and every cyclic subgroup.
+    """
+    for text, (group, cd, table) in corpus.items():
+        assert _one_set_matches(group, cd, table, _stdout_gammas(group.exponent)), text
+
+
+def test_a_dropped_generator_of_gamma_is_caught(corpus, monkeypatch, capsys):
+    """Reading gamma through all its generators but the last fails the membership sweep and one-set checks on named corpus groups.
+
+    The mutant's two sides still agree with each other, both for the
+    smaller group, so only the references see it.  The unit groups mod 8
+    and 12 need two generators, so one is left to read.
+    """
+
+    def misses():
+        sweeps = [text for text, bundle in corpus.items() if not _sweep_matches(text, *bundle, capsys)]
+        one_sets = [text for text, bundle in corpus.items() if not _one_set_matches(*bundle, [unit_group(bundle[0].exponent)])]
+        return sweeps, one_sets
+
+    assert misses() == ([], [])
+    real = spectra._generating_set
+    monkeypatch.setattr(spectra, "_generating_set", lambda gamma: real(gamma)[:-1])
+    sweeps, one_sets = misses()
+    for text in ("cyclic(8)", "cyclic(12)", "product(cyclic(2),cyclic(4))"):
+        assert text in sweeps and text in one_sets, text
 
 
 def test_subfield_membership_under_trivial_gamma_is_vacuous(corpus):
@@ -389,11 +456,13 @@ def test_class_sweep_matches_per_subset_reference(corpus):
             _assert_same_spectrum(eigenvalues_via_characters(conn, table, cd), ref, (spec, subset))
             for gamma, mg, ins, uni in zip(gammas, merged, inside, union):
                 outside = _first_outside_subfield(ref, gamma)
-                rep = check_membership(group, cd, conn, table, gamma, mg)
+                rep = check_membership(group, cd, conn, table, gamma)
                 where = (spec, subset, gamma.elements)
                 assert ins[s] == rep.in_subfield == (outside is None), where
                 assert rep.offending_character == outside, where
-                assert uni[s] == rep.class_closed, where
+                is_union, bad_class = is_union_of_galois_classes(subset, cd, mg)  # the merge-based reference
+                assert uni[s] == rep.class_closed == is_union, where
+                assert rep.offending_class == bad_class, where
             if group.n <= 16:
                 # sweeps never hold class 0: this takes the trace identity's other
                 # branch.  The reference sum over C plus class 0 adds chi_r(1) to
@@ -437,10 +506,18 @@ def _moved_reference(sweep, t):
     return (nums @ spectra._galois_matrix(sweep.table.m, t) != nums).any(axis=2)
 
 
+def _merge_closed(sweep, merged):
+    """Whether each subset is a union of merged's classes: the reference, from the masks and the merged class of every class."""
+    block = np.array(merged.merged_class_of)
+    held = sweep.masks.astype(bool)
+    return ~((held @ (block[:, None] == block)) & ~held).any(axis=1)
+
+
 def test_unit_sweeps_equal_the_per_subgroup_sweeps(corpus):
     """Column t of sweep_unit_fixed and sweep_unit_closed is sweep_in_subfield and sweep_class_closed for <t>.
 
-    On every corpus sweep and every unit t, 1 included.  The AND of the
+    On every corpus sweep and every unit t, 1 included, and the class
+    columns equal closure under <t>'s merged classes.  The AND of the
     columns of one generator per nontrivial cyclic subgroup, as verify-all
     takes them, is the unit group's class closure.
     """
@@ -458,10 +535,12 @@ def test_unit_sweeps_equal_the_per_subgroup_sweeps(corpus):
             assert np.array_equal(fixed[:, i], ~_moved_reference(sweep, t).any(axis=1)), (text, t)
             merged = galois_conjugacy_classes(group, cd, gamma)
             assert np.array_equal(closed[:, i], sweep_class_closed(sweep, merged)), (text, t)
+            assert np.array_equal(closed[:, i], _merge_closed(sweep, merged)), (text, t)
         generators = [g.generators[0] for g in cyclic_subgroups(m) if g.order > 1]
         unit_merge = galois_conjugacy_classes(group, cd, unit_group(m))
         unit_closed = sweep_unit_closed(sweep, generators).all(axis=1)
         assert np.array_equal(unit_closed, sweep_class_closed(sweep, unit_merge)), text
+        assert np.array_equal(unit_closed, _merge_closed(sweep, unit_merge)), text
         assert np.array_equal(unit_closed, closed.all(axis=1)), text
 
 
@@ -601,41 +680,6 @@ def test_sweep_masks_built_by_doubling_are_the_bitmask_rows():
         want[:, 1:] = (np.arange(count)[:, None] >> np.arange(k - 1)) & 1
         masks = class_sweep(group, cd, table).masks
         assert masks.dtype == np.int64 and np.array_equal(masks, want), k
-
-
-def _closed_under_by_full_loop(sweep, cover):
-    """_closed_under with a test for every class, also those whose cover holds only themselves."""
-    bits = np.arange(len(sweep.masks), dtype=np.int64) << 1
-    ok = np.ones(len(bits), dtype=bool)
-    for j, c in enumerate(cover):
-        ok &= (((bits >> j) & 1) == 0) | ((c & ~bits) == 0)
-    return ok
-
-
-def test_closed_under_skips_only_covers_that_hold_their_own_class_alone(corpus, monkeypatch):
-    """Power-closure, unit-merge and cyclic-subgroup covers on every corpus sweep give the full loop's flags."""
-    covers = []
-    real = spectra._closed_under
-
-    def spy(sweep, cover):
-        covers.append(list(cover))
-        return real(sweep, cover)
-
-    monkeypatch.setattr(spectra, "_closed_under", spy)
-    own = total = 0
-    for text in CORPUS:
-        group, cd, table = corpus[text]
-        sweep = class_sweep(group, cd, table)
-        covers.clear()
-        flags = [sweep_power_closed(sweep), sweep_power_closed(sweep, every_element=True)]
-        for gamma in [unit_group(group.exponent), *cyclic_subgroups(group.exponent)]:
-            flags.append(sweep_class_closed(sweep, galois_conjugacy_classes(group, cd, gamma)))
-        assert len(covers) == len(flags), text
-        for cover, got in zip(covers, flags):
-            assert np.array_equal(got, _closed_under_by_full_loop(sweep, cover)), (text, cover)
-            own += sum(c == 1 << j for j, c in enumerate(cover))
-            total += len(cover)
-    assert 0 < own < total
 
 
 @pytest.mark.parametrize("spec", ["dihedral(22)", "alternating(7)", "symmetric(6)"])
@@ -876,7 +920,7 @@ def test_verify_all_runs_one_galois_pass_per_swept_group(monkeypatch, capsys):
     """
     passes, blocks = _spy_galois_passes(monkeypatch)
     merges = []
-    monkeypatch.setattr(cli, "galois_conjugacy_classes", lambda *args: merges.append(args))
+    monkeypatch.setattr(galois, "galois_conjugacy_classes", lambda *args: merges.append(args))
     assert cli.run(["verify-all"]) == 0
     capsys.readouterr()
     expected = []
