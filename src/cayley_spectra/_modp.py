@@ -5,7 +5,8 @@ row, by int64 array routines in characters; _power_stack raises an int64
 array to one power mod p, for the split's inverses.
 exact_matmul multiplies integer matrices in float64 BLAS when the caller's
 bound proves the result exact and the product is large enough to gain
-(exact_dtype).
+(exact_dtype); _widened moves an array to Python integers where the
+caller's bound reaches 2^63.
 _certificate_primes chooses the primes of every exact check: the table
 certificate and both exact oracles take q = 1 (mod m), and integer_charpoly
 odd q.  _ring_maps serves the checks that evaluate cyclotomic integers
@@ -169,6 +170,11 @@ def exact_dtype(bound: int, work: int) -> type:
     work is at least BLAS_MIN_WORK.
     """
     return np.float64 if bound < 2**53 and work >= BLAS_MIN_WORK else np.int64
+
+
+def _widened(a: np.ndarray, bound: int) -> np.ndarray:
+    """a, or a copy in Python integers when bound, on the sums or products the caller forms from it, reaches 2^63, where int64 would wrap."""
+    return a.astype(object) if bound >= 2**63 else a
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:

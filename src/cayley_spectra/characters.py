@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _modp
-from ._modp import _certificate_primes, _element_of_order, _ring_maps, exact_matmul
+from ._modp import _certificate_primes, _element_of_order, _ring_maps, _widened, exact_matmul
 from .cyclotomic import (
     CycInt,
     _basis_norm,
@@ -548,11 +548,6 @@ def _galois_identity_holds(coeffs: np.ndarray, cd: ClassData, m: int, generators
             if not np.array_equal(image, coeffs[:, cd.power_class[part, t % m]]):
                 return False
     return True
-
-
-def _widened(a: np.ndarray, bound: int) -> np.ndarray:
-    """a, or a copy in Python integers when bound, on the sums or products the caller forms from it, reaches 2^63, where int64 would wrap."""
-    return a.astype(object) if bound >= 2**63 else a
 
 
 def verify_orthogonality(table: CharacterTable, cd: ClassData, group_order: int) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from functools import lru_cache
@@ -472,11 +473,18 @@ def _flat_encoder(item_separator: str):
 
 
 def _list_text(items: list[str], depth: int) -> str:
-    """The list of these member texts, written at this depth."""
+    """The list of these member texts, written at this depth.
+
+    The brackets ride on the first and last members, so the text is built
+    by one join, with no further copy of it.
+    """
     if not items:
         return "[]"
     inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+    parts = list(items)
+    parts[0] = "[" + inner + parts[0]
+    parts[-1] += "\n" + "  " * depth + "]"
+    return ("," + inner).join(parts)
 
 
 def _subset_texts(k: int, depth: int) -> list[str]:
@@ -986,10 +994,16 @@ def run(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    if job["output"] == "json":
-        print(_json_text(payload))
-    else:
-        print(_render_table(payload))
+    text = _json_text(payload) if job["output"] == "json" else _render_table(payload)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is left to os.devnull,
+        # so that the flush at interpreter exit has nothing to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if ok else 1
 
 

@@ -6,7 +6,9 @@ multiplicity chi(1)^2.  Eigenvalues are kept exact: a cyclotomic-integer
 numerator paired with the degree divisor.  On top of the formula sit the two
 equivalence checks: integrality against power closure of C, and membership in
 a subfield against closure of C under the matching Galois power action, each
-side an AND over generators t of per-unit columns (_moved and _closed).
+side an AND over generators t of per-unit columns (_moved and _closed).  Each
+spectral question is whether x @ M != 0 for a class mask x and an integer
+block M; a sweep asks it of every subset through the Gram rows of M (_gram).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._modp import exact_matmul
+from ._modp import _widened, exact_matmul
 from .characters import CharacterTable, InducedCharacter, induced_character_from_cyclic
 from .cyclotomic import (
     CycInt,
@@ -193,36 +195,39 @@ def _check_int64(bound: int, what: str) -> None:
         raise ResourceLimitError(f"{what} may reach {bound}, beyond exact int64 arithmetic")
 
 
-def _formula(
-    cd: ClassData, table: CharacterTable
-) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
-    """The character formula's summands and its per-row check.
+def _formula(cd: ClassData, table: CharacterTable) -> np.ndarray:
+    """The character formula's summands, with every spectrum identity checked on the k single-class rows.
 
     With T the table's coefficient array and s the class sizes, returns
     weighted = s * T, shaped (k, k * phi) with row j holding s_j * chi_r(g_j)
-    for every r, and check(masks, numerators) (_check_rows).  masks is a
-    (B, k) 0/1 int64 array, row b the indicator of a union of classes, and
-    numerators its (B, k, phi) sums of the rows of weighted: N[b, r] is the
-    numerator of character r's eigenvalue on row b over the divisor
-    chi_r(1).  The sums are formed by the caller: masks @ weighted for a
-    single connection set, the blocks of _block_sums for a sweep.  check
-    tests the spectrum identities on every row, refuses a rational
-    non-integer eigenvalue and returns the (B, k) flags of the irrational
-    N[b, r].  The table's own identities, that the multiplicities d_r^2 sum
-    to n and that the identity class carries the degrees, are checked here,
-    once.
+    for every r.  A union of classes with 0/1 indicator x has the
+    numerators x @ weighted: N[r] over the divisor chi_r(1) is character
+    r's eigenvalue.  The spectrum identities are linear in x, so they are
+    checked once, on each row j, and then hold for every union of classes:
+    - the trivial character gives s_j, so N[0] = x @ s = |C|;
+    - the trace sum_r d_r s_j chi_r(g_j) is n when j is the identity class
+      and 0 otherwise (column orthogonality), so sum_r d_r N[r] is n when C
+      holds the identity and 0 otherwise;
+    - d_r divides every coefficient of s_j chi_r(g_j): the central
+      character value s_j chi_r(g_j) / d_r is an algebraic integer (Isaacs,
+      Character Theory of Finite Groups, 1976, Thm 3.7), and the power
+      basis is a Z-basis of Z[z].  So d_r divides N[r] coefficientwise, and
+      a rational eigenvalue is an integer.  A row that breaks this is
+      refused as a rational non-integer eigenvalue when it is rational.
+    The table's own identities, that the multiplicities d_r^2 sum to n and
+    that the identity class carries the degrees, are checked here too.
 
     Exactness: with L the largest |coefficient| in T, every partial sum of a
     numerator is at most n L in absolute value, and every partial sum of the
-    trace identity sum_r d_r N[:, r] at most n^2 L, as sum_r d_r <= sum_r
-    d_r^2 = n.  The Galois defects of _moved have partial sums at most
-    n L |sigma_t - I|_1, |.|_1 the largest column L1 norm.  The rows of
-    sigma_t are distinct rows of the power-basis table B, as e -> e t is
-    injective mod m for a unit t, so |sigma_t - I|_1 <= |B|_1 + 1 for every
-    unit t.  A product's partial sum and every value that _block_sums or
-    _subset_sums forms are sums over a subset of the classes, so the bounds
-    hold for all of them.  They are checked against 2^63 before any array
-    is built.
+    trace identity at most n^2 L, as sum_r d_r <= sum_r d_r^2 = n.  The
+    Galois defects of _defects have partial sums at most n L |sigma_t - I|_1,
+    |.|_1 the largest column L1 norm.  The rows of sigma_t are distinct rows
+    of the power-basis table B, as e -> e t is injective mod m for a unit t,
+    so |sigma_t - I|_1 <= |B|_1 + 1 for every unit t.  A product's partial
+    sum and every value that _subset_sums forms from weighted or a defect
+    are sums over a subset of the classes, so the bounds hold for all of
+    them.  They are checked against 2^63 before any array is built.  The
+    Gram rows a sweep sums are bounded where they are made (_gram).
     """
     n, k = sum(cd.sizes), cd.k
     coeffs = table.coefficients
@@ -237,45 +242,52 @@ def _formula(
         raise InternalConsistencyError("multiplicities do not sum to the group order")
     if (coeffs[:, 0, 0] != degrees).any() or coeffs[:, 0, 1:].any():
         raise InternalConsistencyError("identity class values differ from the degrees")
-    weighted = (coeffs * sizes[None, :, None]).transpose(1, 0, 2).reshape(k, k * phi)
-    return weighted, partial(_check_rows, sizes, degrees, n)
-
-
-def _check_rows(
-    sizes: np.ndarray, degrees: np.ndarray, n: int, masks: np.ndarray, numerators: np.ndarray
-) -> np.ndarray:
-    """The spectrum identities on every row of masks; returns the (B, k) flags of the irrational numerators.
-
-    The trivial character's eigenvalue is |C| = masks @ sizes, and the trace
-    sum_r d_r N_r is n when C holds the identity and 0 otherwise.  A
-    numerator is irrational when it has a nonzero coefficient past the
-    first (_nonzero_from).  A rational one must be divisible by the degree,
-    which only a character of degree > 1 can fail.
-    """
-    if (numerators[:, 0, 0] != masks @ sizes).any() or numerators[:, 0, 1:].any():
+    summands = coeffs.transpose(1, 0, 2) * sizes[:, None, None]  # (j, r, e)
+    if (summands[:, 0, 0] != sizes).any() or summands[:, 0, 1:].any():
         raise InternalConsistencyError("trivial eigenvalue differs from |C|")
-    trace = degrees @ numerators
-    trace[:, 0] -= n * masks[:, 0]
+    trace = degrees @ summands
+    trace[0, 0] -= n
     if trace.any():
         raise InternalConsistencyError("trace identity fails")
-    irrational = _nonzero_from(numerators, 1)
-    wide = np.flatnonzero(degrees > 1)
-    split = (numerators[:, wide, 0] % degrees[wide] != 0) & ~irrational[:, wide]
+    split = (summands % degrees[:, None] != 0).any(axis=2)
     if split.any():
-        s, r = np.argwhere(split)[0]
-        value = Fraction(int(numerators[s, wide[r], 0]), int(degrees[wide[r]]))
-        raise InternalConsistencyError(f"rational non-integer eigenvalue {value} for character {wide[r]}")
-    return irrational
+        j, r = np.argwhere(split)[0]
+        if summands[j, r, 1:].any():
+            raise InternalConsistencyError(
+                f"central character value of character {r} on class {j} is not an algebraic integer"
+            )
+        value = Fraction(int(summands[j, r, 0]), int(degrees[r]))
+        raise InternalConsistencyError(f"rational non-integer eigenvalue {value} for character {r}")
+    return summands.reshape(k, k * phi)
+
+
+def _check_rows(sizes: Sequence[int], start: int, trivial: np.ndarray) -> None:
+    """Refuse a block whose trivial eigenvalues, trivial (B,) for subsets start .. start + B - 1, are not their |C|.
+
+    _formula has checked every spectrum identity on the single-class rows,
+    and linearity carries them to every sum of rows.  What linearity cannot
+    give is that a block of sums stands for the subsets its offset names.
+    So |C| is summed here from the subsets' bits, class j + 1 when bit j is
+    set, not by the sums under test, and a block summed at the wrong offset
+    fails.
+    """
+    bits = np.arange(start, start + len(trivial), dtype=np.int64)
+    size = np.zeros_like(bits)
+    for j, s in enumerate(sizes[1:]):
+        size += (bits >> j & 1) * s
+    if (trivial != size).any():
+        raise InternalConsistencyError("trivial eigenvalue differs from |C|")
 
 
 def _nonzero_from(values: np.ndarray, first: int) -> np.ndarray:
-    """(B, k) flags of the (B, k, phi) int64 values with a nonzero coefficient at index first or later.
+    """(B, k) flags of the (B, k, phi) integer values with a nonzero coefficient at index first or later.
 
     any() over the short, strided last axis runs one tiny loop per value.
     So the values are compared with 0, copied coefficient-major and reduced
     over their leading axis: one long OR per coefficient.  Every caller
     passes one block of _block_sums or one row, so the two bool temporaries
-    are at most an eighth of group_core.CHUNK_BYTES (or of a row).
+    are at most an eighth of group_core.CHUNK_BYTES (or of a row).  A sweep
+    passes its Gram sums, a (B, k) block as (B, 1, k) or (B, T, k - 1).
     """
     nonzero = np.ascontiguousarray((values != 0).transpose(2, 0, 1)[first:])
     return np.logical_or.reduce(nonzero, axis=0)
@@ -297,8 +309,8 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
 
 
 def _block_bits(bits: int, width: int) -> int:
-    """c <= bits, the largest with 2^c rows of width int64 entries within one chunk (_chunks), and at least 0."""
-    rows = next(_chunks(1 << bits, 8 * width)).stop
+    """c <= bits, the largest with 2^c rows of width int64 entries within one chunk (_chunks), and at least 0; rows of width 0 count as 1."""
+    rows = next(_chunks(1 << bits, 8 * max(width, 1))).stop
     return min(bits, rows.bit_length() - 1)
 
 
@@ -332,6 +344,30 @@ def _bit_masks(start: int, count: int, k: int) -> np.ndarray:
     return masks
 
 
+def _defects(weighted: np.ndarray, m: int, units: np.ndarray) -> np.ndarray:
+    """(T, k, k * phi): row j of block t holds class j's Galois defects (s_j * chi_r(g_j)) (sigma_t - I) for every r, in the order (r, e).
+
+    The map z -> z^t acts on coefficient rows as the phi x phi matrix
+    sigma_t whose row e holds z^(e t).  The sigma_t of the T units are
+    stacked side by side, so one product forms every per-class defect: the
+    stacked Galois pass that every gamma question reads.
+
+    Exactness: _formula has checked that every partial sum of a defect fits
+    in int64; those of (s * T) @ sigma_t are at most max|s * T| times the
+    largest column L1 norm of the stack, at most n L |B|_1, below the defect
+    bound.  exact_matmul takes that bound and runs the product in float64
+    where it is below 2^53.
+    """
+    k = len(weighted)
+    phi = weighted.shape[1] // k
+    flat = weighted.reshape(k * k, phi)
+    sigma = _galois_matrix(m, units).transpose(1, 0, 2).reshape(phi, -1)  # column (t, e) is column e of sigma_t
+    bound = int(np.abs(flat).max(initial=0)) * int(np.abs(sigma).sum(axis=0).max())
+    defect = exact_matmul(flat, sigma, bound).reshape(k * k, len(units), phi)
+    defect -= flat[:, None]
+    return defect.reshape(k, k, len(units), phi).transpose(2, 0, 1, 3).reshape(len(units), k, k * phi)
+
+
 def _moved(
     weighted: np.ndarray,
     sums: Callable[[np.ndarray], Iterable[tuple[int, np.ndarray]]],
@@ -341,38 +377,48 @@ def _moved(
 ) -> np.ndarray:
     """(count, k, T) flags: whether sigma_t moves character r's eigenvalue on row s, for each of the T units t.
 
-    The map z -> z^t acts on coefficient rows as the phi x phi matrix sigma_t
-    whose row e holds z^(e t).  The sigma_t - I of all the units are stacked
-    side by side, so one product forms every per-class defect
-    (s * T) @ (sigma_t - I), a (k, k * T * phi) array, and sums runs over it
-    once, yielding (start, block) pairs as _block_sums does: the blocks of
-    _block_sums for a sweep, one product for a single connection set.  An
-    eigenvalue is moved by sigma_t when a coefficient of its defect sum is
-    nonzero (_nonzero_from).  One block of defect sums is alive at a time.
-    With no units there is no pass.
-
-    Exactness: _formula has checked that every partial sum fits in int64;
-    those of (s * T) @ sigma_t are at most max|s * T| times the largest
-    column L1 norm of the stack, at most n L |B|_1, below the defect bound.
-    exact_matmul takes that bound and runs the product in float64 where it
-    is below 2^53.
+    sums runs once over the per-class defects of all the units (_defects),
+    rows j and columns (t, r, e), yielding (start, block) pairs as
+    _block_sums does: one product for a single connection set (_one_row),
+    whose witness is the first moved character.  An eigenvalue is moved by
+    sigma_t when a coefficient of its defect sum is nonzero
+    (_nonzero_from).  A sweep, which needs no witness, tests the Gram rows
+    of the defects instead (sweep_unit_fixed).  With no units there is no
+    pass.
     """
     k = len(weighted)
     units = _unit_array(units, m)
     moved = np.zeros((count, k, len(units)), dtype=bool)
     if not len(units):
         return moved
-    phi = weighted.shape[1] // k
-    flat = weighted.reshape(k * k, phi)
-    sigma = _galois_matrix(m, units).transpose(1, 0, 2).reshape(phi, -1)  # column (t, e) is column e of sigma_t
-    bound = int(np.abs(flat).max(initial=0)) * int(np.abs(sigma).sum(axis=0).max())
-    defect = exact_matmul(flat, sigma, bound).reshape(k * k, len(units), phi)
-    defect -= flat[:, None]
-    defect = defect.reshape(k, -1)  # row j holds class j's defects in the order (r, t, e)
+    defect = _defects(weighted, m, units).transpose(1, 0, 2).reshape(k, -1)
     for start, block in sums(defect):
-        flags = _nonzero_from(block.reshape(len(block), k * len(units), phi), 0)
-        moved[start : start + len(block)] = flags.reshape(len(block), k, len(units))
+        flags = _nonzero_from(block.reshape(len(block), len(units) * k, -1), 0)
+        moved[start : start + len(block)] = flags.reshape(len(block), len(units), k).transpose(0, 2, 1)
     return moved
+
+
+def _gram(blocks: np.ndarray) -> np.ndarray:
+    """(k, T (k - 1)): column (t, i - 1) of row j is the dot product of blocks[t, j] and blocks[t, i], for i = 1..k-1.
+
+    blocks is a (T, k, W) integer array: block t holds one integer row per
+    class.  A union of classes 1..k-1 with 0/1 indicator x has x @ blocks[t]
+    = 0 exactly when its sum of these rows is 0 in the columns of t: with
+    y = x @ blocks[t], the sum is y @ blocks[t, 1:]^T, whose dot product with
+    x[1:] is |y|^2, and y = 0 gives sum 0.  So a sweep sums k - 1 columns
+    per question instead of W.
+
+    Exactness: with A = max |blocks|, each entry is at most W A^2 in
+    absolute value, and every value _block_sums forms from the rows, a sum
+    over a subset of classes 1..k-1, at most (k - 1) W A^2.  Where that
+    reaches 2^63 the product and its sums are Python integers (_widened).
+    """
+    stacked, k, width = blocks.shape
+    top = int(np.abs(blocks).max(initial=0))
+    bound = (k - 1) * width * top * top
+    blocks = _widened(blocks, bound)
+    gram = exact_matmul(blocks, blocks[:, 1:].transpose(0, 2, 1), bound)
+    return gram.transpose(1, 0, 2).reshape(k, stacked * (k - 1))
 
 
 def _unit_array(units: Sequence[int], m: int) -> np.ndarray:
@@ -445,12 +491,15 @@ def _single(connection: ConnectionSet, cd: ClassData, table: CharacterTable):
     """_formula on the connection's one mask row.
 
     Returns weighted, the sums that _moved takes for this row (_one_row),
-    and the row's (1, k, phi) numerators and (1, k) irrational flags.
+    and the row's (1, k, phi) numerators and (1, k) irrational flags: a
+    numerator is irrational when it has a nonzero coefficient past the
+    first (_nonzero_from).  _formula's checks on the single-class rows hold
+    for this row by linearity.
     """
     mask = _mask(connection, cd)
-    weighted, check = _formula(cd, table)
+    weighted = _formula(cd, table)
     numerators = (mask @ weighted).reshape(1, cd.k, -1)
-    return weighted, partial(_one_row, mask), numerators, check(mask, numerators)
+    return weighted, partial(_one_row, mask), numerators, _nonzero_from(numerators, 1)
 
 
 def _first(flags: np.ndarray) -> Optional[int]:
@@ -573,9 +622,9 @@ def _sweep_bytes(k: int, phi: int) -> int:
     """The estimated peak bytes of a sweep over k classes at phi = phi(m).
 
     Per subset it counts k * phi int64 numerators, k * phi more for Galois
-    defect sums, k int64 mask entries and SWEEP_ROW_BYTES.  The defect sums
-    of all generators together are formed one block of _block_sums at a
-    time (_moved), so that term is a margin.
+    defect sums, k int64 mask entries and SWEEP_ROW_BYTES.  A sweep sums
+    k or T (k - 1) Gram columns per subset, one block of _block_sums at a
+    time (_gram), so both phi terms are margins.
     """
     return (1 << (k - 1)) * (8 * k * (2 * phi + 1) + SWEEP_ROW_BYTES)
 
@@ -609,8 +658,8 @@ class ClassSweep:
     Subset s is the bitmask s over classes 1..k-1 (bit i for class i + 1), so
     the subsets run in the order of ``range(2 ** (k - 1))``.  A sweep is
     what class_sweep's checked pass keeps: ``weighted``, what _formula
-    returns, and the (S,) ``integral`` flags read from each block of
-    numerators.  ``subsets``, ``masks`` and ``numerators`` are derived from
+    returns, and the (S,) ``integral`` flags read from each block of Gram
+    sums.  ``subsets``, ``masks`` and ``numerators`` are derived from
     these on first read and kept; no read runs the checked pass again.
     ``masks[s]``, subset s's 0/1 indicator over all k classes, and
     ``numerators[s]``, its (k, phi) numerators, are the rows that
@@ -638,11 +687,11 @@ class ClassSweep:
     def numerators(self) -> np.ndarray:
         """(S, k, phi) int64: character r's eigenvalue on subset s is numerators[s, r] over chi_r(1).
 
-        They are the values the checked pass checked, without a second
-        pass: each entry is the exact int64 sum over one subset of the rows
-        of weighted (_subset_sums), as each entry of a checked block is, and
-        _formula bounded every such partial sum below 2^63, so no addition
-        wraps and every order of them gives the same integer.
+        They need no second checked pass: each entry is the exact int64 sum
+        over one subset of the rows of weighted (_subset_sums), _formula
+        bounded every such partial sum below 2^63, so no addition wraps, and
+        the identities _formula checked on the rows hold for each sum by
+        linearity.
         """
         return _subset_sums(self.weighted).reshape(len(self.integral), self.cd.k, -1)
 
@@ -651,21 +700,27 @@ def class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSwee
     """Evaluate the character formula on all 2^(k-1) subsets.
 
     The sweep is refused by check_sweep_size before any array is built.
-    Then the one checked pass runs: _formula checks the exactness bounds
-    once, and its check runs on every block of _block_sums, in bitmask
-    order, against that block's masks, built from the subsets' bits
-    (_bit_masks) and not by the sums it checks.  A block is dropped once its
-    integrality flags are read, so the pass keeps only the (S,) flags; a
-    reader of the masks or numerators derives them (ClassSweep).
+    Then the one checked pass runs.  _formula checks every spectrum
+    identity on the single-class rows, which linearity carries to every
+    subset.  A subset is integral when the irrational coefficients of its
+    numerators, x @ M with M the columns of weighted past each character's
+    first coefficient, are all 0: when its sums of the k - 1 Gram columns
+    of M (_gram) are 0.  Those columns go to _block_sums behind one more,
+    the class sizes that the trivial character gives, whose sum in each
+    block is checked against the |C| of that block's subsets, summed from
+    their bits (_check_rows).  A block is dropped once its integrality
+    flags are read, so the pass keeps only the (S,) flags; a reader of the
+    masks or numerators derives them (ClassSweep).
     """
     check_sweep_size(cd.k, totient(table.m))
-    weighted, check = _formula(cd, table)
+    weighted = _formula(cd, table)
     k = cd.k
+    irrational = weighted.reshape(1, k, k, -1)[..., 1:].reshape(1, k, -1)
+    rows = np.concatenate((weighted[:, :1], _gram(irrational)), axis=1)  # column 0: s_j * chi_0(g_j) = s_j
     integral = np.empty(1 << (k - 1), dtype=bool)
-    for start, block in _block_sums(weighted):
-        count = len(block)
-        flags = check(_bit_masks(start, count, k), block.reshape(count, k, -1))
-        integral[start : start + count] = ~flags.any(axis=1)
+    for start, block in _block_sums(rows):
+        _check_rows(cd.sizes, start, block[:, 0])
+        integral[start : start + len(block)] = ~_nonzero_from(block[:, None], 1)[:, 0]
     return ClassSweep(group=group, cd=cd, table=table, weighted=weighted, integral=integral)
 
 
@@ -701,12 +756,22 @@ def sweep_in_subfield(sweep: ClassSweep, gamma: GaloisSubgroup) -> np.ndarray:
 
 
 def sweep_unit_fixed(sweep: ClassSweep, units: Sequence[int]) -> np.ndarray:
-    """(S, T) bool: whether sigma_t fixes every eigenvalue of subset s, for each of the T units t, from one pass (_moved).
+    """(S, T) bool: whether sigma_t fixes every eigenvalue of subset s, for each of the T units t, from one pass.
 
-    Column t is sweep_in_subfield for the cyclic group <t>: its fixed field
-    is the fixed field of t alone.
+    sigma_t fixes them when subset s's defect sum x @ D_t is 0, D_t the
+    per-class defects of t (_defects), that is when its sums of D_t's k - 1
+    Gram columns are 0 (_gram).  The T (k - 1) columns of all the units go
+    through _block_sums once.  Column t is sweep_in_subfield for the cyclic
+    group <t>: its fixed field is the fixed field of t alone.
     """
-    return ~_moved(sweep.weighted, _block_sums, len(sweep.integral), sweep.table.m, units).any(axis=1)
+    units = _unit_array(units, sweep.table.m)
+    fixed = np.ones((len(sweep.integral), len(units)), dtype=bool)
+    if not len(units):
+        return fixed
+    rows = _gram(_defects(sweep.weighted, sweep.table.m, units))
+    for start, block in _block_sums(rows):
+        fixed[start : start + len(block)] = ~_nonzero_from(block.reshape(len(block), len(units), -1), 0)
+    return fixed
 
 
 def sweep_unit_closed(sweep: ClassSweep, units: Sequence[int]) -> np.ndarray:

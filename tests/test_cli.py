@@ -271,15 +271,21 @@ def test_named_families_over_the_cap_are_refused_before_any_element_is_built():
         assert len(err.encode()) < 1024, text
 
 
-def test_python_dash_m_runs_the_cli(capsys):
-    """python -m cayley_spectra prints what cli.run prints, and a bad group exits 2 with no traceback."""
+def _module_env():
+    """os.environ with this checkout's package first on PYTHONPATH and one BLAS thread."""
     src = str(Path(cayley_spectra.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env["OPENBLAS_NUM_THREADS"] = "1"
+    return env
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """python -m cayley_spectra prints what cli.run prints, and a bad group exits 2 with no traceback."""
 
     def module_run(*argv):
         return subprocess.run(
-            [sys.executable, "-m", "cayley_spectra", *argv], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-m", "cayley_spectra", *argv],
+            env=_module_env(), capture_output=True, text=True, timeout=120,
         )
 
     argv = ["character-table", "--group", "cyclic(4)"]
@@ -289,6 +295,33 @@ def test_python_dash_m_runs_the_cli(capsys):
     done = module_run("classes", "--group", "no-such-family(3)")
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "input error: group: unknown family name 'no-such-family'\n"
+
+
+def test_a_reader_that_closes_early_gets_no_traceback():
+    """A reader that closes stdout after one line leaves the job's own exit code, 0 here, and nothing on stderr.
+
+    dihedral(22)'s sweep writes 1.5 MB, far past a pipe's buffer, so the
+    writer meets the closed pipe while it prints.
+    """
+    argv = [sys.executable, "-m", "cayley_spectra", "check-integrality", "--group", "dihedral(22)", "--connection", "sweep"]
+    with subprocess.Popen(argv, env=_module_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (0, b"")
+
+
+def test_a_closed_pipe_keeps_a_failed_check_exit_code(monkeypatch):
+    """A check that fails still exits 1 when its stdout pipe is closed, and stdout is then os.devnull."""
+    monkeypatch.setitem(cli._COMMANDS, "classes", lambda job: ({"rows": list(range(50000))}, False))
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run(["classes", "--group", "cyclic(2)"]) == 1
+        assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+        print("more", file=stdout, flush=True)  # no BrokenPipeError: the pipe is gone
 
 
 _DEEP_JSON = "[" * 200000

@@ -218,7 +218,7 @@ def _sweep_matches(text, group, cd, table, capsys):
     rows = json.loads(capsys.readouterr().out)["sweep"]
     gamma = unit_group(group.exponent)
     merged = galois_conjugacy_classes(group, cd, gamma)
-    inside = _full_in_subfield(spectra._formula(cd, table)[0], table.m, gamma).tolist()
+    inside = _full_in_subfield(spectra._formula(cd, table), table.m, gamma).tolist()
     closed = [is_union_of_galois_classes(row["classes"], cd, merged)[0] for row in rows]
     return [row["in_subfield"] for row in rows] == inside and [row["class_closed"] for row in rows] == closed
 
@@ -425,6 +425,22 @@ def test_a_rational_non_integer_eigenvalue_is_refused():
         check_integrality(group, cd, conn, tampered)
     with pytest.raises(InternalConsistencyError, match="^rational non-integer eigenvalue"):
         class_sweep(group, cd, tampered)
+
+
+def test_a_central_character_value_off_the_integers_is_refused():
+    """The same move at coefficient 1 makes s_j chi_r(g_j) / d_r = 5 z / 2: the trivial and trace identities still hold, and divisibility by d_r refuses it."""
+    group, cd, table = _bundle("dihedral(5)")
+    j = cd.sizes.index(5)
+    r, s = [i for i, d in enumerate(table.degrees) if d == 2]
+    coeffs = table.coefficients.copy()
+    coeffs[r, j, 1] += 1
+    coeffs[s, j, 1] -= 1
+    tampered = dataclasses.replace(table, coefficients=coeffs)
+    conn = make_connection_set({"classes": [j]}, group, cd)
+    message = f"^central character value of character {r} on class {j} is not an algebraic integer$"
+    for entry in (lambda: check_integrality(group, cd, conn, tampered), lambda: class_sweep(group, cd, tampered)):
+        with pytest.raises(InternalConsistencyError, match=message):
+            entry()
 
 
 def test_class_sweep_matches_per_subset_reference(corpus):
@@ -721,7 +737,7 @@ def swept(corpus):
 
 def _full_sweep(group, cd, table):
     """The whole-batch arrays the blocks stand for: weighted, numerators and masks by one doubling each, and the integral flags."""
-    weighted, _ = spectra._formula(cd, table)
+    weighted = spectra._formula(cd, table)
     numerators = spectra._subset_sums(weighted).reshape(1 << (cd.k - 1), cd.k, -1)
     masks = spectra._subset_sums(np.identity(cd.k, dtype=np.int64))
     return weighted, numerators, masks, ~(numerators[:, :, 1:] != 0).any(axis=(1, 2))
@@ -739,8 +755,11 @@ def _full_in_subfield(weighted, m, gamma):
 
 
 def _block_rows(monkeypatch, cd, table, rows):
-    """Set group_core.CHUNK_BYTES to blocks of rows subsets (None: the shipped budget); returns the rows per block."""
-    width = cd.k * totient(table.m)
+    """Set group_core.CHUNK_BYTES to checked-pass blocks of rows subsets (None: the shipped budget); returns the rows per block.
+
+    A checked block holds k columns per subset: |C| and the k - 1 Gram columns.
+    """
+    width = cd.k
     if rows is not None:
         monkeypatch.setattr(group_core, "CHUNK_BYTES", 8 * width * rows)
     return 1 << spectra._block_bits(cd.k - 1, width)
@@ -768,7 +787,85 @@ def test_streamed_sweeps_equal_the_full_doubling_arrays(swept, monkeypatch, rows
         for gamma in [unit_group(table.m), *cyclic_subgroups(table.m)]:
             want = _full_in_subfield(weighted, table.m, gamma)
             assert np.array_equal(sweep_in_subfield(sweep, gamma), want), (text, gamma.elements)
-    assert blocked >= (len(SWEEP_GROUPS) if rows is None else 20), blocked
+    # at the shipped budget, dihedral(22)'s 8,192 checked rows of k = 14 columns take two blocks
+    assert blocked >= (1 if rows is None else 20), blocked
+
+
+def _unit_sets(m):
+    """verify-all's stacked units, one generator of each nontrivial cyclic subgroup, and the generating set of each gamma of _stdout_gammas."""
+    cyclic = tuple(sorted(g.generators[0] for g in cyclic_subgroups(m) if g.order > 1))
+    return [cyclic, *(spectra._generating_set(gamma) for gamma in _stdout_gammas(m))]
+
+
+def test_gram_sweeps_equal_the_per_subset_products(swept):
+    """Each sweep flag is the direct test x @ M != 0 on subset x's mask row.
+
+    M is the coefficients of weighted past each character's first for
+    integrality, and for membership under unit t the defects
+    weighted (sigma_t - I), built here one unit at a time.  On every corpus
+    group and the class-sweep groups, for every unit set that verify-all and
+    the stdout gammas stack.
+    """
+    for text, (group, cd, table) in swept.items():
+        k, m = cd.k, table.m
+        masks = _bitmask_rows(k)
+        weighted = spectra._formula(cd, table)
+        sweep = class_sweep(group, cd, table)
+        irrational = weighted.reshape(k, k, -1)[:, :, 1:].reshape(k, -1)
+        assert np.array_equal(sweep.integral, ~(masks @ irrational != 0).any(axis=1)), text
+        flat = weighted.reshape(k * k, -1)
+        for units in _unit_sets(m):
+            fixed = sweep_unit_fixed(sweep, units)
+            assert fixed.shape == (1 << (k - 1), len(units)), (text, units)
+            for i, t in enumerate(units):
+                defect = (flat @ spectra._galois_matrix(m, t) - flat).reshape(k, -1)
+                assert np.array_equal(fixed[:, i], ~(masks @ defect != 0).any(axis=1)), (text, units, t)
+
+
+def test_gram_rows_flag_sums_whose_columns_cancel_and_sums_past_2_to_the_63():
+    """_gram's rows, summed by _block_sums, flag exactly the subsets x with x @ M != 0.
+
+    Block 0 has x @ M = (1, -1, 0, 0) for x = {1}: nonzero, though its
+    columns sum to 0.  Block 1's entries are 2^31, so its Gram entries reach
+    2^64, which int64 wraps to 0; they are Python integers instead.
+    """
+    top = 1 << 31
+    blocks = np.array(
+        [
+            [[5, 5, 5, 5], [1, -1, 0, 0], [2, -2, 1, -1], [-1, 1, 0, 0]],
+            [[7, 7, 7, 7], [top, top, top, top], [top, -top, top, -top], [-top, -top, -top, -top]],
+        ],
+        dtype=np.int64,
+    )
+    assert (blocks @ blocks[:, 1:].transpose(0, 2, 1))[1, 1, 0] == 0  # |(2^31, 2^31, 2^31, 2^31)|^2 wraps in int64
+    rows = spectra._gram(blocks)
+    assert rows.dtype == object and rows.shape == (4, 6)
+    flags = np.concatenate([(block.reshape(len(block), 2, 3) != 0).any(axis=2) for _, block in spectra._block_sums(rows)])
+    masks = _bitmask_rows(4).astype(object)
+    want = np.stack([(masks @ block.astype(object) != 0).any(axis=1) for block in blocks], axis=1)
+    assert np.array_equal(flags, want)
+    assert want[1].tolist() == [True, True]  # x = {1}
+    assert want[5].tolist() == [False, False]  # x = {1, 3}
+
+
+@pytest.mark.parametrize("text", ["dihedral(22)", "alternating(7)"])
+@pytest.mark.parametrize("command", ["check-integrality", "check-membership"])
+def test_sweep_passes_sum_at_most_t_gram_blocks_and_one_column(monkeypatch, capsys, text, command):
+    """No check-* sweep pass sums blocks wider than T (k - 1) + 1 columns, T the units stacked (1 for integrality)."""
+    group, cd, table = _bundle(text)
+    units = spectra._generating_set(unit_group(group.exponent)) if command == "check-membership" else (1,)
+    widths = []
+    real = spectra._block_sums
+
+    def spy(rows):
+        widths.append(rows.shape[1])
+        return real(rows)
+
+    monkeypatch.setattr(spectra, "_block_sums", spy)
+    argv = [command, "--group", text, "--connection", "sweep"]
+    assert cli.run(argv + (["--gamma", "rational"] if command == "check-membership" else [])) == 0
+    capsys.readouterr()
+    assert widths and max(widths) <= len(units) * (cd.k - 1) + 1, (widths, units)
 
 
 def test_a_sweep_given_its_numerators_keeps_them(corpus):
@@ -896,19 +993,19 @@ def test_sweep_jobs_run_one_unheld_pass(monkeypatch, capsys, argv):
 
 
 def _spy_galois_passes(monkeypatch):
-    """The units of every stacked Galois pass (_moved) and the count of every block pass (_block_sums)."""
+    """The units of every stacked Galois pass (_defects) and the count of every block pass (_block_sums)."""
     passes, blocks = [], []
-    moved, block_sums = spectra._moved, spectra._block_sums
+    defects, block_sums = spectra._defects, spectra._block_sums
 
-    def moved_spy(weighted, sums, count, m, units):
+    def defects_spy(weighted, m, units):
         passes.append(tuple(int(t) for t in units))
-        return moved(weighted, sums, count, m, units)
+        return defects(weighted, m, units)
 
     def block_spy(rows):
         blocks.append(len(rows))
         return block_sums(rows)
 
-    monkeypatch.setattr(spectra, "_moved", moved_spy)
+    monkeypatch.setattr(spectra, "_defects", defects_spy)
     monkeypatch.setattr(spectra, "_block_sums", block_spy)
     return passes, blocks
 
@@ -927,8 +1024,8 @@ def test_verify_all_runs_one_galois_pass_per_swept_group(monkeypatch, capsys):
     for text in CORPUS:
         m = build_group(GroupSpec.from_json(text)).exponent
         expected.append(tuple(sorted(g.generators[0] for g in cyclic_subgroups(m) if g.order > 1)))
-    assert passes == expected  # with no generators (m <= 2), _moved makes no pass
-    assert len(blocks) == len(CORPUS) + sum(map(bool, expected))
+    assert passes == [units for units in expected if units]  # with no generators (m <= 2), there is no stacked pass
+    assert len(blocks) == len(CORPUS) + len(passes)
     assert merges == []
 
 
