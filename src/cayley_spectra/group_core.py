@@ -28,7 +28,8 @@ from .errors import shown
 
 DEFAULT_GROUP_CAP = 5040
 # the refusal budget of table and sweep jobs: bytes the (k, k, k) int64 class
-# structure-constant tensor, or a sweep's estimated peak, may take
+# structure-constant tensor, a sweep's estimated peak, or the element rows of
+# a permutation group at the size cap may take
 TABLE_BYTE_BUDGET = 256 << 20
 # Bytes of one chunk of every streamed loop (_chunks): a sweep's block of
 # int64 sums, an oracle's stack of matrices or rows, a table lift's or
@@ -210,6 +211,17 @@ def parse_permutation(text: str, domain: Optional[int] = None) -> tuple[int, ...
     Points are positive integers; fixed points may be omitted.  When domain
     is given the permutation is padded to that many points.
     """
+    cycles = _cycles(text)
+    d = max((p for cyc in cycles for p in cyc), default=0)
+    if domain is not None:
+        if d > domain:
+            raise ValueError(f"point {d} outside domain of size {domain}")
+        d = domain
+    return _images(cycles, d)
+
+
+def _cycles(text: str) -> list[list[int]]:
+    """The cycles of the cycle notation text, as lists of its 1-based points; a malformed or repeated point is refused."""
     stripped = text.replace(" ", "").replace(",", "")
     if stripped in ("", "()"):
         cycles: list[list[int]] = []
@@ -228,11 +240,11 @@ def parse_permutation(text: str, domain: Optional[int] = None) -> tuple[int, ...
             if p in seen:
                 raise ValueError(f"malformed cycle notation: repeated point {p} in {shown(text)}")
             seen.add(p)
-    d = max(seen) if seen else 0
-    if domain is not None:
-        if d > domain:
-            raise ValueError(f"point {d} outside domain of size {domain}")
-        d = domain
+    return cycles
+
+
+def _images(cycles: list[list[int]], d: int) -> tuple[int, ...]:
+    """The 0-based image tuple on d points of the permutation with the given cycles."""
     images = list(range(d))
     for cyc in cycles:
         for i, p in enumerate(cyc):
@@ -433,7 +445,11 @@ class _Rows:
         self._compose = compose
         self._label = label
         self._width = len(radix)
-        space = prod(radix)
+        space = 1
+        for r in radix:  # d points have d^(d - 1) keys: stop once past _DENSE_KEYS
+            space *= r
+            if space > _DENSE_KEYS:
+                break
         self._weights = self._void = None
         if space <= _DENSE_KEYS:
             self._weights = np.array([prod(radix[:i]) for i in range(self._width)], dtype=np.int64)
@@ -635,15 +651,19 @@ def _law(spec: GroupSpec, cap: int):
     """The element rows and product of spec, with no Group built for a factor.
 
     A direct product is folded factor by factor, nested products in place,
-    and every step is held to the cap.
+    and every step is held to the cap.  A permutation spec whose largest
+    point would give a group at the cap more than TABLE_BYTE_BUDGET of
+    element rows is refused before any per-point list is built.
     """
     if spec.kind == "permutation-generators":
-        domain = 0
-        for g in spec.generators:
-            images = parse_permutation(g)
-            domain = max(domain, len(images))
-        gens = [parse_permutation(g, domain) for g in spec.generators]
-        return _Permutations(tuple(range(domain)), gens, cap)
+        cycles = [_cycles(g) for g in spec.generators]
+        domain = max((p for gen in cycles for cyc in gen for p in cyc), default=0)
+        if cap * domain * np.min_scalar_type(max(domain - 1, 0)).itemsize > TABLE_BYTE_BUDGET:
+            raise ValueError(
+                f"point {shown(domain)} is too large: element rows of a group at the size cap {cap}"
+                f" would exceed the {TABLE_BYTE_BUDGET >> 20} MiB budget"
+            )
+        return _Permutations(tuple(range(domain)), [_images(gen, domain) for gen in cycles], cap)
     if spec.kind == "named-family":
         return _family_law(spec.family, spec.params, cap)
     if spec.kind == "direct-product":

@@ -8,16 +8,17 @@ equivalence checks: integrality against power closure of C, and membership in
 a subfield against closure of C under the matching Galois power action, each
 side an AND over generators t of per-unit columns (_moved and _closed).  Each
 spectral question is whether x @ M != 0 for a class mask x and an integer
-block M; a sweep asks it of every subset through the Gram rows of M (_gram).
+block M; a sweep asks it of every subset in one guarded pass over the Gram
+rows of M (_vanishing).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 import numbers
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -261,33 +262,14 @@ def _formula(cd: ClassData, table: CharacterTable) -> np.ndarray:
     return summands.reshape(k, k * phi)
 
 
-def _check_rows(sizes: Sequence[int], start: int, trivial: np.ndarray) -> None:
-    """Refuse a block whose trivial eigenvalues, trivial (B,) for subsets start .. start + B - 1, are not their |C|.
-
-    _formula has checked every spectrum identity on the single-class rows,
-    and linearity carries them to every sum of rows.  What linearity cannot
-    give is that a block of sums stands for the subsets its offset names.
-    So |C| is summed here from the subsets' bits, class j + 1 when bit j is
-    set, not by the sums under test, and a block summed at the wrong offset
-    fails.
-    """
-    bits = np.arange(start, start + len(trivial), dtype=np.int64)
-    size = np.zeros_like(bits)
-    for j, s in enumerate(sizes[1:]):
-        size += (bits >> j & 1) * s
-    if (trivial != size).any():
-        raise InternalConsistencyError("trivial eigenvalue differs from |C|")
-
-
 def _nonzero_from(values: np.ndarray, first: int) -> np.ndarray:
     """(B, k) flags of the (B, k, phi) integer values with a nonzero coefficient at index first or later.
 
     any() over the short, strided last axis runs one tiny loop per value.
     So the values are compared with 0, copied coefficient-major and reduced
     over their leading axis: one long OR per coefficient.  Every caller
-    passes one block of _block_sums or one row, so the two bool temporaries
-    are at most an eighth of group_core.CHUNK_BYTES (or of a row).  A sweep
-    passes its Gram sums, a (B, k) block as (B, 1, k) or (B, T, k - 1).
+    passes the values of its mask rows, and the two bool temporaries are an
+    eighth of them.  A sweep reads its blocks the same way (_vanishing).
     """
     nonzero = np.ascontiguousarray((values != 0).transpose(2, 0, 1)[first:])
     return np.logical_or.reduce(nonzero, axis=0)
@@ -309,8 +291,8 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
 
 
 def _block_bits(bits: int, width: int) -> int:
-    """c <= bits, the largest with 2^c rows of width int64 entries within one chunk (_chunks), and at least 0; rows of width 0 count as 1."""
-    rows = next(_chunks(1 << bits, 8 * max(width, 1))).stop
+    """c <= bits, the largest with 2^c rows of width int64 entries within one chunk (_chunks), and at least 0."""
+    rows = next(_chunks(1 << bits, 8 * width)).stop
     return min(bits, rows.bit_length() - 1)
 
 
@@ -324,7 +306,9 @@ def _block_sums(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     block h is low + high[h], one add per entry, and every value formed is
     the sum of a subset.  Block 0 is low itself, as high[0] is the empty
     sum; the later blocks are written into one buffer that the next block
-    overwrites.  A caller reads a block and never writes to it.
+    overwrites.  A caller reads a block and never writes to it.  Its one
+    caller, _vanishing, checks each block's offset against a column of the
+    rows.
     """
     c = _block_bits(len(rows) - 1, rows.shape[1])
     low = _subset_sums(rows[: c + 1])
@@ -334,14 +318,6 @@ def _block_sums(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     for h in range(1, len(high)):
         np.add(low, high[h], out=block)
         yield h << c, block
-
-
-def _bit_masks(start: int, count: int, k: int) -> np.ndarray:
-    """The (count, k) 0/1 int64 indicators of subsets start .. start + count - 1: class j + 1 when bit j is set, never class 0."""
-    bits = np.arange(start, start + count, dtype=np.int64) << 1  # bit j for class j
-    masks = bits[:, None] >> np.arange(k)
-    masks &= 1
-    return masks
 
 
 def _defects(weighted: np.ndarray, m: int, units: np.ndarray) -> np.ndarray:
@@ -368,34 +344,24 @@ def _defects(weighted: np.ndarray, m: int, units: np.ndarray) -> np.ndarray:
     return defect.reshape(k, k, len(units), phi).transpose(2, 0, 1, 3).reshape(len(units), k, k * phi)
 
 
-def _moved(
-    weighted: np.ndarray,
-    sums: Callable[[np.ndarray], Iterable[tuple[int, np.ndarray]]],
-    count: int,
-    m: int,
-    units: Sequence[int],
-) -> np.ndarray:
-    """(count, k, T) flags: whether sigma_t moves character r's eigenvalue on row s, for each of the T units t.
+def _moved(weighted: np.ndarray, masks: np.ndarray, m: int, units: Sequence[int]) -> np.ndarray:
+    """(B, k, T) flags: whether sigma_t moves character r's eigenvalue on mask row b of the (B, k) masks, for each of the T units t.
 
-    sums runs once over the per-class defects of all the units (_defects),
-    rows j and columns (t, r, e), yielding (start, block) pairs as
-    _block_sums does: one product for a single connection set (_one_row),
-    whose witness is the first moved character.  An eigenvalue is moved by
-    sigma_t when a coefficient of its defect sum is nonzero
-    (_nonzero_from).  A sweep, which needs no witness, tests the Gram rows
-    of the defects instead (sweep_unit_fixed).  With no units there is no
-    pass.
+    The rows' defect sums x @ D, D the per-class defects of all the units
+    (_defects) in columns (t, r, e), are taken in one product.  An
+    eigenvalue is moved by sigma_t when a coefficient of its defect sum is
+    nonzero (_nonzero_from).  A single connection set passes its one mask
+    row, and the first moved character is its witness; a sweep, which needs
+    no witness, tests the Gram rows of the defects instead
+    (sweep_unit_fixed).  With no units there is no product.
     """
     k = len(weighted)
     units = _unit_array(units, m)
-    moved = np.zeros((count, k, len(units)), dtype=bool)
     if not len(units):
-        return moved
+        return np.zeros((len(masks), k, 0), dtype=bool)
     defect = _defects(weighted, m, units).transpose(1, 0, 2).reshape(k, -1)
-    for start, block in sums(defect):
-        flags = _nonzero_from(block.reshape(len(block), len(units) * k, -1), 0)
-        moved[start : start + len(block)] = flags.reshape(len(block), len(units), k).transpose(0, 2, 1)
-    return moved
+    flags = _nonzero_from((masks @ defect).reshape(len(masks), len(units) * k, -1), 0)
+    return flags.reshape(len(masks), len(units), k).transpose(0, 2, 1)
 
 
 def _gram(blocks: np.ndarray) -> np.ndarray:
@@ -419,6 +385,32 @@ def _gram(blocks: np.ndarray) -> np.ndarray:
     blocks = _widened(blocks, bound)
     gram = exact_matmul(blocks, blocks[:, 1:].transpose(0, 2, 1), bound)
     return gram.transpose(1, 0, 2).reshape(k, stacked * (k - 1))
+
+
+def _vanishing(blocks: np.ndarray) -> np.ndarray:
+    """(S, T) bool: whether x @ blocks[t] = 0 for subset x, over every subset of classes 1..k-1, from one guarded pass.
+
+    blocks is a (T, k, W) integer array, and x @ blocks[t] = 0 exactly when
+    x's sums of the Gram columns of blocks[t] are 0 (_gram).  _block_sums
+    sums those columns behind one more, class j's own bit 2^(j - 1).  Over
+    subset s that column sums to s itself, as a sum of distinct powers of
+    two is their OR.  So a block whose column is not start, start + 1, ...
+    holds the sums of other subsets than its offset names, and is refused.
+    """
+    stacked, k = blocks.shape[:2]
+    bits = (1 << np.arange(k, dtype=np.int64))[:, None] >> 1  # 0 for class 0, which no subset holds
+    rows = np.concatenate((bits, _gram(blocks)), axis=1)
+    del blocks  # the callers pass a temporary stack: free it before the pass
+    vanish = np.empty((1 << (k - 1), stacked), dtype=bool)
+    for start, block in _block_sums(rows):
+        if (block[:, 0] != np.arange(start, start + len(block))).any():
+            raise InternalConsistencyError(f"a block of sums does not hold the subsets from {start} on")
+        # as _nonzero_from, one long OR per column; the whole block is compared, as a compare
+        # over the strided view without the guard column runs buffered, at about twice the time
+        vanish[start : start + len(block)] = ~np.logical_or.reduce(
+            np.ascontiguousarray((block != 0).T[1:]).reshape(stacked, -1, len(block)), axis=1
+        ).T
+    return vanish
 
 
 def _unit_array(units: Sequence[int], m: int) -> np.ndarray:
@@ -482,24 +474,15 @@ def _mask(connection: ConnectionSet, cd: ClassData) -> np.ndarray:
     return mask
 
 
-def _one_row(mask: np.ndarray, rows: np.ndarray) -> tuple[tuple[int, np.ndarray]]:
-    """The sums of rows over the one mask row, as the single block (0, mask @ rows)."""
-    return ((0, mask @ rows),)
-
-
 def _single(connection: ConnectionSet, cd: ClassData, table: CharacterTable):
-    """_formula on the connection's one mask row.
+    """_formula on the connection's one mask row: weighted, the (1, k) mask and the row's (1, k, phi) numerators.
 
-    Returns weighted, the sums that _moved takes for this row (_one_row),
-    and the row's (1, k, phi) numerators and (1, k) irrational flags: a
-    numerator is irrational when it has a nonzero coefficient past the
-    first (_nonzero_from).  _formula's checks on the single-class rows hold
-    for this row by linearity.
+    _formula's checks on the single-class rows hold for this row by
+    linearity.
     """
     mask = _mask(connection, cd)
     weighted = _formula(cd, table)
-    numerators = (mask @ weighted).reshape(1, cd.k, -1)
-    return weighted, partial(_one_row, mask), numerators, _nonzero_from(numerators, 1)
+    return weighted, mask, (mask @ weighted).reshape(1, cd.k, -1)
 
 
 def _first(flags: np.ndarray) -> Optional[int]:
@@ -522,7 +505,7 @@ def eigenvalues_via_characters(
     tests the exact spectrum identities, so a returned Spectrum is
     internally consistent.
     """
-    _, _, numerators, _ = _single(connection, cd, table)
+    _, _, numerators = _single(connection, cd, table)
     return _read_spectrum(
         table.m, table.degrees, numerators[0], sum(cd.sizes), connection.size, connection.contains_identity
     )
@@ -553,9 +536,14 @@ class IntegralityReport:
 def check_integrality(
     group: Group, cd: ClassData, connection: ConnectionSet, table: CharacterTable
 ) -> IntegralityReport:
-    """Evaluate eigenvalue integrality and power closure independently."""
-    _, _, _, irrational = _single(connection, cd, table)
-    bad_char = _first(irrational[0])
+    """Evaluate eigenvalue integrality and power closure independently.
+
+    An eigenvalue is irrational when its numerator has a nonzero
+    coefficient past the first (_nonzero_from); the first such character
+    is the witness.
+    """
+    _, _, numerators = _single(connection, cd, table)
+    bad_char = _first(_nonzero_from(numerators, 1)[0])
     witness = _power_closure_witness(connection.elements, group)
     integral = bad_char is None
     closed = witness is None
@@ -594,9 +582,9 @@ def check_membership(
     witness is the smallest class of C's gamma-closure (_orbit) outside C.
     """
     units = _gamma_units(gamma, table.m)
-    weighted, sums, _, _ = _single(connection, cd, table)
-    bad_char = _first(_moved(weighted, sums, 1, table.m, units)[0].any(axis=1))
-    held = _mask(connection, cd)[0].astype(bool)
+    weighted, mask, _ = _single(connection, cd, table)
+    bad_char = _first(_moved(weighted, mask, table.m, units)[0].any(axis=1))
+    held = mask[0].astype(bool)
     pi = _pi(cd, units, group.exponent)
     closed = bool(_closed(held[:, None], pi).all())
     bad_class = None if closed else _first(_orbit(held, pi) & ~held)
@@ -623,8 +611,8 @@ def _sweep_bytes(k: int, phi: int) -> int:
 
     Per subset it counts k * phi int64 numerators, k * phi more for Galois
     defect sums, k int64 mask entries and SWEEP_ROW_BYTES.  A sweep sums
-    k or T (k - 1) Gram columns per subset, one block of _block_sums at a
-    time (_gram), so both phi terms are margins.
+    k or T (k - 1) + 1 columns per subset, one block of _block_sums at a
+    time (_vanishing), so both phi terms are margins.
     """
     return (1 << (k - 1)) * (8 * k * (2 * phi + 1) + SWEEP_ROW_BYTES)
 
@@ -658,8 +646,8 @@ class ClassSweep:
     Subset s is the bitmask s over classes 1..k-1 (bit i for class i + 1), so
     the subsets run in the order of ``range(2 ** (k - 1))``.  A sweep is
     what class_sweep's checked pass keeps: ``weighted``, what _formula
-    returns, and the (S,) ``integral`` flags read from each block of Gram
-    sums.  ``subsets``, ``masks`` and ``numerators`` are derived from
+    returns, and the (S,) ``integral`` flags of its guarded pass
+    (_vanishing).  ``subsets``, ``masks`` and ``numerators`` are derived from
     these on first read and kept; no read runs the checked pass again.
     ``masks[s]``, subset s's 0/1 indicator over all k classes, and
     ``numerators[s]``, its (k, phi) numerators, are the rows that
@@ -680,8 +668,8 @@ class ClassSweep:
 
     @cached_property
     def masks(self) -> np.ndarray:
-        """(S, k) int64: subset s's 0/1 indicator over all k classes, from the bits of s (_bit_masks)."""
-        return _bit_masks(0, len(self.integral), self.cd.k)
+        """(S, k) int64: subset s's 0/1 indicator over all k classes, the subset sums of the identity rows (_subset_sums)."""
+        return _subset_sums(np.identity(self.cd.k, dtype=np.int64))
 
     @cached_property
     def numerators(self) -> np.ndarray:
@@ -704,23 +692,15 @@ def class_sweep(group: Group, cd: ClassData, table: CharacterTable) -> ClassSwee
     identity on the single-class rows, which linearity carries to every
     subset.  A subset is integral when the irrational coefficients of its
     numerators, x @ M with M the columns of weighted past each character's
-    first coefficient, are all 0: when its sums of the k - 1 Gram columns
-    of M (_gram) are 0.  Those columns go to _block_sums behind one more,
-    the class sizes that the trivial character gives, whose sum in each
-    block is checked against the |C| of that block's subsets, summed from
-    their bits (_check_rows).  A block is dropped once its integrality
-    flags are read, so the pass keeps only the (S,) flags; a reader of the
-    masks or numerators derives them (ClassSweep).
+    first coefficient, are all 0, which the guarded pass over the Gram
+    columns of M decides (_vanishing).  A block is dropped once its flags
+    are read, so the pass keeps only the (S,) flags; a reader of the masks
+    or numerators derives them (ClassSweep).
     """
     check_sweep_size(cd.k, totient(table.m))
     weighted = _formula(cd, table)
     k = cd.k
-    irrational = weighted.reshape(1, k, k, -1)[..., 1:].reshape(1, k, -1)
-    rows = np.concatenate((weighted[:, :1], _gram(irrational)), axis=1)  # column 0: s_j * chi_0(g_j) = s_j
-    integral = np.empty(1 << (k - 1), dtype=bool)
-    for start, block in _block_sums(rows):
-        _check_rows(cd.sizes, start, block[:, 0])
-        integral[start : start + len(block)] = ~_nonzero_from(block[:, None], 1)[:, 0]
+    integral = _vanishing(weighted.reshape(1, k, k, -1)[..., 1:].reshape(1, k, -1))[:, 0]
     return ClassSweep(group=group, cd=cd, table=table, weighted=weighted, integral=integral)
 
 
@@ -759,19 +739,15 @@ def sweep_unit_fixed(sweep: ClassSweep, units: Sequence[int]) -> np.ndarray:
     """(S, T) bool: whether sigma_t fixes every eigenvalue of subset s, for each of the T units t, from one pass.
 
     sigma_t fixes them when subset s's defect sum x @ D_t is 0, D_t the
-    per-class defects of t (_defects), that is when its sums of D_t's k - 1
-    Gram columns are 0 (_gram).  The T (k - 1) columns of all the units go
-    through _block_sums once.  Column t is sweep_in_subfield for the cyclic
-    group <t>: its fixed field is the fixed field of t alone.
+    per-class defects of t (_defects).  The guarded pass decides that for
+    all the units at once, over the T (k - 1) Gram columns of the D_t
+    (_vanishing).  Column t is sweep_in_subfield for the cyclic group <t>:
+    its fixed field is the fixed field of t alone.
     """
     units = _unit_array(units, sweep.table.m)
-    fixed = np.ones((len(sweep.integral), len(units)), dtype=bool)
     if not len(units):
-        return fixed
-    rows = _gram(_defects(sweep.weighted, sweep.table.m, units))
-    for start, block in _block_sums(rows):
-        fixed[start : start + len(block)] = ~_nonzero_from(block.reshape(len(block), len(units), -1), 0)
-    return fixed
+        return np.ones((len(sweep.integral), 0), dtype=bool)
+    return _vanishing(_defects(sweep.weighted, sweep.table.m, units))
 
 
 def sweep_unit_closed(sweep: ClassSweep, units: Sequence[int]) -> np.ndarray:

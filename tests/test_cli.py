@@ -245,30 +245,52 @@ _OVER_CAP = (
 )
 
 
-def test_named_families_over_the_cap_are_refused_before_any_element_is_built():
-    """In a child process held to 1 GiB of address space and 60 s, each spec exits 2 naming the group and the cap."""
+def _classes_in_a_bounded_child(specs):
+    """(exit code, stderr, seconds) of the classes job of each spec, run in one child process held to 1 GiB of address space and 60 s."""
     script = (
-        "import contextlib, io, json, resource, sys\n"
+        "import contextlib, io, json, resource, sys, time\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from cayley_spectra.cli import run\n"
         "out = []\n"
         "for text in sys.argv[1:]:\n"
         "    err = io.StringIO()\n"
+        "    start = time.perf_counter()\n"
         "    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
-        "        out.append((run(['classes', '--group', text]), err.getvalue()))\n"
+        "        code = run(['classes', '--group', text])\n"
+        "    out.append((code, err.getvalue(), time.perf_counter() - start))\n"
         "print(json.dumps(out))\n"
     )
-    src = str(Path(cayley_spectra.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env["OPENBLAS_NUM_THREADS"] = "1"
-    done = subprocess.run(
-        [sys.executable, "-c", script, *_OVER_CAP], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = subprocess.run([sys.executable, "-c", script, *specs], env=_module_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr[-2000:]
-    for text, (code, err) in zip(_OVER_CAP, json.loads(done.stdout)):
+    return json.loads(done.stdout)
+
+
+def test_named_families_over_the_cap_are_refused_before_any_element_is_built():
+    """In a bounded child process, each spec exits 2 naming the group and the cap."""
+    for text, (code, err, _) in zip(_OVER_CAP, _classes_in_a_bounded_child(_OVER_CAP)):
         assert code == 2, text
         assert err.startswith("input error: group: group size cap 5040 exceeded by "), (text, err)
         assert len(err.encode()) < 1024, text
+
+
+def test_permutation_points_past_the_row_budget_are_refused_at_once():
+    """A point whose element rows at the size cap would pass TABLE_BYTE_BUDGET exits 2 naming the group, within a second.
+
+    5040 rows of 26,631 or more uint16 images pass 256 MiB.  Neither the
+    key space d^(d - 1) nor a list of every point is formed first, so the
+    order-2 group on 10^5 points and the one on 10^8 points, which would
+    not fit in the child's address space, are refused alike.  A spec on
+    300 points, and one just inside the budget, still build.
+    """
+    wide = ("perm[(1 100000)]", "perm[(1 99999999)]", "perm[(1 26631)]")
+    narrow = ("perm[(1 2 3)(4 5),(1 300)]", "perm[(1 26630)]")
+    results = _classes_in_a_bounded_child(wide + narrow)
+    for text, (code, err, seconds) in zip(wide, results):
+        assert code == 2, (text, err)
+        assert err.startswith("input error: group: point "), (text, err)
+        assert "256 MiB budget" in err and seconds < 1, (text, err, seconds)
+    for text, (code, err, seconds) in zip(narrow, results[len(wide) :]):
+        assert code == 0 and seconds < 5, (text, err, seconds)
 
 
 def _module_env():

@@ -7,6 +7,7 @@ multiplication table, and no module reads one as an attribute named mul.
 Every private helper, and every function of the private module _modp, is
 named somewhere besides its own definition.  spectra and cli decide every
 Galois question from the unit columns, so neither names the class merge.
+In spectra only the guarded pass calls the block kernel.
 """
 
 import ast
@@ -88,6 +89,21 @@ def test_spectra_and_cli_do_not_name_the_class_merge():
     for module in ("spectra", "cli"):
         named = set(_names(trees[module])) & {"galois_conjugacy_classes", "is_union_of_galois_classes"}
         assert not named, (module, named)
+
+
+def test_only_the_guarded_pass_sums_blocks():
+    """spectra names _block_sums only in _vanishing, which checks every block's offset, so no pass sums blocks unchecked.
+
+    A name counts whether it is called or passed on, so the kernel cannot
+    reach another pass as an argument either.
+    """
+    users = {
+        getattr(top, "name", None)
+        for top in _trees()["spectra"].body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "_block_sums"
+    }
+    assert users == {"_vanishing"}, users
 
 
 def test_no_module_reads_a_multiplication_table():

@@ -576,7 +576,7 @@ def test_stacked_generators_give_the_per_generator_flags(corpus, monkeypatch):
             m = group.exponent
             sweep = class_sweep(group, cd, table)
             generators = real(unit_group(m))
-            moved = spectra._moved(sweep.weighted, spectra._block_sums, len(sweep.integral), m, generators)
+            moved = spectra._moved(sweep.weighted, sweep.masks, m, generators)
             references = [_moved_reference(sweep, t) for t in generators]
             assert moved.shape == (len(sweep.integral), cd.k, len(generators)), text
             for i, reference in enumerate(references):
@@ -754,12 +754,13 @@ def _full_in_subfield(weighted, m, gamma):
     return fixed
 
 
-def _block_rows(monkeypatch, cd, table, rows):
-    """Set group_core.CHUNK_BYTES to checked-pass blocks of rows subsets (None: the shipped budget); returns the rows per block.
+def _block_rows(monkeypatch, cd, table, rows, units=1):
+    """Set group_core.CHUNK_BYTES to guarded-pass blocks of rows subsets (None: the shipped budget); returns the rows per block.
 
-    A checked block holds k columns per subset: |C| and the k - 1 Gram columns.
+    A guarded block holds 1 + units (k - 1) columns per subset: the own-bit
+    column and the Gram columns of each unit (1 for integrality).
     """
-    width = cd.k
+    width = 1 + units * (cd.k - 1)
     if rows is not None:
         monkeypatch.setattr(group_core, "CHUNK_BYTES", 8 * width * rows)
     return 1 << spectra._block_bits(cd.k - 1, width)
@@ -902,14 +903,16 @@ def _shifted_block_sums(real, shifted):
     return shifted_sums
 
 
-@pytest.mark.parametrize("text", ["cyclic(5)", "symmetric(4)", "dihedral(6)", "alternating(5)", "cyclic(12)"])
+OFFSET_GROUPS = ["cyclic(5)", "symmetric(4)", "dihedral(6)", "alternating(5)", "cyclic(12)"]
+
+
+@pytest.mark.parametrize("text", OFFSET_GROUPS)
 @pytest.mark.parametrize("through_cli", [False, True])
 def test_a_block_offset_off_by_one_is_refused(corpus, monkeypatch, capsys, text, through_cli):
-    """Each block that holds the next block's offset fails the trivial-eigenvalue check against its masks' bits.
+    """Every block summed at the next block's offset fails the own-bit guard of the integrality pass.
 
-    Block h is read as the subsets of block h + 1, whose |C| differs unless
-    the two high parts have equal sizes; for even h they differ by class
-    c + 1 alone, so every even block is caught.  The sweep is refused when
+    Block h is read as the subsets of block h + 1, whose own-bit column
+    sums to their bitmasks, not to block h's.  The sweep is refused when
     class_sweep is called, and through the check-integrality sweep job,
     which then writes nothing to stdout.
     """
@@ -917,8 +920,6 @@ def test_a_block_offset_off_by_one_is_refused(corpus, monkeypatch, capsys, text,
     per_block = _block_rows(monkeypatch, cd, table, max(1, 1 << (cd.k - 4)))
     blocks = (1 << (cd.k - 1)) // per_block
     assert blocks == 8
-    c = per_block.bit_length() - 1
-    high_sizes = [sum(cd.sizes[c + 1 + j] for j in range(cd.k - 1 - c) if h >> j & 1) for h in range(blocks)]
 
     def sweep():
         if through_cli:
@@ -926,17 +927,66 @@ def test_a_block_offset_off_by_one_is_refused(corpus, monkeypatch, capsys, text,
         return class_sweep(group, cd, table)
 
     real = spectra._block_sums
-    caught = 0
     for h in range(blocks - 1):
         monkeypatch.setattr(spectra, "_block_sums", _shifted_block_sums(real, h))
-        if high_sizes[h + 1] != high_sizes[h]:
-            with pytest.raises(InternalConsistencyError, match="^trivial eigenvalue differs from"):
-                sweep()
-            assert capsys.readouterr().out == ""
-            caught += 1
-    assert caught >= blocks // 2
+        with pytest.raises(InternalConsistencyError, match=f"^a block of sums does not hold the subsets from {h * per_block} on$"):
+            sweep()
+        assert capsys.readouterr().out == ""
     monkeypatch.setattr(spectra, "_block_sums", _shifted_block_sums(real, blocks))  # no such block
     sweep()
+
+
+@pytest.mark.parametrize("text", OFFSET_GROUPS)
+def test_a_galois_block_offset_off_by_one_is_refused(corpus, monkeypatch, capsys, text):
+    """Every block summed at the next block's offset fails the own-bit guard of the Galois pass.
+
+    The check-membership sweep job over the unit group stacks the units of
+    its generating set; only the Galois pass is shifted, so the checked
+    integrality pass before it runs as shipped.  The job raises and writes
+    nothing to stdout.
+    """
+    group, cd, table = corpus[text]
+    units = len(spectra._generating_set(unit_group(group.exponent)))
+    per_block = _block_rows(monkeypatch, cd, table, max(1, 1 << (cd.k - 4)), units)
+    blocks = (1 << (cd.k - 1)) // per_block
+    assert blocks == 8
+    argv = ["check-membership", "--group", text, "--connection", "sweep", "--gamma", "rational"]
+    real = spectra._block_sums
+
+    def galois_shifted(h):
+        """_block_sums with block h shifted in every pass after the first, the integrality pass."""
+        first, shifted = [real], _shifted_block_sums(real, h)
+        return lambda rows: (first.pop() if first else shifted)(rows)
+
+    for h in range(blocks - 1):
+        monkeypatch.setattr(spectra, "_block_sums", galois_shifted(h))
+        with pytest.raises(InternalConsistencyError, match=f"^a block of sums does not hold the subsets from {h * per_block} on$"):
+            cli.run(argv)
+        assert capsys.readouterr().out == ""
+    monkeypatch.setattr(spectra, "_block_sums", galois_shifted(blocks))  # no such block
+    assert cli.run(argv) == 0
+
+
+def _reordered_block_sums(real):
+    """real, a _block_sums that takes the low classes 1..c in reverse: each block's first row is right, its later rows other subsets' sums."""
+
+    def sums(rows):
+        c = spectra._block_bits(len(rows) - 1, rows.shape[1])
+        return real(np.concatenate((rows[:1], rows[c:0:-1], rows[c + 1 :])))
+
+    return sums
+
+
+@pytest.mark.parametrize("text", OFFSET_GROUPS)
+def test_a_block_in_the_wrong_row_order_is_refused_by_both_passes(corpus, monkeypatch, text):
+    """The guard compares every row of a block with its subset, not only the first, in the integrality and Galois passes."""
+    group, cd, table = corpus[text]
+    sweep = class_sweep(group, cd, table)
+    units = spectra._generating_set(unit_group(group.exponent))
+    monkeypatch.setattr(spectra, "_block_sums", _reordered_block_sums(spectra._block_sums))
+    for run in (lambda: class_sweep(group, cd, table), lambda: sweep_unit_fixed(sweep, units)):
+        with pytest.raises(InternalConsistencyError, match="^a block of sums does not hold the subsets from 0 on$"):
+            run()
 
 
 def _spy_checked_pass(monkeypatch):
